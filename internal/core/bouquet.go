@@ -16,10 +16,11 @@
 // heuristic, and uses spilled partial executions to maximise selectivity
 // learning per unit of exploration budget.
 //
-// Two run-time drivers are provided: an abstract driver that simulates
-// budgeted executions on the optimizer's cost surfaces (what the paper's
-// grid metrics are computed from), and a concrete driver that runs plans
-// on the internal/exec engine over real rows (Table 3's validation).
+// One run-time driver (driver.go) executes both algorithms over a stepper,
+// of which there are two: budgeted executions simulated on the optimizer's
+// cost surfaces (what the paper's grid metrics are computed from), and
+// plans run on the internal/exec engine over real rows (Table 3's
+// validation).
 package core
 
 import (
@@ -132,12 +133,19 @@ type Bouquet struct {
 // Coster.WithPerturbation(delta, seed).
 func (b *Bouquet) SetActualCoster(a *cost.Coster) { b.actual = a }
 
+// execCoster returns the coster executions are priced with: the divergent
+// actual model when one is installed (§3.4), the compile-time model
+// otherwise.
+func (b *Bouquet) execCoster() *cost.Coster {
+	if b.actual != nil {
+		return b.actual
+	}
+	return b.Coster
+}
+
 // execCost prices what an execution would actually charge for p at sels.
 func (b *Bouquet) execCost(p *plan.Node, sels cost.Selectivities) cost.Cost {
-	if b.actual != nil {
-		return b.actual.Cost(p, sels)
-	}
-	return b.Coster.Cost(p, sels)
+	return b.execCoster().Cost(p, sels)
 }
 
 // Compile identifies the plan bouquet for opt's query over space. When
@@ -350,9 +358,7 @@ func (b *Bouquet) optCostAtFloor(p ess.Point) cost.Cost {
 	sels := b.Space.Sels(b.Space.PointAt(flat))
 	best := cost.Cost(math.Inf(1))
 	for _, pid := range b.PlanIDs {
-		if c := b.Coster.Cost(b.Diagram.Plan(pid), sels); c < best {
-			best = c
-		}
+		best = min(best, b.Coster.Cost(b.Diagram.Plan(pid), sels))
 	}
 	return best
 }

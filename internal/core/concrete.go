@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/exec"
-	"repro/internal/floats"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/trace"
@@ -68,10 +68,11 @@ type ConcreteRunner struct {
 	// itself), and discovered-selectivity learn spans. nil disables
 	// recording entirely.
 	Trace *trace.Recorder
-	// Parallelism, when positive, runs every execution step on the
+	// Parallelism, when non-zero, runs every execution step on the
 	// vectorized morsel-parallel engine with that many workers (batch
-	// size exec.DefaultBatchSize). Zero keeps the tuple-at-a-time
-	// Volcano engine. Both engines report identical tuple counters, so
+	// size exec.DefaultBatchSize); the engine rejects counts outside
+	// 1 … exec.MaxParallelism. Zero keeps the tuple-at-a-time Volcano
+	// engine. Both engines report identical tuple counters, so
 	// selectivity learning is unaffected.
 	Parallelism int
 	// Reuse, when true, gives each run a fresh operator-state cache so
@@ -83,218 +84,127 @@ type ConcreteRunner struct {
 	Reuse bool
 }
 
-// newReuseCache returns the per-run cache, or nil when reuse is off.
-func (r *ConcreteRunner) newReuseCache() *exec.ReuseCache {
-	if !r.Reuse {
-		return nil
+// Run executes the bouquet on the engine: the optimized algorithm (Fig. 13 —
+// AxisPlans plan choice, spilled budgeted executions, selectivity learning
+// from tuple counters, pincer elimination, early contour change) when
+// optimized is set, the basic algorithm (Fig. 7) otherwise. ctx is checked
+// between executions, never inside one; if it expires, or the engine rejects
+// a step (see exec.Engine.Run), the steps so far come back with the error.
+func (r *ConcreteRunner) Run(ctx context.Context, optimized bool) (ConcreteExecution, error) {
+	s := &engineStepper{r: r}
+	if r.Reuse {
+		s.cache = exec.NewReuseCache()
 	}
-	return exec.NewReuseCache()
+	if !optimized {
+		err := r.B.runBasic(ctx, s, r.Trace, nil)
+		return s.out, err
+	}
+	st := r.B.newRunState(nil)
+	err := r.B.runOptimized(ctx, s, r.Trace, st)
+	s.out.Learned = st.qrun
+	return s.out, err
 }
 
-// recordConcreteStep emits the exec span for one real engine execution,
-// attaching the engine's per-operator counters in plan walk order.
-func (r *ConcreteRunner) recordConcreteStep(s ConcreteStep, res exec.Result, pred int) {
-	rec := r.Trace
-	if !rec.Enabled() {
-		return
-	}
-	rec.Record(trace.Span{
-		Kind: trace.KindExec, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: pred,
-		Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
-		Rows: s.Rows, Completed: s.Completed, WallNanos: s.Wall.Nanoseconds(),
-		Batches: res.Batches, Workers: res.Workers,
-		ReuseHits: s.ReuseHits, SalvagedCost: trace.SafeCost(s.Salvaged.F()),
-		Nodes: res.TraceNodes(r.B.Diagram.Plan(s.PlanID)),
-	})
+// RunBasic is Run(context.Background(), false) for callers holding a
+// compiled, validated bouquet: it panics on any error the engine reports.
+func (r *ConcreteRunner) RunBasic() ConcreteExecution {
+	return must(r.Run(context.Background(), false))
 }
 
-// concreteStep assembles the ConcreteStep for one engine execution.
-func concreteStep(contour, pid, dim int, budget cost.Cost, completed bool, res exec.Result, wall time.Duration) ConcreteStep {
-	return ConcreteStep{
+// RunOptimized is Run(context.Background(), true) for callers holding a
+// compiled, validated bouquet: it panics on any error the engine reports.
+func (r *ConcreteRunner) RunOptimized() ConcreteExecution {
+	return must(r.Run(context.Background(), true))
+}
+
+// engineStepper is the engine stepper: executions run on exec.Engine over
+// real rows, and everything the run learns comes from its tuple counters.
+type engineStepper struct {
+	r *ConcreteRunner
+	// cache is the run's operator-state cache, nil when reuse is off.
+	cache *exec.ReuseCache
+	out   ConcreteExecution
+}
+
+// run executes plan pid under budget — the whole plan when pred < 0, else
+// spilled at pred to learn dim from state st — and folds the step into the
+// run: the step list, the cost/wall/reuse totals, and the exec trace span
+// carrying the engine's per-operator counters in plan walk order.
+func (s *engineStepper) run(contour, pid, pred, dim int, budget cost.Cost, st *runState) (bound float64, completed, finished bool, err error) {
+	r, p := s.r, s.r.B.Diagram.Plan(pid)
+	opts := exec.Options{Budget: budget, Spill: pred >= 0, SpillPred: pred, Reuse: s.cache}
+	if r.Trace.Enabled() {
+		opts.Trace, opts.TraceContour, opts.TracePlan = r.Trace, contour, pid
+	}
+	if r.Parallelism != 0 {
+		opts.Vectorized, opts.BatchSize, opts.Parallelism = true, exec.DefaultBatchSize, r.Parallelism
+	}
+	t0 := time.Now()
+	res, err := r.Engine.Run(p, opts)
+	wall := time.Since(t0)
+	if err != nil {
+		return 0, false, false, fmt.Errorf("core: contour %d plan %d: %w", contour, pid, err)
+	}
+	// A whole plan that completes is the query result. So is a completed
+	// spill whose error node is the plan root: the "spilled" subtree was
+	// the whole plan, so the result is already in hand.
+	completed, finished = res.Completed, res.Completed
+	if pred >= 0 {
+		node := spillNode(p, pred)
+		bound, completed = r.learnFromStats(node, pred, st, res)
+		finished = completed && node == p
+	}
+	step := ConcreteStep{
 		Step: Step{Contour: contour, PlanID: pid, Dim: dim, Budget: budget, Spent: res.CostUsed, Completed: completed},
 		Wall: wall, Rows: res.RowsOut, ReuseHits: res.ReuseHits, Salvaged: res.SalvagedCost,
 	}
-}
-
-// appendStep folds one engine execution into the run: the step list, the
-// cost/wall/reuse totals, and the exec trace span.
-func (r *ConcreteRunner) appendStep(out *ConcreteExecution, step ConcreteStep, res exec.Result, pred int) {
-	out.Steps = append(out.Steps, step)
-	out.TotalCost += step.Spent
-	out.Wall += step.Wall
-	out.ReuseHits += step.ReuseHits
-	out.SalvagedCost += step.Salvaged
-	r.recordConcreteStep(step, res, pred)
-}
-
-// runTerminal is the defensive beyond-terminus execution both algorithms
-// share: when realized data selectivities exceed the space's terminus,
-// every contour is exhausted without completing, so the chosen plan runs
-// unbudgeted (and necessarily completes).
-func (r *ConcreteRunner) runTerminal(out *ConcreteExecution, contour, pid int, cache *exec.ReuseCache) {
-	res, wall := r.timedRun(contour, pid, exec.Options{Budget: cost.Cost(math.Inf(1)), Reuse: cache})
-	step := concreteStep(contour, pid, -1, cost.Cost(math.Inf(1)), true, res, wall)
-	r.appendStep(out, step, res, -1)
-	out.Completed = true
-	out.ResultRows = res.RowsOut
-}
-
-// RunBasic executes the basic algorithm (Fig. 7) on the engine.
-func (r *ConcreteRunner) RunBasic() ConcreteExecution {
-	var out ConcreteExecution
-	cache := r.newReuseCache()
-	for _, c := range r.B.Contours {
-		recordContour(r.Trace, c)
-		for _, pid := range c.PlanIDs {
-			if r.executeGeneric(&out, c, pid, cache) {
-				return out
-			}
-		}
+	s.out.Steps = append(s.out.Steps, step)
+	s.out.TotalCost += step.Spent
+	s.out.Wall += wall
+	s.out.ReuseHits += step.ReuseHits
+	s.out.SalvagedCost += step.Salvaged
+	if finished {
+		s.out.Completed, s.out.ResultRows = true, res.RowsOut
 	}
-	// Defensive terminal execution (q_a beyond the last contour can
-	// only happen when realized data selectivities exceed the space's
-	// terminus): run the last contour's plans unbudgeted.
-	last := r.B.Contours[len(r.B.Contours)-1]
-	r.runTerminal(&out, last.K+1, last.PlanIDs[0], cache)
-	return out
-}
-
-// RunOptimized executes the optimized algorithm (Fig. 13) on the engine:
-// AxisPlans plan choice, spilled budgeted executions, selectivity learning
-// from tuple counters, pincer elimination, and early contour change.
-func (r *ConcreteRunner) RunOptimized() ConcreteExecution {
-	b := r.B
-	var out ConcreteExecution
-	cache := r.newReuseCache()
-	st := &runState{qrun: b.Space.Origin().Clone(), learned: make([]bool, b.Space.Dims())}
-
-	for _, c := range b.Contours {
-		if r.runContourConcrete(&out, c, st, cache) {
-			out.Learned = st.qrun
-			return out
-		}
-	}
-	// Beyond the last contour: finish unbudgeted with the cheapest
-	// surviving plan at q_run.
-	pid, _ := r.cheapestAt(b.Contours[len(b.Contours)-1].PlanIDs, st)
-	r.runTerminal(&out, len(b.Contours)+1, pid, cache)
-	out.Learned = st.qrun
-	return out
-}
-
-func (r *ConcreteRunner) runContourConcrete(out *ConcreteExecution, c Contour, st *runState, cache *exec.ReuseCache) bool {
-	b := r.B
-	recordContour(r.Trace, c)
-	remaining := make(map[int]bool, len(c.PlanIDs))
-	spilled := make(map[int]bool, len(c.PlanIDs))
-	for _, pid := range c.PlanIDs {
-		remaining[pid] = true
-	}
-	for {
-		if b.optCostAtFloor(st.qrun) > c.RawBudget {
-			return false // early contour change
-		}
-		qrunSels := b.Space.Sels(st.qrun)
-		for pid := range remaining {
-			if b.Coster.Cost(b.Diagram.Plan(pid), qrunSels) > c.Budget {
-				delete(remaining, pid) // pincer elimination
-			}
-		}
-		if len(remaining) == 0 {
-			return false
-		}
-
-		var cands []axisCandidate
-		for _, cand := range b.axisPlans(st, c) {
-			if remaining[cand.planID] && !spilled[cand.planID] {
-				cands = append(cands, cand)
-			}
-		}
-		if len(cands) > 0 {
-			cand := pickCandidate(cands)
-			spilled[cand.planID] = true
-			dim := b.Query.DimOf(cand.learnID)
-			p := b.Diagram.Plan(cand.planID)
-			res, wall := r.timedRun(c.K, cand.planID, exec.Options{Budget: c.Budget, Spill: true, SpillPred: cand.learnID, Reuse: cache})
-			sel, exact := r.learnFromStats(cand.planID, cand.learnID, st, res)
-			if sel > st.qrun[dim] {
-				st.qrun[dim] = sel
-			}
-			if exact {
-				st.learned[dim] = true
-			} else {
-				delete(remaining, cand.planID)
-			}
-			step := concreteStep(c.K, cand.planID, dim, c.Budget, exact, res, wall)
-			r.appendStep(out, step, res, cand.learnID)
-			recordLearn(r.Trace, c.K, cand.planID, dim, cand.learnID, st.qrun[dim], exact)
-			if exact && spillNode(p, cand.learnID) == p {
-				// The error node is the plan root: the completed
-				// "spilled" subtree was the whole plan, so the
-				// query result is already in hand.
-				out.Completed = true
-				out.ResultRows = res.RowsOut
-				return true
-			}
-			continue
-		}
-
-		// Generic cost-limited execution, preferring the contour's
-		// covering plan near q_run.
-		pid := b.genericPick(c, st, remaining, qrunSels)
-		if r.executeGeneric(out, c, pid, cache) {
-			return true
-		}
-		delete(remaining, pid)
-	}
-}
-
-// cheapestAt returns the plan from ids cheapest at q_run (deterministic
-// ties by plan ID; costs within the floats.Eq tolerance count as tied, so
-// accumulated rounding error cannot flip the choice).
-func (r *ConcreteRunner) cheapestAt(ids []int, st *runState) (int, cost.Cost) {
-	sels := r.B.Space.Sels(st.qrun)
-	best, bestCost := -1, cost.Cost(math.Inf(1))
-	for _, id := range ids {
-		c := r.B.Coster.Cost(r.B.Diagram.Plan(id), sels)
-		switch {
-		case best < 0 || floats.Less(c.F(), bestCost.F()):
-			best, bestCost = id, c
-		case floats.Eq(c.F(), bestCost.F()) && id < best:
-			best = id
-		}
-	}
-	return best, bestCost
-}
-
-// executeGeneric runs plan pid cost-limited under contour c, appending the
-// step and reporting completion.
-func (r *ConcreteRunner) executeGeneric(out *ConcreteExecution, c Contour, pid int, cache *exec.ReuseCache) bool {
-	res, wall := r.timedRun(c.K, pid, exec.Options{Budget: c.Budget, Reuse: cache})
-	step := concreteStep(c.K, pid, -1, c.Budget, res.Completed, res, wall)
-	r.appendStep(out, step, res, -1)
-	if res.Completed {
-		out.Completed = true
-		out.ResultRows = res.RowsOut
-	}
-	return res.Completed
-}
-
-func (r *ConcreteRunner) timedRun(contour, pid int, opts exec.Options) (exec.Result, time.Duration) {
 	if r.Trace.Enabled() {
-		opts.Trace = r.Trace
-		opts.TraceContour = contour
-		opts.TracePlan = pid
+		r.Trace.Record(trace.Span{
+			Kind: trace.KindExec, Contour: contour, PlanID: pid, Dim: dim, Pred: pred,
+			Budget: trace.SafeCost(budget.F()), Spent: trace.SafeCost(step.Spent.F()),
+			Rows: step.Rows, Completed: completed, WallNanos: wall.Nanoseconds(),
+			Batches: res.Batches, Workers: res.Workers,
+			ReuseHits: step.ReuseHits, SalvagedCost: trace.SafeCost(step.Salvaged.F()),
+			Nodes: res.TraceNodes(p),
+		})
 	}
-	if r.Parallelism > 0 {
-		opts.Vectorized = true
-		opts.BatchSize = exec.DefaultBatchSize
-		opts.Parallelism = r.Parallelism
-	}
-	t0 := time.Now()
-	res := r.Engine.MustRun(r.B.Diagram.Plan(pid), opts)
-	return res, time.Since(t0)
+	return bound, completed, finished, nil
 }
+
+func (s *engineStepper) generic(c Contour, pid int) (bool, error) {
+	_, completed, _, err := s.run(c.K, pid, -1, -1, c.Budget, nil)
+	return completed, err
+}
+
+func (s *engineStepper) spill(c Contour, pid, pred, dim int, st *runState) (float64, bool, bool, error) {
+	return s.run(c.K, pid, pred, dim, c.Budget, st)
+}
+
+// terminal runs, with no ground truth to consult, the last contour's first
+// plan under the basic algorithm and its cheapest plan by estimate at q_run
+// under the optimized one.
+func (s *engineStepper) terminal(st *runState) error {
+	b := s.r.B
+	last := b.Contours[len(b.Contours)-1]
+	pid := last.PlanIDs[0]
+	if st != nil {
+		pid = b.cheapest(last.PlanIDs, b.Space.Sels(st.qrun))
+	}
+	_, _, _, err := s.run(len(b.Contours)+1, pid, -1, -1, cost.Cost(math.Inf(1)), nil)
+	return err
+}
+
+// nearWhenLearned is true: the engine stepper keeps preferring the contour's
+// covering plan near q_run after the last dimension is learned.
+func (s *engineStepper) nearWhenLearned() bool { return true }
 
 // learnFromStats derives the running selectivity lower bound for predID
 // from a spilled execution's tuple counters (§5.2):
@@ -307,10 +217,8 @@ func (r *ConcreteRunner) timedRun(contour, pid int, opts exec.Options) (exec.Res
 //
 // exact is true when the spilled subtree ran to completion, in which case
 // the bound is the true selectivity.
-func (r *ConcreteRunner) learnFromStats(pid, predID int, st *runState, res exec.Result) (float64, bool) {
+func (r *ConcreteRunner) learnFromStats(node *plan.Node, predID int, st *runState, res exec.Result) (float64, bool) {
 	b := r.B
-	p := b.Diagram.Plan(pid)
-	node := spillNode(p, predID)
 	stats := res.Stats[node]
 	if stats == nil {
 		return 0, false

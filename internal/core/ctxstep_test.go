@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,59 +33,83 @@ func (c *stepLimitedCtx) Err() error {
 // TestBasicRunCancelsBetweenContourSteps verifies the documented
 // cancellation granularity: a cancelled context aborts the basic driver
 // between budgeted executions *within* a contour, not merely at contour
-// boundaries. This is the regression test for the dropped-context path
-// ctxflow guards (the run loop used to poll ctx only once per contour).
+// boundaries — on both substrates, since both run the one loop. This is
+// the regression test for the dropped-context path ctxflow guards (the run
+// loop used to poll ctx only once per contour, and the concrete loop never).
 func TestBasicRunCancelsBetweenContourSteps(t *testing.T) {
 	// POSP configuration (no anorexic reduction) keeps contours dense,
 	// and a q_a near the terminus forces many failed budgeted
 	// executions before completion.
 	b, _ := compileFor(t, query2D(t), 12, CompileOptions{Lambda: -1})
 	qa := ess.Point{0.9, 0.9}
+	_, r, _ := concreteFixture(t, 42)
 
-	full, err := b.RunBasicContext(context.Background(), qa, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Completed {
-		t.Fatal("uncancelled run did not complete")
-	}
+	for _, row := range []struct {
+		name string
+		run  func(ctx context.Context) (steps []Step, completed bool, err error)
+	}{
+		{"simulated", func(ctx context.Context) ([]Step, bool, error) {
+			e, err := b.RunBasicTraced(ctx, qa, nil, nil)
+			return e.Steps, e.Completed, err
+		}},
+		{"concrete", func(ctx context.Context) ([]Step, bool, error) {
+			e, err := r.Run(ctx, false)
+			steps := make([]Step, len(e.Steps))
+			for i, s := range e.Steps {
+				steps[i] = s.Step
+			}
+			return steps, e.Completed, err
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			full, completed, err := row.run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !completed {
+				t.Fatal("uncancelled run did not complete")
+			}
 
-	// Find the first step that shares its contour with its predecessor:
-	// aborting exactly before it proves the mid-contour checkpoint.
-	cut := -1
-	for i := 1; i < len(full.Steps); i++ {
-		if full.Steps[i].Contour == full.Steps[i-1].Contour {
-			cut = i
-			break
-		}
-	}
-	if cut < 0 {
-		t.Fatalf("fixture has no contour with two steps; trace %v", full.Steps)
-	}
+			// Find the first step that shares its contour with its
+			// predecessor: aborting exactly before it proves the
+			// mid-contour checkpoint.
+			cut := -1
+			for i := 1; i < len(full); i++ {
+				if full[i].Contour == full[i-1].Contour {
+					cut = i
+					break
+				}
+			}
+			if cut < 0 {
+				t.Fatalf("fixture has no contour with two steps; trace %v", full)
+			}
 
-	// The basic driver polls ctx exactly once per step, so an allowance
-	// of cut polls aborts the run exactly before step cut.
-	ctx := &stepLimitedCtx{allowance: int64(cut)}
-	partial, err := b.RunBasicContext(ctx, qa, nil)
-	if err != context.Canceled {
-		t.Fatalf("cancelled run returned err %v, want context.Canceled", err)
-	}
-	if partial.Completed {
-		t.Fatal("cancelled run reported completion")
-	}
-	if len(partial.Steps) != cut {
-		t.Fatalf("cancelled run performed %d steps, want %d", len(partial.Steps), cut)
-	}
-	for i := range partial.Steps {
-		if partial.Steps[i] != full.Steps[i] {
-			t.Fatalf("partial step %d = %+v diverges from full trace %+v", i, partial.Steps[i], full.Steps[i])
-		}
-	}
-	// The abort point is strictly inside a contour: the step that was
-	// never executed belongs to the same contour as the last one taken.
-	if full.Steps[cut].Contour != partial.Steps[cut-1].Contour {
-		t.Fatalf("abort fell on a contour boundary (last %d, next %d)",
-			partial.Steps[cut-1].Contour, full.Steps[cut].Contour)
+			// The basic driver polls ctx exactly once per step, so an
+			// allowance of cut polls aborts the run exactly before
+			// step cut.
+			partial, completed, err := row.run(&stepLimitedCtx{allowance: int64(cut)})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled run returned err %v, want context.Canceled", err)
+			}
+			if completed {
+				t.Fatal("cancelled run reported completion")
+			}
+			if len(partial) != cut {
+				t.Fatalf("cancelled run performed %d steps, want %d", len(partial), cut)
+			}
+			for i := range partial {
+				if partial[i] != full[i] {
+					t.Fatalf("partial step %d = %+v diverges from full trace %+v", i, partial[i], full[i])
+				}
+			}
+			// The abort point is strictly inside a contour: the step
+			// that was never executed belongs to the same contour as
+			// the last one taken.
+			if full[cut].Contour != partial[cut-1].Contour {
+				t.Fatalf("abort fell on a contour boundary (last %d, next %d)",
+					partial[cut-1].Contour, full[cut].Contour)
+			}
+		})
 	}
 }
 
@@ -96,7 +121,7 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 	b, _ := compileFor(t, query2D(t), 12, CompileOptions{Lambda: -1})
 	qa := ess.Point{0.9, 0.9}
 
-	full, err := b.RunOptimizedContext(context.Background(), qa, nil)
+	full, err := b.RunOptimizedTraced(context.Background(), qa, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +130,7 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 	}
 	fullPolls := func() int64 {
 		probe := &stepLimitedCtx{allowance: 1 << 30}
-		if _, err := b.RunOptimizedContext(probe, qa, nil); err != nil {
+		if _, err := b.RunOptimizedTraced(probe, qa, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return probe.polls.Load()
@@ -122,7 +147,7 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 	// Cancel part-way through: the run must abort with the partial
 	// trace, strictly before finishing.
 	ctx := &stepLimitedCtx{allowance: fullPolls / 2}
-	partial, err := b.RunOptimizedContext(ctx, qa, nil)
+	partial, err := b.RunOptimizedTraced(ctx, qa, nil, nil)
 	if err != context.Canceled {
 		t.Fatalf("cancelled run returned err %v, want context.Canceled", err)
 	}
@@ -135,16 +160,22 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 }
 
 // TestRunContextCancelledUpFront: an already-cancelled context yields no
-// executions at all on either driver.
+// executions at all on either driver, on either substrate.
 func TestRunContextCancelledUpFront(t *testing.T) {
 	b, _ := compileFor(t, query1D(t), 10, CompileOptions{Lambda: 0.2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	qa := ess.Point{0.5}
-	if e, err := b.RunBasicContext(ctx, qa, nil); err == nil || len(e.Steps) != 0 {
+	if e, err := b.RunBasicTraced(ctx, qa, nil, nil); err == nil || len(e.Steps) != 0 {
 		t.Fatalf("basic: err=%v steps=%d, want immediate abort", err, len(e.Steps))
 	}
-	if e, err := b.RunOptimizedContext(ctx, qa, nil); err == nil || len(e.Steps) != 0 {
+	if e, err := b.RunOptimizedTraced(ctx, qa, nil, nil); err == nil || len(e.Steps) != 0 {
 		t.Fatalf("optimized: err=%v steps=%d, want immediate abort", err, len(e.Steps))
+	}
+	_, r, _ := concreteFixture(t, 42)
+	for _, optimized := range []bool{false, true} {
+		if e, err := r.Run(ctx, optimized); err == nil || len(e.Steps) != 0 {
+			t.Fatalf("concrete optimized=%v: err=%v steps=%d, want immediate abort", optimized, err, len(e.Steps))
+		}
 	}
 }

@@ -3,11 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/ess"
+	"repro/internal/floats"
 	"repro/internal/trace"
 )
 
@@ -67,79 +68,53 @@ func (e Execution) String() string {
 	return sb.String()
 }
 
-// truth captures the simulated ground truth of one query instance: the
-// full selectivity assignment at the actual location q_a.
-type truth struct {
-	qa   ess.Point
-	sels cost.Selectivities
-	opt  cost.Cost
+// stepper is the substrate a bouquet run executes on: the Fig. 7 / Fig. 13
+// policy in this file decides what runs next, a stepper runs it, folds the
+// step into its own execution record and trace, and reports the outcome.
+// surfaceStepper prices executions on the optimizer's cost surface (the
+// grid metrics, Figs. 14–17), engineStepper runs them on exec.Engine over
+// real rows (Table 3); the two numbers thus describe one algorithm.
+//
+// Where the hand-written loops this replaced had drifted apart, the
+// difference is a stepper answer (nearWhenLearned, spill's finished, the
+// plan terminal picks), not a silent reconciliation; see ROADMAP item 2.
+type stepper interface {
+	// generic executes plan pid cost-limited under c's budget and reports
+	// whether it completed, which finishes the query.
+	generic(c Contour, pid int) (completed bool, err error)
+	// spill executes, under c's budget, the subtree of plan pid rooted at
+	// the node applying pred, to learn dimension dim (§5.3). bound is the
+	// selectivity lower bound established — the true value when exact, i.e.
+	// the subtree completed; finished, that it already was the query result.
+	spill(c Contour, pid, pred, dim int, st *runState) (bound float64, exact, finished bool, err error)
+	// terminal finishes the query with one unbudgeted execution beyond the
+	// last contour (q_a past the terminus, or every plan failed under a
+	// divergent actual model). st is nil under the basic algorithm.
+	terminal(st *runState) error
+	// nearWhenLearned answers which survivor runs once every dimension is
+	// learned: the contour's covering plan near q_run first (true), or
+	// the cheapest by estimate outright (false).
+	nearWhenLearned() bool
 }
 
-func (b *Bouquet) truthAt(qa ess.Point) truth {
-	sels := b.Space.Sels(qa)
-	// The oracle cost: optimal plan cost at q_a. The diagram stores it
-	// for grid points under the perfect model; for off-grid points or a
-	// divergent actual model, the cheapest diagram plan at q_a priced
-	// with the actual model is the reference (the POSP covers the
-	// space).
-	flat := b.Space.NearestFlat(qa)
-	opt := b.Diagram.Cost(flat)
-	if b.actual != nil || !b.Diagram.Covered(flat) || !onGrid(b.Space, qa, flat) {
-		opt = cost.Cost(math.Inf(1))
-		for _, p := range b.Diagram.Plans() {
-			if c := b.execCost(p, sels); c < opt {
-				opt = c
-			}
-		}
+// must unwraps a run whose context is never cancelled, so that an error can
+// only be a contract violation by the stepper underneath.
+func must[E any](e E, err error) E {
+	if err != nil {
+		panic(err)
 	}
-	return truth{qa: qa, sels: sels, opt: opt}
-}
-
-func onGrid(s *ess.Space, p ess.Point, flat int) bool {
-	g := s.PointAt(flat)
-	for d := range p {
-		if math.Abs(p[d]-g[d]) > 1e-12*g[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// RunBasic simulates the basic bouquet algorithm (Fig. 7) at the actual
-// location qa: contour by contour, execute each contour plan under the
-// contour budget until one completes. A plan "completes" iff its full cost
-// at q_a is within the budget; otherwise the whole budget is spent and the
-// intermediate results jettisoned.
-func (b *Bouquet) RunBasic(qa ess.Point) Execution {
-	return b.RunBasicFrom(qa, nil)
-}
-
-// RunBasicFrom is RunBasic leveraging an initial seed location known to be
-// a component-wise *underestimate* of q_a (§8: when estimates are apriori
-// guaranteed to be underestimates, the bouquet can skip the contours below
-// the seed instead of starting at the origin). A nil seed starts at IC1.
-// The MSO guarantee is preserved for any valid (dominated) seed; a seed
-// that overestimates q_a voids it, exactly as the paper cautions.
-func (b *Bouquet) RunBasicFrom(qa, seed ess.Point) Execution {
-	e, _ := b.runBasic(context.Background(), qa, seed, nil) //bouquet:allow errflow: Background is never cancelled, so the error is always nil
 	return e
 }
 
-// RunBasicContext is RunBasicFrom under a context: cancellation is checked
-// cooperatively between contour steps, and the partial Execution so far is
-// returned alongside ctx's error when the deadline expires mid-run.
-func (b *Bouquet) RunBasicContext(ctx context.Context, qa, seed ess.Point) (Execution, error) {
-	return b.runBasic(ctx, qa, seed, nil)
-}
-
-func (b *Bouquet) runBasic(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
-	t := b.truthAt(qa)
-	var e Execution
-	e.OptCost = t.opt
+// runBasic is the basic bouquet algorithm (Fig. 7) over s: contour by
+// contour, execute each contour plan under the contour budget until one
+// completes. A seed known to be a component-wise underestimate of q_a (§8)
+// skips the contours below it; nil starts at IC1.
+func (b *Bouquet) runBasic(ctx context.Context, s stepper, rec *trace.Recorder, seed ess.Point) error {
 	start := 0
 	if seed != nil {
-		c := b.optCostAtFloor(seed)
-		for start < len(b.Contours)-1 && b.Contours[start].RawBudget < c {
+		floor := b.optCostAtFloor(seed)
+		for start < len(b.Contours)-1 && b.Contours[start].RawBudget < floor {
 			start++
 		}
 	}
@@ -151,38 +126,132 @@ func (b *Bouquet) runBasic(ctx context.Context, qa, seed ess.Point, rec *trace.R
 			// budgeted executions, and a server deadline must not
 			// wait out all of them.
 			if err := ctx.Err(); err != nil {
-				return e, err
+				return err
 			}
-			t0 := stepClock(rec)
-			full := b.execCost(b.Diagram.Plan(pid), t.sels)
-			if full <= c.Budget {
-				s := Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Spent: full, Completed: true}
-				e.Steps = append(e.Steps, s)
-				e.TotalCost += full
-				e.Completed = true
-				b.recordStep(rec, s, t.sels, t0)
-				return e, nil
+			if done, err := s.generic(c, pid); done || err != nil {
+				return err
 			}
-			s := Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Spent: c.Budget}
-			e.Steps = append(e.Steps, s)
-			e.TotalCost += c.Budget
-			b.recordStep(rec, s, t.sels, t0)
 		}
 	}
-	// q_a exceeded every contour: only possible for off-grid locations
-	// beyond the terminus; finish with the cheapest bouquet plan,
-	// unbudgeted.
-	t0 := stepClock(rec)
-	best, bestCost := -1, cost.Cost(math.Inf(1))
-	for _, pid := range b.PlanIDs {
-		if c := b.execCost(b.Diagram.Plan(pid), t.sels); c < bestCost {
-			best, bestCost = pid, c
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return s.terminal(nil)
+}
+
+// runOptimized is the optimized bouquet algorithm (Fig. 13) over s from run
+// state st: q_run tracking, AxisPlans plan selection, spill-driven
+// selectivity learning, pincer elimination and early contour change.
+func (b *Bouquet) runOptimized(ctx context.Context, s stepper, rec *trace.Recorder, st *runState) error {
+	for _, c := range b.Contours {
+		if done, err := b.runContour(ctx, s, rec, c, st); done || err != nil {
+			return err
 		}
 	}
-	s := Step{Contour: len(b.Contours) + 1, PlanID: best, Dim: -1, Budget: cost.Cost(math.Inf(1)), Spent: bestCost, Completed: true}
-	e.Steps = append(e.Steps, s)
-	e.TotalCost += bestCost
-	e.Completed = true
-	b.recordStep(rec, s, t.sels, t0)
-	return e, nil
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return s.terminal(st)
+}
+
+// runContour processes one contour of the optimized algorithm and reports
+// whether the query completed. ctx is consulted before every execution
+// decision, so cancellation aborts between contour steps rather than only
+// between contours. Per contour, each plan is executed at most twice (once
+// spilled, once generically); plans are eliminated without execution when
+// their abstract cost at q_run already exceeds the budget — the
+// first-quadrant invariant q_run ≤ q_a plus PCM certifies they cannot
+// complete at q_a either (§5.1's pincer elimination). The contour is left
+// when either q_run provably crossed it, or every plan has been eliminated
+// or has failed.
+func (b *Bouquet) runContour(ctx context.Context, s stepper, rec *trace.Recorder, c Contour, st *runState) (done bool, err error) {
+	recordContour(rec, c)
+	remaining := slices.Clone(c.PlanIDs)
+	drop := func(pid int) { remaining = slices.DeleteFunc(remaining, func(id int) bool { return id == pid }) }
+	spilled := make(map[int]bool, len(c.PlanIDs))
+
+	for {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		// Early contour change (Fig. 13): the optimal cost at (the
+		// floor of) q_run already exceeds this step, so q_a lies
+		// beyond the contour.
+		if b.optCostAtFloor(st.qrun) > c.RawBudget {
+			return false, nil
+		}
+		// Pincer elimination: drop plans whose cost at q_run already
+		// exceeds the budget.
+		qrunSels := b.Space.Sels(st.qrun)
+		remaining = slices.DeleteFunc(remaining, func(pid int) bool {
+			return b.Coster.Cost(b.Diagram.Plan(pid), qrunSels) > c.Budget
+		})
+		if len(remaining) == 0 {
+			// Every contour plan is certified to fail at q_a.
+			return false, nil
+		}
+
+		// Prefer a spilled learning execution chosen by AxisPlans,
+		// restricted to plans not yet spilled on this contour.
+		cands := slices.DeleteFunc(b.axisPlans(st, c), func(cand axisCandidate) bool {
+			return !slices.Contains(remaining, cand.planID) || spilled[cand.planID]
+		})
+		if len(cands) > 0 {
+			cand := pickCandidate(cands)
+			spilled[cand.planID] = true
+			dim := b.Query.DimOf(cand.learnID)
+			bound, exact, finished, err := s.spill(c, cand.planID, cand.learnID, dim, st)
+			if err != nil {
+				return false, err
+			}
+			// Only ever raising q_run keeps the first-quadrant
+			// invariant (§5.2).
+			if bound > st.qrun[dim] {
+				st.qrun[dim] = bound
+			}
+			if exact {
+				st.learned[dim] = true
+			} else {
+				// The spilled subtree failed within the budget,
+				// so the full plan would too.
+				drop(cand.planID)
+			}
+			recordLearn(rec, c.K, cand.planID, dim, cand.learnID, st.qrun[dim], exact)
+			if finished {
+				return true, nil
+			}
+			continue
+		}
+
+		// No learnable spill left: execute one surviving plan
+		// generically, cost-limited (Fig. 7 semantics for this one
+		// plan). Prefer the plan covering q_run's contour region —
+		// the one the coverage guarantee speaks for if q_a is near
+		// q_run — falling back to the cheapest at q_run.
+		pid, ok := b.contourPlanNear(c, b.Space.Coord(b.Space.FloorFlat(st.qrun)))
+		if !ok || !slices.Contains(remaining, pid) || (st.allLearned() && !s.nearWhenLearned()) {
+			pid = b.cheapest(remaining, qrunSels)
+		}
+		if done, err := s.generic(c, pid); done || err != nil {
+			return done, err
+		}
+		drop(pid)
+	}
+}
+
+// cheapest returns the plan among ids with the lowest *estimated* cost at
+// sels. Costs within the floats.Eq tolerance count as tied and go to the
+// lower plan ID, so accumulated rounding error cannot flip the choice.
+func (b *Bouquet) cheapest(ids []int, sels cost.Selectivities) int {
+	pid, cst := -1, cost.Cost(0)
+	for _, id := range ids {
+		v := b.Coster.Cost(b.Diagram.Plan(id), sels)
+		switch {
+		case pid < 0 || floats.Less(v.F(), cst.F()):
+			pid, cst = id, v
+		case floats.Eq(v.F(), cst.F()) && id < pid:
+			pid = id
+		}
+	}
+	return pid
 }

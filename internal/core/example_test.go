@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/anorexic"
@@ -44,10 +45,10 @@ func Example() {
 	// completed: true, within guarantee: true
 }
 
-// ExampleBouquet_RunOptimizedFrom shows the §8 seeded start: when an
+// ExampleBouquet_RunOptimizedTraced shows the §8 seeded start: when an
 // estimate is known to be an underestimate, the run skips the contours
 // below it without losing the guarantee.
-func ExampleBouquet_RunOptimizedFrom() {
+func ExampleBouquet_RunOptimizedTraced() {
 	cat := catalog.TPCHLike(0.1)
 	q := query.NewBuilder("seeded", cat).
 		Relation("part").Relation("lineitem").
@@ -60,7 +61,8 @@ func ExampleBouquet_RunOptimizedFrom() {
 
 	qa := ess.Point{0.3}
 	plain := bouquet.RunOptimized(qa)
-	seeded := bouquet.RunOptimizedFrom(qa, ess.Point{0.15}) // guaranteed underestimate
+	// Seeded at a guaranteed underestimate; no trace recorder.
+	seeded, _ := bouquet.RunOptimizedTraced(context.Background(), qa, ess.Point{0.15}, nil)
 	fmt.Printf("seeded run is no worse: %v\n", seeded.TotalCost <= plain.TotalCost)
 	// Output:
 	// seeded run is no worse: true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -15,6 +16,24 @@ import (
 
 // seeded start (§8) --------------------------------------------------------
 
+func seededBasic(t *testing.T, b *Bouquet, qa, seed ess.Point) Execution {
+	t.Helper()
+	e, err := b.RunBasicTraced(context.Background(), qa, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func seededOptimized(t *testing.T, b *Bouquet, qa, seed ess.Point) Execution {
+	t.Helper()
+	e, err := b.RunOptimizedTraced(context.Background(), qa, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestSeededBasicSkipsLowContours(t *testing.T) {
 	b, _ := compileFor(t, query1D(t), 60, CompileOptions{Lambda: 0.2})
 	space := b.Space
@@ -22,7 +41,7 @@ func TestSeededBasicSkipsLowContours(t *testing.T) {
 	seed := ess.Point{qa[0] * 0.5} // valid underestimate
 
 	plain := b.RunBasic(qa)
-	seeded := b.RunBasicFrom(qa, seed)
+	seeded := seededBasic(t, b, qa, seed)
 	if !seeded.Completed {
 		t.Fatal("seeded run did not complete")
 	}
@@ -33,7 +52,7 @@ func TestSeededBasicSkipsLowContours(t *testing.T) {
 		t.Fatalf("seeded used more executions (%d > %d)", seeded.NumExecs(), plain.NumExecs())
 	}
 	// With a seed at the origin the runs are identical.
-	origin := b.RunBasicFrom(qa, space.Origin())
+	origin := seededBasic(t, b, qa, space.Origin())
 	if origin.TotalCost != plain.TotalCost || origin.NumExecs() != plain.NumExecs() {
 		t.Fatal("origin seed should match unseeded run")
 	}
@@ -46,11 +65,11 @@ func TestSeededRunsPreserveGuarantee(t *testing.T) {
 	for f := 0; f < space.NumPoints(); f += 3 {
 		qa := space.PointAt(f)
 		seed := ess.Point{qa[0] * 0.4, qa[1] * 0.7}
-		e := b.RunBasicFrom(qa, seed)
+		e := seededBasic(t, b, qa, seed)
 		if !e.Completed || e.SubOpt() > bound.F()*(1+1e-9) {
 			t.Fatalf("seeded basic at %d: completed=%v subopt=%g bound=%g", f, e.Completed, e.SubOpt(), bound)
 		}
-		eo := b.RunOptimizedFrom(qa, seed)
+		eo := seededOptimized(t, b, qa, seed)
 		if !eo.Completed {
 			t.Fatalf("seeded optimized at %d failed", f)
 		}
@@ -65,7 +84,7 @@ func TestSeededOptimizedCheaperOnAverage(t *testing.T) {
 		qa := space.PointAt(f)
 		seed := ess.Point{qa[0] * 0.9, qa[1] * 0.9}
 		plain += b.RunOptimized(qa).TotalCost
-		seeded += b.RunOptimizedFrom(qa, seed).TotalCost
+		seeded += seededOptimized(t, b, qa, seed).TotalCost
 	}
 	if seeded > plain {
 		t.Fatalf("tight seeds did not help: %g vs %g", seeded, plain)

@@ -39,10 +39,8 @@ func TestFirstQuadrantInvariant(t *testing.T) {
 		sub := spillNode(p, learnID)
 		budget := tr.opt.Scale(cost.Ratio(0.1 + 3*rng.Float64()))
 
-		_, exact := b.simulateSpill(sub, dim, st, tr, budget)
-		if exact {
-			st.qrun[dim] = tr.qa[dim]
-		}
+		_, bound, _ := b.simulateSpill(sub, dim, tr, budget)
+		st.qrun[dim] = math.Max(st.qrun[dim], bound)
 		for d := range st.qrun {
 			if st.qrun[d] > qa[d]*(1+1e-9) {
 				t.Fatalf("trial %d: q_run[%d]=%g exceeds q_a[%d]=%g",
@@ -75,12 +73,8 @@ func TestSpillMonotoneInBudget(t *testing.T) {
 	sub := spillNode(p, learnID)
 
 	frontier := func(budget cost.Cost) float64 {
-		st := &runState{qrun: space.Origin().Clone(), learned: make([]bool, 2)}
-		_, exact := b.simulateSpill(sub, dim, st, tr, budget)
-		if exact {
-			return tr.qa[dim]
-		}
-		return st.qrun[dim]
+		_, bound, _ := b.simulateSpill(sub, dim, tr, budget)
+		return bound
 	}
 	f := func(aSeed, bSeed float64) bool {
 		ba := tr.opt.Scale(cost.Ratio(0.01 + math.Mod(math.Abs(aSeed), 5)))

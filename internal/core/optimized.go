@@ -1,15 +1,14 @@
 package core
 
 import (
-	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/ess"
 	"repro/internal/floats"
 	"repro/internal/plan"
-	"repro/internal/trace"
 )
 
 // equivalenceSlack is the cost closeness within which AxisPlans candidates
@@ -26,15 +25,18 @@ type runState struct {
 	learned []bool
 }
 
-// allLearned reports whether every dimension is known exactly.
-func (r *runState) allLearned() bool {
-	for _, l := range r.learned {
-		if !l {
-			return false
-		}
+// newRunState starts q_run at the origin with nothing learned, raised to
+// seed where one known to underestimate q_a is given (§8).
+func (b *Bouquet) newRunState(seed ess.Point) *runState {
+	st := &runState{qrun: b.Space.Origin().Clone(), learned: make([]bool, b.Space.Dims())}
+	for d := range seed {
+		st.qrun[d] = max(st.qrun[d], seed[d])
 	}
-	return true
+	return st
 }
+
+// allLearned reports whether every dimension is known exactly.
+func (r *runState) allLearned() bool { return !slices.Contains(r.learned, false) }
 
 // axisCandidate is one AxisPlans candidate: the plan at the intersection of
 // the current contour with the axis through q_run along dim.
@@ -210,277 +212,4 @@ func spillNode(p *plan.Node, pred int) *plan.Node {
 		}
 	})
 	return found
-}
-
-// simulateSpill models a budgeted spilled execution of the subtree under
-// ground truth t, learning dimension dim: if the subtree's full cost fits
-// the budget the dimension is learned exactly (= q_a's value); otherwise
-// the learned lower bound is the largest selectivity s such that the
-// subtree, priced with dim at s, stays within budget. Monotonicity of the
-// cost in s makes binary search exact enough; the result is clamped to
-// [current q_run, q_a] so the first-quadrant invariant is preserved.
-func (b *Bouquet) simulateSpill(sub *plan.Node, dim int, st *runState, t truth, budget cost.Cost) (spent cost.Cost, exact bool) {
-	predID := b.Query.ErrorDims()[dim]
-
-	// The subtree executes against actual selectivities: all its error
-	// predicates are either dim itself or already-learned (== q_a).
-	sels := t.sels.Clone()
-	full := b.execCost(sub, sels)
-	if full <= budget {
-		return full, true
-	}
-
-	// Partial execution: find the selectivity frontier reached.
-	lo, hi := 0.0, t.qa[dim]
-	for i := 0; i < 48; i++ {
-		mid := (lo + hi) / 2
-		sels[predID] = cost.Sel(mid)
-		if b.execCost(sub, sels) <= budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if lo > st.qrun[dim] {
-		st.qrun[dim] = lo
-	}
-	return budget, false
-}
-
-// RunOptimized simulates the optimized bouquet algorithm (Fig. 13) at the
-// actual location qa, with q_run tracking, AxisPlans plan selection,
-// spill-driven selectivity learning, and early contour change.
-func (b *Bouquet) RunOptimized(qa ess.Point) Execution {
-	return b.RunOptimizedFrom(qa, nil)
-}
-
-// RunOptimizedFrom is RunOptimized with an initial seed location known to
-// be a component-wise underestimate of q_a (§8): q_run starts at the seed
-// rather than the origin, so low contours are skipped by the early-change
-// test. A nil seed starts at the origin. Overestimating seeds void the
-// first-quadrant invariant, as the paper cautions.
-func (b *Bouquet) RunOptimizedFrom(qa, seed ess.Point) Execution {
-	e, _ := b.runOptimized(context.Background(), qa, seed, nil) //bouquet:allow errflow: Background is never cancelled, so the error is always nil
-	return e
-}
-
-// RunOptimizedContext is RunOptimizedFrom under a context: cancellation is
-// checked cooperatively between contour steps, and the partial Execution so
-// far is returned alongside ctx's error when the deadline expires mid-run.
-func (b *Bouquet) RunOptimizedContext(ctx context.Context, qa, seed ess.Point) (Execution, error) {
-	return b.runOptimized(ctx, qa, seed, nil)
-}
-
-func (b *Bouquet) runOptimized(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
-	t := b.truthAt(qa)
-	var e Execution
-	e.OptCost = t.opt
-
-	st := &runState{qrun: b.Space.Origin().Clone(), learned: make([]bool, b.Space.Dims())}
-	for d := range st.qrun {
-		if seed != nil && seed[d] > st.qrun[d] {
-			st.qrun[d] = seed[d]
-		}
-		if qa[d] <= st.qrun[d] {
-			// q_a at (or below) the start on this axis: nothing
-			// left to discover there.
-			st.qrun[d] = qa[d]
-			st.learned[d] = true
-		}
-	}
-
-	for ci := 0; ci < len(b.Contours); ci++ {
-		done, err := b.runContour(ctx, &e, b.Contours[ci], st, t, rec)
-		if err != nil {
-			return e, err
-		}
-		if done {
-			return e, nil
-		}
-	}
-
-	// Beyond the last contour (off-grid q_a past the terminus, or every
-	// plan eliminated under a divergent actual model): finish with the
-	// cheapest bouquet plan, unbudgeted.
-	t0 := stepClock(rec)
-	best, bestCost := -1, cost.Cost(math.Inf(1))
-	for _, pid := range b.PlanIDs {
-		if cst := b.execCost(b.Diagram.Plan(pid), t.sels); cst < bestCost {
-			best, bestCost = pid, cst
-		}
-	}
-	s := Step{Contour: len(b.Contours) + 1, PlanID: best, Dim: -1, Budget: cost.Cost(math.Inf(1)), Spent: bestCost, Completed: true}
-	e.Steps = append(e.Steps, s)
-	e.TotalCost += bestCost
-	e.Completed = true
-	b.recordStep(rec, s, t.sels, t0)
-	return e, nil
-}
-
-// runContour processes one contour of the optimized algorithm and reports
-// whether the query completed. ctx is consulted before every execution
-// decision, so cancellation aborts between contour steps rather than only
-// between contours. Per contour, each plan is executed at most
-// twice (once spilled, once generically); plans are eliminated without
-// execution when their abstract cost at q_run already exceeds the budget —
-// the first-quadrant invariant q_run ≤ q_a plus PCM certifies they cannot
-// complete at q_a either (§5.1's pincer elimination). The contour is left
-// when either q_run provably crossed it, or every plan has been eliminated
-// or has failed.
-func (b *Bouquet) runContour(ctx context.Context, e *Execution, c Contour, st *runState, t truth, rec *trace.Recorder) (done bool, err error) {
-	recordContour(rec, c)
-	remaining := make(map[int]bool, len(c.PlanIDs))
-	spilled := make(map[int]bool, len(c.PlanIDs))
-	for _, pid := range c.PlanIDs {
-		remaining[pid] = true
-	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		// Early contour change (Fig. 13): the optimal cost at (the
-		// floor of) q_run already exceeds this step, so q_a lies
-		// beyond the contour.
-		if b.optCostAtFloor(st.qrun) > c.RawBudget {
-			return false, nil
-		}
-
-		if st.allLearned() {
-			// q_run == q_a: the contour plans' *estimated* costs
-			// are exactly computable; under a perfect cost model
-			// abstract costing alone proves completion or
-			// crossing. With a divergent actual model the
-			// estimate-chosen plan is executed and may still fail
-			// within budget, in which case it is eliminated and
-			// the next survivor tried.
-			pid, est := b.cheapestOn(remaining, t.sels)
-			if pid < 0 || est > c.Budget {
-				return false, nil
-			}
-			t0 := stepClock(rec)
-			full := b.execCost(b.Diagram.Plan(pid), t.sels)
-			if full <= c.Budget {
-				s := Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Spent: full, Completed: true}
-				e.Steps = append(e.Steps, s)
-				e.TotalCost += full
-				e.Completed = true
-				b.recordStep(rec, s, t.sels, t0)
-				return true, nil
-			}
-			s := Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Spent: c.Budget}
-			e.Steps = append(e.Steps, s)
-			e.TotalCost += c.Budget
-			b.recordStep(rec, s, t.sels, t0)
-			delete(remaining, pid)
-			continue
-		}
-
-		// Pincer elimination: drop plans whose cost at q_run already
-		// exceeds the budget.
-		qrunSels := b.Space.Sels(st.qrun)
-		for pid := range remaining {
-			if b.Coster.Cost(b.Diagram.Plan(pid), qrunSels) > c.Budget {
-				delete(remaining, pid)
-			}
-		}
-		if len(remaining) == 0 {
-			// Every contour plan is certified to fail at q_a.
-			return false, nil
-		}
-
-		// Prefer a spilled learning execution chosen by AxisPlans,
-		// restricted to plans not yet spilled on this contour.
-		var cands []axisCandidate
-		for _, cand := range b.axisPlans(st, c) {
-			if remaining[cand.planID] && !spilled[cand.planID] {
-				cands = append(cands, cand)
-			}
-		}
-
-		if len(cands) > 0 {
-			cand := pickCandidate(cands)
-			p := b.Diagram.Plan(cand.planID)
-			sub := spillNode(p, cand.learnID)
-			dim := b.Query.DimOf(cand.learnID)
-			spilled[cand.planID] = true
-
-			t0 := stepClock(rec)
-			recordSpill(rec, c.K, cand.planID, dim, cand.learnID, c.Budget)
-			spent, exact := b.simulateSpill(sub, dim, st, t, c.Budget)
-			if exact {
-				st.qrun[dim] = t.qa[dim]
-				st.learned[dim] = true
-			} else {
-				// The spilled subtree failed within the
-				// budget, so the full plan would too.
-				delete(remaining, cand.planID)
-			}
-			s := Step{Contour: c.K, PlanID: cand.planID, Dim: dim, Budget: c.Budget, Spent: spent, Completed: exact}
-			e.Steps = append(e.Steps, s)
-			e.TotalCost += spent
-			b.recordSpillStep(rec, s, p, sub, cand.learnID, t.sels, t0)
-			recordLearn(rec, c.K, cand.planID, dim, cand.learnID, st.qrun[dim], exact)
-			continue
-		}
-
-		// No learnable spill left: execute one surviving plan
-		// generically, cost-limited (Fig. 7 semantics for this one
-		// plan). Prefer the plan covering q_run's contour region —
-		// the one the coverage guarantee speaks for if q_a is near
-		// q_run — falling back to the cheapest at q_run.
-		pid := b.genericPick(c, st, remaining, qrunSels)
-		t0 := stepClock(rec)
-		full := b.execCost(b.Diagram.Plan(pid), t.sels)
-		if full <= c.Budget {
-			s := Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Spent: full, Completed: true}
-			e.Steps = append(e.Steps, s)
-			e.TotalCost += full
-			e.Completed = true
-			b.recordStep(rec, s, t.sels, t0)
-			return true, nil
-		}
-		delete(remaining, pid)
-		s := Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Spent: c.Budget}
-		e.Steps = append(e.Steps, s)
-		e.TotalCost += c.Budget
-		b.recordStep(rec, s, t.sels, t0)
-	}
-}
-
-// genericPick chooses the surviving plan for a generic cost-limited
-// execution: the contour's covering plan near q_run when it survives,
-// otherwise the cheapest surviving plan at q_run (ties by plan ID).
-func (b *Bouquet) genericPick(c Contour, st *runState, remaining map[int]bool, qrunSels cost.Selectivities) int {
-	if near, ok := b.contourPlanNear(c, b.Space.Coord(b.Space.FloorFlat(st.qrun))); ok && remaining[near] {
-		return near
-	}
-	pid := -1
-	bestCost := cost.Cost(math.Inf(1))
-	for id := range remaining {
-		v := b.Coster.Cost(b.Diagram.Plan(id), qrunSels)
-		switch {
-		case pid < 0 || floats.Less(v.F(), bestCost.F()):
-			pid, bestCost = id, v
-		case floats.Eq(v.F(), bestCost.F()) && id < pid:
-			pid = id
-		}
-	}
-	return pid
-}
-
-// cheapestOn returns the surviving plan with the lowest *estimated* cost at
-// the given selectivities (ties by plan ID).
-func (b *Bouquet) cheapestOn(remaining map[int]bool, sels cost.Selectivities) (pid int, cst cost.Cost) {
-	pid, cst = -1, cost.Cost(math.Inf(1))
-	for id := range remaining {
-		v := b.Coster.Cost(b.Diagram.Plan(id), sels)
-		switch {
-		case pid < 0 || floats.Less(v.F(), cst.F()):
-			pid, cst = id, v
-		case floats.Eq(v.F(), cst.F()) && id < pid:
-			pid = id
-		}
-	}
-	return pid, cst
 }

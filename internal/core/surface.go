@@ -1,0 +1,203 @@
+package core
+
+import (
+	"context"
+	"math"
+	"time"
+
+	"repro/internal/cost"
+	"repro/internal/ess"
+	"repro/internal/plan"
+	"repro/internal/trace"
+)
+
+// RunBasic simulates the basic bouquet algorithm (Fig. 7) at the actual
+// location qa: RunBasicTraced with a background context, no seed and no
+// recorder. It panics on an error, which then only a driver bug can cause.
+func (b *Bouquet) RunBasic(qa ess.Point) Execution {
+	return must(b.RunBasicTraced(context.Background(), qa, nil, nil))
+}
+
+// RunOptimized simulates the optimized bouquet algorithm (Fig. 13) at the
+// actual location qa: RunOptimizedTraced with a background context, no seed,
+// no recorder. It panics on an error, which then only a driver bug can cause.
+func (b *Bouquet) RunOptimized(qa ess.Point) Execution {
+	return must(b.RunOptimizedTraced(context.Background(), qa, nil, nil))
+}
+
+// RunBasicTraced simulates the basic algorithm at qa: contour by contour,
+// each contour plan under the contour budget until one completes. A plan
+// "completes" iff its full cost at q_a is within the budget; otherwise the
+// whole budget is spent and the intermediate results jettisoned.
+//
+// seed, when non-nil, is a location known to be a component-wise
+// *underestimate* of q_a (§8): the run skips the contours below it instead
+// of starting at IC1. The MSO guarantee holds for any valid (dominated)
+// seed; one that overestimates q_a voids it, as the paper cautions. ctx is
+// checked between contour steps, and the partial Execution so far is
+// returned alongside its error when it expires mid-run. rec, when non-nil,
+// receives a contour span per isocost step entered, an exec span per
+// (possibly partial) plan execution with the cost model's realized per-node
+// cardinalities, and a budget-abort span per jettisoned step.
+func (b *Bouquet) RunBasicTraced(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
+	s := b.onSurface(qa, rec)
+	err := b.runBasic(ctx, s, rec, seed)
+	return s.e, err
+}
+
+// RunOptimizedTraced simulates the optimized algorithm at qa, with q_run
+// tracking, AxisPlans plan selection, spill-driven selectivity learning,
+// and early contour change. seed, ctx and rec are as for RunBasicTraced —
+// q_run starts at the seed rather than the origin, so low contours are
+// skipped by the early-change test — and rec additionally receives spill
+// and discovered-selectivity learn spans.
+func (b *Bouquet) RunOptimizedTraced(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
+	s := b.onSurface(qa, rec)
+	st := b.newRunState(seed)
+	for d := range st.qrun {
+		if qa[d] <= st.qrun[d] {
+			// q_a at (or below) the start on this axis: nothing
+			// left to discover there.
+			st.qrun[d] = qa[d]
+			st.learned[d] = true
+		}
+	}
+	err := b.runOptimized(ctx, s, rec, st)
+	return s.e, err
+}
+
+// truth captures the simulated ground truth of one query instance: the
+// full selectivity assignment at the actual location q_a.
+type truth struct {
+	qa   ess.Point
+	sels cost.Selectivities
+	opt  cost.Cost
+}
+
+func (b *Bouquet) truthAt(qa ess.Point) truth {
+	sels := b.Space.Sels(qa)
+	// The oracle cost: optimal plan cost at q_a. The diagram stores it
+	// for grid points under the perfect model; for off-grid points or a
+	// divergent actual model, the cheapest diagram plan at q_a priced
+	// with the actual model is the reference (the POSP covers the
+	// space).
+	flat := b.Space.NearestFlat(qa)
+	opt := b.Diagram.Cost(flat)
+	if b.actual != nil || !b.Diagram.Covered(flat) || !onGrid(b.Space, qa, flat) {
+		opt = cost.Cost(math.Inf(1))
+		for _, p := range b.Diagram.Plans() {
+			opt = min(opt, b.execCost(p, sels))
+		}
+	}
+	return truth{qa: qa, sels: sels, opt: opt}
+}
+
+func onGrid(s *ess.Space, p ess.Point, flat int) bool {
+	g := s.PointAt(flat)
+	for d := range p {
+		if math.Abs(p[d]-g[d]) > 1e-12*g[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// surfaceStepper is the cost-surface stepper: an execution costs what the
+// (actual) cost model says it costs at q_a, and completes iff that is
+// within the budget.
+type surfaceStepper struct {
+	b   *Bouquet
+	t   truth
+	rec *trace.Recorder
+	e   Execution
+}
+
+func (b *Bouquet) onSurface(qa ess.Point, rec *trace.Recorder) *surfaceStepper {
+	t := b.truthAt(qa)
+	return &surfaceStepper{b: b, t: t, rec: rec, e: Execution{OptCost: t.opt}}
+}
+
+// record folds one simulated execution of driven — plan st.PlanID, or the
+// subtree of it applying pred for a spilled step — into the run.
+func (s *surfaceStepper) record(st Step, driven *plan.Node, pred int, start time.Time) {
+	s.e.Steps = append(s.e.Steps, st)
+	s.e.TotalCost += st.Spent
+	s.b.recordStep(s.rec, st, driven, pred, s.t.sels, start)
+}
+
+func (s *surfaceStepper) generic(c Contour, pid int) (bool, error) {
+	t0 := stepClock(s.rec)
+	p := s.b.Diagram.Plan(pid)
+	st := Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Spent: c.Budget}
+	if full := s.b.execCost(p, s.t.sels); full <= c.Budget {
+		st.Spent, st.Completed, s.e.Completed = full, true, true
+	}
+	s.record(st, p, -1, t0)
+	return st.Completed, nil
+}
+
+// spill never reports finished: a completed spill at the plan root learns
+// its dimension and the plan is then paid for a second time generically.
+func (s *surfaceStepper) spill(c Contour, pid, pred, dim int, _ *runState) (float64, bool, bool, error) {
+	t0 := stepClock(s.rec)
+	if s.rec.Enabled() {
+		// The pipeline breaks above pred's node (the engine emits this
+		// span itself on concrete runs).
+		s.rec.Record(trace.Span{Kind: trace.KindSpill, Contour: c.K, PlanID: pid, Dim: dim, Pred: pred, Budget: trace.SafeCost(c.Budget.F())})
+	}
+	sub := spillNode(s.b.Diagram.Plan(pid), pred)
+	spent, bound, exact := s.b.simulateSpill(sub, dim, s.t, c.Budget)
+	s.record(Step{Contour: c.K, PlanID: pid, Dim: dim, Budget: c.Budget, Spent: spent, Completed: exact}, sub, pred, t0)
+	return bound, exact, false, nil
+}
+
+// terminal runs the bouquet plan that is cheapest at q_a under the actual
+// model — a choice only ground truth affords.
+func (s *surfaceStepper) terminal(*runState) error {
+	best, bestCost := -1, cost.Cost(math.Inf(1))
+	for _, pid := range s.b.PlanIDs {
+		if c := s.b.execCost(s.b.Diagram.Plan(pid), s.t.sels); c < bestCost {
+			best, bestCost = pid, c
+		}
+	}
+	_, err := s.generic(Contour{K: len(s.b.Contours) + 1, Budget: cost.Cost(math.Inf(1))}, best)
+	return err
+}
+
+// nearWhenLearned is false: with q_run == q_a the contour plans' estimated
+// costs are exactly computable, so the cheapest by estimate is executed.
+// Under a perfect cost model it completes; with a divergent actual model it
+// may still fail within budget, and is then eliminated and the next tried.
+func (s *surfaceStepper) nearWhenLearned() bool { return false }
+
+// simulateSpill models a budgeted spilled execution of the subtree under
+// ground truth t, learning dimension dim: if the subtree's full cost fits
+// the budget the dimension is learned exactly (= q_a's value); otherwise
+// the learned lower bound is the largest selectivity s such that the
+// subtree, priced with dim at s, stays within budget. Monotonicity of the
+// cost in s makes binary search exact enough; the bound never exceeds q_a,
+// so the first-quadrant invariant is preserved.
+func (b *Bouquet) simulateSpill(sub *plan.Node, dim int, t truth, budget cost.Cost) (spent cost.Cost, bound float64, exact bool) {
+	predID := b.Query.ErrorDims()[dim]
+
+	// The subtree executes against actual selectivities: all its error
+	// predicates are either dim itself or already-learned (== q_a).
+	sels := t.sels.Clone()
+	full := b.execCost(sub, sels)
+	if full <= budget {
+		return full, t.qa[dim], true
+	}
+
+	// Partial execution: find the selectivity frontier reached.
+	lo, hi := 0.0, t.qa[dim]
+	for i := 0; i < 48; i++ {
+		mid := (lo + hi) / 2
+		sels[predID] = cost.Sel(mid)
+		if b.execCost(sub, sels) <= budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return budget, lo, false
+}

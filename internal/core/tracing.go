@@ -1,45 +1,16 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/cost"
-	"repro/internal/ess"
 	"repro/internal/plan"
 	"repro/internal/trace"
 )
 
-// Traced run drivers. The untraced entry points (RunBasic, RunOptimized and
-// their From/Context variants) pass a nil recorder, so their hot loops are
-// byte-for-byte the untraced paths — every span construction below is
-// guarded behind rec.Enabled(), which core's alloc parity test pins.
-
-// RunBasicTraced is RunBasicContext recording structured spans into rec:
-// one contour span per isocost step entered, one exec span per (possibly
-// partial) plan execution with the cost model's realized per-node
-// cardinalities attached, and a budget-abort span for each jettisoned
-// step. A nil rec disables recording and is exactly RunBasicContext.
-func (b *Bouquet) RunBasicTraced(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
-	return b.runBasic(ctx, qa, seed, rec)
-}
-
-// RunOptimizedTraced is RunOptimizedContext recording structured spans into
-// rec: contour, exec, spill, budget-abort, and discovered-selectivity learn
-// spans. A nil rec disables recording and is exactly RunOptimizedContext.
-func (b *Bouquet) RunOptimizedTraced(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
-	return b.runOptimized(ctx, qa, seed, rec)
-}
-
-// execCoster returns the coster executions are priced with: the divergent
-// actual model when one is installed (§3.4), the compile-time model
-// otherwise.
-func (b *Bouquet) execCoster() *cost.Coster {
-	if b.actual != nil {
-		return b.actual
-	}
-	return b.Coster
-}
+// Span helpers for the run drivers. Every span construction below is guarded
+// behind rec.Enabled(), so a nil recorder costs the drivers' hot loops
+// nothing — core's alloc parity test pins it.
 
 // modelNodeStats derives per-operator stats for a simulated execution from
 // the cost model: each node of the driven subtree carries its realized
@@ -79,51 +50,27 @@ func recordContour(rec *trace.Recorder, c Contour) {
 	})
 }
 
-// recordStep emits the exec span for one generic (full-plan) abstract step,
-// plus a budget-abort span when the step jettisoned its whole budget.
-func (b *Bouquet) recordStep(rec *trace.Recorder, s Step, sels cost.Selectivities, start time.Time) {
-	if !rec.Enabled() {
-		return
-	}
-	p := b.Diagram.Plan(s.PlanID)
-	sp := trace.Span{
-		Kind: trace.KindExec, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: -1,
-		Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
-		Completed: s.Completed, WallNanos: time.Since(start).Nanoseconds(),
-		Nodes: b.modelNodeStats(p, p, sels, s.Completed),
-	}
-	if s.Completed {
-		sp.Rows = int64(b.execCoster().Rows(p, sels).F())
-	}
-	rec.Record(sp)
-	if !s.Completed {
-		rec.Record(trace.Span{
-			Kind: trace.KindBudgetAbort, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: -1,
-			Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
-		})
-	}
-}
-
-// recordSpillStep emits the exec span for one spilled abstract step: only
-// the subtree sub of the full plan executed, everything downstream is
-// starved, and predID is the predicate whose selectivity the step learned.
-func (b *Bouquet) recordSpillStep(rec *trace.Recorder, s Step, full, sub *plan.Node, predID int, sels cost.Selectivities, start time.Time) {
+// recordStep emits the exec span for one abstract step that executed driven:
+// the whole plan s.PlanID for a generic step (pred -1), or for a spilled
+// step the subtree applying pred — the predicate it learned — with
+// everything downstream starved. A jettisoned step adds a budget-abort span.
+func (b *Bouquet) recordStep(rec *trace.Recorder, s Step, driven *plan.Node, pred int, sels cost.Selectivities, start time.Time) {
 	if !rec.Enabled() {
 		return
 	}
 	sp := trace.Span{
-		Kind: trace.KindExec, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: predID,
+		Kind: trace.KindExec, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: pred,
 		Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
 		Completed: s.Completed, WallNanos: time.Since(start).Nanoseconds(),
-		Nodes: b.modelNodeStats(full, sub, sels, s.Completed),
+		Nodes: b.modelNodeStats(b.Diagram.Plan(s.PlanID), driven, sels, s.Completed),
 	}
 	if s.Completed {
-		sp.Rows = int64(b.execCoster().Rows(sub, sels).F())
+		sp.Rows = int64(b.execCoster().Rows(driven, sels).F())
 	}
 	rec.Record(sp)
 	if !s.Completed {
 		rec.Record(trace.Span{
-			Kind: trace.KindBudgetAbort, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: predID,
+			Kind: trace.KindBudgetAbort, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: pred,
 			Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
 		})
 	}
@@ -138,19 +85,6 @@ func recordLearn(rec *trace.Recorder, contour, planID, dim, predID int, sel floa
 	rec.Record(trace.Span{
 		Kind: trace.KindLearn, Contour: contour, PlanID: planID, Dim: dim, Pred: predID,
 		Sel: sel, Completed: exact,
-	})
-}
-
-// recordSpill emits the span marking a spilled execution breaking the
-// pipeline above predID's node (abstract driver; the engine emits its own
-// for concrete runs).
-func recordSpill(rec *trace.Recorder, contour, planID, dim, predID int, budget cost.Cost) {
-	if !rec.Enabled() {
-		return
-	}
-	rec.Record(trace.Span{
-		Kind: trace.KindSpill, Contour: contour, PlanID: planID, Dim: dim, Pred: predID,
-		Budget: trace.SafeCost(budget.F()),
 	})
 }
 

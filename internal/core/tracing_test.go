@@ -219,7 +219,7 @@ func TestTracingDisabledAllocParity(t *testing.T) {
 	b, qa := tracedFixture(t, nil)
 	ctx := context.Background()
 
-	base := testing.AllocsPerRun(10, func() { b.RunBasicFrom(qa, nil) })
+	base := testing.AllocsPerRun(10, func() { b.RunBasic(qa) })
 	traced := testing.AllocsPerRun(10, func() {
 		b.RunBasicTraced(ctx, qa, nil, nil) //bouquet:allow errflow: Background never expires
 	})
@@ -227,7 +227,7 @@ func TestTracingDisabledAllocParity(t *testing.T) {
 		t.Errorf("RunBasicTraced(nil) allocates %.0f/run, untraced %.0f", traced, base)
 	}
 
-	base = testing.AllocsPerRun(10, func() { b.RunOptimizedFrom(qa, nil) })
+	base = testing.AllocsPerRun(10, func() { b.RunOptimized(qa) })
 	traced = testing.AllocsPerRun(10, func() {
 		b.RunOptimizedTraced(ctx, qa, nil, nil) //bouquet:allow errflow: Background never expires
 	})
@@ -238,7 +238,7 @@ func TestTracingDisabledAllocParity(t *testing.T) {
 	// The span helpers themselves must be free with a nil recorder.
 	s := Step{Contour: 1, PlanID: b.PlanIDs[0], Dim: -1, Budget: b.Contours[0].Budget}
 	sels := b.Space.Sels(qa)
-	if got := testing.AllocsPerRun(100, func() { b.recordStep(nil, s, sels, stepClock(nil)) }); got > 0 {
+	if got := testing.AllocsPerRun(100, func() { b.recordStep(nil, s, b.Diagram.Plan(s.PlanID), -1, sels, stepClock(nil)) }); got > 0 {
 		t.Errorf("recordStep(nil) allocates %.1f/op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { recordContour(nil, b.Contours[0]) }); got > 0 {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cost"
@@ -19,6 +20,18 @@ const DefaultBatchSize = 1024
 // into batches locally, so the morsel size bounds scheduling granularity
 // (and therefore tail imbalance), not batch size.
 const MorselRows = 4096
+
+// MaxParallelism is the largest morsel worker count a run accepts. Every
+// ingress (library, CLI flag, /run's parallelism field) reaches the engine
+// through Options, so this is the one place a hostile or mistyped worker
+// count is stopped before it becomes that many goroutines. Morsel workers
+// are CPU-bound, so counts beyond a large machine's cores buy nothing.
+const MaxParallelism = 256
+
+// ErrInvalidOptions is wrapped by every error Run returns for an Options
+// value it refuses to interpret, so ingresses can tell a caller's mistake
+// from a plan-contract violation.
+var ErrInvalidOptions = errors.New("exec: invalid options")
 
 // Options configure one execution.
 type Options struct {
@@ -56,8 +69,9 @@ type Options struct {
 	// recommended value. Must be zero otherwise.
 	BatchSize int
 	// Parallelism is the morsel worker count for a vectorized run.
-	// Required (≥ 1) when Vectorized is set; 1 executes the batched
-	// plan serially (and deterministically). Must be zero otherwise.
+	// Required (1 … MaxParallelism) when Vectorized is set; 1 executes
+	// the batched plan serially (and deterministically). Must be zero
+	// otherwise.
 	Parallelism int
 	// Collect, when non-nil, receives a copy of every row the driven
 	// node emits. The engine serializes calls, but parallel vectorized
@@ -75,22 +89,21 @@ type Options struct {
 }
 
 // validate rejects option combinations Run must not silently reinterpret:
-// a vectorized run with a non-positive batch size or worker count (which
-// earlier drafts either panicked on or silently serialized), and batch or
-// parallelism settings without Vectorized (which would silently run the
-// tuple-at-a-time engine).
+// a vectorized run with a non-positive batch size or a worker count outside
+// 1 … MaxParallelism (which earlier drafts either panicked on, silently
+// serialized, or spawned without bound), and batch or parallelism settings
+// without Vectorized (which would silently run the tuple-at-a-time engine).
+// Every error wraps ErrInvalidOptions.
 func (o Options) validate() error {
-	if !o.Vectorized {
-		if o.BatchSize != 0 || o.Parallelism != 0 {
-			return fmt.Errorf("exec: BatchSize/Parallelism (%d/%d) set without Vectorized", o.BatchSize, o.Parallelism)
-		}
+	switch {
+	case !o.Vectorized && (o.BatchSize != 0 || o.Parallelism != 0):
+		return fmt.Errorf("%w: BatchSize/Parallelism (%d/%d) set without Vectorized", ErrInvalidOptions, o.BatchSize, o.Parallelism)
+	case !o.Vectorized:
 		return nil
-	}
-	if o.BatchSize <= 0 {
-		return fmt.Errorf("exec: vectorized run with non-positive batch size %d", o.BatchSize)
-	}
-	if o.Parallelism <= 0 {
-		return fmt.Errorf("exec: vectorized run with non-positive worker count %d", o.Parallelism)
+	case o.BatchSize <= 0:
+		return fmt.Errorf("%w: vectorized run with non-positive batch size %d", ErrInvalidOptions, o.BatchSize)
+	case o.Parallelism <= 0 || o.Parallelism > MaxParallelism:
+		return fmt.Errorf("%w: vectorized run with worker count %d outside 1..%d", ErrInvalidOptions, o.Parallelism, MaxParallelism)
 	}
 	return nil
 }

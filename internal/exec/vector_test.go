@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -150,6 +151,7 @@ func TestVectorizedOptionsValidation(t *testing.T) {
 		{Vectorized: true, BatchSize: -1024, Parallelism: 1},
 		{Vectorized: true, BatchSize: 1024, Parallelism: 0},
 		{Vectorized: true, BatchSize: 1024, Parallelism: -8},
+		{Vectorized: true, BatchSize: 1024, Parallelism: MaxParallelism + 1},
 		{BatchSize: 1024},
 		{Parallelism: 8},
 	}
@@ -164,14 +166,17 @@ func TestVectorizedOptionsValidation(t *testing.T) {
 			if err == nil {
 				t.Fatalf("case %d (%+v): invalid options accepted (completed=%v)", i, opts, res.Completed)
 			}
-			if !strings.Contains(err.Error(), "exec:") {
+			if !strings.Contains(err.Error(), "exec:") || !errors.Is(err, ErrInvalidOptions) {
 				t.Fatalf("case %d: unexpected error %v", i, err)
 			}
 		}()
 	}
-	// The boundary-valid configuration runs.
+	// The boundary-valid configurations run.
 	if res := fx.eng.MustRun(p, Options{Vectorized: true, BatchSize: 1, Parallelism: 1}); !res.Completed {
 		t.Fatal("batch size 1 / one worker should complete")
+	}
+	if res := fx.eng.MustRun(p, Options{Vectorized: true, BatchSize: 1024, Parallelism: MaxParallelism}); !res.Completed {
+		t.Fatal("MaxParallelism workers should complete")
 	}
 }
 

@@ -1,12 +1,13 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/metrics"
@@ -36,6 +37,15 @@ const DefaultEngineCacheSize = 4
 type engineEntry struct {
 	eng *exec.Engine
 	mu  sync.Mutex
+}
+
+// run drives runner over the entry's engine with runs on it serialized. The
+// unlock is deferred so that neither an error nor a panic out of the engine
+// can leave every later run on this (bouquet, dataSeed) blocked.
+func (e *engineEntry) run(ctx context.Context, runner *core.ConcreteRunner, optimized bool) (core.ConcreteExecution, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return runner.Run(ctx, optimized)
 }
 
 // engineCache is a bounded FIFO cache of concrete-run engines keyed by
@@ -96,22 +106,23 @@ func (s *Server) engineFor(id string, b *core.Bouquet, seed int64) (*engineEntry
 			bound, _ := db.SelectionBound(p.Left.Relation, p.Left.Column, target)
 			bindings[p.ID] = bound
 		}
-		return exec.NewEngine(b.Query, db, cost.Postgres(), bindings)
+		// Charges are priced with the model the bouquet's budgets were
+		// compiled under — one source for both.
+		return exec.NewEngine(b.Query, db, b.Coster.Model(), bindings)
 	})
 }
 
 // handleRunConcrete executes a /run request with "concrete": true on
 // real generated rows. The actual selectivities are whatever the data
 // realizes — the runner discovers them from tuple counters, so the
-// request's qa field is ignored.
-func (s *Server) handleRunConcrete(w http.ResponseWriter, req runRequest, b *core.Bouquet) {
+// request's qa field is ignored. ctx is checked between executions: a
+// cancelled request answers 503 like a simulated one. A worker count the
+// engine refuses (outside 0 … exec.MaxParallelism) answers 400, any other
+// engine error 500 — in every case with the engine's mutex released.
+func (s *Server) handleRunConcrete(ctx context.Context, w http.ResponseWriter, req runRequest, b *core.Bouquet) {
 	workers := s.cfg.ExecWorkers
 	if req.Parallelism != nil {
 		workers = *req.Parallelism
-	}
-	if workers < 0 {
-		jsonError(w, http.StatusBadRequest, "parallelism %d must be >= 0", workers)
-		return
 	}
 	reuse := s.cfg.ExecReuse
 	if req.Reuse != nil {
@@ -132,14 +143,19 @@ func (s *Server) handleRunConcrete(w http.ResponseWriter, req runRequest, b *cor
 		rec = trace.New(0)
 	}
 	runner := &core.ConcreteRunner{B: b, Engine: entry.eng, Trace: rec, Parallelism: workers, Reuse: reuse}
-	entry.mu.Lock()
-	var e core.ConcreteExecution
-	if req.Optimized {
-		e = runner.RunOptimized()
-	} else {
-		e = runner.RunBasic()
+	e, err := entry.run(ctx, runner, req.Optimized)
+	if err != nil {
+		switch {
+		case errors.Is(err, exec.ErrInvalidOptions):
+			jsonError(w, http.StatusBadRequest, "parallelism %d: %v", workers, err)
+		case ctx.Err() != nil:
+			s.metrics.timeouts.Add(1)
+			jsonError(w, http.StatusServiceUnavailable, "run abandoned: %v", err)
+		default:
+			jsonError(w, http.StatusInternalServerError, "concrete run failed: %v", err)
+		}
+		return
 	}
-	entry.mu.Unlock()
 
 	// Concrete runs never consult ground truth, so there is no SubOpt to
 	// observe — count the run and its steps, and record its cost.

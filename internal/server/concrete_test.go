@@ -1,13 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
+	"repro/internal/plan"
 )
 
 // newConcreteServer serves a small catalog so concrete runs generate
@@ -123,10 +129,91 @@ func TestRunConcreteValidation(t *testing.T) {
 		t.Fatalf("negative parallelism status %d, want 400", resp.StatusCode)
 	}
 
+	// The engine's shared upper bound stops a hostile worker count before
+	// it becomes that many goroutines.
+	huge := exec.MaxParallelism + 1
+	resp, _ = postJSON(t, srv.URL+"/run", runRequest{ID: sum.ID, Concrete: true, Parallelism: &huge})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("parallelism %d status %d, want 400", huge, resp.StatusCode)
+	}
+
 	// parallelism is meaningless on a simulated run.
 	two := 2
 	resp, _ = postJSON(t, srv.URL+"/run", runRequest{ID: sum.ID, QA: []float64{0.05, 2e-6}, Parallelism: &two})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("simulated run with parallelism status %d, want 400", resp.StatusCode)
+	}
+}
+
+// serveRun posts a /run request straight into the handler under ctx and
+// fails the test if it does not answer — the symptom of an engine mutex
+// left locked by an earlier run on the same (bouquet, dataSeed).
+func serveRun(t *testing.T, ctx context.Context, h http.Handler, req runRequest) *httptest.ResponseRecorder {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/run", bytes.NewReader(body)).WithContext(ctx))
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("/run did not return: the engine is wedged")
+	}
+	return rec
+}
+
+// concreteHandler compiles one bouquet and returns the server, its handler
+// and a concrete /run request for the bouquet.
+func concreteHandler(t *testing.T) (*Server, http.Handler, runRequest) {
+	t.Helper()
+	s := NewWithConfig(catalog.TPCHLike(0.01), Config{})
+	h := s.Handler()
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	return s, h, runRequest{ID: compileOne(t, srv, apiEQ2D, 12).ID, Concrete: true}
+}
+
+// TestRunConcreteEngineErrorReleasesEngine is the regression test for the
+// engine wedge: a concrete run that ends in an engine error answers 500
+// with the engine's mutex free, so the next run on the same (bouquet,
+// dataSeed) answers too.
+func TestRunConcreteEngineErrorReleasesEngine(t *testing.T) {
+	s, h, req := concreteHandler(t)
+	// Make the first step fail inside the engine: the first plan the basic
+	// algorithm executes gets an operator the engine does not know.
+	b, _ := s.lookup(req.ID)
+	first := b.Diagram.Plan(b.Contours[0].PlanIDs[0])
+	op := first.Op
+	first.Op = plan.Op(-1)
+	if rec := serveRun(t, context.Background(), h, req); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("failing run status %d (%s), want 500", rec.Code, rec.Body)
+	}
+	first.Op = op
+	if rec := serveRun(t, context.Background(), h, req); rec.Code != http.StatusOK {
+		t.Fatalf("run after an engine error status %d (%s), want 200", rec.Code, rec.Body)
+	}
+}
+
+// TestRunConcreteCancelled checks a concrete run observes its request's
+// context between steps: 503 and the timeouts counter, as on the simulated
+// branch, and the engine free for the next run.
+func TestRunConcreteCancelled(t *testing.T) {
+	s, h, req := concreteHandler(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rec := serveRun(t, ctx, h, req); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled run status %d (%s), want 503", rec.Code, rec.Body)
+	}
+	if n := s.metrics.timeouts.Value(); n != 1 {
+		t.Fatalf("timeouts counter = %d after one abandoned run, want 1", n)
+	}
+	if rec := serveRun(t, context.Background(), h, req); rec.Code != http.StatusOK {
+		t.Fatalf("run after a cancelled one status %d (%s), want 200", rec.Code, rec.Body)
 	}
 }

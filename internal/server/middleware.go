@@ -27,29 +27,33 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// pathPattern normalizes a request path to its route pattern so metric
-// label cardinality stays bounded (ids collapse to {id}).
-func pathPattern(path string) string {
-	if rest, ok := strings.CutPrefix(path, "/bouquets/"); ok && rest != "" {
-		switch {
-		case strings.HasSuffix(rest, "/export"):
-			return "/bouquets/{id}/export"
-		case strings.HasSuffix(rest, "/diagram"):
-			return "/bouquets/{id}/diagram"
-		default:
-			return "/bouquets/{id}"
-		}
+// unmatchedRoute labels every request no route matched (unknown paths,
+// wrong methods), so that junk traffic cannot grow the metric label set.
+const unmatchedRoute = "unmatched"
+
+// routeLabel names the route mux matched for r, for use as a metric label:
+// the pattern without its method ("/bouquets/{id}", "/runs/{id}/trace"),
+// with "*" appended to a subtree pattern ("/debug/pprof/*"). Labelling by
+// registered route rather than by request path is what keeps the label set
+// — and /metrics scrape time — constant under traffic.
+func routeLabel(mux *http.ServeMux, r *http.Request) string {
+	_, pattern := mux.Handler(r)
+	if pattern == "" {
+		return unmatchedRoute
 	}
-	if strings.HasPrefix(path, "/debug/pprof/") {
-		return "/debug/pprof/*"
+	if _, path, ok := strings.Cut(pattern, " "); ok {
+		pattern = path
 	}
-	return path
+	if strings.HasSuffix(pattern, "/") {
+		pattern += "*"
+	}
+	return pattern
 }
 
 // instrument is the server's outermost middleware: it bounds the request
-// body, recovers panics into a 500 response, and records per-pattern
+// body, recovers panics into a 500 response, and records per-route
 // request counts and latency histograms.
-func (s *Server) instrument(next http.Handler) http.Handler {
+func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
@@ -69,12 +73,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			if status == 0 {
 				status = http.StatusOK
 			}
-			pattern := pathPattern(r.URL.Path)
+			pattern := routeLabel(mux, r)
 			s.metrics.requests.Add(fmt.Sprintf("path=%q,code=\"%d\"", pattern, status), 1)
 			s.metrics.latency.Observe(fmt.Sprintf("path=%q", pattern), time.Since(start).Seconds())
 		}()
 
-		next.ServeHTTP(rec, r)
+		mux.ServeHTTP(rec, r)
 	})
 }
 

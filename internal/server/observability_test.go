@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -125,13 +127,53 @@ func TestCompileDeadline503(t *testing.T) {
 	}
 }
 
+// TestRequestMetricLabelsAreBounded checks request metrics are labelled by
+// the route the mux matched, never by the request path: run ids and junk
+// paths must not add label sets (each one is a map entry plus a histogram
+// that every later /metrics scrape renders).
+func TestRequestMetricLabelsAreBounded(t *testing.T) {
+	s := New(catalog.TPCHLike(0.05))
+	h := s.Handler()
+	get := func(path string) {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
+	}
+	labels := func() int {
+		keys, _ := s.metrics.requests.snapshot()
+		return len(keys)
+	}
+	// One request per route and outcome the sweep below produces.
+	get("/runs/r0/trace")
+	get("/bouquets/b0")
+	get("/junk")
+	before := labels()
+	for i := 1; i <= 1000; i++ {
+		get(fmt.Sprintf("/runs/r%d/trace", i))
+		get(fmt.Sprintf("/bouquets/b%d", i))
+		get(fmt.Sprintf("/junk/%d", i))
+		get(fmt.Sprintf("/runs/r%d/nope/%d", i, i))
+	}
+	if after := labels(); after != before {
+		t.Fatalf("request label sets grew from %d to %d over 1000 distinct ids and junk paths", before, after)
+	}
+	keys, _ := s.metrics.requests.snapshot()
+	for _, want := range []string{
+		`path="/runs/{id}/trace",code="404"`, `path="/bouquets/{id}",code="404"`, `path="unmatched",code="404"`,
+	} {
+		if !slices.Contains(keys, want) {
+			t.Errorf("label set %s missing from %v", want, keys)
+		}
+	}
+}
+
 // TestPanicRecovery drives a panicking handler through the middleware and
 // checks the client sees a JSON 500 while the counter increments.
 func TestPanicRecovery(t *testing.T) {
 	s := New(catalog.TPCHLike(0.05))
-	h := s.instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /bouquets", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
-	}))
+	})
+	h := s.instrument(mux)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/bouquets", nil))
 	if rec.Code != http.StatusInternalServerError {

@@ -529,7 +529,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Concrete {
-		s.handleRunConcrete(w, req, b)
+		s.handleRunConcrete(r.Context(), w, req, b)
 		return
 	}
 	if req.Parallelism != nil {
