@@ -6,7 +6,7 @@ BIN := bin
 # headroom for run-to-run variation, not for new untested code).
 COVER_FLOOR := 78.0
 
-.PHONY: build test vet race fuzz lint lint-fixtures lint-timing lint-budget fmt-check ci cover bench-compile bench-compile-smoke bench-check bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
+.PHONY: build test vet race race-generators fuzz lint lint-fixtures lint-timing lint-budget fmt-check ci cover bench-compile bench-compile-smoke bench-check bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,14 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# race-generators runs the two POSP generators' packages under the race
+# detector at one, two and eight Ps: contour.FocusedContext must return the
+# serial recursion's diagram bit for bit at every worker count
+# (TestFocusedParallelMatchesSerial), and a scheduling-dependent numbering
+# only shows when the workers really interleave.
+race-generators:
+	$(GO) test -race -cpu 1,2,8 ./internal/contour ./internal/posp
 
 # fuzz runs the fuzz targets (SQL parser, CFG builder, escape analyzer)
 # for a short, CI-friendly budget each. Run one by hand with a longer
@@ -186,4 +194,4 @@ corpus-stats:
 
 # ci mirrors the CI workflow's main job exactly — .github/workflows/ci.yml
 # invokes this target, so local `make ci` and CI cannot diverge.
-ci: fmt-check vet build test race lint bench-compile-smoke bench-exec-smoke corpus-smoke
+ci: fmt-check vet build test race race-generators lint bench-compile-smoke bench-exec-smoke corpus-smoke

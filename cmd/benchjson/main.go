@@ -36,13 +36,17 @@ import (
 
 // benchName matches a benchmark result line's first field, with or
 // without the -GOMAXPROCS suffix.
-var benchName = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?$`)
+var benchName = regexp.MustCompile(`^Benchmark(\S+?)(?:-(\d+))?$`)
 
-// sample is one benchmark run's measurements.
+// sample is one benchmark run's measurements, and where it ran: the
+// GOMAXPROCS suffix of its name (0 when the line carries none, which is
+// how go test prints a run at GOMAXPROCS=1) and the "cpu:" line above it.
 type sample struct {
 	nsPerOp     float64
 	bytesPerOp  int64
 	allocsPerOp int64
+	procs       int
+	cpu         string
 }
 
 // stats aggregates repeated runs of one benchmark. Min is the
@@ -54,6 +58,11 @@ type stats struct {
 	MeanNsPerOp float64 `json:"mean_ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`  // minimum across runs
 	AllocsPerOp int64   `json:"allocs_per_op"` // minimum across runs
+	// GOMAXPROCS and CPU say what the runs had to work with — parallel
+	// benchmarks (FocusedCompile, AblationResolution) scale with it.
+	// GOMAXPROCS is absent when the result lines carry no -N suffix.
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
 }
 
 type entry struct {
@@ -72,12 +81,18 @@ type output struct {
 // parse reads `go test -bench -benchmem` result lines. Measurement
 // columns come in "<value> <unit>" pairs; unknown units (custom
 // b.ReportMetric columns such as rows/s) are skipped, so the known
-// columns are found wherever they sit on the line.
+// columns are found wherever they sit on the line. One benchmark at two
+// GOMAXPROCS values is an error: best-of-N across core counts means nothing.
 func parse(r io.Reader) (map[string][]sample, error) {
 	out := make(map[string][]sample)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	cpu := ""
 	for sc.Scan() {
+		if model, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			cpu = strings.TrimSpace(model)
+			continue
+		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 {
 			continue
@@ -89,7 +104,13 @@ func parse(r io.Reader) (map[string][]sample, error) {
 		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			continue // not an iteration count — not a result line
 		}
-		var s sample
+		s := sample{cpu: cpu}
+		if m[2] != "" {
+			s.procs, _ = strconv.Atoi(m[2])
+		}
+		if prev := out[m[1]]; len(prev) > 0 && prev[0].procs != s.procs {
+			return nil, fmt.Errorf("benchjson: %s ran at GOMAXPROCS %d and %d; give it one -cpu value", m[1], prev[0].procs, s.procs)
+		}
 		sawNs := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, unit := fields[i], fields[i+1]
@@ -116,7 +137,7 @@ func parse(r io.Reader) (map[string][]sample, error) {
 }
 
 func summarize(samples []sample) stats {
-	st := stats{Runs: len(samples)}
+	st := stats{Runs: len(samples), GOMAXPROCS: samples[0].procs, CPU: samples[0].cpu}
 	var sum float64
 	for i, s := range samples {
 		sum += s.nsPerOp

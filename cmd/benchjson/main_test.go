@@ -12,6 +12,7 @@ import (
 
 const currentText = `
 goos: linux
+cpu: Test CPU @ 2.00GHz
 BenchmarkFocusedCompile-8     	     240	   4935294 ns/op	 2946194 B/op	   38643 allocs/op
 BenchmarkFocusedCompile-8     	     243	   5566165 ns/op	 2946195 B/op	   38643 allocs/op
 BenchmarkOptimizeChain3       	  649627	      1703 ns/op	     480 B/op	       5 allocs/op
@@ -53,6 +54,25 @@ func TestRunProducesSpeedups(t *testing.T) {
 	}
 	if want := 216575.0 / 38643.0; math.Abs(fc.AllocCut-want) > 1e-9 {
 		t.Errorf("alloc_reduction = %v, want %v", fc.AllocCut, want)
+	}
+	// The -N suffix and the cpu: line say what the runs had to work with;
+	// a line without a suffix (GOMAXPROCS=1, or a hand-kept seed) records
+	// no core count.
+	if fc.Current.GOMAXPROCS != 8 || fc.Current.CPU != "Test CPU @ 2.00GHz" {
+		t.Errorf("current ran on %d × %q, want 8 × the cpu: line", fc.Current.GOMAXPROCS, fc.Current.CPU)
+	}
+	if fc.Baseline.GOMAXPROCS != 0 || fc.Baseline.CPU != "" || out.Benchmarks[1].Current.GOMAXPROCS != 0 {
+		t.Errorf("suffix-less lines recorded a core count: %+v, %+v", fc.Baseline, out.Benchmarks[1].Current)
+	}
+	if !strings.Contains(buf.String(), `"gomaxprocs": 8`) {
+		t.Errorf("gomaxprocs missing from the JSON:\n%s", buf.String())
+	}
+}
+
+func TestParseRejectsMixedGOMAXPROCS(t *testing.T) {
+	text := "BenchmarkFocusedCompile-2 \t 10 \t 100 ns/op\nBenchmarkFocusedCompile-8 \t 10 \t 50 ns/op\n"
+	if _, err := parse(strings.NewReader(text)); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS 2 and 8") {
+		t.Fatalf("one benchmark at two core counts parsed: %v", err)
 	}
 }
 

@@ -182,7 +182,11 @@ func TestLadderForSpace(t *testing.T) {
 
 func TestIdentifyRequiresDenseDiagram(t *testing.T) {
 	opt, space, _ := fixture2D(t, 8)
-	sparse := posp.GenerateAt(opt, space, []int{0, 1}, 0)
+	sparse := posp.NewDiagram(space)
+	flats := []int{0, 1}
+	for i, res := range posp.OptimizeAll(opt, space, flats, 0) {
+		sparse.Set(flats[i], res.Plan, res.Cost)
+	}
 	l, _ := NewLadder(1, 10, 2)
 	if _, err := Identify(sparse, l); err == nil {
 		t.Fatal("Identify on sparse diagram should fail")

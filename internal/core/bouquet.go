@@ -51,7 +51,8 @@ type CompileOptions struct {
 	// reduction (the POSP configuration of Table 1); 0 applies a
 	// zero-slack reduction; the paper's default is 0.2.
 	Lambda cost.Ratio
-	// Workers bounds POSP generation parallelism (0 = GOMAXPROCS).
+	// Workers bounds POSP generation parallelism, exhaustive or focused
+	// (0 = GOMAXPROCS).
 	Workers int
 	// Diagram optionally supplies a precomputed dense plan diagram,
 	// skipping POSP generation.
@@ -62,9 +63,10 @@ type CompileOptions struct {
 	// fallbacks) for far fewer optimizer calls at high resolutions.
 	Focused bool
 	// Ctx, when non-nil, bounds the compilation: cancellation is checked
-	// cooperatively between the major compile stages and between contour
-	// steps, and Compile returns ctx.Err() on expiry. A nil Ctx compiles
-	// to completion (the library default).
+	// cooperatively between the major compile stages, between the batches
+	// of focused generation and between contour steps, and Compile returns
+	// ctx.Err() on expiry. A nil Ctx compiles to completion (the library
+	// default).
 	Ctx context.Context
 	// Trace, when non-nil, receives one compile span when identification
 	// finishes: its Contour field carries the contour count, Rows the
@@ -150,7 +152,8 @@ func (b *Bouquet) execCost(p *plan.Node, sels cost.Selectivities) cost.Cost {
 
 // Compile identifies the plan bouquet for opt's query over space. When
 // opts.Ctx carries a deadline, compilation is abandoned cooperatively (and
-// ctx's error returned) at the next stage boundary or contour step.
+// ctx's error returned) at the next stage boundary, focused-generation
+// batch or contour step.
 func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*Bouquet, error) {
 	//bouquet:allow floatcmp: 0 is the zero-value "unset option" sentinel, never a computed cost
 	if opts.Ratio == 0 {
@@ -178,7 +181,10 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 		if err != nil {
 			return nil, err
 		}
-		d, _ = contour.Focused(opt, space, ladder)
+		d, _, err = contour.FocusedContext(ctx, opt, space, ladder, opts.Workers)
+		if err != nil {
+			return nil, err
+		}
 		raw = contour.IdentifySparse(d, ladder)
 	default:
 		if d == nil {
@@ -199,7 +205,7 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 			raw = contour.IdentifySparse(d, ladder)
 		}
 	}
-	// POSP generation and contour identification are the expensive stages;
+	// Exhaustive generation and contour identification run to their end;
 	// honour a deadline that expired while they ran before reducing.
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/ess"
+	"repro/internal/optimizer"
 )
 
 // stepLimitedCtx is a context whose Err() starts reporting cancellation
@@ -177,5 +179,50 @@ func TestRunContextCancelledUpFront(t *testing.T) {
 		if e, err := r.Run(ctx, optimized); err == nil || len(e.Steps) != 0 {
 			t.Fatalf("concrete optimized=%v: err=%v steps=%d, want immediate abort", optimized, err, len(e.Steps))
 		}
+	}
+}
+
+// TestFocusedCompileCancelsMidGeneration verifies that focused generation
+// polls the context between its batches: a context cancelled while the
+// subdivision is under way makes Compile return context.Canceled at that
+// very poll, with fewer optimizer calls than the full generation needs.
+// (A compile that has already answered 503 used to optimize to the end.)
+func TestFocusedCompileCancelsMidGeneration(t *testing.T) {
+	q := query2D(t)
+	space, err := ess.NewSpace(q, []int{48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := CompileOptions{Lambda: 0.2, Focused: true}
+
+	probe := &stepLimitedCtx{allowance: 1 << 30}
+	opts.Ctx = probe
+	opt := optimizer.New(cost.NewCoster(q, cost.Postgres()))
+	if _, err := Compile(opt, space, opts); err != nil {
+		t.Fatal(err)
+	}
+	fullCalls := opt.Calls()
+
+	// Compile polls once on entry; the polls after that, up to one per
+	// level of the subdivision (at least log2 48 of them), are the
+	// generator's.
+	const allowance = 4
+	if probe.polls.Load() <= allowance {
+		t.Fatalf("focused compile polled ctx only %d times", probe.polls.Load())
+	}
+	ctx := &stepLimitedCtx{allowance: allowance}
+	opts.Ctx = ctx
+	opt = optimizer.New(cost.NewCoster(q, cost.Postgres()))
+	b, err := Compile(opt, space, opts)
+	if !errors.Is(err, context.Canceled) || b != nil {
+		t.Fatalf("cancelled compile returned (%v, %v), want context.Canceled", b, err)
+	}
+	if got := ctx.polls.Load(); got != allowance+1 {
+		t.Fatalf("compile went on for %d polls after the cancelled one", got-allowance-1)
+	}
+	// The two ladder corners and the generator's first levels ran; most
+	// of the band did not.
+	if calls := opt.Calls(); calls <= 2 || calls >= fullCalls/2 {
+		t.Fatalf("cancelled compile made %d optimizer calls, a full one %d", calls, fullCalls)
 	}
 }

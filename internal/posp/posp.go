@@ -142,45 +142,12 @@ func (d *Diagram) RegionOf(id int) []int {
 // deterministic: IDs are assigned by first appearance in flat-index order.
 func Generate(opt *optimizer.Optimizer, space *ess.Space, workers int) *Diagram {
 	n := space.NumPoints()
-	results := optimizeAll(opt, space, allFlats(n), workers)
+	results := OptimizeAll(opt, space, allFlats(n), workers)
 	d := NewDiagram(space)
 	for flat := 0; flat < n; flat++ {
 		d.Set(flat, results[flat].Plan, results[flat].Cost)
 	}
 	return d
-}
-
-// GenerateAt optimizes only the given flat indices (used by the
-// contour-focused generator), leaving the rest of the diagram sparse.
-func GenerateAt(opt *optimizer.Optimizer, space *ess.Space, flats []int, workers int) *Diagram {
-	d := NewDiagram(space)
-	FillAt(d, opt, flats, workers)
-	return d
-}
-
-// FillAt optimizes the given flat indices into an existing diagram,
-// skipping locations already covered. Plan numbering remains deterministic:
-// results are merged in ascending flat order.
-func FillAt(d *Diagram, opt *optimizer.Optimizer, flats []int, workers int) {
-	todo := make([]int, 0, len(flats))
-	seen := make(map[int]bool, len(flats))
-	for _, f := range flats {
-		if !d.Covered(f) && !seen[f] {
-			todo = append(todo, f)
-			seen[f] = true
-		}
-	}
-	if len(todo) == 0 {
-		return
-	}
-	// Sort the deduped work list once: optimizeAll's results slice is
-	// parallel to it, and merging in ascending flat order keeps plan IDs
-	// deterministic.
-	sort.Ints(todo)
-	results := optimizeAll(opt, d.space, todo, workers)
-	for i, flat := range todo {
-		d.Set(flat, results[i].Plan, results[i].Cost)
-	}
 }
 
 func allFlats(n int) []int {
@@ -191,11 +158,15 @@ func allFlats(n int) []int {
 	return out
 }
 
-// optimizeAll runs opt at each listed location with a worker pool,
-// returning results positionally parallel to flats. Work distribution is a
-// shared atomic cursor and results land directly in the pre-sized slice —
-// no channels, no per-item sends, no map assembly on the hot compile path.
-func optimizeAll(opt *optimizer.Optimizer, space *ess.Space, flats []int, workers int) []optimizer.Result {
+// OptimizeAll runs opt at each listed location with up to workers
+// goroutines (0 means GOMAXPROCS), returning results positionally parallel
+// to flats; it is the one batch primitive both generators — Generate and
+// contour.Focused — are built on. Work distribution is a shared atomic
+// cursor and results land directly in the pre-sized slice — no channels,
+// no per-item sends, no map assembly on the hot compile path. Each worker
+// also fingerprints the plan it found (memoized on the node), so that the
+// caller's serial Diagram.Set merge is a map probe per location.
+func OptimizeAll(opt *optimizer.Optimizer, space *ess.Space, flats []int, workers int) []optimizer.Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -217,8 +188,8 @@ func optimizeAll(opt *optimizer.Optimizer, space *ess.Space, flats []int, worker
 				if i >= len(flats) {
 					return
 				}
-				flat := flats[i]
-				results[i] = opt.Optimize(space.Sels(space.PointAt(flat)))
+				results[i] = opt.Optimize(space.Sels(space.PointAt(flats[i])))
+				results[i].Plan.Fingerprint()
 			}
 		}()
 	}

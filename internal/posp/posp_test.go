@@ -112,35 +112,49 @@ func TestGenerateDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestGenerateAtSparse(t *testing.T) {
-	opt, space := fixture(t, 6)
-	flats := []int{0, 3, 5, 3} // includes a duplicate
-	d := GenerateAt(opt, space, flats, 0)
-	covered := 0
-	for flat := 0; flat < space.NumPoints(); flat++ {
-		if d.Covered(flat) {
-			covered++
-		}
+// sparseDiagram optimizes only the listed locations into a fresh diagram.
+func sparseDiagram(opt *optimizer.Optimizer, space *ess.Space, flats []int) *Diagram {
+	d := NewDiagram(space)
+	for i, res := range OptimizeAll(opt, space, flats, 0) {
+		d.Set(flats[i], res.Plan, res.Cost)
 	}
-	if covered != 3 {
-		t.Fatalf("covered = %d, want 3", covered)
-	}
+	return d
 }
 
-func TestFillAtSkipsCovered(t *testing.T) {
+// TestOptimizeAllPositional: results are parallel to the listed flats —
+// out of order, sparse and with a duplicate — at every worker count, each
+// the very result Generate records there, one optimizer call per entry.
+func TestOptimizeAllPositional(t *testing.T) {
 	opt, space := fixture(t, 6)
-	d := GenerateAt(opt, space, []int{0}, 0)
-	cost0 := d.Cost(0)
-	calls := opt.Calls()
-	FillAt(d, opt, []int{0, 1}, 0)
-	if opt.Calls() != calls+1 {
-		t.Fatalf("FillAt re-optimized covered locations (%d extra calls)", opt.Calls()-calls)
+	dense := Generate(opt, space, 1)
+	flats := []int{5, 0, 3, 5}
+	for _, workers := range []int{0, 1, 3, 16} {
+		calls := opt.Calls()
+		results := OptimizeAll(opt, space, flats, workers)
+		if got := opt.Calls() - calls; got != int64(len(flats)) {
+			t.Fatalf("workers=%d: %d optimizer calls for %d entries", workers, got, len(flats))
+		}
+		if len(results) != len(flats) {
+			t.Fatalf("workers=%d: %d results for %d entries", workers, len(results), len(flats))
+		}
+		for i, flat := range flats {
+			if results[i].Cost != dense.Cost(flat) {
+				t.Fatalf("workers=%d: result %d costs %g, location %d costs %g", workers, i, results[i].Cost, flat, dense.Cost(flat))
+			}
+			if got, want := results[i].Plan.Fingerprint(), dense.Plan(dense.PlanID(flat)).Fingerprint(); got != want {
+				t.Fatalf("workers=%d: result %d is plan %s, location %d has %s", workers, i, got, flat, want)
+			}
+		}
 	}
-	if d.Cost(0) != cost0 {
-		t.Fatal("FillAt overwrote existing result")
+	if got := OptimizeAll(opt, space, nil, 0); len(got) != 0 {
+		t.Fatalf("empty work list returned %d results", len(got))
 	}
-	if !d.Covered(1) {
-		t.Fatal("FillAt did not fill new location")
+
+	d := sparseDiagram(opt, space, flats)
+	for flat := 0; flat < space.NumPoints(); flat++ {
+		if want := flat == 0 || flat == 3 || flat == 5; d.Covered(flat) != want {
+			t.Fatalf("Covered(%d) = %t", flat, d.Covered(flat))
+		}
 	}
 }
 
@@ -195,7 +209,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotSparseRoundTrip(t *testing.T) {
 	opt, space := fixture(t, 8)
-	d := GenerateAt(opt, space, []int{1, 4, 6}, 0)
+	d := sparseDiagram(opt, space, []int{1, 4, 6})
 	restored, err := FromSnapshot(space, d.Snapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // cacheEntry is one cached compile outcome: the registry id the bouquet
@@ -133,11 +136,26 @@ func (c *compileCache) stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.order.Len()}
 }
 
-// compileFingerprint canonicalizes a compile request into a cache key. It
-// fingerprints the *parsed* query's canonical rendering (so whitespace and
-// formatting differences in the SQL text collapse) together with the
-// resolved resolution, lambda, ratio and focus mode — every knob that can
-// change the compiled bouquet.
+// canonicalQuery renders the *parsed* query for the cache key (so whitespace
+// and formatting differences in the SQL text collapse): Query.String, which
+// prints no constants, followed by every predicate's selectivity — the
+// sel(…) of a selection, the sel(…) override or PK-FK default of a join —
+// since two queries that differ in one of them compile to different
+// bouquets.
+func canonicalQuery(q *query.Query) string {
+	var sb strings.Builder
+	sb.WriteString(q.String())
+	for _, p := range q.Predicates() {
+		sb.WriteString("|sel=")
+		sb.WriteString(strconv.FormatFloat(p.DefaultSel, 'g', -1, 64))
+	}
+	return sb.String()
+}
+
+// compileFingerprint canonicalizes a compile request into a cache key: the
+// query's canonical rendering together with the resolved resolution,
+// lambda, ratio and focus mode — every knob that can change the compiled
+// bouquet.
 func compileFingerprint(canonicalQuery string, res int, lambda, ratio float64, focused bool) string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("%s|res=%d|lambda=%g|ratio=%g|focused=%t",
 		canonicalQuery, res, lambda, ratio, focused)))

@@ -232,23 +232,40 @@ func TestPprofGated(t *testing.T) {
 
 // TestCachedCompileIsIdempotent checks the canonicalized fingerprint:
 // whitespace-different SQL for the same query hits the same cache entry
-// and returns the same bouquet id, while changed knobs miss.
+// and returns the same bouquet id, while changed knobs and changed
+// selectivity constants miss (a request differing only in a sel(…) used to
+// be served the other's bouquet).
 func TestCachedCompileIsIdempotent(t *testing.T) {
 	srv := newTestServer(t)
 	a := compileOne(t, srv, apiEQ2D, 8)
 	b := compileOne(t, srv, strings.Join(strings.Fields(apiEQ2D), " "), 8)
-	if a.ID != b.ID {
-		t.Fatalf("whitespace variant recompiled: %q vs %q", a.ID, b.ID)
+	if a.ID != b.ID || !b.Cached {
+		t.Fatalf("whitespace variant recompiled: %q vs %q (cached=%t)", a.ID, b.ID, b.Cached)
 	}
 	c := compileOne(t, srv, apiEQ2D, 9) // different resolution
 	if c.ID == a.ID {
 		t.Fatal("different resolution served from cache")
 	}
+	seen := map[string]bool{a.ID: true, c.ID: true}
+	for _, variant := range []string{
+		strings.Replace(apiEQ2D, "sel(0.10)?", "sel(0.20)?", 1),                             // selection constant
+		strings.Replace(apiEQ2D, "sel(0.000005)?", "sel(0.000004)?", 1),                     // join override
+		strings.Replace(apiEQ2D, "orders.o_orderkey", "orders.o_orderkey sel(0.000001)", 1), // override of a PK-FK default
+	} {
+		if variant == apiEQ2D {
+			t.Fatal("variant does not differ from the base query")
+		}
+		v := compileOne(t, srv, variant, 8)
+		if v.Cached || seen[v.ID] {
+			t.Fatalf("query differing only in a selectivity constant was served bouquet %s from the cache:\n%s", v.ID, variant)
+		}
+		seen[v.ID] = true
+	}
 	stats := struct{ hits, misses float64 }{
 		fetchMetric(t, srv.URL, "bouquetd_compile_cache_hits_total"),
 		fetchMetric(t, srv.URL, "bouquetd_compile_cache_misses_total"),
 	}
-	if stats.hits != 1 || stats.misses != 2 {
-		t.Fatalf("cache stats hits=%g misses=%g, want 1/2", stats.hits, stats.misses)
+	if stats.hits != 1 || stats.misses != 5 {
+		t.Fatalf("cache stats hits=%g misses=%g, want 1/5", stats.hits, stats.misses)
 	}
 }

@@ -57,10 +57,10 @@ type Config struct {
 	// between contour steps; the request then answers 503. 0 means no
 	// server-side bound (the client context still applies).
 	CompileTimeout time.Duration
-	// CompileWorkers bounds each compile's POSP-generation parallelism
-	// (threaded into core.CompileOptions.Workers). 0 means GOMAXPROCS;
-	// set it below the core count to keep compile bursts from starving
-	// the serving path.
+	// CompileWorkers bounds each compile's POSP-generation parallelism,
+	// exhaustive or focused (threaded into core.CompileOptions.Workers).
+	// 0 means GOMAXPROCS; set it below the core count to keep compile
+	// bursts from starving the serving path.
 	CompileWorkers int
 	// ExecWorkers is the default worker count for concrete /run
 	// executions: 0 runs the tuple-at-a-time Volcano engine, n > 0 the
@@ -316,7 +316,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// The compile itself runs in a goroutine so the handler can answer
 	// 503 the moment the deadline expires; the abandoned compile then
 	// stops cooperatively at its next ctx checkpoint.
-	key := compileFingerprint(q.String(), res, lambda.F(), ratio, req.Focused)
+	key := compileFingerprint(canonicalQuery(q), res, lambda.F(), ratio, req.Focused)
 	type outcome struct {
 		entry cacheEntry
 		hit   bool

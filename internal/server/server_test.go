@@ -46,13 +46,13 @@ func postJSON(t *testing.T, url string, body interface{}) (*http.Response, map[s
 	return resp, out
 }
 
-func compileOne(t *testing.T, srv *httptest.Server, sql string, res int) bouquetSummary {
+func compileOne(t *testing.T, srv *httptest.Server, sql string, res int) compileResponse {
 	t.Helper()
 	resp, raw := postJSON(t, srv.URL+"/compile", compileRequest{SQL: sql, Res: res})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile status %d: %v", resp.StatusCode, raw)
 	}
-	var sum bouquetSummary
+	var sum compileResponse
 	reencode(t, raw, &sum)
 	return sum
 }
