@@ -6,7 +6,7 @@ BIN := bin
 # headroom for run-to-run variation, not for new untested code).
 COVER_FLOOR := 78.0
 
-.PHONY: build test vet race race-generators fuzz lint lint-fixtures lint-timing lint-budget fmt-check ci cover bench-compile bench-compile-smoke bench-check bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
+.PHONY: build test vet race race-generators race-serving fuzz lint lint-fixtures lint-timing lint-budget fmt-check ci cover bench-compile bench-compile-smoke bench-check bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ race:
 # only shows when the workers really interleave.
 race-generators:
 	$(GO) test -race -cpu 1,2,8 ./internal/contour ./internal/posp
+
+# race-serving runs the traced serving path — the recorder pool, the span
+# fold and the handlers that share them — under the race detector at one,
+# two and eight Ps, never from the test cache: a recorder handed to the next
+# run too early only shows when runs really overlap.
+race-serving:
+	$(GO) test -race -count=1 -cpu 1,2,8 ./internal/trace ./internal/metrics ./internal/server
 
 # fuzz runs the fuzz targets (SQL parser, CFG builder, escape analyzer)
 # for a short, CI-friendly budget each. Run one by hand with a longer
@@ -194,4 +201,4 @@ corpus-stats:
 
 # ci mirrors the CI workflow's main job exactly — .github/workflows/ci.yml
 # invokes this target, so local `make ci` and CI cannot diverge.
-ci: fmt-check vet build test race race-generators lint bench-compile-smoke bench-exec-smoke corpus-smoke
+ci: fmt-check vet build test race race-generators race-serving lint bench-compile-smoke bench-exec-smoke corpus-smoke

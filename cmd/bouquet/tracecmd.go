@@ -34,7 +34,7 @@ func traceCmd(name string, res int, lambda float64, workers int, qaFlag string, 
 	if err != nil {
 		return err
 	}
-	rec := trace.New(0)
+	rec := trace.Acquire()
 	driver := "basic"
 	var e core.Execution
 	if optimized {
@@ -48,6 +48,7 @@ func traceCmd(name string, res int, lambda float64, workers int, qaFlag string, 
 	}
 	fmt.Printf("traced %s run of %s at q_a=%v\n  %s\n\n", driver, name, qa, e)
 	renderTrace(rec, nodes)
+	rec.Release()
 	return nil
 }
 
@@ -68,7 +69,7 @@ func traceConcrete(optimized, nodes bool, seed int64) error {
 	if err != nil {
 		return err
 	}
-	r := &core.ConcreteRunner{B: b, Engine: eng, Trace: trace.New(0)}
+	r := &core.ConcreteRunner{B: b, Engine: eng, Trace: trace.Acquire()}
 	driver := "basic"
 	var out core.ConcreteExecution
 	if optimized {
@@ -79,6 +80,7 @@ func traceConcrete(optimized, nodes bool, seed int64) error {
 	}
 	fmt.Printf("traced concrete %s run of HQ8a (seed %d):\n%s\n", driver, seed, out.Explain())
 	renderTrace(r.Trace, nodes)
+	r.Trace.Release()
 	return nil
 }
 

@@ -17,26 +17,53 @@ import (
 // output cardinality and cumulative subtree cost at sels — faithful by
 // construction, since the simulation *is* the cost surface. Nodes of full
 // outside driven (a spilled execution's starved downstream, §5.3) are
-// marked Starved. Nodes appear in full's depth-first walk order.
-func (b *Bouquet) modelNodeStats(full, driven *plan.Node, sels cost.Selectivities, completed bool) []trace.NodeStat {
-	det := b.execCoster().Detail(driven, sels)
-	byNode := make(map[*plan.Node]cost.NodeCost, len(det))
-	for _, nc := range det {
-		byNode[nc.Node] = nc
+// marked Starved. Nodes appear in full's depth-first walk order. The
+// second result is driven's own output cardinality. One walk of full
+// prices driven and emits the stats: children are priced before their
+// parent, into slots claimed on the way down.
+func (b *Bouquet) modelNodeStats(full, driven *plan.Node, sels cost.Selectivities, completed bool) ([]trace.NodeStat, cost.Card) {
+	w := nodeStatWalk{coster: b.execCoster(), sels: sels, driven: driven, completed: completed}
+	w.out = make([]trace.NodeStat, 0, full.NumNodes())
+	w.visit(full, false)
+	return w.out, w.rows
+}
+
+// nodeStatWalk is modelNodeStats' state: a method on it, not a closure over
+// plan.Node.Walk, so that a step's stats allocate their slice and no more.
+type nodeStatWalk struct {
+	coster    *cost.Coster
+	sels      cost.Selectivities
+	driven    *plan.Node
+	completed bool
+	out       []trace.NodeStat
+	rows      cost.Card // driven's output cardinality
+}
+
+// visit appends n's subtree in pre-order and returns n's summary; live says
+// an ancestor of n is the driven node. Outside the driven subtree nothing
+// is priced and the summary is zero.
+func (w *nodeStatWalk) visit(n *plan.Node, live bool) cost.Summary {
+	live = live || n == w.driven
+	i := len(w.out)
+	w.out = append(w.out, trace.NodeStat{Op: n.Op.String(), Relation: n.Relation, Starved: !live})
+	var left, right cost.Summary
+	if n.Left != nil {
+		left = w.visit(n.Left, live)
 	}
-	out := make([]trace.NodeStat, 0, full.NumNodes())
-	full.Walk(func(n *plan.Node) {
-		ns := trace.NodeStat{Op: n.Op.String(), Relation: n.Relation}
-		if nc, ok := byNode[n]; ok {
-			ns.Out = int64(nc.Rows.F())
-			ns.EstCost = trace.SafeCost(nc.TotalCost.F())
-			ns.Done = completed
-		} else {
-			ns.Starved = true
-		}
-		out = append(out, ns)
-	})
-	return out
+	if n.Right != nil {
+		right = w.visit(n.Right, live)
+	}
+	if !live {
+		return cost.Summary{}
+	}
+	sum := w.coster.PriceStep(n, left, right, w.sels)
+	w.out[i].Out = int64(sum.Rows.F())
+	w.out[i].EstCost = trace.SafeCost(sum.Cost.F())
+	w.out[i].Done = w.completed
+	if n == w.driven {
+		w.rows = sum.Rows
+	}
+	return sum
 }
 
 // recordContour emits the span marking the run entering contour c.
@@ -58,14 +85,15 @@ func (b *Bouquet) recordStep(rec *trace.Recorder, s Step, driven *plan.Node, pre
 	if !rec.Enabled() {
 		return
 	}
+	wall := time.Since(start).Nanoseconds() // the step's, not its stats'
+	nodes, rows := b.modelNodeStats(b.Diagram.Plan(s.PlanID), driven, sels, s.Completed)
 	sp := trace.Span{
 		Kind: trace.KindExec, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: pred,
 		Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
-		Completed: s.Completed, WallNanos: time.Since(start).Nanoseconds(),
-		Nodes: b.modelNodeStats(b.Diagram.Plan(s.PlanID), driven, sels, s.Completed),
+		Completed: s.Completed, WallNanos: wall, Nodes: nodes,
 	}
 	if s.Completed {
-		sp.Rows = int64(b.execCoster().Rows(driven, sels).F())
+		sp.Rows = int64(rows.F())
 	}
 	rec.Record(sp)
 	if !s.Completed {

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/ess"
+	"repro/internal/plan"
 	"repro/internal/trace"
 )
 
@@ -206,6 +209,51 @@ func TestConcreteTracedSpans(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("exec span %d nodes %+v do not account for %d output rows", i, s.Nodes, st.Rows)
+		}
+	}
+}
+
+// TestModelNodeStatsOneWalk checks the one-walk stats against the definition
+// they replaced — price driven with Coster.Detail, look each node of the full
+// plan up by pointer — for every plan of the bouquet, driven whole and driven
+// at every proper subtree (a spilled step's shape), completed and not; and
+// pins a step's stats at their slice: at most 2 allocations.
+func TestModelNodeStatsOneWalk(t *testing.T) {
+	b, qa := tracedFixture(t, nil)
+	sels := b.Space.Sels(qa)
+	byDetail := func(full, driven *plan.Node, completed bool) ([]trace.NodeStat, cost.Card) {
+		det := b.execCoster().Detail(driven, sels)
+		byNode := make(map[*plan.Node]cost.NodeCost, len(det))
+		for _, nc := range det {
+			byNode[nc.Node] = nc
+		}
+		var out []trace.NodeStat
+		full.Walk(func(n *plan.Node) {
+			ns := trace.NodeStat{Op: n.Op.String(), Relation: n.Relation}
+			if nc, ok := byNode[n]; ok {
+				ns.Out = int64(nc.Rows.F())
+				ns.EstCost = trace.SafeCost(nc.TotalCost.F())
+				ns.Done = completed
+			} else {
+				ns.Starved = true
+			}
+			out = append(out, ns)
+		})
+		return out, det[len(det)-1].Rows
+	}
+	for _, pid := range b.PlanIDs {
+		full := b.Diagram.Plan(pid)
+		full.Walk(func(driven *plan.Node) {
+			for _, completed := range []bool{true, false} {
+				got, rows := b.modelNodeStats(full, driven, sels, completed)
+				want, wantRows := byDetail(full, driven, completed)
+				if !reflect.DeepEqual(got, want) || rows != wantRows {
+					t.Fatalf("plan %d driven at %s completed=%t:\n got %+v rows %v\nwant %+v rows %v", pid, driven.Op, completed, got, rows, want, wantRows)
+				}
+			}
+		})
+		if got := testing.AllocsPerRun(100, func() { b.modelNodeStats(full, full, sels, true) }); got > 2 {
+			t.Errorf("modelNodeStats(plan %d) allocates %.0f/step, want <= 2", pid, got)
 		}
 	}
 }

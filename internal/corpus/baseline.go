@@ -159,9 +159,11 @@ func Compute(spec Spec) (Baseline, error) {
 	points := []ess.Point{space.Terminus(), space.Origin(), space.PointAt(space.NumPoints() / 2)}
 	var sumSubOpt float64
 	var basicRuns int
+	// One recorder serves the six runs, reset after each; a run that fails
+	// leaves it to the collector.
+	rec := trace.Acquire()
 	for _, qa := range points {
 		for _, driver := range []string{"basic", "optimized"} {
-			rec := trace.New(4096)
 			var e core.Execution
 			var rerr error
 			if driver == "basic" {
@@ -173,6 +175,7 @@ func Compute(spec Spec) (Baseline, error) {
 				return Baseline{}, fmt.Errorf("corpus: %s: %s run: %w", spec.ID, driver, rerr)
 			}
 			agg := metrics.Aggregate(rec.Spans())
+			rec.Reset()
 			base.Runs = append(base.Runs, RunBaseline{
 				Driver:     driver,
 				QA:         append([]float64(nil), qa...),
@@ -192,6 +195,7 @@ func Compute(spec Spec) (Baseline, error) {
 			}
 		}
 	}
+	rec.Release()
 	base.ASO = sumSubOpt / float64(basicRuns)
 	return base, nil
 }

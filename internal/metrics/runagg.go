@@ -58,38 +58,44 @@ func (a RunAggregate) WastedRatio() float64 {
 // Aggregate folds a traced run's span sequence into a RunAggregate.
 func Aggregate(spans []trace.Span) RunAggregate {
 	var a RunAggregate
-	for _, s := range spans {
-		switch s.Kind {
-		case trace.KindExec:
-			a.Execs++
-			a.WallNanos += s.WallNanos
-			if s.WallNanos > a.MaxStepWallNanos {
-				a.MaxStepWallNanos = s.WallNanos
-			}
-			a.ReuseHits += s.ReuseHits
-			a.SalvagedCost += s.SalvagedCost
-			if s.Completed {
-				a.Completed++
-				a.UsefulCost += s.Spent
-				if s.Rows > 0 {
-					a.Rows = s.Rows
-				}
-			} else {
-				a.WastedCost += s.Spent
-				if d := s.Spent - s.SalvagedCost; d > 0 {
-					a.DiscardedCost += d
-				}
-			}
-		case trace.KindSpill:
-			a.Spills++
-		case trace.KindBudgetAbort:
-			a.Aborts++
-		case trace.KindLearn:
-			a.Learns++
-			if s.Completed {
-				a.ExactLearns++
-			}
-		}
+	for i := range spans {
+		a.Add(&spans[i])
 	}
 	return a
+}
+
+// Add folds one span into a. Aggregate is Add over a whole run, in record
+// order; a caller with more to do per span folds with Add in its own pass.
+func (a *RunAggregate) Add(s *trace.Span) {
+	switch s.Kind {
+	case trace.KindExec:
+		a.Execs++
+		a.WallNanos += s.WallNanos
+		if s.WallNanos > a.MaxStepWallNanos {
+			a.MaxStepWallNanos = s.WallNanos
+		}
+		a.ReuseHits += s.ReuseHits
+		a.SalvagedCost += s.SalvagedCost
+		if s.Completed {
+			a.Completed++
+			a.UsefulCost += s.Spent
+			if s.Rows > 0 {
+				a.Rows = s.Rows
+			}
+		} else {
+			a.WastedCost += s.Spent
+			if d := s.Spent - s.SalvagedCost; d > 0 {
+				a.DiscardedCost += d
+			}
+		}
+	case trace.KindSpill:
+		a.Spills++
+	case trace.KindBudgetAbort:
+		a.Aborts++
+	case trace.KindLearn:
+		a.Learns++
+		if s.Completed {
+			a.ExactLearns++
+		}
+	}
 }

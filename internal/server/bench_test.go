@@ -58,6 +58,49 @@ func BenchmarkCompileCached(b *testing.B) {
 	}
 }
 
+// handlerCompile compiles sql through h with no listener in between and
+// returns the bouquet's ID.
+func handlerCompile(tb testing.TB, h http.Handler, sql string, res int) string {
+	tb.Helper()
+	rec := serve(h, "POST", "/compile", compileRequest{SQL: sql, Res: res})
+	var sum compileResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil || rec.Code != http.StatusOK {
+		tb.Fatalf("compile status %d (%s): %v", rec.Code, rec.Body, err)
+	}
+	return sum.ID
+}
+
+// simRun returns a func that serves one simulated optimized /run of benchSQL
+// through a fresh server's Handler() — middleware, JSON both ways, the
+// driver, and for a traced run the fold and the retained snapshot — with no
+// socket under it.
+func simRun(tb testing.TB, traced bool) func() {
+	h := New(catalog.TPCHLike(0.05)).Handler()
+	body, _ := json.Marshal(runRequest{ID: handlerCompile(tb, h, benchSQL, 12), QA: []float64{0.05, 2e-6}, Optimized: true, Trace: traced})
+	return func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/run", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("run status %d (%s)", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkRunSimPlain and BenchmarkRunSimTraced are the two sides of
+// serve_mix's gated ratio at the handler: the same run without and with
+// "trace":true. Developer tools — benchmark/ owns the gate.
+func BenchmarkRunSimPlain(b *testing.B)  { benchRunSim(b, false) }
+func BenchmarkRunSimTraced(b *testing.B) { benchRunSim(b, true) }
+
+func benchRunSim(b *testing.B, traced bool) {
+	run := simRun(b, traced)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // TestCacheHitSpeedup asserts the acceptance bar directly: a cached
 // compile of an identical query answers at least 10x faster than the cold
 // compile. The cold compile at resolution 48 runs thousands of optimizer

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/exec"
-	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/trace"
 )
@@ -140,7 +139,7 @@ func (s *Server) handleRunConcrete(ctx context.Context, w http.ResponseWriter, r
 
 	var rec *trace.Recorder
 	if req.Trace {
-		rec = trace.New(0)
+		rec = trace.Acquire()
 	}
 	runner := &core.ConcreteRunner{B: b, Engine: entry.eng, Trace: rec, Parallelism: workers, Reuse: reuse}
 	e, err := entry.run(ctx, runner, req.Optimized)
@@ -182,10 +181,7 @@ func (s *Server) handleRunConcrete(ctx context.Context, w http.ResponseWriter, r
 		})
 	}
 	if rec.Enabled() {
-		spans := rec.Spans()
-		agg := metrics.Aggregate(spans)
-		s.metrics.observeTrace(agg, spans)
-		out.RunID = s.runs.add(req.ID, spans, rec.Dropped(), agg)
+		out.RunID = s.retainTrace(req.ID, rec)
 	}
 	writeJSON(w, out)
 }

@@ -87,13 +87,25 @@ func newHistogram(buckets []float64) *histogram {
 // Observe records v under the given label set ("" for unlabeled).
 func (h *histogram) Observe(labels string, v float64) {
 	h.mu.Lock()
+	h.set(labels).observe(h.buckets, v)
+	h.mu.Unlock()
+}
+
+// set returns the bucket vector of a label set, creating it on first use.
+// The caller holds h.mu.
+func (h *histogram) set(labels string) *histogramSet {
 	s, ok := h.sets[labels]
 	if !ok {
 		s = &histogramSet{counts: make([]int64, len(h.buckets)+1)}
 		h.sets[labels] = s
 	}
-	idx := len(h.buckets) // +Inf bucket
-	for i, ub := range h.buckets {
+	return s
+}
+
+// observe counts v into the first bucket of buckets that holds it.
+func (s *histogramSet) observe(buckets []float64, v float64) {
+	idx := len(buckets) // +Inf bucket
+	for i, ub := range buckets {
 		if v <= ub {
 			idx = i
 			break
@@ -102,7 +114,6 @@ func (h *histogram) Observe(labels string, v float64) {
 	s.counts[idx]++
 	s.sum += v
 	s.count++
-	h.mu.Unlock()
 }
 
 // serverMetrics aggregates the server's operational telemetry; render
@@ -168,21 +179,29 @@ func (m *serverMetrics) observeRun(totalCost, optCost, subOpt float64, steps int
 	m.runSubOpt.Observe("", subOpt)
 }
 
-// observeTrace folds one traced run's aggregate into the bouquetd_trace_*
-// series and each exec span's wall time into the per-step latency
-// histogram.
-func (m *serverMetrics) observeTrace(a metrics.RunAggregate, spans []trace.Span) {
+// observeTrace folds one traced run into its aggregate, the
+// bouquetd_trace_* series and — each exec span's wall time — the per-step
+// latency histogram: one pass over the spans, the histogram locked once
+// for the run. It returns the aggregate.
+func (m *serverMetrics) observeTrace(spans []trace.Span) metrics.RunAggregate {
+	var a metrics.RunAggregate
+	m.stepWall.mu.Lock()
+	walls := m.stepWall.set("")
+	for i := range spans {
+		s := &spans[i]
+		a.Add(s)
+		if s.Kind == trace.KindExec {
+			walls.observe(m.stepWall.buckets, float64(s.WallNanos)/1e9)
+		}
+	}
+	m.stepWall.mu.Unlock()
 	m.tracedRuns.Add(1)
 	m.traceExecSteps.Add(int64(a.Execs))
 	m.traceAborts.Add(int64(a.Aborts))
 	m.traceSpills.Add(int64(a.Spills))
 	m.traceLearns.Add(int64(a.Learns))
 	m.lastWastedRatio.Set(a.WastedRatio())
-	for _, s := range spans {
-		if s.Kind == trace.KindExec {
-			m.stepWall.Observe("", float64(s.WallNanos)/1e9)
-		}
-	}
+	return a
 }
 
 func writeHeader(w io.Writer, name, help, typ string) {

@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/ess"
-	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/trace"
@@ -561,7 +560,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	var rec *trace.Recorder
 	if req.Trace {
-		rec = trace.New(0)
+		rec = trace.Acquire()
 	}
 	var e core.Execution
 	var err error
@@ -592,12 +591,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if rec.Enabled() {
-		spans := rec.Spans()
-		agg := metrics.Aggregate(spans)
-		s.metrics.observeTrace(agg, spans)
-		out.RunID = s.runs.add(req.ID, spans, rec.Dropped(), agg)
+		out.RunID = s.retainTrace(req.ID, rec)
 	}
 	writeJSON(w, out)
+}
+
+// retainTrace ends a traced run that returned without error: it snapshots
+// rec, gives the recorder back to the pool, folds the spans into the
+// metrics and retains them under a new run ID, which it returns. The
+// handlers call it only once the driver — and for a concrete run every
+// engine worker — has returned; a run that failed or panicked never gets
+// here, and its recorder goes to the collector instead of the pool.
+func (s *Server) retainTrace(bouquetID string, rec *trace.Recorder) string {
+	spans, dropped := rec.Spans(), rec.Dropped()
+	rec.Release()
+	return s.runs.add(bouquetID, spans, dropped, s.metrics.observeTrace(spans))
 }
 
 // handleRunTrace serves a retained run trace: the full span sequence plus

@@ -17,13 +17,31 @@
 //     every method is nil-safe, and the hot loops guard span construction
 //     behind Enabled() — internal/core pins this with an AllocsPerRun
 //     parity test;
-//   - enabled tracing must stay off the allocator: spans land in a
-//     preallocated power-of-two ring via a single atomic slot claim
-//     (lock-free, no mutex on the record path), overwriting the oldest
-//     entries when the run outgrows the ring;
+//   - enabled tracing must cost what it records: spans land in a
+//     power-of-two ring via a single atomic slot claim (lock-free, no
+//     mutex and no allocation on the record path), overwriting the oldest
+//     entries when the run outgrows the ring. The ring itself is 608 KiB
+//     of pointerful memory, so a run does not build one — it borrows one
+//     (see the lifecycle below), and giving it back clears only the slots
+//     the run wrote. What a traced run allocates is its spans' Nodes
+//     slices and the Spans snapshot;
 //   - spans must survive the wire: they marshal to JSON (served by the
 //     bouquetd /runs/{id}/trace endpoint) with non-finite budgets
 //     sanitized at record time, since encoding/json rejects ±Inf.
+//
+// The lifecycle of a traced run is Acquire → run → Spans → Release.
+// Acquire hands out an empty DefaultCapacity recorder from a pool; the run
+// records into it; Spans copies the retained spans out; Release resets the
+// recorder and returns it to the pool. Two rules keep a recycled ring from
+// leaking one run into another. Nothing may Record into, or read, a
+// recorder after its Release — so Release comes after everything the
+// recorder was handed to has returned, and a run that panicked, failed or
+// was abandoned drops its recorder to the collector instead. And Spans
+// stays a copy: a snapshot kept after the run (the server retains them for
+// /runs/{id}/trace) never aliases a slot the next run will write. New
+// remains for a recorder of an explicit capacity that lives as long as its
+// owner; Reset empties any recorder in place for an owner that traces
+// several runs in a row.
 //
 // Snapshotting with Spans is meant for after the traced run completes;
 // concurrent Record calls are safe against each other, but a snapshot

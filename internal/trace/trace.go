@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -154,9 +155,12 @@ func SafeCost(c float64) float64 {
 	return c
 }
 
-// DefaultCapacity is the ring size New selects for capacity <= 0: roomy
-// enough for every step of a deep bouquet run (contours × ρ × a few
-// spans per step) while staying a few hundred KiB.
+// DefaultCapacity is the ring size New selects for capacity <= 0 and the
+// size of every pooled ring: roomy enough for every step of a deep bouquet
+// run (contours × ρ × a few spans per step; a served run emits about 30).
+// A ring this size is 608 KiB that the collector has to scan, because a
+// Span holds a slice — which is why runs take theirs from Acquire and do
+// not build one each.
 const DefaultCapacity = 4096
 
 // Recorder collects spans into a lock-free ring buffer. The zero state
@@ -169,7 +173,8 @@ type Recorder struct {
 }
 
 // New builds a Recorder retaining the last capacity spans (rounded up to
-// a power of two; capacity <= 0 selects DefaultCapacity).
+// a power of two; capacity <= 0 selects DefaultCapacity). It zeroes the
+// whole ring; code that traces run after run uses Acquire.
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -179,6 +184,43 @@ func New(capacity int) *Recorder {
 		n <<= 1
 	}
 	return &Recorder{buf: make([]Span, n), mask: uint64(n - 1)}
+}
+
+// pool holds empty DefaultCapacity recorders between runs.
+var pool = sync.Pool{New: func() any { return New(0) }}
+
+// Acquire returns an empty DefaultCapacity Recorder, recycled from an
+// earlier run's Release when one is at hand. The caller owns it until it
+// calls Release.
+func Acquire() *Recorder { return pool.Get().(*Recorder) }
+
+// Reset empties r for another run: Seq restarts at 0 and Dropped at 0.
+// It clears the slots the last run wrote and no others, so it costs what
+// that run recorded, not what the ring could hold. Nothing may be
+// recording into r.
+func (r *Recorder) Reset() {
+	if r == nil {
+		return
+	}
+	clear(r.buf[:r.Len()])
+	r.pos.Store(0)
+}
+
+// Release resets r and hands it to the next Acquire; a recorder of another
+// capacity is reset and left to the collector. Nothing may Record into r,
+// or read it, after Release: take the Spans snapshot first, and call
+// Release only when everything that was handed r has returned. A run that
+// panicked, failed or was abandoned drops its recorder without a Release —
+// a goroutine the run left behind may still hold it, and a fresh ring costs
+// less than a span landing in another run's trace.
+func (r *Recorder) Release() {
+	if r == nil {
+		return
+	}
+	r.Reset()
+	if len(r.buf) == DefaultCapacity {
+		pool.Put(r)
+	}
 }
 
 // Enabled reports whether spans are being collected. Hot loops guard
@@ -226,9 +268,11 @@ func (r *Recorder) Dropped() uint64 {
 	return n - uint64(len(r.buf))
 }
 
-// Spans snapshots the retained spans in record order (oldest first).
-// Intended for use after the traced run completes; see the package
-// comment for mid-run caveats. Returns nil on a nil Recorder.
+// Spans snapshots the retained spans in record order (oldest first). The
+// result is a copy: it shares no slot with the ring, so it stays as it is
+// when r is Reset or Released and the ring serves another run. Intended
+// for use after the traced run completes; see the package comment for
+// mid-run caveats. Returns nil on a nil Recorder.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil

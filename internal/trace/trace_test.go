@@ -19,6 +19,8 @@ func TestNilRecorderIsDisabledAndSafe(t *testing.T) {
 	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatalf("nil recorder Len/Dropped = %d/%d", r.Len(), r.Dropped())
 	}
+	r.Reset()
+	r.Release()
 }
 
 func TestRecordOrderAndSeq(t *testing.T) {
@@ -78,6 +80,87 @@ func TestRecordAllocFree(t *testing.T) {
 	var nilRec *Recorder
 	if got := testing.AllocsPerRun(100, func() { nilRec.Record(s) }); got > 0 {
 		t.Errorf("disabled Record allocates %.1f/op, want 0", got)
+	}
+}
+
+// TestRecycledRecorderHoldsOneRun pins the recorder lifecycle: a long run
+// that wraps the ring, with Nodes on every span, then a short run on the same
+// ring — reset in place, or released and acquired again — yields exactly the
+// short run's spans, Seq from 0, nothing dropped; and the first run's
+// snapshot, taken before the ring was handed on, still reads as it did.
+func TestRecycledRecorderHoldsOneRun(t *testing.T) {
+	const wrapped, short = 100, 7
+	run := func(r *Recorder, n int, op string) {
+		for i := 0; i < n; i++ {
+			r.Record(Span{Kind: KindExec, PlanID: i, Nodes: []NodeStat{{Op: op, Out: int64(i)}}})
+		}
+	}
+	check := func(t *testing.T, spans []Span, first int, op string) {
+		t.Helper()
+		for i, s := range spans {
+			want := first + i
+			if s.Seq != uint64(want) || s.PlanID != want || len(s.Nodes) != 1 || s.Nodes[0].Op != op || s.Nodes[0].Out != int64(want) {
+				t.Fatalf("%s span %d = %+v, want seq/plan/out %d", op, i, s, want)
+			}
+		}
+	}
+	// scenario reports whether the short run got the long run's ring.
+	scenario := func(t *testing.T, recycle func(*Recorder) *Recorder) bool {
+		r := Acquire()
+		run(r, DefaultCapacity+wrapped, "long")
+		if r.Dropped() != wrapped {
+			t.Fatalf("long run dropped %d spans, want %d", r.Dropped(), wrapped)
+		}
+		long := r.Spans()
+		again := recycle(r)
+		if again.Len() != 0 || again.Dropped() != 0 || again.Spans() != nil {
+			t.Fatalf("recycled recorder holds %d spans, %d dropped", again.Len(), again.Dropped())
+		}
+		run(again, short, "short")
+		got := again.Spans()
+		if len(got) != short || again.Dropped() != 0 {
+			t.Fatalf("short run retained %d spans (%d dropped), want %d (0)", len(got), again.Dropped(), short)
+		}
+		again.Release() // before the checks: a snapshot is a copy, not a view
+		check(t, got, 0, "short")
+		if len(long) != DefaultCapacity {
+			t.Fatalf("long run's snapshot has %d spans, want %d", len(long), DefaultCapacity)
+		}
+		check(t, long, wrapped, "long")
+		return again == r
+	}
+
+	t.Run("reset", func(t *testing.T) {
+		scenario(t, func(r *Recorder) *Recorder { r.Reset(); return r })
+	})
+	t.Run("pool", func(t *testing.T) {
+		// A sync.Pool may drop what it is given (under -race it does so
+		// at random), so every attempt checks the run and one of them has
+		// to have been served the released ring.
+		for try := 0; try < 64; try++ {
+			if scenario(t, func(r *Recorder) *Recorder { r.Release(); return Acquire() }) {
+				return
+			}
+		}
+		t.Fatal("Acquire never returned a released recorder")
+	})
+}
+
+// TestReleaseKeepsOddSizesOutOfThePool checks a recorder of an explicit
+// capacity is reset by Release but never handed out by Acquire.
+func TestReleaseKeepsOddSizesOutOfThePool(t *testing.T) {
+	small := New(8)
+	small.Record(Span{Kind: KindExec})
+	small.Release()
+	if small.Len() != 0 {
+		t.Fatalf("released recorder still holds %d spans", small.Len())
+	}
+	for i := 0; i < 4; i++ {
+		r := Acquire()
+		if len(r.buf) != DefaultCapacity {
+			t.Fatalf("Acquire returned a %d-slot ring", len(r.buf))
+		}
+		defer r.Release()
 	}
 }
 
