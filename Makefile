@@ -6,7 +6,7 @@ BIN := bin
 # headroom for run-to-run variation, not for new untested code).
 COVER_FLOOR := 78.0
 
-.PHONY: build test vet race race-generators race-serving fuzz lint lint-fixtures lint-timing lint-budget fmt-check ci cover bench-compile bench-compile-smoke bench-check bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
+.PHONY: build test vet race race-generators race-serving determinism-exec fuzz lint lint-fixtures lint-timing lint-budget fmt-check ci cover bench-compile bench-compile-smoke bench-check bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,15 @@ race-generators:
 # run too early only shows when runs really overlap.
 race-serving:
 	$(GO) test -race -count=1 -cpu 1,2,8 ./internal/trace ./internal/metrics ./internal/server
+
+# determinism-exec runs the engine and the concrete drivers at one, two
+# and eight Ps, never from the test cache: what a vectorized run reports —
+# verdict, charged cost, rows, every counter, the learned bounds — must be
+# the same at every worker count and on every schedule
+# (exec.TestWorkerCountInvariance, core.TestConcreteWorkerCountInvariance),
+# and one lucky cached pass must not stand in for that.
+determinism-exec:
+	$(GO) test -count=1 -cpu 1,2,8 ./internal/exec ./internal/core
 
 # fuzz runs the fuzz targets (SQL parser, CFG builder, escape analyzer)
 # for a short, CI-friendly budget each. Run one by hand with a longer
@@ -201,4 +210,4 @@ corpus-stats:
 
 # ci mirrors the CI workflow's main job exactly — .github/workflows/ci.yml
 # invokes this target, so local `make ci` and CI cannot diverge.
-ci: fmt-check vet build test race race-generators race-serving lint bench-compile-smoke bench-exec-smoke corpus-smoke
+ci: fmt-check vet build test race race-generators race-serving determinism-exec lint bench-compile-smoke bench-exec-smoke corpus-smoke

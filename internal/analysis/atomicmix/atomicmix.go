@@ -3,8 +3,8 @@
 // when a test happens to interleave the two sides.
 //
 // The parallel runtime leans on sync/atomic for its hot coordination
-// state: the morsel cursor and stop flag in exec, the CAS cost meter,
-// the trace ring's write cursor, the server's telemetry counters. The
+// state: the morsel cursor and stop flag in exec, the trace ring's
+// write cursor, the server's telemetry counters. The
 // whole-program guarantee those sites rely on is exclusivity: once a
 // location is published through atomic operations, every access must go
 // through them. One plain load or store elsewhere reintroduces the data

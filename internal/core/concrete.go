@@ -72,15 +72,20 @@ type ConcreteRunner struct {
 	// vectorized morsel-parallel engine with that many workers (batch
 	// size exec.DefaultBatchSize); the engine rejects counts outside
 	// 1 … exec.MaxParallelism. Zero keeps the tuple-at-a-time Volcano
-	// engine. Both engines report identical tuple counters, so
-	// selectivity learning is unaffected.
+	// engine. Every non-zero count gives the same run bit for bit — step
+	// sequence, per-step Rows and Spent, TotalCost, Learned. Against
+	// Volcano only completed steps agree (identical tuple counters): a
+	// step the budget cuts short stops at a tuple there and at its last
+	// committed epoch here, so its counters, the bound learned from them
+	// and its Spent (crossing charge there, Budget here) can differ.
 	Parallelism int
 	// Reuse, when true, gives each run a fresh operator-state cache so
 	// executions salvage completed join builds, sorted merge inputs, and
 	// anti-join inner sets from earlier steps of the same run. Step
 	// outcomes, charged costs, and learned selectivities are unchanged
-	// (the cache lump-charges reused state in full); only wall-clock and
-	// allocations improve.
+	// (a hit charges the reused state's construction in full — bit for
+	// bit on the vectorized engine, to float summation order on Volcano);
+	// only wall-clock and allocations improve.
 	Reuse bool
 }
 

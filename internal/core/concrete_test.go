@@ -210,8 +210,10 @@ func TestConcrete3D(t *testing.T) {
 // protocol through the vectorized morsel-parallel engine. Completed
 // (non-aborted) executions carry identical tuple counters on both
 // engines, so the discovered selectivities and the final result are
-// pinned; aborted budgeted steps may overshoot by up to one batch of
-// charges, so step-level cost is only bound-checked.
+// pinned. An aborted step is charged its budget here and its crossing
+// charge on Volcano, and learns from its last committed epoch rather than
+// its last tuple, so against Volcano the total is only bound-checked
+// (TestConcreteWorkerCountInvariance pins it exactly across worker counts).
 func TestConcreteParallelismMatchesVolcano(t *testing.T) {
 	rw, r, opt := concreteFixture(t, 42)
 	wantRows, oracleCost := oracleRows(t, rw, r, opt)

@@ -23,7 +23,9 @@ type Step struct {
 	Dim int
 	// Budget is the cost limit the execution ran under.
 	Budget cost.Cost
-	// Spent is the cost actually charged.
+	// Spent is the cost charged. For a step the budget cut short that is
+	// Budget itself on the cost surface and on the vectorized engine, and
+	// Budget plus the crossing tuple's charge on the Volcano engine.
 	Spent cost.Cost
 	// Completed reports whether the driven (sub)plan ran to completion
 	// within the budget.

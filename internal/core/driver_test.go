@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -317,7 +318,10 @@ var pinnedConcreteRuns = []struct {
 	{"HQ5a", true, "1:0:0:0 2:15:2:0 2:1:0:0 3:5:0:1 3:15:2:0 4:15:2:0 4:6:1:0 5:16:2:1 5:6:1:0 6:9:1:1 6:9:-1:1", 18108.239414568616},
 }
 
-func TestConcreteStepSequencesPinned(t *testing.T) {
+// pinnedRunners builds a Volcano, reuse-off runner for every workload
+// pinnedConcreteRuns names.
+func pinnedRunners(t *testing.T) map[string]*ConcreteRunner {
+	t.Helper()
 	runners := map[string]*ConcreteRunner{}
 	for _, w := range workload.AllAt(0.004, 3) {
 		q := w.Query
@@ -345,7 +349,17 @@ func TestConcreteStepSequencesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	runners["HQ5a"] = &ConcreteRunner{B: b, Engine: eng}
+	return runners
+}
 
+// relEq reports a ≈ b within the 1e-9 relative tolerance the pinned
+// totals were captured at.
+func relEq(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+func TestConcreteStepSequencesPinned(t *testing.T) {
+	runners := pinnedRunners(t)
 	for _, want := range pinnedConcreteRuns {
 		out, err := runners[want.workload].Run(context.Background(), want.optimized)
 		if err != nil {
@@ -364,6 +378,52 @@ func TestConcreteStepSequencesPinned(t *testing.T) {
 		}
 		if !relEq(out.TotalCost.F(), want.totalCost) {
 			t.Errorf("%s optimized=%v: total cost %.17g, want %.17g", want.workload, want.optimized, out.TotalCost.F(), want.totalCost)
+		}
+	}
+}
+
+// TestConcreteWorkerCountInvariance is the paper's repeatable execution
+// sequence as a unit test on the vectorized engine: each of the 24 pinned
+// workloads, run at one worker with reuse off, must be reproduced bit for
+// bit — step sequence, per-step rows and spend, total cost, learned q_run
+// — at eight workers and with the reuse cache on.
+func TestConcreteWorkerCountInvariance(t *testing.T) {
+	runners := pinnedRunners(t)
+	for _, pin := range pinnedConcreteRuns {
+		r := *runners[pin.workload]
+		r.Parallelism = 1
+		want, err := r.Run(context.Background(), pin.optimized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 8} {
+			for _, reuse := range []bool{false, true} {
+				r.Parallelism, r.Reuse = workers, reuse
+				got, err := r.Run(context.Background(), pin.optimized)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s optimized=%v w%d reuse=%v", pin.workload, pin.optimized, workers, reuse)
+				if len(got.Steps) != len(want.Steps) {
+					t.Fatalf("%s: %d steps, w1 took %d", label, len(got.Steps), len(want.Steps))
+				}
+				for i := range want.Steps {
+					a, b := want.Steps[i], got.Steps[i]
+					if a.Step != b.Step || a.Rows != b.Rows {
+						t.Fatalf("%s: step %d is %+v rows %d, w1 had %+v rows %d", label, i, b.Step, b.Rows, a.Step, a.Rows)
+					}
+					if !a.Completed && a.Spent != a.Budget {
+						t.Fatalf("%s: aborted step %d spent %v of budget %v", label, i, a.Spent, a.Budget)
+					}
+				}
+				if got.TotalCost != want.TotalCost || got.Completed != want.Completed || got.ResultRows != want.ResultRows {
+					t.Fatalf("%s: total %v completed %v rows %d, w1 had %v %v %d", label,
+						got.TotalCost, got.Completed, got.ResultRows, want.TotalCost, want.Completed, want.ResultRows)
+				}
+				if !slices.Equal(got.Learned, want.Learned) {
+					t.Fatalf("%s: learned %v, w1 learned %v", label, got.Learned, want.Learned)
+				}
+			}
 		}
 	}
 }

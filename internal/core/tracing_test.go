@@ -177,38 +177,59 @@ func liveNodes(s trace.Span) int {
 
 func TestConcreteTracedSpans(t *testing.T) {
 	_, r, _ := concreteFixture(t, 42)
-	r.Trace = trace.New(512)
-	out := r.RunOptimized()
-	if !out.Completed {
-		t.Fatal("run did not complete")
-	}
-	var execs []trace.Span
-	for _, s := range r.Trace.Spans() {
-		if s.Kind == trace.KindExec {
-			execs = append(execs, s)
+	for _, workers := range []int{0, 8} {
+		r.Parallelism = workers
+		r.Trace = trace.New(512)
+		out := r.RunOptimized()
+		if !out.Completed {
+			t.Fatal("run did not complete")
 		}
-	}
-	if len(execs) != len(out.Steps) {
-		t.Fatalf("%d exec spans for %d steps", len(execs), len(out.Steps))
-	}
-	for i, s := range execs {
-		st := out.Steps[i]
-		if s.Rows != st.Rows || s.WallNanos != st.Wall.Nanoseconds() {
-			t.Fatalf("exec span %d = %+v does not mirror concrete step %+v", i, s, st)
-		}
-		if len(s.Nodes) == 0 {
-			t.Fatalf("exec span %d has no node stats", i)
-		}
-		// Concrete spans carry *real* engine counters: the driven node's
-		// output must appear among the live nodes.
-		found := false
-		for _, n := range s.Nodes {
-			if !n.Starved && n.Out == st.Rows {
-				found = true
+		var execs, aborts []trace.Span
+		for _, s := range r.Trace.Spans() {
+			switch s.Kind {
+			case trace.KindExec:
+				execs = append(execs, s)
+			case trace.KindBudgetAbort:
+				aborts = append(aborts, s)
 			}
 		}
-		if !found {
-			t.Fatalf("exec span %d nodes %+v do not account for %d output rows", i, s.Nodes, st.Rows)
+		if len(execs) != len(out.Steps) {
+			t.Fatalf("%d exec spans for %d steps", len(execs), len(out.Steps))
+		}
+		for i, s := range execs {
+			st := out.Steps[i]
+			if s.Rows != st.Rows || s.WallNanos != st.Wall.Nanoseconds() || s.Spent != trace.SafeCost(st.Spent.F()) {
+				t.Fatalf("exec span %d = %+v does not mirror concrete step %+v", i, s, st)
+			}
+			if len(s.Nodes) == 0 {
+				t.Fatalf("exec span %d has no node stats", i)
+			}
+			// Concrete spans carry *real* engine counters: the driven node's
+			// output must appear among the live nodes.
+			found := false
+			for _, n := range s.Nodes {
+				if !n.Starved && n.Out == st.Rows {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("exec span %d nodes %+v do not account for %d output rows", i, s.Nodes, st.Rows)
+			}
+			// One Spent: the engine's budget-abort span, the exec span and
+			// the step report the same charge for a step the budget cut
+			// short — on the vectorized engine, the budget itself.
+			if !st.Completed {
+				if len(aborts) == 0 || aborts[0].Spent != st.Spent.F() || aborts[0].Rows != st.Rows {
+					t.Fatalf("w%d step %d spent %v rows %d, abort spans left: %+v", workers, i, st.Spent, st.Rows, aborts)
+				}
+				aborts = aborts[1:]
+				if workers > 0 && st.Spent != st.Budget {
+					t.Fatalf("w%d aborted step %d spent %v of budget %v", workers, i, st.Spent, st.Budget)
+				}
+			}
+		}
+		if len(aborts) != 0 {
+			t.Fatalf("w%d: %d budget-abort spans without an aborted step", workers, len(aborts))
 		}
 	}
 }

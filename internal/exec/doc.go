@@ -23,15 +23,18 @@
 // of Options.BatchSize rows carrying selection vectors, scans are split
 // into fixed-size morsels claimed by Options.Parallelism workers, and
 // pipeline breakers (hash build, sort, aggregation) collect per-worker
-// partitions merged at the stage barrier. The cost meter is checked
-// once per delivered batch, so a budgeted vectorized run aborts on the
-// first batch that crosses the budget rather than mid-tuple.
+// partitions merged at the stage barrier. Its kernels count events in
+// integers; cost is priced from the counts in one place and committed
+// epoch by epoch, so a budgeted vectorized run reports the same verdict,
+// cost, rows and counters at every worker count, and a run the budget
+// cuts short is charged exactly its budget (see Engine.Run).
 //
 // The two engines are counter-compatible: a completed run reports
 // identical Result counters (RowsOut, per-node Out/InTuples/Matches/
 // PassBy) on either engine, and costs equal up to float summation
-// order. The differential tests in vector_workload_test.go pin that
-// equivalence across all ten paper workloads; EXECUTION.md at the
+// order (bit for bit between vectorized runs). The differential tests
+// in vector_workload_test.go pin that equivalence across all ten paper
+// workloads; EXECUTION.md at the
 // repository root documents the batch layout, the morsel scheduler, and
-// the abort/spill mapping in detail.
+// the budget metering in detail.
 package exec

@@ -105,38 +105,63 @@ func bindingsSignature(q *query.Query, bindings map[int]int64) string {
 // contract — unknown operators, a spill predicate the plan never applies,
 // join nodes carrying selection predicates, or an index scan missing its
 // index predicate. Exhausting the cost budget is not an error: the Result
-// reports Completed=false with the budget fully charged. Run panics only
-// on internal schema-bookkeeping corruption — an engine bug, never a
-// caller error.
+// reports Completed=false, and what it reports as spent depends on the
+// engine. The Volcano interpreter stops on the charge that crosses the
+// budget: its CostUsed includes that charge (at most one tuple's worth over
+// Budget) and its counters are those at the crossing. The vectorized
+// engine commits work in epochs (see vector.go): its CostUsed is exactly
+// Budget, and its counters are those of the last barrier that fit,
+// identical at every worker count. Run panics only on internal
+// schema-bookkeeping corruption — an engine bug, never a caller error.
 func (e *Engine) Run(root *plan.Node, opts Options) (Result, error) {
 	if err := opts.validate(); err != nil {
 		return Result{}, err
-	}
-	if opts.Vectorized {
-		return e.runVectorized(root, opts)
 	}
 	budget := opts.Budget.F()
 	if budget <= 0 {
 		budget = math.Inf(1)
 	}
-	m := &meter{budget: budget}
-	res := Result{Stats: make(map[*plan.Node]*NodeStats)}
-
 	driven := root
 	if opts.Spill {
-		n := findPredNode(root, opts.SpillPred)
-		if n == nil {
+		if driven = findPredNode(root, opts.SpillPred); driven == nil {
 			return Result{}, fmt.Errorf("exec: plan does not apply predicate %d", opts.SpillPred)
 		}
-		driven = n
 		if opts.Trace.Enabled() {
 			opts.Trace.Record(trace.Span{
 				Kind: trace.KindSpill, Contour: opts.TraceContour, PlanID: opts.TracePlan,
 				Dim: -1, Pred: opts.SpillPred, Budget: trace.SafeCost(budget),
+				Workers: opts.Parallelism,
 			})
 		}
 	}
 
+	run := (*Engine).runVolcano
+	if opts.Vectorized {
+		run = (*Engine).runVectorized
+	}
+	res, err := run(e, driven, opts, budget)
+	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
+		return res, err
+	}
+	res.RowsOut = res.Stats[driven].Out
+	res.Completed = err == nil
+	if err != nil && opts.Trace.Enabled() {
+		// The budget ran out: surface the abort with the engine's spend
+		// (see above) and the rows counted so far.
+		opts.Trace.Record(trace.Span{
+			Kind: trace.KindBudgetAbort, Contour: opts.TraceContour, PlanID: opts.TracePlan,
+			Dim: -1, Pred: -1, Budget: trace.SafeCost(budget), Spent: res.CostUsed.F(), Rows: res.RowsOut,
+			Batches: res.Batches, Workers: res.Workers,
+		})
+	}
+	return res, nil
+}
+
+// runVolcano is Run's tuple-at-a-time implementation: build the iterator
+// tree over driven and pull it dry, or until the meter trips.
+func (e *Engine) runVolcano(driven *plan.Node, opts Options, budget float64) (Result, error) {
+	m := &meter{budget: budget}
+	res := Result{Stats: make(map[*plan.Node]*NodeStats)}
 	b := &builder{e: e, m: m, stats: res.Stats, perturb: opts.Perturb, tally: &reuseTally{}}
 	if opts.Perturb == nil {
 		b.reuse = opts.Reuse
@@ -167,23 +192,9 @@ func (e *Engine) Run(root *plan.Node, opts Options) (Result, error) {
 	it.close()
 
 	res.CostUsed = cost.Cost(m.used)
-	res.RowsOut = res.Stats[driven].Out
-	res.Completed = err == nil
 	res.ReuseHits = b.tally.hits
 	res.SalvagedCost = cost.Cost(b.tally.salvaged)
-	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
-		return res, err
-	}
-	if err != nil && opts.Trace.Enabled() {
-		// The meter tripped: surface the abort with the charge actually
-		// accumulated (the crossing charge is included, so Spent may
-		// slightly exceed Budget) and the rows produced so far.
-		opts.Trace.Record(trace.Span{
-			Kind: trace.KindBudgetAbort, Contour: opts.TraceContour, PlanID: opts.TracePlan,
-			Dim: -1, Pred: -1, Budget: trace.SafeCost(budget), Spent: m.used, Rows: res.RowsOut,
-		})
-	}
-	return res, nil
+	return res, err
 }
 
 // TraceNodes surfaces one execution's per-operator counters as an ordered

@@ -24,28 +24,32 @@ type fixture struct {
 	plans    map[string]*plan.Node
 }
 
-func newFixture(t testing.TB) *fixture {
+func newFixture(t testing.TB) *fixture { return newFixtureScaled(t, 1) }
+
+// newFixtureScaled multiplies every cardinality by scale: at 8 the
+// lineitem scan spans 40 morsels, enough for epochs wide enough to fork.
+func newFixtureScaled(t testing.TB, scale int64) *fixture {
 	t.Helper()
 	cat := catalog.NewCatalog()
 	cat.AddRelation(&catalog.Relation{
-		Name: "part", Card: 500, TupleWidth: 32,
+		Name: "part", Card: 500 * scale, TupleWidth: 32,
 		Columns: []catalog.Column{
-			{Name: "p_id", Type: catalog.TypeKey, DistinctCount: 500},
+			{Name: "p_id", Type: catalog.TypeKey, DistinctCount: 500 * scale},
 			{Name: "p_price", Type: catalog.TypeInt, DistinctCount: 100},
 		},
 	})
 	cat.AddRelation(&catalog.Relation{
-		Name: "lineitem", Card: 5000, TupleWidth: 40,
+		Name: "lineitem", Card: 5000 * scale, TupleWidth: 40,
 		Columns: []catalog.Column{
-			{Name: "l_part", Type: catalog.TypeForeignKey, Refs: "part", DistinctCount: 500},
-			{Name: "l_order", Type: catalog.TypeForeignKey, Refs: "orders", DistinctCount: 1000},
+			{Name: "l_part", Type: catalog.TypeForeignKey, Refs: "part", DistinctCount: 500 * scale},
+			{Name: "l_order", Type: catalog.TypeForeignKey, Refs: "orders", DistinctCount: 1000 * scale},
 			{Name: "l_qty", Type: catalog.TypeInt, DistinctCount: 50},
 		},
 	})
 	cat.AddRelation(&catalog.Relation{
-		Name: "orders", Card: 1000, TupleWidth: 24,
+		Name: "orders", Card: 1000 * scale, TupleWidth: 24,
 		Columns: []catalog.Column{
-			{Name: "o_id", Type: catalog.TypeKey, DistinctCount: 1000},
+			{Name: "o_id", Type: catalog.TypeKey, DistinctCount: 1000 * scale},
 			{Name: "o_total", Type: catalog.TypeInt, DistinctCount: 200},
 		},
 	})

@@ -3,9 +3,9 @@ package exec
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/plan"
 )
@@ -294,13 +294,13 @@ type indexNL struct {
 	probe     map[int64][]int32
 	innerN    int
 
-	keys    []joinKey  // first is the probed key
+	keys    []joinKey  // first is the probe key
 	filters []scanPred // inner selection predicates (offsets in inner schema)
 
 	perMatch float64
 
 	cur     row     // current outer row
-	matches []int32 // pending inner matches for cur
+	matches []int32 // inner matches of cur not yet emitted
 	mi      int
 }
 
@@ -314,7 +314,7 @@ func (b *builder) buildIndexNL(n *plan.Node) (iterator, schema, error) {
 
 	joins, sels := b.predSplit(n.Preds)
 	keys := b.bindJoinKeys(joins, outerSch, innerSch)
-	// The probed key must be the one on the index column; reorder.
+	// The probe key must be the one on the index column; reorder.
 	for i, k := range keys {
 		p := b.e.q.Predicate(k.id)
 		col := p.Left
@@ -362,7 +362,7 @@ func (j *indexNL) open() error { return j.outer.open() }
 func (j *indexNL) next() (row, bool, error) {
 	p := j.b.e.params
 	for {
-		// Drain pending matches of the current outer row.
+		// Drain the remaining matches of the current outer row.
 		for j.mi < len(j.matches) {
 			rid := j.matches[j.mi]
 			j.mi++
@@ -370,7 +370,7 @@ func (j *indexNL) next() (row, bool, error) {
 			if err := j.b.m.charge(charge * j.f); err != nil {
 				return nil, false, err
 			}
-			// Residual join predicates beyond the probed key.
+			// Residual join predicates beyond the probe key.
 			ok := true
 			for _, k := range j.keys[1:] {
 				if err := j.b.m.charge(p.CPUOperatorCost * j.f); err != nil {
@@ -493,12 +493,12 @@ func (j *hashJoin) open() error {
 	key := ""
 	if j.b.reuse != nil {
 		key = reuseKey("hj", j.keys[0].rightOff, -1, j.b.e.bindSig, j.n.Right.Fingerprint())
-		if e := j.b.reuse.lookup(key); e != nil && j.b.m.fits(e.cost) {
+		if e := j.b.reuse.lookup(key); e != nil && j.b.m.fits(windowPrice(e.window)) {
 			st := e.state.(*hjBuildState)
 			j.table, j.builtRows = st.table, st.builtRows
 			graftStats(j.b.stats, e.stats, j.n.Right)
-			j.b.tally.hit(e.cost)
-			return j.b.m.charge(e.cost)
+			j.b.tally.hit(windowPrice(e.window))
+			return j.b.m.charge(windowPrice(e.window))
 		}
 	}
 	buildStart := j.b.m.used
@@ -523,7 +523,7 @@ func (j *hashJoin) open() error {
 		j.builtRows++
 	}
 	// Grace-join spill: if the build side exceeds work memory, charge
-	// the write+read of both inputs' pages (right now, left as probed).
+	// the write+read of both inputs' pages (right now, left during the probe).
 	if float64(j.builtRows)*8*float64(len(j.rightSch)) > p.WorkMemBytes {
 		pages := math.Ceil(float64(j.builtRows) / j.rightPageRows)
 		if pages < 1 {
@@ -536,9 +536,9 @@ func (j *hashJoin) open() error {
 	}
 	if key != "" && !j.spillCharged {
 		j.b.reuse.store(key, &reuseEntry{
-			cost:  j.b.m.used - buildStart,
-			stats: snapshotStats(j.b.stats, j.n.Right),
-			state: &hjBuildState{table: j.table, builtRows: j.builtRows},
+			window: lumpWindow(j.b.m.used - buildStart),
+			stats:  snapshotStats(j.b.stats, j.n.Right),
+			state:  &hjBuildState{table: j.table, builtRows: j.builtRows},
 		})
 	}
 	return nil
@@ -691,12 +691,12 @@ func (j *mergeJoin) open() error {
 	key := ""
 	if j.b.reuse != nil {
 		key = reuseKey("mj", j.keys[0].leftOff, j.keys[0].rightOff, j.b.e.bindSig, j.n.Fingerprint())
-		if e := j.b.reuse.lookup(key); e != nil && j.b.m.fits(e.cost) {
+		if e := j.b.reuse.lookup(key); e != nil && j.b.m.fits(windowPrice(e.window)) {
 			st := e.state.(*mjSortState)
 			j.lrows, j.rrows = st.lrows, st.rrows
 			graftStats(j.b.stats, e.stats, j.n.Left, j.n.Right)
-			j.b.tally.hit(e.cost)
-			return j.b.m.charge(e.cost)
+			j.b.tally.hit(windowPrice(e.window))
+			return j.b.m.charge(windowPrice(e.window))
 		}
 	}
 	sortStart := j.b.m.used
@@ -716,9 +716,9 @@ func (j *mergeJoin) open() error {
 	}
 	if key != "" && !lspill && !rspill {
 		j.b.reuse.store(key, &reuseEntry{
-			cost:  j.b.m.used - sortStart,
-			stats: snapshotStats(j.b.stats, j.n.Left, j.n.Right),
-			state: &mjSortState{lrows: j.lrows, rrows: j.rrows},
+			window: lumpWindow(j.b.m.used - sortStart),
+			stats:  snapshotStats(j.b.stats, j.n.Left, j.n.Right),
+			state:  &mjSortState{lrows: j.lrows, rrows: j.rrows},
 		})
 	}
 	return nil
@@ -1061,9 +1061,10 @@ func (g *groupAggregate) close() { g.child.close() }
 // Each kernel mirrors its Volcano counterpart above: the same per-row
 // charge formulas and the same counter semantics (independent predicate
 // evaluation on scans, Matches counted after residual join keys but
-// before inner selection filters), evaluated a batch at a time. Charges
-// accumulate in the worker's pending total and hit the shared meter once
-// per batch.
+// before inner selection filters), evaluated a batch at a time. A kernel
+// never computes cost: each charge site registers a class (its rate) with
+// the count meter while the pipeline is composed, and the kernel counts
+// events into the worker's vector (w.ev[class] += n).
 
 // vecScanPreds binds a node's predicates against a scan schema, exactly
 // as the Volcano scan builders do.
@@ -1143,22 +1144,24 @@ func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 	if rpp < 1 {
 		rpp = 1
 	}
-	f := v.factor(n)
+	f := v.vb.factor(n)
 	pr := v.e.params
 	cols := make([][]int64, len(sch))
 	for i := range sch {
 		cols[i] = tbl.Column(sch[i].Column)
 	}
 	preds := v.vecScanPreds(n.Preds, sch)
-	perRow := pr.CPUTupleCost + float64(len(preds))*pr.CPUOperatorCost
+	cRow := v.m.class((pr.CPUTupleCost + float64(len(preds))*pr.CPUOperatorCost) * f)
+	cPage := v.m.class(pr.SeqPageCost * f)
 	slot := v.newSlot()
-	err := v.parallelFor(tbl.NumRows(), func(w *vecWorker, lo, hi int) error {
+	return v.parallelFor(tbl.NumRows(), func(w *vecWorker, lo, hi int) error {
 		st := w.st(id)
 		ws := w.slot(slot, len(cols))
 		for s := lo; s < hi; s += v.batch {
 			e := min(s+v.batch, hi)
 			nrows := e - s
-			w.pending += f * (float64(nrows)*perRow + float64(pageBreaks(s, e, rpp))*pr.SeqPageCost)
+			w.ev[cRow] += int64(nrows)
+			w.ev[cPage] += int64(pageBreaks(s, e, rpp))
 			st.InTuples += int64(nrows)
 			b := &ws.b
 			for c := range cols {
@@ -1169,30 +1172,13 @@ func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 			if len(preds) > 0 {
 				b.sel = filterBatch(st, ws, preds, cols, s, nrows)
 			}
-			live := b.live()
-			st.Out += int64(live)
-			if live == 0 {
-				if err := w.flush(); err != nil {
-					return err
-				}
-				continue
-			}
+			st.Out += int64(b.live())
 			if err := w.deliver(b, sink); err != nil {
 				return err
 			}
 		}
 		return nil
-	}, func(w *vecWorker) error {
-		if err := sink.done(w); err != nil {
-			return err
-		}
-		return w.flush()
-	})
-	if err != nil {
-		return err
-	}
-	v.markDone(n)
-	return nil
+	}, sink.done)
 }
 
 // streamIndexScan is the vectorized index scan: the qualifying range of
@@ -1203,7 +1189,7 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
 	sch := v.vb.relSchema(n.Relation)
 	tbl := v.e.db.Table(n.Relation)
-	f := v.factor(n)
+	f := v.vb.factor(n)
 	pr := v.e.params
 	cols := make([][]int64, len(sch))
 	for i := range sch {
@@ -1212,17 +1198,9 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	var driving scanPred
 	var resid []scanPred
 	found := false
-	for _, pid := range n.Preds {
-		p := v.e.q.Predicate(pid)
-		sp := scanPred{
-			id:      pid,
-			off:     sch.offset(p.Left.Relation, p.Left.Column),
-			bound:   v.e.bindings[pid],
-			negated: p.Negated,
-		}
-		if !found && p.Left.Column == n.IndexColumn {
-			driving = sp
-			found = true
+	for _, sp := range v.vecScanPreds(n.Preds, sch) {
+		if !found && v.e.q.Predicate(sp.id).Left.Column == n.IndexColumn {
+			driving, found = sp, true
 		} else {
 			resid = append(resid, sp)
 		}
@@ -1232,7 +1210,7 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	if idx := v.e.q.Catalog.Index(n.Relation, n.IndexColumn); idx != nil && idx.Clustered {
 		perPage = pr.SeqPageCost
 	}
-	if err := v.m.add(math.Log2(float64(len(order))+1) * pr.CPUIndexTupleCost * f); err != nil {
+	if err := v.m.lump(math.Log2(float64(len(order))+1)*pr.CPUIndexTupleCost*f, 1); err != nil {
 		return err
 	}
 	drv := cols[driving.off]
@@ -1241,17 +1219,17 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	if driving.negated {
 		rlo, rhi = boundary, len(order)
 	}
-	perRow := pr.CPUIndexTupleCost + perPage + float64(len(resid))*pr.CPUOperatorCost + pr.CPUTupleCost
+	cRow := v.m.class((pr.CPUIndexTupleCost + perPage + float64(len(resid))*pr.CPUOperatorCost + pr.CPUTupleCost) * f)
 	width := len(cols)
 	slot := v.newSlot()
-	err := v.parallelFor(rhi-rlo, func(w *vecWorker, lo, hi int) error {
+	return v.parallelFor(rhi-rlo, func(w *vecWorker, lo, hi int) error {
 		st := w.st(id)
 		ws := w.slot(slot, width)
 		ws.owned(width, v.batch)
 		for s := lo; s < hi; s += v.batch {
 			e := min(s+v.batch, hi)
 			nrows := e - s
-			w.pending += f * float64(nrows) * perRow
+			w.ev[cRow] += int64(nrows)
 			st.InTuples += int64(nrows)
 			st.pass(driving.id, int64(nrows))
 			b := &ws.b
@@ -1268,30 +1246,13 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 			if len(resid) > 0 {
 				b.sel = filterBatch(st, ws, resid, b.cols, 0, nrows)
 			}
-			live := b.live()
-			st.Out += int64(live)
-			if live == 0 {
-				if err := w.flush(); err != nil {
-					return err
-				}
-				continue
-			}
+			st.Out += int64(b.live())
 			if err := w.deliver(b, sink); err != nil {
 				return err
 			}
 		}
 		return nil
-	}, func(w *vecWorker) error {
-		if err := sink.done(w); err != nil {
-			return err
-		}
-		return w.flush()
-	})
-	if err != nil {
-		return err
-	}
-	v.markDone(n)
-	return nil
+	}, sink.done)
 }
 
 // flushOut delivers a transform's accumulated output batch downstream and
@@ -1309,6 +1270,19 @@ func flushOut(w *vecWorker, ws *wslot, sink vecSink) error {
 		ws.data[c] = ws.data[c][:0]
 	}
 	return nil
+}
+
+// carryDone is the done hook of a transform that carries partial output in
+// slot: flush it downstream, then pass done on.
+func carryDone(slot, width int, sink vecSink) func(w *vecWorker) error {
+	return func(w *vecWorker) error {
+		if ws := w.slot(slot, width); ws.data != nil && len(ws.data[0]) > 0 {
+			if err := flushOut(w, ws, sink); err != nil {
+				return err
+			}
+		}
+		return sink.done(w)
+	}
 }
 
 // hashPart is one worker's build-side partition: row-major copies of the
@@ -1446,7 +1420,7 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 	rightSch := v.schemaOf(n.Right)
 	joins, _ := v.vb.predSplit(n.Preds)
 	keys := v.vb.bindJoinKeys(joins, leftSch, rightSch)
-	f := v.factor(n)
+	f := v.vb.factor(n)
 	pr := v.e.params
 	ps := float64(v.e.q.Catalog.PageSize)
 	leftPageRows := ps / (8 * float64(len(leftSch)))
@@ -1456,35 +1430,26 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 	rkey := keys[0].rightOff
 
 	// Reuse: the build phase — right pipeline, partition merge, probe
-	// table — is one contiguous charge window (every pipeline charge is
-	// flushed before its stream call returns). A hit installs the
-	// finished table and lump-charges the window's cost.
-	key := ""
+	// table — is one window of the meter: every class registered from
+	// here to the end of the build, each counted from zero and committed
+	// by the time its stream call returns. A hit installs the finished
+	// table and replays the window.
+	key := reuseKey("vhj", rkey, -1, v.e.bindSig, n.Right.Fingerprint())
 	var mat [][]int64
 	var jt *joinTable
-	built := 0
 	spilled := false
-	hit := false
-	if v.reuse != nil {
-		key = reuseKey("vhj", rkey, -1, v.e.bindSig, n.Right.Fingerprint())
-		if e := v.reuse.lookup(key); e != nil && v.m.fits(e.cost) {
-			st := e.state.(*vecHJState)
-			mat, jt, built = st.mat, st.jt, st.built
-			graftStats(v.stats, e.stats, n.Right)
-			v.tally.hit(e.cost)
-			if err := v.m.add(e.cost); err != nil {
-				return err
-			}
-			hit = true
-		}
-	}
-	if !hit {
+	if e := v.reuse.lookup(key); e != nil && v.m.hit(e.window) {
+		st := e.state.(*vecHJState)
+		mat, jt = st.mat, st.jt
+		graftStats(v.stats, e.stats, n.Right)
+		v.tally.hit(windowPrice(e.window))
+	} else {
 		// Build phase.
-		buildStart := v.m.used()
+		buildStart := len(v.m.cls)
 		bslot := v.newSlot()
 		var pmu sync.Mutex
 		var parts []*hashPart
-		buildCharge := (pr.CPUOperatorCost + pr.CPUTupleCost) * f
+		cBuild := v.m.class((pr.CPUOperatorCost + pr.CPUTupleCost) * f)
 		collector := vecSink{
 			emit: func(w *vecWorker, b *vbatch) error {
 				part := sharedPart[hashPart](w, bslot, &pmu, &parts)
@@ -1492,7 +1457,7 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 					part.cols = make([][]int64, rw)
 				}
 				nl := b.live()
-				w.pending += buildCharge * float64(nl)
+				w.ev[cBuild] += int64(nl)
 				for k := 0; k < nl; k++ {
 					ri := b.row(k)
 					for c := 0; c < rw; c++ {
@@ -1508,7 +1473,12 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 			return err
 		}
 
-		// Merge the per-worker partitions into the probe table.
+		// Merge the per-worker partitions into the probe table. parts is
+		// in worker-arrival order, so mat's row order — and with it the
+		// order of a probe row's matches — varies with the schedule. That
+		// only permutes output rows inside an epoch; the epoch's counts,
+		// and so everything the meter and the counters see, do not move.
+		built := 0
 		for _, p := range parts {
 			built += p.n
 		}
@@ -1529,16 +1499,16 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 			if pages < 1 {
 				pages = 1
 			}
-			if err := v.m.add(pages * pr.SpillPageCost * f); err != nil {
+			if err := v.m.lump(pr.SpillPageCost*f, int64(pages)); err != nil {
 				return err
 			}
 			spilled = true
 		}
-		if key != "" && !spilled {
+		if v.reuse != nil && !spilled {
 			v.reuse.store(key, &reuseEntry{
-				cost:  v.m.used() - buildStart,
-				stats: snapshotStats(v.stats, n.Right),
-				state: &vecHJState{mat: mat, jt: jt, built: built},
+				window: slices.Clone(v.m.cls[buildStart:]),
+				stats:  snapshotStats(v.stats, n.Right),
+				state:  &vecHJState{mat: mat, jt: jt},
 			})
 		}
 	}
@@ -1549,23 +1519,24 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 	ow := lw + rw
 	lkey := keys[0].leftOff
 	resid := keys[1:]
-	spillEvery := int64(leftPageRows + 1)
-	var probed atomic.Int64
+	cIn := v.m.class(pr.HashQualCost * f)
+	cCmp := v.m.class(pr.CPUOperatorCost * f)
+	cMatch := v.m.class(pr.CPUTupleCost * f)
+	cSpill := -1
+	if spilled {
+		// The Volcano probe charges a spill page every spillEvery-th
+		// input tuple: the class counts inputs and prices one page per
+		// spillEvery of them, whatever order the batches arrive in.
+		cSpill = v.m.class(pr.SpillPageCost * f)
+		v.m.cls[cSpill].div = int64(leftPageRows + 1)
+	}
 	probe := vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
 			nl := b.live()
-			if nl == 0 {
-				return nil
-			}
 			st := w.st(id)
-			charge := pr.HashQualCost * float64(nl)
+			w.ev[cIn] += int64(nl)
 			if spilled {
-				// The Volcano probe charges a spill page every
-				// spillEvery-th input tuple; claim a range of the shared
-				// input counter so the multiset of charges is identical
-				// regardless of batch arrival order.
-				lo := probed.Add(int64(nl)) - int64(nl)
-				charge += pr.SpillPageCost * float64((lo+int64(nl))/spillEvery-lo/spillEvery)
+				w.ev[cSpill] += int64(nl)
 			}
 			st.InTuples += int64(nl)
 			ws := w.slot(oslot, ow)
@@ -1573,8 +1544,8 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 			lidx, ridx, residCmps := jt.gather(b, b.cols[lkey], resid, mat, ws.idxa[:0], ws.idxb[:0])
 			ws.idxa, ws.idxb = lidx, ridx
 			matches := len(lidx)
-			w.pending += charge*f +
-				(pr.CPUOperatorCost*float64(residCmps)+pr.CPUTupleCost*float64(matches))*f
+			w.ev[cCmp] += int64(residCmps)
+			w.ev[cMatch] += int64(matches)
 			st.Matches += int64(matches)
 			st.Out += int64(matches)
 			for pos := 0; pos < matches; {
@@ -1605,24 +1576,9 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 			}
 			return nil
 		},
-		done: func(w *vecWorker) error {
-			ws := w.slot(oslot, ow)
-			if ws.data != nil && len(ws.data[0]) > 0 {
-				if err := flushOut(w, ws, sink); err != nil {
-					return err
-				}
-			}
-			if err := w.flush(); err != nil {
-				return err
-			}
-			return sink.done(w)
-		},
+		done: carryDone(oslot, ow, sink),
 	}
-	if err := v.stream(n.Left, probe); err != nil {
-		return err
-	}
-	v.markDone(n)
-	return nil
+	return v.stream(n.Left, probe)
 }
 
 // streamIndexNL is the vectorized index nested-loops join: a transform
@@ -1635,7 +1591,7 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 	tbl := v.e.db.Table(n.Relation)
 	joins, sels := v.vb.predSplit(n.Preds)
 	keys := v.vb.bindJoinKeys(joins, outerSch, innerSch)
-	// The probed key must be the one on the index column; reorder, as the
+	// The probe key must be the one on the index column; reorder, as the
 	// Volcano builder does.
 	for i, k := range keys {
 		p := v.e.q.Predicate(k.id)
@@ -1648,28 +1604,22 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 			break
 		}
 	}
-	var filters []scanPred
-	for _, pid := range sels {
-		p := v.e.q.Predicate(pid)
-		filters = append(filters, scanPred{
-			id:      pid,
-			off:     innerSch.offset(p.Left.Relation, p.Left.Column),
-			bound:   v.e.bindings[pid],
-			negated: p.Negated,
-		})
-	}
+	filters := v.vecScanPreds(sels, innerSch)
 	innerCols := make([][]int64, len(innerSch))
 	for c := range innerSch {
 		innerCols[c] = tbl.Column(innerSch[c].Column)
 	}
 	probeMap := tbl.HashOn(n.IndexColumn)
-	f := v.factor(n)
+	f := v.vb.factor(n)
 	pr := v.e.params
 	perMatch := pr.RandomPageCost
 	if idx := v.e.q.Catalog.Index(n.Relation, n.IndexColumn); idx != nil && idx.Clustered {
 		perMatch = pr.SeqPageCost
 	}
-	descent := math.Log2(float64(tbl.NumRows())+1) * pr.CPUIndexTupleCost
+	cDescent := v.m.class(math.Log2(float64(tbl.NumRows())+1) * pr.CPUIndexTupleCost * f)
+	cEntry := v.m.class((pr.CPUIndexTupleCost + perMatch) * f)
+	cCmp := v.m.class(pr.CPUOperatorCost * f)
+	cOut := v.m.class(pr.CPUTupleCost * f)
 	lw, iw := len(outerSch), len(innerSch)
 	ow := lw + iw
 	oslot := v.newSlot()
@@ -1677,21 +1627,19 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 	tr := vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
 			nl := b.live()
-			if nl == 0 {
-				return nil
-			}
 			st := w.st(id)
 			st.InTuples += int64(nl)
-			w.pending += descent * float64(nl) * f
+			ev := w.ev
+			ev[cDescent] += int64(nl)
 			ws := w.slot(oslot, ow)
 			ws.owned(ow, v.batch)
 			for k := 0; k < nl; k++ {
 				ri := b.row(k)
 				for _, mi := range probeMap[b.cols[lkey][ri]] {
-					w.pending += (pr.CPUIndexTupleCost + perMatch) * f
+					ev[cEntry]++
 					ok := true
 					for _, kk := range keys[1:] {
-						w.pending += pr.CPUOperatorCost * f
+						ev[cCmp]++
 						if b.cols[kk.leftOff][ri] != innerCols[kk.rightOff][mi] {
 							ok = false
 							break
@@ -1702,7 +1650,7 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 					}
 					st.Matches++
 					for _, fp := range filters {
-						w.pending += pr.CPUOperatorCost * f
+						ev[cCmp]++
 						if !fp.eval(innerCols[fp.off][mi]) {
 							ok = false
 							break
@@ -1711,7 +1659,7 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 					if !ok {
 						continue
 					}
-					w.pending += pr.CPUTupleCost * f
+					ev[cOut]++
 					for c := 0; c < lw; c++ {
 						ws.data[c] = append(ws.data[c], b.cols[c][ri])
 					}
@@ -1728,24 +1676,9 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 			}
 			return nil
 		},
-		done: func(w *vecWorker) error {
-			ws := w.slot(oslot, ow)
-			if ws.data != nil && len(ws.data[0]) > 0 {
-				if err := flushOut(w, ws, sink); err != nil {
-					return err
-				}
-			}
-			if err := w.flush(); err != nil {
-				return err
-			}
-			return sink.done(w)
-		},
+		done: carryDone(oslot, ow, sink),
 	}
-	if err := v.stream(n.Left, tr); err != nil {
-		return err
-	}
-	v.markDone(n)
-	return nil
+	return v.stream(n.Left, tr)
 }
 
 // streamAntiJoin is the vectorized NOT EXISTS: a filter transform that
@@ -1760,47 +1693,39 @@ func (v *vecEngine) streamAntiJoin(n *plan.Node, sink vecSink) error {
 	// Reuse: the inner set depends only on the base relation; the entry
 	// (unmetered — the build charge below is levied either way) is
 	// shared with the Volcano engine.
-	key := ""
+	key := "anti|" + n.Relation + "|" + n.IndexColumn
 	var innerSet map[int64]bool
-	reused := false
-	if v.reuse != nil {
-		key = "anti|" + n.Relation + "|" + n.IndexColumn
-		if e := v.reuse.lookup(key); e != nil {
-			innerSet = e.state.(map[int64]bool)
-			reused = true
-		}
-	}
-	if innerSet == nil {
+	reused := v.reuse.lookup(key)
+	if reused != nil {
+		innerSet = reused.state.(map[int64]bool)
+	} else {
 		vals := tbl.Column(n.IndexColumn)
 		innerSet = make(map[int64]bool, len(vals))
 		for _, val := range vals {
 			innerSet[val] = true
 		}
-		if key != "" {
-			v.reuse.store(key, &reuseEntry{state: innerSet})
-		}
+		v.reuse.store(key, &reuseEntry{state: innerSet})
 	}
-	f := v.factor(n)
+	f := v.vb.factor(n)
 	pr := v.e.params
 	// Build-phase charge for hashing the inner relation (Volcano open).
-	buildCharge := float64(tbl.NumRows()) * (pr.CPUOperatorCost + pr.CPUTupleCost) * f
-	if reused {
-		v.tally.hit(buildCharge)
+	buildRate := (pr.CPUOperatorCost + pr.CPUTupleCost) * f
+	if reused != nil {
+		v.tally.hit(buildRate * float64(tbl.NumRows()))
 	}
-	if err := v.m.add(buildCharge); err != nil {
+	if err := v.m.lump(buildRate, int64(tbl.NumRows())); err != nil {
 		return err
 	}
+	cIn := v.m.class(pr.HashQualCost * f)
+	cOut := v.m.class(pr.CPUTupleCost * f)
 	pred := n.Preds[0]
 	aslot := v.newSlot()
 	tr := vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
 			nl := b.live()
-			if nl == 0 {
-				return nil
-			}
 			st := w.st(id)
 			st.InTuples += int64(nl)
-			w.pending += pr.HashQualCost * float64(nl) * f
+			w.ev[cIn] += int64(nl)
 			ws := w.slot(aslot, len(b.cols))
 			sel := ws.sel[:0]
 			col := b.cols[off]
@@ -1819,25 +1744,16 @@ func (v *vecEngine) streamAntiJoin(n *plan.Node, sink vecSink) error {
 			st.pass(pred, surv)
 			st.Matches += surv
 			st.Out += surv
-			w.pending += pr.CPUTupleCost * float64(surv) * f
+			w.ev[cOut] += surv
 			ob := &ws.b
 			ob.cols = b.cols
 			ob.n = b.n
 			ob.sel = sel
 			return w.deliver(ob, sink)
 		},
-		done: func(w *vecWorker) error {
-			if err := w.flush(); err != nil {
-				return err
-			}
-			return sink.done(w)
-		},
+		done: sink.done,
 	}
-	if err := v.stream(n.Left, tr); err != nil {
-		return err
-	}
-	v.markDone(n)
-	return nil
+	return v.stream(n.Left, tr)
 }
 
 // rowPart is one worker's slice of a materialized (row-major) input.
@@ -1845,9 +1761,11 @@ type rowPart struct {
 	rows [][]int64
 }
 
-// collectRows materializes a pipeline into row-major form — the sort
-// input for the vectorized merge join.
-func (v *vecEngine) collectRows(n *plan.Node, width int) ([][]int64, error) {
+// sortedRows materializes a pipeline into row-major form, charges the
+// sort, and sorts on key — one input of the vectorized merge join. The
+// rows are collected in worker-arrival order; sortRows removes the
+// schedule from it.
+func (v *vecEngine) sortedRows(n *plan.Node, width, key int, f float64) ([][]int64, error) {
 	slot := v.newSlot()
 	var mu sync.Mutex
 	var parts []*rowPart
@@ -1877,35 +1795,45 @@ func (v *vecEngine) collectRows(n *plan.Node, width int) ([][]int64, error) {
 	for _, p := range parts {
 		rows = append(rows, p.rows...)
 	}
+	if err := v.chargeSortDrain(len(rows), width, f); err != nil {
+		return nil, err
+	}
+	sortRows(rows, key)
 	return rows, nil
+}
+
+// sortRows orders materialized rows by the join key, then by every other
+// column, so rows that tie on the key still land in one order whatever
+// order the workers collected them in: the serial merge loop below — where
+// it stands when the budget runs out, and its counters there — then
+// depends on the data alone. (Fully equal rows are interchangeable.)
+func sortRows(rows [][]int64, key int) {
+	sort.Slice(rows, func(a, b int) bool {
+		ra, rb := rows[a], rows[b]
+		if ra[key] != rb[key] {
+			return ra[key] < rb[key]
+		}
+		return slices.Compare(ra, rb) < 0
+	})
 }
 
 // chargeSortDrain charges the incremental sort costs drainSorted accrues
 // per arrived row (Σ log2(i+1) comparisons plus external-sort spill I/O
-// once the run outgrows work memory), metered in batch-sized slices.
+// once the run outgrows work memory) as one lump, summed in row order.
 func (v *vecEngine) chargeSortDrain(nrows, width int, f float64) error {
 	pr := v.e.params
 	rowBytes := 8 * float64(width)
 	pageRows := float64(v.e.q.Catalog.PageSize) / rowBytes
-	var pending float64
+	var sum float64
 	for i := 1; i <= nrows; i++ {
 		nf := float64(i)
-		c := math.Log2(nf+1) * pr.SortCmpCost
+		sum += math.Log2(nf+1) * pr.SortCmpCost
 		if bytes := nf * rowBytes; bytes > pr.WorkMemBytes {
 			passes := math.Ceil(math.Log2(bytes/pr.WorkMemBytes)) + 1
-			c += passes * pr.SpillPageCost / pageRows
-		}
-		pending += c
-		if i%v.batch == 0 {
-			v.batches.Add(1)
-			if err := v.m.add(pending * f); err != nil {
-				return err
-			}
-			pending = 0
+			sum += passes * pr.SpillPageCost / pageRows
 		}
 	}
-	v.batches.Add(1)
-	return v.m.add(pending * f)
+	return v.m.lump(sum*f, 1)
 }
 
 // streamMergeJoin is the vectorized sort-merge join: both inputs
@@ -1919,62 +1847,45 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 	rightSch := v.schemaOf(n.Right)
 	joins, _ := v.vb.predSplit(n.Preds)
 	keys := v.vb.bindJoinKeys(joins, leftSch, rightSch)
-	f := v.factor(n)
+	f := v.vb.factor(n)
 	pr := v.e.params
 	lk, rk := keys[0].leftOff, keys[0].rightOff
 
 	// Reuse: both materialized, sorted inputs are cached as one
-	// whole-node entry — collect and sort charges form one contiguous
-	// window, so a hit lump-charges the window and skips both pipelines.
-	key := ""
+	// whole-node entry — collect and sort charges form one window of the
+	// meter, so a hit replays the window and skips both pipelines.
+	key := reuseKey("vmj", lk, rk, v.e.bindSig, n.Fingerprint())
 	var lrows, rrows [][]int64
-	hit := false
-	if v.reuse != nil {
-		key = reuseKey("vmj", lk, rk, v.e.bindSig, n.Fingerprint())
-		if e := v.reuse.lookup(key); e != nil && v.m.fits(e.cost) {
-			st := e.state.(*vecMJState)
-			lrows, rrows = st.lrows, st.rrows
-			graftStats(v.stats, e.stats, n.Left, n.Right)
-			v.tally.hit(e.cost)
-			if err := v.m.add(e.cost); err != nil {
-				return err
-			}
-			hit = true
-		}
-	}
-	if !hit {
-		sortStart := v.m.used()
+	if e := v.reuse.lookup(key); e != nil && v.m.hit(e.window) {
+		st := e.state.(*vecMJState)
+		lrows, rrows = st.lrows, st.rrows
+		graftStats(v.stats, e.stats, n.Left, n.Right)
+		v.tally.hit(windowPrice(e.window))
+	} else {
+		sortStart := len(v.m.cls)
 		var err error
-		lrows, err = v.collectRows(n.Left, len(leftSch))
-		if err != nil {
+		if lrows, err = v.sortedRows(n.Left, len(leftSch), lk, f); err != nil {
 			return err
 		}
-		if err := v.chargeSortDrain(len(lrows), len(leftSch), f); err != nil {
+		if rrows, err = v.sortedRows(n.Right, len(rightSch), rk, f); err != nil {
 			return err
 		}
-		rrows, err = v.collectRows(n.Right, len(rightSch))
-		if err != nil {
-			return err
-		}
-		if err := v.chargeSortDrain(len(rrows), len(rightSch), f); err != nil {
-			return err
-		}
-		sort.SliceStable(lrows, func(a, b int) bool { return lrows[a][lk] < lrows[b][lk] })
-		sort.SliceStable(rrows, func(a, b int) bool { return rrows[a][rk] < rrows[b][rk] })
 		lspill := float64(len(lrows))*8*float64(len(leftSch)) > pr.WorkMemBytes
 		rspill := float64(len(rrows))*8*float64(len(rightSch)) > pr.WorkMemBytes
-		if key != "" && !lspill && !rspill {
+		if v.reuse != nil && !lspill && !rspill {
 			v.reuse.store(key, &reuseEntry{
-				cost:  v.m.used() - sortStart,
-				stats: snapshotStats(v.stats, n.Left, n.Right),
-				state: &vecMJState{lrows: lrows, rrows: rrows},
+				window: slices.Clone(v.m.cls[sortStart:]),
+				stats:  snapshotStats(v.stats, n.Left, n.Right),
+				state:  &vecMJState{lrows: lrows, rrows: rrows},
 			})
 		}
 	}
 	lw, rw := len(leftSch), len(rightSch)
 	ow := lw + rw
 	oslot := v.newSlot()
-	err := v.serial(func(sw *vecWorker) error {
+	cCmp := v.m.class(pr.CPUOperatorCost * f)
+	cMatch := v.m.class(pr.CPUTupleCost * f)
+	return v.serial(sink, func(sw *vecWorker) error {
 		st := sw.st(id)
 		ws := sw.slot(oslot, ow)
 		ws.owned(ow, v.batch)
@@ -1988,7 +1899,7 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 				gi++
 				ok := true
 				for _, kk := range keys[1:] {
-					sw.pending += pr.CPUOperatorCost * f
+					sw.ev[cCmp]++
 					if curLeft[kk.leftOff] != m[kk.rightOff] {
 						ok = false
 						break
@@ -1998,7 +1909,7 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 					continue
 				}
 				st.Matches++
-				sw.pending += pr.CPUTupleCost * f
+				sw.ev[cMatch]++
 				for c := 0; c < lw; c++ {
 					ws.data[c] = append(ws.data[c], curLeft[c])
 				}
@@ -2007,7 +1918,13 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 				}
 				st.Out++
 				if len(ws.data[0]) == v.batch {
+					// Every full output batch is a commit point: the
+					// loop is serial over sorted rows, so the counts here
+					// are a function of the data.
 					if err := flushOut(sw, ws, sink); err != nil {
+						return err
+					}
+					if err := v.barrier(sw, sink); err != nil {
 						return err
 					}
 				}
@@ -2029,7 +1946,7 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 			}
 
 			lv, rv := lrows[li][lk], rrows[ri][rk]
-			sw.pending += pr.CPUOperatorCost * f
+			sw.ev[cCmp]++
 			switch {
 			case lv < rv:
 				li++
@@ -2047,20 +1964,10 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 			}
 		}
 		if len(ws.data[0]) > 0 {
-			if err := flushOut(sw, ws, sink); err != nil {
-				return err
-			}
+			return flushOut(sw, ws, sink)
 		}
-		if err := sw.flush(); err != nil {
-			return err
-		}
-		return sink.done(sw)
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	v.markDone(n)
-	return nil
 }
 
 // aggPart is one worker's scalar-aggregate accumulator.
@@ -2072,20 +1979,18 @@ type aggPart struct {
 // accumulators merged at the barrier, then a single output row.
 func (v *vecEngine) streamAggregate(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	f := v.factor(n)
+	f := v.vb.factor(n)
 	pr := v.e.params
 	slot := v.newSlot()
 	var mu sync.Mutex
 	var parts []*aggPart
+	cIn := v.m.class(pr.CPUOperatorCost * f)
 	collector := vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
 			nl := b.live()
-			if nl == 0 {
-				return nil
-			}
 			st := w.st(id)
 			st.InTuples += int64(nl)
-			w.pending += pr.CPUOperatorCost * float64(nl) * f
+			w.ev[cIn] += int64(nl)
 			part := sharedPart[aggPart](w, slot, &mu, &parts)
 			part.count += int64(nl)
 			if len(b.cols) > 0 {
@@ -2106,25 +2011,13 @@ func (v *vecEngine) streamAggregate(n *plan.Node, sink vecSink) error {
 		count += p.count
 		sum += p.sum
 	}
-	if err := v.m.add(pr.CPUTupleCost * f); err != nil {
+	if err := v.m.lump(pr.CPUTupleCost*f, 1); err != nil {
 		return err
 	}
 	v.stats[n].Out = 1
-	err := v.serial(func(sw *vecWorker) error {
-		b := &vbatch{cols: [][]int64{{count}, {sum}}, n: 1}
-		if err := sw.deliver(b, sink); err != nil {
-			return err
-		}
-		if err := sink.done(sw); err != nil {
-			return err
-		}
-		return sw.flush()
+	return v.serial(sink, func(sw *vecWorker) error {
+		return sw.deliver(&vbatch{cols: [][]int64{{count}, {sum}}, n: 1}, sink)
 	})
-	if err != nil {
-		return err
-	}
-	v.markDone(n)
-	return nil
 }
 
 // groupPart is one worker's grouped-aggregate accumulator.
@@ -2139,21 +2032,19 @@ func (v *vecEngine) streamGroupAggregate(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
 	childSch := v.schemaOf(n.Left)
 	off := childSch.offset(n.Relation, n.IndexColumn)
-	f := v.factor(n)
+	f := v.vb.factor(n)
 	pr := v.e.params
 	slot := v.newSlot()
 	var mu sync.Mutex
 	var parts []*groupPart
-	perRow := (pr.CPUOperatorCost + pr.HashQualCost) * f
+	cIn := v.m.class((pr.CPUOperatorCost + pr.HashQualCost) * f)
+	cOut := v.m.class(pr.CPUTupleCost * f)
 	collector := vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
 			nl := b.live()
-			if nl == 0 {
-				return nil
-			}
 			st := w.st(id)
 			st.InTuples += int64(nl)
-			w.pending += perRow * float64(nl)
+			w.ev[cIn] += int64(nl)
 			part := sharedPart[groupPart](w, slot, &mu, &parts)
 			if part.groups == nil {
 				part.groups = make(map[int64]int64)
@@ -2180,12 +2071,12 @@ func (v *vecEngine) streamGroupAggregate(n *plan.Node, sink vecSink) error {
 		order = append(order, k)
 	}
 	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	err := v.serial(func(sw *vecWorker) error {
+	return v.serial(sink, func(sw *vecWorker) error {
 		st := sw.st(id)
 		for s := 0; s < len(order); s += v.batch {
 			e := min(s+v.batch, len(order))
 			nrows := e - s
-			sw.pending += pr.CPUTupleCost * float64(nrows) * f
+			sw.ev[cOut] += int64(nrows)
 			kcol := make([]int64, nrows)
 			ccol := make([]int64, nrows)
 			for i := 0; i < nrows; i++ {
@@ -2198,14 +2089,6 @@ func (v *vecEngine) streamGroupAggregate(n *plan.Node, sink vecSink) error {
 				return err
 			}
 		}
-		if err := sink.done(sw); err != nil {
-			return err
-		}
-		return sw.flush()
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	v.markDone(n)
-	return nil
 }

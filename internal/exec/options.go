@@ -16,10 +16,11 @@ import (
 const DefaultBatchSize = 1024
 
 // MorselRows is the fixed number of base-table rows in one scan morsel.
-// Workers claim whole morsels from a shared atomic cursor and cut them
-// into batches locally, so the morsel size bounds scheduling granularity
-// (and therefore tail imbalance), not batch size.
-const MorselRows = 4096
+// Morsels are issued in epochs (see vecEngine.parallelFor); within an
+// epoch workers claim whole morsels from a shared atomic cursor and cut
+// them into batches locally. The first two epochs are one morsel wide, so
+// the morsel is also the least work a budgeted step commits or discards.
+const MorselRows = 1024
 
 // MaxParallelism is the largest morsel worker count a run accepts. Every
 // ingress (library, CLI flag, /run's parallelism field) reaches the engine
@@ -61,8 +62,9 @@ type Options struct {
 	// Vectorized selects the batch-at-a-time morsel-parallel engine
 	// instead of the tuple-at-a-time Volcano interpreter. Both engines
 	// honour the same contract (counters, budgeted abort in cost units,
-	// spill-mode starvation); the vectorized engine meters the budget
-	// per batch rather than per tuple.
+	// spill-mode starvation); the vectorized engine commits work in
+	// epochs, so an aborted run reports CostUsed == Budget and the
+	// counters of its last committed epoch (see Engine.Run).
 	Vectorized bool
 	// BatchSize is the column-batch row count for a vectorized run.
 	// Required (≥ 1) when Vectorized is set; DefaultBatchSize is the
@@ -70,8 +72,8 @@ type Options struct {
 	BatchSize int
 	// Parallelism is the morsel worker count for a vectorized run.
 	// Required (1 … MaxParallelism) when Vectorized is set; 1 executes
-	// the batched plan serially (and deterministically). Must be zero
-	// otherwise.
+	// the batched plan serially. Completion, CostUsed, RowsOut and every
+	// counter are the same at every count. Must be zero otherwise.
 	Parallelism int
 	// Collect, when non-nil, receives a copy of every row the driven
 	// node emits. The engine serializes calls, but parallel vectorized

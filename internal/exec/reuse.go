@@ -8,18 +8,20 @@ package exec
 // across executions within one run.
 //
 // The contract that keeps the protocol's accounting honest: reuse never
-// changes what the budget meter sees. A cache hit lump-charges exactly
-// the model cost the state's construction accrued when it was first
-// built, and is only taken when that whole charge fits under the step's
-// remaining budget — the same condition under which the from-scratch
-// build would have completed (charges are non-negative, so no prefix of
-// them could have tripped the meter earlier). Executions that would have
+// changes what the budget meter sees. An entry records its build window —
+// the charges the state's construction accrued when it was first built —
+// and a hit replays it, only when the whole of it fits under the step's
+// remaining budget: the same condition under which the from-scratch build
+// would have completed (charges are non-negative, so no prefix of them
+// could have run out of budget earlier). Executions that would have
 // aborted mid-build therefore abort mid-build, identically. The step
 // sequence, learned selectivities, tuple counters, and result rows of a
-// bouquet run are unchanged by reuse; only wall-clock time and
-// allocations shrink. (Charged costs agree up to float summation
-// association, the same ≤1e-9 relative tolerance the two engines already
-// share.)
+// bouquet run are unchanged by reuse; only wall-clock time and allocations
+// shrink. The vectorized engine's window is the event counts of the
+// classes the build registered, so a hit adds the very integers a rebuild
+// would and charged costs are bit-identical with reuse on and off; the
+// Volcano meter is a running float sum, so its window is one lump and its
+// costs agree up to float summation association.
 //
 // What is cacheable: fully-completed, read-only materialized state —
 // hash-join build tables, merge-join sorted inputs, anti-join inner
@@ -34,6 +36,7 @@ package exec
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/plan"
@@ -68,11 +71,12 @@ func (c *ReuseCache) Len() int {
 
 // reuseEntry is one piece of salvaged operator state.
 type reuseEntry struct {
-	// cost is the meter charge the state's construction accrued when it
-	// was built — lump-charged on every hit so budget accounting is
-	// unchanged. Zero for state whose construction is never metered
-	// (the anti-join inner set, charged at open regardless).
-	cost float64
+	// window is the charges the state's construction accrued when it was
+	// built, replayed on every hit so budget accounting is unchanged: the
+	// classes a vectorized build registered with their final counts, or
+	// a Volcano build's single lump. Empty for state whose construction
+	// is charged regardless (the anti-join inner set).
+	window []class
 	// stats is the pre-order counter snapshot of the producing
 	// subtree(s), grafted onto the consuming execution so selectivity
 	// learning sees exactly the counters a from-scratch build would
@@ -86,6 +90,17 @@ type reuseEntry struct {
 	//   *vecMJState     vectorized merge-join sorted inputs (both sides)
 	//   map[int64]bool  anti-join inner set (shared by both engines)
 	state any
+}
+
+// lumpWindow is a Volcano build's window: its meter is a running float
+// sum, so all it can record is the one lump the sum grew by.
+func lumpWindow(c float64) []class { return []class{{rate: c, div: 1, n: 1}} }
+
+// windowPrice is what a build window's charges come to on their own —
+// the cost a hit salvages.
+func windowPrice(window []class) float64 {
+	m := countMeter{cls: window}
+	return m.price(nil)
 }
 
 // hjBuildState is a Volcano hash join's completed build phase.
@@ -102,9 +117,8 @@ type mjSortState struct {
 // vecHJState is a vectorized hash join's merged build partitions and the
 // flat probe table over them.
 type vecHJState struct {
-	mat   [][]int64
-	jt    *joinTable
-	built int
+	mat [][]int64
+	jt  *joinTable
 }
 
 // vecMJState is a vectorized merge join's materialized, sorted inputs.
@@ -157,20 +171,20 @@ func (t *reuseTally) hit(c float64) {
 	t.salvaged += c
 }
 
-// snapshotStats deep-copies the counters of the given subtrees in
-// pre-order walk order — taken at the moment a build completes, so every
-// counter in the snapshot is final.
+// clone copies the counters with a PassBy map of their own, so executions
+// never share mutable counter state.
+func (s NodeStats) clone() NodeStats {
+	s.PassBy = maps.Clone(s.PassBy)
+	return s
+}
+
+// snapshotStats copies the counters of the given subtrees in pre-order
+// walk order — taken at the moment a build completes, so every counter in
+// the snapshot is final.
 func snapshotStats(stats map[*plan.Node]*NodeStats, roots ...*plan.Node) []NodeStats {
 	var out []NodeStats
 	for _, root := range roots {
-		root.Walk(func(n *plan.Node) {
-			cp := *stats[n]
-			cp.PassBy = make(map[int]int64, len(stats[n].PassBy))
-			for id, v := range stats[n].PassBy {
-				cp.PassBy[id] = v
-			}
-			out = append(out, cp)
-		})
+		root.Walk(func(n *plan.Node) { out = append(out, stats[n].clone()) })
 	}
 	return out
 }
@@ -178,19 +192,12 @@ func snapshotStats(stats map[*plan.Node]*NodeStats, roots ...*plan.Node) []NodeS
 // graftStats installs a snapshot onto the consuming execution's counters,
 // aligning by pre-order walk — sound because entries are keyed by
 // fingerprint, and equal fingerprints imply identical tree structure.
-// Maps are copied so executions never share mutable counter state.
 func graftStats(stats map[*plan.Node]*NodeStats, snap []NodeStats, roots ...*plan.Node) {
 	i := 0
 	for _, root := range roots {
 		root.Walk(func(n *plan.Node) {
-			cp := snap[i]
+			*stats[n] = snap[i].clone()
 			i++
-			pb := make(map[int]int64, len(cp.PassBy))
-			for id, v := range cp.PassBy {
-				pb[id] = v
-			}
-			cp.PassBy = pb
-			*stats[n] = cp
 		})
 	}
 	if i != len(snap) {

@@ -14,8 +14,10 @@ import (
 
 // Tests for cross-execution operator-state reuse (reuse.go): cache hits
 // must never change an execution's observable outcome — result multiset,
-// tuple counters, completion, charged cost (up to float summation order)
-// — only its wall-clock and allocation profile.
+// tuple counters, completion, charged cost (bit for bit on the vectorized
+// engine, whose hits replay integer counts; up to float summation order
+// on Volcano, whose hits are one float lump) — only its wall-clock and
+// allocation profile.
 
 // engineConfigs enumerates the option sets the reuse contract covers:
 // the Volcano interpreter and the vectorized engine serially and with
@@ -116,9 +118,10 @@ func TestReuseSalvageAcrossBudgetAbort(t *testing.T) {
 // TestReuseBudgetSweepOutcomesUnchanged is the abort-equivalence
 // invariant: at every budget, a warm-cache run completes or aborts
 // exactly as the cache-free run does, with the same rows and the same
-// charged cost (hits lump-charge the full build cost and are only taken
-// when the whole charge fits — the condition under which the rebuild
-// would have completed too).
+// charged cost (hits replay the full build window and are only taken
+// when the whole of it fits — the condition under which the rebuild
+// would have completed too). On the vectorized engine that is every
+// counter and the cost bit for bit, at one worker and at eight.
 func TestReuseBudgetSweepOutcomesUnchanged(t *testing.T) {
 	fx := newFixture(t)
 	for cfg, base := range engineConfigs() {
@@ -137,16 +140,64 @@ func TestReuseBudgetSweepOutcomesUnchanged(t *testing.T) {
 				if warm.Completed != plain.Completed {
 					t.Fatalf("%s: completed %v with cache, %v without", label, warm.Completed, plain.Completed)
 				}
+				if base.Vectorized {
+					if d := outcomeDiff(plain, warm); d != "" {
+						t.Fatalf("%s: warm run differs from the cache-free one: %s", label, d)
+					}
+					continue
+				}
 				cw, cp := warm.CostUsed.F(), plain.CostUsed.F()
 				if math.Abs(cw-cp) > 1e-9*math.Max(1, math.Abs(cp)) {
 					t.Fatalf("%s: cost %g with cache, %g without", label, cw, cp)
 				}
-				// Abort points are charge-deterministic on the serial
-				// engines; parallel aborted rows depend on interleaving.
-				if (cfg != "vec-w8" || plain.Completed) && warm.RowsOut != plain.RowsOut {
+				if warm.RowsOut != plain.RowsOut {
 					t.Fatalf("%s: rows %d with cache, %d without", label, warm.RowsOut, plain.RowsOut)
 				}
 			}
+		}
+	}
+}
+
+// TestReuseDiscardedEpochNeverCached: state is cached only by a build
+// whose every epoch committed. A step whose budget runs out inside the
+// build leaves nothing behind — the next step rebuilds, stores, and
+// reports exactly what a cache-free run does.
+func TestReuseDiscardedEpochNeverCached(t *testing.T) {
+	fx := newFixture(t)
+	p := plan.NewHashJoin(plan.NewSeqScan("orders", nil), plan.NewSeqScan("lineitem", nil), []int{2})
+	for _, workers := range []int{1, 8} {
+		base := vopts(workers)
+		cold := fx.eng.MustRun(p, base)
+		build := fx.eng.MustRun(p.Right, base).CostUsed // the lineitem scan alone; the build charges more on top
+
+		cache := NewReuseCache()
+		under := withReuse(base, cache)
+		under.Budget = build
+		aborted := fx.eng.MustRun(p, under)
+		if aborted.Completed || aborted.Stats[p.Right].Done {
+			t.Fatalf("w%d: budget %v did not abort inside the build (completed=%v, build done=%v)",
+				workers, build, aborted.Completed, aborted.Stats[p.Right].Done)
+		}
+		if aborted.Stats[p.Right].InTuples == 0 {
+			t.Fatalf("w%d: no build epoch committed before the abort — the test needs a partial build", workers)
+		}
+		if cache.Len() != 0 {
+			t.Fatalf("w%d: %d entries cached by an aborted build", workers, cache.Len())
+		}
+
+		rebuilt := fx.eng.MustRun(p, withReuse(base, cache))
+		if rebuilt.ReuseHits != 0 {
+			t.Fatalf("w%d: %d hits on a cache the aborted build should have left empty", workers, rebuilt.ReuseHits)
+		}
+		if d := outcomeDiff(cold, rebuilt); d != "" {
+			t.Fatalf("w%d: rebuild after the aborted build differs from the cold run: %s", workers, d)
+		}
+		warm := fx.eng.MustRun(p, withReuse(base, cache))
+		if warm.ReuseHits != 1 {
+			t.Fatalf("w%d: warm run took %d hits, want 1", workers, warm.ReuseHits)
+		}
+		if d := outcomeDiff(cold, warm); d != "" {
+			t.Fatalf("w%d: warm run differs from the cold run: %s", workers, d)
 		}
 	}
 }

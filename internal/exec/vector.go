@@ -9,17 +9,25 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/plan"
-	"repro/internal/trace"
 )
 
 // This file is the morsel-parallel batch runtime: column batches with
-// selection vectors, a fixed-size morsel scheduler over an atomic cursor,
-// per-worker instrumentation merged after every pipeline, and an atomic
-// cost meter checked once per batch. The per-operator kernels live in
-// operators.go next to their Volcano counterparts; both engines charge
-// the same per-row formulas, so a completed vectorized run reports the
-// same tuple counters (and the same cost up to float summation order) as
-// the tuple-at-a-time interpreter.
+// selection vectors, a morsel scheduler that issues work in epochs, and
+// the count meter. The per-operator kernels live in operators.go next to
+// their Volcano counterparts; both engines charge the same per-row
+// formulas, so a completed run reports the same tuple counters on either
+// (and the same cost up to float summation order).
+//
+// Metering is counts, then commit. Kernels never compute cost: a charge
+// site registers a class (a rate) when its pipeline is composed and counts
+// events into its worker's int64 vector; countMeter.price is the one place
+// cost is computed, from the integers alone, so it is bit-identical at any
+// worker count. Work is issued in epochs that depend only on the morsel
+// index, and at the barrier after each an epoch's counts and counters join
+// the run's totals only if the run still prices within budget with them
+// (vecEngine.commit). An epoch that does not fit is discarded whole: the
+// run reports Completed=false, CostUsed=Budget and the counters of the
+// last committed barrier — at every worker count.
 
 // vbatch is one column batch: width-many int64 vectors of n rows plus an
 // optional selection vector listing the live row indices. Scan batches
@@ -50,54 +58,93 @@ func (b *vbatch) row(k int) int32 {
 
 // vecSink consumes a pipeline's batches. emit is called once per batch
 // from worker goroutines (each call entirely within one worker); done is
-// called once per worker after the morsel cursor drains, flushing any
-// carried partial output downstream.
+// called for every worker at every barrier and flushes any carried partial
+// output downstream, leaving nothing carried.
 type vecSink struct {
 	emit func(w *vecWorker, b *vbatch) error
 	done func(w *vecWorker) error
 }
 
-// atomicMeter is the shared budget meter: a float64 accumulated by CAS so
-// concurrent workers can charge without a lock. Like the serial meter it
-// trips on strictly-greater, after the crossing charge is applied.
-type atomicMeter struct {
+// class is one charge site's pricing: each of its n events costs rate model
+// units (perturbation factor folded in), or, with div > 1, each div events
+// do — the spilled hash probe's one page per spillEvery inputs.
+type class struct {
+	rate float64
+	div  int64
+	n    int64
+}
+
+// countMeter is the vectorized engine's budget meter: committed event
+// counts per class, priced on demand. Only the composing goroutine writes
+// it; workers read it in their mid-epoch check, while no one writes.
+type countMeter struct {
 	budget float64
-	bits   atomic.Uint64
+	cls    []class
 }
 
-func (m *atomicMeter) add(c float64) error {
-	for {
-		old := m.bits.Load()
-		next := math.Float64frombits(old) + c
-		if m.bits.CompareAndSwap(old, math.Float64bits(next)) {
-			if next > m.budget {
-				return ErrBudgetExceeded
-			}
-			return nil
+// class registers a charge site; the index is its slot in event vectors.
+func (m *countMeter) class(rate float64) int {
+	m.cls = append(m.cls, class{rate: rate, div: 1})
+	return len(m.cls) - 1
+}
+
+// price is the only place the vectorized engine computes cost: committed
+// counts plus extra (an epoch's counts by class; may be nil), in class order.
+func (m *countMeter) price(extra []int64) float64 {
+	var p float64
+	for c := range m.cls {
+		k := &m.cls[c]
+		n := k.n
+		if c < len(extra) {
+			n += extra[c]
 		}
+		if k.div > 1 {
+			n /= k.div
+		}
+		p += k.rate * float64(n)
 	}
+	return p
 }
 
-func (m *atomicMeter) used() float64 { return math.Float64frombits(m.bits.Load()) }
+// over reports whether extra would take the run past its budget. Rates are
+// non-negative and float addition is monotone: once over, always over.
+func (m *countMeter) over(extra []int64) bool { return m.price(extra) > m.budget }
 
-// fits reports whether a lump charge of c would stay within budget — the
-// reuse-hit eligibility test (see meter.fits). Called only between
-// pipelines, when no worker is concurrently charging.
-func (m *atomicMeter) fits(c float64) bool {
-	return m.used()+c <= m.budget
+// lump is a one-off charge levied between pipelines (index descent, sort
+// drain, grace-spill pages, anti-join build): n events of a fresh class,
+// committed at once.
+func (m *countMeter) lump(rate float64, n int64) error {
+	m.cls = append(m.cls, class{rate: rate, div: 1, n: n})
+	if m.over(nil) {
+		return ErrBudgetExceeded
+	}
+	return nil
 }
 
-// vecWorker is one morsel worker's private state: per-node counters
-// (merged into the shared stats after the pipeline joins), the pending
-// charge accumulated since the last meter flush, and per-slot scratch
-// buffers for batches built by the operators along its pipeline.
+// hit replays a reuse entry's build window — the very classes and counts a
+// rebuild would register and commit — if the run stays within budget with
+// all of it, the condition under which the rebuild would complete too.
+func (m *countMeter) hit(window []class) bool {
+	m.cls = append(m.cls, window...)
+	if m.over(nil) {
+		m.cls = m.cls[:len(m.cls)-len(window)]
+		return false
+	}
+	return true
+}
+
+// vecWorker is one morsel worker's private state. It lives for a pipeline —
+// scratch and breaker partitions persist across epochs — but its counters
+// cover one epoch: commit folds them into the run's totals and zeroes them.
 type vecWorker struct {
-	v       *vecEngine
-	stats   []NodeStats
-	pending float64
-	nbatch  int64
-	slots   map[int]*wslot
-	aux     map[int]any
+	v      *vecEngine
+	stats  []NodeStats // this epoch's per-node counters
+	ev     []int64     // event counts by class, not yet published to v.epoch
+	seen   []int64     // check's scratch: ev plus a snapshot of v.epoch
+	nbatch int64
+	err    error // what stopped this worker's epoch, read at the barrier
+	slots  map[int]*wslot
+	aux    map[int]any
 }
 
 // wslot is one operator's scratch in one worker: a reusable batch header,
@@ -160,19 +207,43 @@ func (ws *wslot) owned(width, batchCap int) {
 	}
 }
 
-// flush pushes the worker's pending charge to the shared meter — the
-// per-batch budget check — and counts the metered batch.
-func (w *vecWorker) flush() error {
-	c := w.pending
-	w.pending = 0
+// check is the mid-epoch early-out, run before every delivered batch: do
+// the committed counts, plus what the epoch's workers have published, plus
+// this worker's own since, already exceed the budget? That counts every
+// event at most once and misses the other workers' current morsels, so it
+// under-estimates the epoch: it can only stop work the barrier would
+// discard anyway — sooner, never differently.
+func (w *vecWorker) check() error {
 	w.nbatch++
-	return w.v.m.add(c)
+	v := w.v
+	if v.stop.Load() {
+		return ErrBudgetExceeded
+	}
+	for c := range w.ev {
+		w.seen[c] = w.ev[c] + v.epoch[c].Load()
+	}
+	if v.m.over(w.seen) {
+		v.stop.Store(true)
+		return ErrBudgetExceeded
+	}
+	return nil
 }
 
-// deliver flushes pending charges (aborting before the batch crosses the
-// budget downstream) and hands the batch to the sink.
+// publish moves the worker's counts into the epoch's shared vector — after
+// every morsel, so a check lags the rest of its epoch by a morsel a worker.
+func (w *vecWorker) publish() {
+	for c, n := range w.ev {
+		if n != 0 {
+			w.v.epoch[c].Add(n)
+			w.ev[c] = 0
+		}
+	}
+}
+
+// deliver checks the budget and hands the batch to the sink — unless a
+// filter left it no live rows, so emit never sees an empty batch.
 func (w *vecWorker) deliver(b *vbatch, s vecSink) error {
-	if err := w.flush(); err != nil {
+	if err := w.check(); err != nil || b.live() == 0 {
 		return err
 	}
 	return s.emit(w, b)
@@ -181,17 +252,22 @@ func (w *vecWorker) deliver(b *vbatch, s vecSink) error {
 // vecEngine drives one vectorized execution.
 type vecEngine struct {
 	e       *Engine
-	opts    Options
-	m       *atomicMeter
-	vb      *builder // schema/predicate binding helpers only
+	collect func(row []int64) // Options.Collect
+	m       countMeter
+	vb      *builder // schema, predicate-binding and perturbation helpers only
 	stats   map[*plan.Node]*NodeStats
 	idx     map[*plan.Node]int
 	nodes   []*plan.Node
 	batch   int
 	workers int
 	nslots  int
-	stop    atomic.Bool
-	batches atomic.Int64
+	batches int64
+	// epoch is the current epoch's published event counts by class: what
+	// commit prices at the barrier, and how a worker's check sees the rest
+	// of its epoch. Zero between epochs.
+	epoch []atomic.Int64
+	// stop is raised by the first worker whose check trips: the run aborts.
+	stop atomic.Bool
 
 	// reuse is the operator-state cache (nil unless Options.Reuse is set
 	// and Perturb is not); tally counts this execution's hits. Both are
@@ -202,13 +278,6 @@ type vecEngine struct {
 	collectMu sync.Mutex
 }
 
-func (v *vecEngine) factor(n *plan.Node) float64 {
-	if v.opts.Perturb == nil {
-		return 1
-	}
-	return v.opts.Perturb(n)
-}
-
 // newSlot hands out a scratch-slot id at pipeline-composition time.
 func (v *vecEngine) newSlot() int {
 	s := v.nslots
@@ -216,23 +285,46 @@ func (v *vecEngine) newSlot() int {
 	return s
 }
 
+// newWorker builds a worker once its pipeline is composed, so ev (and the
+// epoch vector, regrown here while it is all zero) covers its every class.
 func (v *vecEngine) newWorker() *vecWorker {
+	if len(v.epoch) < len(v.m.cls) {
+		v.epoch = make([]atomic.Int64, len(v.m.cls))
+	}
 	return &vecWorker{
 		v:     v,
 		stats: make([]NodeStats, len(v.nodes)),
+		ev:    make([]int64, len(v.m.cls)),
+		seen:  make([]int64, len(v.m.cls)),
 		slots: make(map[int]*wslot),
 		aux:   make(map[int]any),
 	}
 }
 
-// mergeWorkers folds per-worker counters into the shared stats. Called
-// after every pipeline joins, so the shared map is never written
-// concurrently.
-func (v *vecEngine) mergeWorkers(ws []*vecWorker) {
+// commit is the barrier after an epoch: its event counts join the committed
+// totals only if the run still prices within budget with them, and the
+// per-node counters follow the counts; otherwise none of the epoch is kept.
+// Runs on the composing goroutine after the workers have joined.
+func (v *vecEngine) commit(ws []*vecWorker) error {
 	for _, w := range ws {
-		if w == nil {
-			continue
+		v.batches += w.nbatch
+		w.nbatch = 0
+		if w.err != nil {
+			return w.err
 		}
+		w.publish()
+	}
+	sum := ws[0].seen
+	for c := range sum {
+		sum[c] = v.epoch[c].Swap(0)
+	}
+	if v.m.over(sum) {
+		return ErrBudgetExceeded
+	}
+	for c, n := range sum {
+		v.m.cls[c].n += n
+	}
+	for _, w := range ws {
 		for i := range w.stats {
 			s := &w.stats[i]
 			if s.Out == 0 && s.Matches == 0 && s.InTuples == 0 && len(s.PassBy) == 0 {
@@ -245,70 +337,97 @@ func (v *vecEngine) mergeWorkers(ws []*vecWorker) {
 			for id, c := range s.PassBy {
 				g.PassBy[id] += c
 			}
-		}
-		v.batches.Add(w.nbatch)
-	}
-}
-
-// parallelFor is the morsel scheduler: rows [0, total) are cut into
-// fixed-size morsels claimed from an atomic cursor by v.workers worker
-// goroutines. body processes one morsel (cutting it into batches
-// locally); fin runs once per worker after the cursor drains, flushing
-// carried transform state downstream. Workers that find the cursor
-// exhausted (worker count > morsel count) run only fin. The first error
-// stops all workers at their next morsel boundary; counters accumulated
-// before the stop are still merged.
-func (v *vecEngine) parallelFor(total int, body func(w *vecWorker, lo, hi int) error, fin func(w *vecWorker) error) error {
-	nw := v.workers
-	ws := make([]*vecWorker, nw)
-	errs := make([]error, nw)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		w := v.newWorker()
-		ws[i] = w
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for !v.stop.Load() {
-				lo := int(cursor.Add(1)-1) * MorselRows
-				if lo >= total || lo < 0 {
-					break
-				}
-				hi := min(lo+MorselRows, total)
-				if err := body(w, lo, hi); err != nil {
-					errs[i] = err
-					v.stop.Store(true)
-					return
-				}
-			}
-			if v.stop.Load() {
-				return
-			}
-			if err := fin(w); err != nil {
-				errs[i] = err
-				v.stop.Store(true)
-			}
-		}(i)
-	}
-	wg.Wait()
-	v.mergeWorkers(ws)
-	for _, err := range errs {
-		if err != nil {
-			return err
+			clear(s.PassBy)
+			s.Out, s.Matches, s.InTuples = 0, 0, 0
 		}
 	}
 	return nil
 }
 
-// serial runs body on a single fresh worker — the path for pipeline
-// stages that are inherently ordered (the merge-join merge loop, final
-// aggregate emission) — and merges its counters afterwards.
-func (v *vecEngine) serial(body func(w *vecWorker) error) error {
-	w := v.newWorker()
-	err := body(w)
-	v.mergeWorkers([]*vecWorker{w})
-	return err
+// epochMorsels caps an epoch's width. Epochs end at morsels 1, 4, 16, 64, …
+// — each three times everything before it — so a step that aborts early
+// discards little, a one-morsel input never forks, and a scan of n morsels
+// meets log₄ n barriers. A barrier is a fork-join, tens of microseconds
+// when an idle CPU has to be woken, and its price is the barrier count:
+// on a 600k-row, three-pipeline plan at two workers, doubling epochs (26
+// barriers) ran 7 % slower than one epoch per pipeline, quadrupling (16)
+// 3.5 %. The cap keeps what a late abort learns fine-grained on large
+// scans, where a barrier per 256 morsels costs under 1 %; at 64 the same
+// plan met 20 more barriers and ran 8 % slower.
+const epochMorsels = 256
+
+// parallelFor is the morsel scheduler: rows [0, total) are cut into
+// fixed-size morsels, issued in epochs. Under a budget the epoch starting at
+// morsel m is max(1, min(3m, epochMorsels)) morsels wide — a function of the
+// morsel index alone, never of the worker count. Within an epoch up to
+// v.workers workers claim morsels from an atomic cursor; body processes one
+// morsel (cutting it into batches locally) and fin flushes the worker's
+// carried transform state downstream once the epoch's morsels are claimed,
+// so at the barrier every row of the epoch has been through the whole
+// pipeline and the epoch's counts depend on its rows alone. Workers are
+// forked and joined per epoch (the first runs on the caller, so a one-morsel
+// epoch forks nothing); commit then decides whether the epoch counts.
+func (v *vecEngine) parallelFor(total int, body func(w *vecWorker, lo, hi int) error, fin func(w *vecWorker) error) error {
+	morsels := (total + MorselRows - 1) / MorselRows
+	var ws []*vecWorker
+	var cursor atomic.Int64
+	for first := 0; first < morsels; {
+		end := morsels // an unbudgeted run cannot abort: one epoch, one barrier
+		if v.m.budget < math.Inf(1) {
+			end = min(first+max(1, min(3*first, epochMorsels)), morsels)
+		}
+		for len(ws) < min(end-first, v.workers) {
+			ws = append(ws, v.newWorker())
+		}
+		active := ws[:min(end-first, v.workers)]
+		cursor.Store(int64(first))
+		run := func(w *vecWorker) {
+			for !v.stop.Load() {
+				m := int(cursor.Add(1)) - 1
+				if m >= end {
+					w.err = fin(w)
+					return
+				}
+				lo := m * MorselRows
+				if w.err = body(w, lo, min(lo+MorselRows, total)); w.err != nil {
+					return
+				}
+				w.publish()
+			}
+		}
+		var wg sync.WaitGroup
+		for _, w := range active[1:] {
+			wg.Add(1)
+			go func(w *vecWorker) {
+				defer wg.Done()
+				run(w)
+			}(w)
+		}
+		run(active[0])
+		wg.Wait()
+		if err := v.commit(active); err != nil {
+			return err
+		}
+		first = end
+	}
+	return nil
+}
+
+// serial runs an inherently ordered stage — the merge-join merge loop,
+// aggregate emission — as a one-morsel pipeline: one worker, on the caller,
+// flushed and committed at the end. One goroutine working in a fixed order
+// is repeatable as it is; a long body calls barrier to commit as it goes.
+func (v *vecEngine) serial(sink vecSink, body func(w *vecWorker) error) error {
+	return v.parallelFor(1, func(w *vecWorker, _, _ int) error { return body(w) }, sink.done)
+}
+
+// barrier is a serial stage's commit point: flush what w's sink chain
+// carries, so the counts cover whole rows, then commit them.
+func (v *vecEngine) barrier(w *vecWorker, sink vecSink) error {
+	if err := sink.done(w); err != nil {
+		return err
+	}
+	return v.commit([]*vecWorker{w})
 }
 
 // sharedPart returns the worker's instance of a per-worker partition
@@ -367,13 +486,9 @@ func (v *vecEngine) validate(root *plan.Node) error {
 			if !found {
 				verr = errors.New("exec: index scan without a predicate on its index column")
 			}
-		case plan.OpHashJoin:
+		case plan.OpHashJoin, plan.OpMergeJoin:
 			if _, sels := v.vb.predSplit(n.Preds); len(sels) > 0 {
-				verr = errors.New("exec: hash join with selection predicates")
-			}
-		case plan.OpMergeJoin:
-			if _, sels := v.vb.predSplit(n.Preds); len(sels) > 0 {
-				verr = errors.New("exec: merge join with selection predicates")
+				verr = fmt.Errorf("exec: %s with selection predicates", map[plan.Op]string{plan.OpHashJoin: "hash join", plan.OpMergeJoin: "merge join"}[n.Op])
 			}
 		default:
 			verr = fmt.Errorf("exec: unknown operator %v", n.Op)
@@ -385,7 +500,7 @@ func (v *vecEngine) validate(root *plan.Node) error {
 // rootSink terminates the driven pipeline: counters are maintained by the
 // operators themselves, so the root only materializes rows for Collect.
 func (v *vecEngine) rootSink() vecSink {
-	collect := v.opts.Collect
+	collect := v.collect
 	return vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
 			if collect == nil {
@@ -411,66 +526,47 @@ func (v *vecEngine) rootSink() vecSink {
 // stream executes the pipeline rooted at n, pushing its output batches
 // into sink. Pipeline breakers (hash build sides, sorts, aggregates)
 // materialize inside their stream functions; on return the subtree's
-// counters are merged and, when err is nil, its nodes are marked Done.
+// counters are committed and, when err is nil, n is marked done.
 func (v *vecEngine) stream(n *plan.Node, sink vecSink) error {
+	var err error
 	switch n.Op {
 	case plan.OpSeqScan:
-		return v.streamSeqScan(n, sink)
+		err = v.streamSeqScan(n, sink)
 	case plan.OpIndexScan:
-		return v.streamIndexScan(n, sink)
+		err = v.streamIndexScan(n, sink)
 	case plan.OpHashJoin:
-		return v.streamHashJoin(n, sink)
+		err = v.streamHashJoin(n, sink)
 	case plan.OpIndexNLJoin:
-		return v.streamIndexNL(n, sink)
+		err = v.streamIndexNL(n, sink)
 	case plan.OpAntiJoin:
-		return v.streamAntiJoin(n, sink)
+		err = v.streamAntiJoin(n, sink)
 	case plan.OpMergeJoin:
-		return v.streamMergeJoin(n, sink)
+		err = v.streamMergeJoin(n, sink)
 	case plan.OpAggregate:
-		return v.streamAggregate(n, sink)
+		err = v.streamAggregate(n, sink)
 	case plan.OpGroupAggregate:
-		return v.streamGroupAggregate(n, sink)
+		err = v.streamGroupAggregate(n, sink)
+	default:
+		return fmt.Errorf("exec: unknown operator %v", n.Op)
 	}
-	return fmt.Errorf("exec: unknown operator %v", n.Op)
-}
-
-// markDone records a node's successful completion in the shared stats.
-func (v *vecEngine) markDone(n *plan.Node) {
-	st := v.stats[n]
-	st.Done = true
-	st.InputsDone = true
+	if err == nil {
+		st := v.stats[n]
+		st.Done, st.InputsDone = true, true
+	}
+	return err
 }
 
 // runVectorized is Run's batch-at-a-time implementation. The executor
-// contract is the Volcano engine's: budgeted abort in optimizer cost
-// units (metered per batch), spill-mode starvation, and per-node tuple
-// counters identical on completed runs.
-func (e *Engine) runVectorized(root *plan.Node, opts Options) (Result, error) {
-	budget := opts.Budget.F()
-	if budget <= 0 {
-		budget = math.Inf(1)
-	}
-	driven := root
-	if opts.Spill {
-		n := findPredNode(root, opts.SpillPred)
-		if n == nil {
-			return Result{}, fmt.Errorf("exec: plan does not apply predicate %d", opts.SpillPred)
-		}
-		driven = n
-		if opts.Trace.Enabled() {
-			opts.Trace.Record(trace.Span{
-				Kind: trace.KindSpill, Contour: opts.TraceContour, PlanID: opts.TracePlan,
-				Dim: -1, Pred: opts.SpillPred, Budget: trace.SafeCost(budget),
-				Workers: opts.Parallelism,
-			})
-		}
-	}
-
+// contract is the Volcano engine's — budgeted abort in optimizer cost
+// units, spill-mode starvation, per-node tuple counters identical on
+// completed runs — except that an aborted run reports exactly the budget
+// as its cost and the counters of its last committed barrier.
+func (e *Engine) runVectorized(driven *plan.Node, opts Options, budget float64) (Result, error) {
 	v := &vecEngine{
 		e:       e,
-		opts:    opts,
-		m:       &atomicMeter{budget: budget},
-		vb:      &builder{e: e},
+		collect: opts.Collect,
+		m:       countMeter{budget: budget},
+		vb:      &builder{e: e, perturb: opts.Perturb},
 		stats:   make(map[*plan.Node]*NodeStats),
 		idx:     make(map[*plan.Node]int),
 		batch:   opts.BatchSize,
@@ -492,23 +588,14 @@ func (e *Engine) runVectorized(root *plan.Node, opts Options) (Result, error) {
 
 	res := Result{
 		Stats:        v.stats,
-		Batches:      v.batches.Load(),
+		CostUsed:     cost.Cost(v.m.price(nil)),
+		Batches:      v.batches,
 		Workers:      v.workers,
 		ReuseHits:    v.tally.hits,
 		SalvagedCost: cost.Cost(v.tally.salvaged),
 	}
-	res.CostUsed = cost.Cost(v.m.used())
-	res.RowsOut = v.stats[driven].Out
-	res.Completed = err == nil
-	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
-		return res, err
+	if errors.Is(err, ErrBudgetExceeded) {
+		res.CostUsed = cost.Cost(budget)
 	}
-	if err != nil && opts.Trace.Enabled() {
-		opts.Trace.Record(trace.Span{
-			Kind: trace.KindBudgetAbort, Contour: opts.TraceContour, PlanID: opts.TracePlan,
-			Dim: -1, Pred: -1, Budget: trace.SafeCost(budget), Spent: v.m.used(), Rows: res.RowsOut,
-			Batches: res.Batches, Workers: res.Workers,
-		})
-	}
-	return res, nil
+	return res, err
 }

@@ -181,9 +181,9 @@ func TestVectorizedOptionsValidation(t *testing.T) {
 }
 
 // TestVectorizedWorkersExceedMorselCount pins the scheduler's tail case:
-// every fixture table is smaller than one morsel, so with 32 workers most
-// workers never claim work and must still run their pipeline finalizers
-// exactly once (double-flushing would corrupt counters or charges).
+// every fixture table spans fewer morsels than there are workers, so no
+// epoch can use them all — an epoch runs at most one worker per morsel —
+// and counters and charges must come out as with one worker.
 func TestVectorizedWorkersExceedMorselCount(t *testing.T) {
 	fx := newFixture(t)
 	const workers = 32
@@ -199,11 +199,12 @@ func TestVectorizedWorkersExceedMorselCount(t *testing.T) {
 	}
 }
 
-// TestVectorizedAbortAtBatchBoundary is the batch-granularity analogue of
-// TestAbortExactlyAtBudgetExhaustion: with one worker the charge sequence
-// is deterministic, so a budget of exactly the full cost completes while
-// one ULP less aborts on the final batch flush — spending exactly the
-// full cost, with a single budget-abort span carrying the batch count.
+// TestVectorizedAbortAtBatchBoundary is the count meter's analogue of
+// TestAbortExactlyAtBudgetExhaustion: a budget of exactly the full cost
+// completes, while one ULP less fails the last commit — the run is charged
+// exactly its budget (result, and the single budget-abort span), and its
+// counters are those of the last barrier that fit, never more than the
+// full run's.
 func TestVectorizedAbortAtBatchBoundary(t *testing.T) {
 	fx := newFixture(t)
 	for name, p := range fx.plans {
@@ -227,10 +228,24 @@ func TestVectorizedAbortAtBatchBoundary(t *testing.T) {
 			t.Errorf("%s: completed under a budget one ULP below full cost", name)
 			continue
 		}
-		// The abort lands on the final batch flush, so the spend equals
-		// the full cost exactly.
-		if partial.CostUsed != full.CostUsed {
-			t.Errorf("%s: aborted spend %g, want full cost %g", name, partial.CostUsed, full.CostUsed)
+		if partial.CostUsed != o.Budget {
+			t.Errorf("%s: aborted spend %g, want the budget %g", name, partial.CostUsed, o.Budget)
+		}
+		// The discarded commit is the last one, so the counters are the
+		// full run's less that final epoch: bounded by the full run's, and
+		// the same as any other run that aborts there.
+		for node, st := range partial.Stats {
+			fst := full.Stats[node]
+			if st.Out > fst.Out || st.InTuples > fst.InTuples || st.Matches > fst.Matches {
+				t.Errorf("%s/%v: aborted counters %+v exceed the full run's %+v", name, node.Op, *st, *fst)
+			}
+		}
+		o.Trace = nil
+		for _, workers := range []int{1, 8} {
+			o.Parallelism = workers
+			if d := outcomeDiff(partial, fx.eng.MustRun(p, o)); d != "" {
+				t.Errorf("%s: w%d re-run of the aborted step differs: %s", name, workers, d)
+			}
 		}
 		aborts := 0
 		for _, s := range rec.Spans() {
@@ -241,8 +256,11 @@ func TestVectorizedAbortAtBatchBoundary(t *testing.T) {
 			if s.Contour != 3 || s.PlanID != 7 {
 				t.Errorf("%s: abort span carries context %d/%d, want 3/7", name, s.Contour, s.PlanID)
 			}
-			if !(s.Spent > s.Budget) {
-				t.Errorf("%s: abort span spent %g does not exceed budget %g", name, s.Spent, s.Budget)
+			if s.Spent != s.Budget || s.Spent != o.Budget.F() {
+				t.Errorf("%s: abort span spent %g, budget %g, want both %g", name, s.Spent, s.Budget, o.Budget)
+			}
+			if s.Rows != partial.RowsOut {
+				t.Errorf("%s: abort span rows %d, result %d", name, s.Rows, partial.RowsOut)
 			}
 			if s.Batches <= 0 || s.Workers != 1 {
 				t.Errorf("%s: abort span batches/workers = %d/%d, want >0/1", name, s.Batches, s.Workers)
@@ -254,10 +272,9 @@ func TestVectorizedAbortAtBatchBoundary(t *testing.T) {
 	}
 }
 
-// TestVectorizedBudgetAbortsUnderParallelism: abort behaviour with many
-// workers is not bit-deterministic, but the hard invariants must hold —
-// partial results, monotone-ish spend near the budget, and counters never
-// exceeding the complete run's.
+// TestVectorizedBudgetAbortsUnderParallelism: an abort with many workers
+// is the abort one worker reports — charged exactly the budget, the
+// counters of the last committed epoch, never more than the full run's.
 func TestVectorizedBudgetAbortsUnderParallelism(t *testing.T) {
 	fx := newFixture(t)
 	for name, p := range fx.plans {
@@ -269,15 +286,18 @@ func TestVectorizedBudgetAbortsUnderParallelism(t *testing.T) {
 			t.Errorf("%s: completed under a quarter budget", name)
 			continue
 		}
-		// Overshoot is bounded by one in-flight batch charge per worker.
-		if partial.CostUsed > full.CostUsed {
-			t.Errorf("%s: aborted run charged %g, more than the whole plan (%g)", name, partial.CostUsed, full.CostUsed)
+		if partial.CostUsed != o.Budget {
+			t.Errorf("%s: aborted run charged %g, want the budget %g", name, partial.CostUsed, o.Budget)
 		}
 		for node, st := range partial.Stats {
 			fst := full.Stats[node]
-			if fst != nil && st.Out > fst.Out {
-				t.Errorf("%s/%v: partial Out %d exceeds full %d", name, node.Op, st.Out, fst.Out)
+			if fst != nil && (st.Out > fst.Out || st.InTuples > fst.InTuples || st.Matches > fst.Matches) {
+				t.Errorf("%s/%v: partial counters %+v exceed full %+v", name, node.Op, *st, *fst)
 			}
+		}
+		o.Parallelism = 1
+		if d := outcomeDiff(fx.eng.MustRun(p, o), partial); d != "" {
+			t.Errorf("%s: w8 abort differs from w1: %s", name, d)
 		}
 	}
 }
@@ -371,17 +391,23 @@ func TestVectorizedZeroRowBatches(t *testing.T) {
 	}
 }
 
-// TestVectorizedSerialDeterminism: one worker claims morsels in order, so
-// budgeted runs are bit-reproducible like the Volcano engine's.
+// TestVectorizedSerialDeterminism: budgeted runs are bit-reproducible like
+// the Volcano engine's, with one worker and — because epochs commit whole
+// — with eight.
 func TestVectorizedSerialDeterminism(t *testing.T) {
 	fx := newFixture(t)
 	p := fx.plans["mj"]
 	o := vopts(1)
-	o.Budget = 500
+	o.Budget = 200 // below the plan's ~300 units: the run aborts mid-merge
 	a := fx.eng.MustRun(p, o)
-	b := fx.eng.MustRun(p, o)
-	if a.RowsOut != b.RowsOut || a.CostUsed != b.CostUsed || a.Completed != b.Completed {
-		t.Fatal("serial vectorized budgeted runs are not deterministic")
+	if a.Completed {
+		t.Fatal("mj completed under a budget meant to abort it")
+	}
+	for _, workers := range []int{1, 8} {
+		o.Parallelism = workers
+		if d := outcomeDiff(a, fx.eng.MustRun(p, o)); d != "" {
+			t.Fatalf("budgeted vectorized run at w%d is not deterministic: %s", workers, d)
+		}
 	}
 }
 
