@@ -6,7 +6,7 @@ BIN := bin
 # headroom for run-to-run variation, not for new untested code).
 COVER_FLOOR := 78.0
 
-.PHONY: build test vet race race-generators race-serving determinism-exec fuzz lint lint-fixtures lint-timing lint-budget fmt-check ci cover bench-compile bench-compile-smoke bench-check bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
+.PHONY: build test vet race race-generators race-serving determinism-exec fuzz lint lint-timing fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
 
 build:
 	$(GO) build ./...
@@ -44,13 +44,12 @@ race-serving:
 determinism-exec:
 	$(GO) test -count=1 -cpu 1,2,8 ./internal/exec ./internal/core
 
-# fuzz runs the fuzz targets (SQL parser, CFG builder, escape analyzer)
-# for a short, CI-friendly budget each. Run one by hand with a longer
+# fuzz runs the fuzz targets (SQL parser, CFG builder) for a short,
+# CI-friendly budget each. Run one by hand with a longer
 # -fuzztime to explore further.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzBuild -fuzztime=30s ./internal/analysis/cfg
-	$(GO) test -fuzz=FuzzEscape -fuzztime=30s ./internal/analysis/escape
 
 # lint builds the repository's own analyzer suite and runs it through the
 # go vet driver. CI invokes this same target, so local and CI findings
@@ -59,35 +58,11 @@ lint:
 	$(GO) build -o $(BIN)/bouquetvet ./cmd/bouquetvet
 	$(GO) vet -vettool=$(abspath $(BIN)/bouquetvet) ./...
 
-# lint-fixtures exercises the analyzer suite's own tests — every
-# analyzer's positive/clean/suppressed fixtures plus the bouquetvet
-# driver's dual-mode acceptance tests. CI runs it as its own quick job
-# so a fixture-only change gets a verdict without the full gate.
-lint-fixtures:
-	$(GO) test ./internal/analysis/... ./cmd/bouquetvet
-
 # lint-timing prints cumulative per-analyzer wall time over the repo,
-# slowest first — the data source for attributing lint-budget failures.
+# slowest first.
 lint-timing:
 	$(GO) build -o $(BIN)/bouquetvet ./cmd/bouquetvet
 	$(BIN)/bouquetvet -timing ./...
-
-# LINT_BUDGET_SECONDS is 3x the cold-cache `make lint` wall time measured
-# when the escape-analysis pair (allocbound, maporder) landed (~47s cold,
-# ~2s warm; shared call-graph/CFG infra keeps the marginal analyzer
-# cheap). The gate exists to catch pathological analyzer slowdowns (a
-# fixpoint that stops converging, an accidental quadratic walk), not
-# routine drift; raise it deliberately if the suite legitimately grows.
-LINT_BUDGET_SECONDS := 145
-
-lint-budget:
-	@start=$$(date +%s); $(MAKE) lint; end=$$(date +%s); \
-	elapsed=$$((end - start)); \
-	echo "lint wall time: $${elapsed}s (budget $(LINT_BUDGET_SECONDS)s)"; \
-	if [ $$elapsed -gt $(LINT_BUDGET_SECONDS) ]; then \
-		echo "lint exceeded its $(LINT_BUDGET_SECONDS)s budget; run 'make lint-timing' to find the analyzer that pays for it"; \
-		exit 1; \
-	fi
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -143,24 +118,6 @@ bench-exec-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecJoinVolcano$$|BenchmarkExecJoinVector8$$' \
 		-benchtime 1x -benchmem ./internal/exec
 	$(GO) test -run '^$$' -bench 'BenchmarkBouquetRun$$' -benchtime 1x -benchmem ./internal/core
-
-# bench-check is the CI regression gate: re-measure the seeded compile,
-# executor, and bouquet-run benchmarks (3 repetitions, best-of-N) and
-# fail when any of them regressed beyond 2x ns/op against the checked-in
-# seed baselines.
-bench-check:
-	@mkdir -p $(BIN)
-	$(GO) build -o $(BIN)/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkFocusedCompile$$' -benchmem -count 3 -timeout 30m . > $(BIN)/bench_check.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeChain3$$|BenchmarkOptimizeBranch8$$' \
-		-benchmem -count 3 ./internal/optimizer >> $(BIN)/bench_check.txt
-	$(BIN)/benchjson -check -max-regress 2.0 -baseline bench/compile_seed.txt < $(BIN)/bench_check.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkExecJoinVector8$$|BenchmarkExecJoinVolcano$$' \
-		-benchmem -count 3 -timeout 30m ./internal/exec > $(BIN)/bench_check_exec.txt
-	$(BIN)/benchjson -check -max-regress 2.0 -baseline bench/exec_seed.txt < $(BIN)/bench_check_exec.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkBouquetRun$$' \
-		-benchmem -count 3 -timeout 30m ./internal/core > $(BIN)/bench_check_bouquet.txt
-	$(BIN)/benchjson -check -max-regress 2.0 -baseline bench/bouquet_seed.txt < $(BIN)/bench_check_bouquet.txt
 
 # cover writes an atomic-mode coverage profile for the whole repo and
 # fails when total statement coverage drops below COVER_FLOOR. CI uploads

@@ -12,13 +12,6 @@
 //	go test -run '^$' -bench Compile -benchmem -count 3 . > new.txt
 //	benchjson -baseline bench/compile_seed.txt -o BENCH_compile.json < new.txt
 //	benchstat bench/compile_seed.txt new.txt
-//
-// With -check it becomes a CI regression gate instead: benchmarks on
-// stdin are compared against -baseline and the command exits non-zero
-// when any benchmark present in both regressed beyond -max-regress× in
-// ns/op (best-of-N on both sides, so one noisy run does not trip it):
-//
-//	go test -run '^$' -bench . -count 3 ./internal/core | benchjson -check -baseline bench/compile_seed.txt
 package main
 
 import (
@@ -202,86 +195,11 @@ func run(current io.Reader, baselinePath, note string, w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// checkRegressions is the CI regression gate: it compares benchmarks on
-// stdin against the baseline file and fails when any benchmark present
-// in both regressed beyond maxRegress× in ns/op. Both sides are reduced
-// best-of-N first, so a single noisy repetition does not trip the gate;
-// benchmarks without a baseline entry are reported but never fail.
-func checkRegressions(current io.Reader, baselinePath string, maxRegress float64, w io.Writer) error {
-	if baselinePath == "" {
-		return fmt.Errorf("benchjson: -check needs -baseline")
-	}
-	cur, err := parse(current)
-	if err != nil {
-		return err
-	}
-	if len(cur) == 0 {
-		return fmt.Errorf("benchjson: no benchmark lines on stdin")
-	}
-	f, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	base, err := parse(f)
-	if err != nil {
-		return err
-	}
-
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var failed []string
-	checked := 0
-	for _, name := range names {
-		c := summarize(cur[name])
-		bs, ok := base[name]
-		if !ok {
-			fmt.Fprintf(w, "  new  %-28s %14.0f ns/op (no baseline)\n", name, c.NsPerOp)
-			continue
-		}
-		b := summarize(bs)
-		if !(b.NsPerOp > 0) {
-			continue // malformed baseline line; nothing to gate against
-		}
-		checked++
-		ratio := c.NsPerOp / b.NsPerOp
-		status := "ok"
-		if ratio > maxRegress {
-			status = "FAIL"
-			failed = append(failed, name)
-		}
-		fmt.Fprintf(w, "  %-4s %-28s %14.0f ns/op vs %14.0f baseline (%.2fx, limit %.1fx)\n",
-			status, name, c.NsPerOp, b.NsPerOp, ratio, maxRegress)
-	}
-	if checked == 0 {
-		return fmt.Errorf("benchjson: -check matched no benchmarks against %s", baselinePath)
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("benchjson: %d benchmark(s) regressed beyond %.1fx: %s",
-			len(failed), maxRegress, strings.Join(failed, ", "))
-	}
-	return nil
-}
-
 func main() {
 	baseline := flag.String("baseline", "", "raw `go test -bench` text from the comparison commit")
 	outPath := flag.String("o", "", "output path (default stdout)")
 	note := flag.String("note", "compile-path benchmarks; ns_per_op/bytes/allocs are best-of-N", "note embedded in the JSON")
-	check := flag.Bool("check", false, "regression gate: fail when stdin regresses beyond -max-regress vs -baseline")
-	maxRegress := flag.Float64("max-regress", 2.0, "allowed ns/op ratio (current/baseline) before -check fails")
 	flag.Parse()
-
-	if *check {
-		if err := checkRegressions(os.Stdin, *baseline, *maxRegress, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	w := io.Writer(os.Stdout)
 	if *outPath != "" {

@@ -115,68 +115,3 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 		t.Fatal("expected an error on input without benchmark lines")
 	}
 }
-
-func writeBaseline(t *testing.T, text string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "base.txt")
-	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCheckPassesWithinLimit(t *testing.T) {
-	// currentText is dramatically faster than baselineText, so the 2x
-	// gate passes; benchmarks absent from the baseline are reported but
-	// never fail.
-	var buf bytes.Buffer
-	err := checkRegressions(strings.NewReader(currentText), writeBaseline(t, baselineText), 2.0, &buf)
-	if err != nil {
-		t.Fatalf("check failed on an improvement: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "ok   FocusedCompile") {
-		t.Errorf("report missing ok line:\n%s", buf.String())
-	}
-}
-
-func TestCheckFailsOnRegression(t *testing.T) {
-	// Swap roles: the slow seed text as "current" against the fast text
-	// as baseline is a >2x regression on both benchmarks.
-	var buf bytes.Buffer
-	err := checkRegressions(strings.NewReader(baselineText), writeBaseline(t, currentText), 2.0, &buf)
-	if err == nil {
-		t.Fatalf("check passed a >2x regression:\n%s", buf.String())
-	}
-	if !strings.Contains(err.Error(), "regressed beyond") {
-		t.Errorf("unexpected error: %v", err)
-	}
-	if !strings.Contains(buf.String(), "FAIL FocusedCompile") {
-		t.Errorf("report missing FAIL line:\n%s", buf.String())
-	}
-}
-
-func TestCheckBestOfNDampsNoise(t *testing.T) {
-	// One noisy 5x repetition next to two in-family ones must not trip
-	// the gate: both sides reduce best-of-N before comparing.
-	current := `
-BenchmarkOptimizeChain3   	  100000	     70000 ns/op	   13440 B/op	     149 allocs/op
-BenchmarkOptimizeChain3   	  100000	     14000 ns/op	   13440 B/op	     149 allocs/op
-BenchmarkOptimizeChain3   	  100000	     14100 ns/op	   13440 B/op	     149 allocs/op
-`
-	var buf bytes.Buffer
-	err := checkRegressions(strings.NewReader(current), writeBaseline(t, baselineText), 2.0, &buf)
-	if err != nil {
-		t.Fatalf("noisy repetition tripped the gate: %v\n%s", err, buf.String())
-	}
-}
-
-func TestCheckRequiresOverlapAndBaseline(t *testing.T) {
-	if err := checkRegressions(strings.NewReader(currentText), "", 2.0, &bytes.Buffer{}); err == nil {
-		t.Fatal("check without -baseline should fail")
-	}
-	disjoint := "BenchmarkSomethingElse 	 10	 100 ns/op\n"
-	err := checkRegressions(strings.NewReader(disjoint), writeBaseline(t, baselineText), 2.0, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "matched no benchmarks") {
-		t.Fatalf("disjoint benchmark sets should fail loudly, got %v", err)
-	}
-}

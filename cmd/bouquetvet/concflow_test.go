@@ -114,3 +114,18 @@ func use(data []byte) int {
 }
 `, "buf is used after being returned to the pool")
 }
+
+// TestMaporderDualMode: map iteration appended to an output slice with
+// no later sort must be reported in both modes.
+func TestMaporderDualMode(t *testing.T) {
+	dualMode(t, `package a
+
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+`, "map iteration order reaches ordered output")
+}

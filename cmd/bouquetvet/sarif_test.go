@@ -100,7 +100,7 @@ func TestSARIFRuleTable(t *testing.T) {
 	if _, ok := index["allowformat"]; !ok {
 		t.Error("rule table missing allowformat")
 	}
-	for _, want := range []string{"allocbound", "maporder", "floatcmp"} {
+	for _, want := range []string{"atomicmix", "maporder", "floatcmp"} {
 		if _, ok := index[want]; !ok {
 			t.Errorf("rule table missing %s", want)
 		}

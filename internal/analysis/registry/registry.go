@@ -5,7 +5,6 @@ package registry
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/allocbound"
 	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/errflow"
@@ -26,7 +25,6 @@ import (
 // All returns the full bouquetvet suite in diagnostic-name order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		allocbound.Analyzer,
 		atomicmix.Analyzer,
 		ctxflow.Analyzer,
 		errflow.Analyzer,

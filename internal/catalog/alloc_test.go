@@ -2,10 +2,9 @@ package catalog
 
 import "testing"
 
-// TestAccessorsAllocFree pins the dynamic half of the allocbound
-// analyzer's trust: MustRelation, Index, Pages, and Column are on the
-// cost kernel's //bouquet:allocfree allowlist (internal/analysis/
-// allocbound), so their allocation-freedom must hold empirically.
+// TestAccessorsAllocFree pins the accessors the allocation-free cost
+// kernel (cost.Price, PriceStep, PriceSpec) calls across the package
+// boundary: MustRelation, Index, Pages, and Column must not allocate.
 // Index concatenates its map key; the key does not escape, so it stays
 // in the runtime's 32-byte stack buffer — this test is the tripwire if
 // a benchmark catalog ever grows relation.column names past that.

@@ -215,21 +215,6 @@ func (c *Catalog) Relations() []*Relation {
 	return out
 }
 
-// Indexes returns all indexes sorted by relation then column.
-func (c *Catalog) Indexes() []*Index {
-	out := make([]*Index, 0, len(c.indexes))
-	for _, ix := range c.indexes {
-		out = append(out, ix)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Relation != out[j].Relation {
-			return out[i].Relation < out[j].Relation
-		}
-		return out[i].Column < out[j].Column
-	})
-	return out
-}
-
 // IndexAllColumns adds an index on every column of every relation that does
 // not already have one. The paper's physical schema "has indexes on all
 // columns featuring in the queries, thereby maximizing the cost gradient

@@ -165,21 +165,6 @@ func TestRelationsSorted(t *testing.T) {
 	}
 }
 
-func TestIndexesSorted(t *testing.T) {
-	c := NewCatalog()
-	c.AddRelation(testRelation("b", 10))
-	c.AddRelation(testRelation("a", 10))
-	c.IndexAllColumns()
-	idxs := c.Indexes()
-	for i := 1; i < len(idxs); i++ {
-		prev, cur := idxs[i-1], idxs[i]
-		if prev.Relation > cur.Relation ||
-			(prev.Relation == cur.Relation && prev.Column > cur.Column) {
-			t.Fatalf("indexes not sorted at %d: %v then %v", i, prev, cur)
-		}
-	}
-}
-
 func TestTPCHLikeValid(t *testing.T) {
 	c := TPCHLike(1.0)
 	if err := c.Validate(); err != nil {

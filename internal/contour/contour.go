@@ -53,21 +53,12 @@ func NewLadder(cmin, cmax cost.Cost, r cost.Ratio) (Ladder, error) {
 // NumSteps returns m, the number of isocost steps.
 func (l Ladder) NumSteps() int { return len(l.Steps) }
 
-// Inflate returns a copy with every budget multiplied by (1+lambda),
-// accounting for the anorexic reduction's cost slack (§4.3).
-func (l Ladder) Inflate(lambda cost.Ratio) Ladder {
-	out := Ladder{R: l.R, Steps: make([]cost.Cost, len(l.Steps))}
-	for i, s := range l.Steps {
-		out.Steps[i] = s.Scale(1 + lambda)
-	}
-	return out
-}
-
 // StepFor returns the 1-based index k of the first step with budget ≥ c,
 // or m+1 if c exceeds the last step. Steps form an increasing progression,
-// so the lookup binary-searches rather than scanning the ladder.
-//
-//bouquet:allocfree pinned dynamically by TestStepForAllocFree
+// so the lookup binary-searches rather than scanning the ladder. No driver
+// calls it (core walks Bouquet.Contours directly); it is kept for the
+// package example and core's ladder test. It allocates nothing because
+// sort.Search's closure stays on the stack, pinned by TestStepForAllocFree.
 func (l Ladder) StepFor(c cost.Cost) int {
 	return sort.Search(len(l.Steps), func(i int) bool { return c <= l.Steps[i] }) + 1
 }

@@ -93,20 +93,6 @@ func TestLadderStepCountProperty(t *testing.T) {
 	}
 }
 
-func TestInflate(t *testing.T) {
-	l, _ := NewLadder(10, 100, 2)
-	inf := l.Inflate(0.2)
-	for i := range l.Steps {
-		if math.Abs((inf.Steps[i] - l.Steps[i].Scale(1.2)).F()) > 1e-12 {
-			t.Fatal("inflation wrong")
-		}
-	}
-	// Original untouched.
-	if l.Steps[0] != 10 {
-		t.Fatal("Inflate mutated the receiver")
-	}
-}
-
 func TestStepFor(t *testing.T) {
 	l, _ := NewLadder(10, 100, 2) // steps 10 20 40 80 160
 	cases := map[float64]int{5: 1, 10: 1, 11: 2, 40: 3, 100: 5, 200: 6}
@@ -117,10 +103,8 @@ func TestStepFor(t *testing.T) {
 	}
 }
 
-// TestStepForAllocFree is the dynamic half of StepFor's
-// //bouquet:allocfree directive: the bouquet executor calls it per
-// budget check, so the closure handed to sort.Search must stay on the
-// stack.
+// TestStepForAllocFree pins StepFor's allocation-freedom: the closure
+// handed to sort.Search must stay on the stack.
 func TestStepForAllocFree(t *testing.T) {
 	l, err := NewLadder(10, 1e6, 2)
 	if err != nil {
@@ -193,6 +177,17 @@ func TestIdentifyRequiresDenseDiagram(t *testing.T) {
 	}
 }
 
+// dominatedBy reports whether p ≤ q component-wise (p is inside q's third
+// quadrant, or equal). Under PCM, cost at p ≤ cost at q for every plan.
+func dominatedBy(p, q ess.Point) bool {
+	for i := range p {
+		if p[i] > q[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestContourCoverageProperty verifies the load-bearing guarantee of the
 // bouquet construction: every grid location within a step's budget is
 // dominated by some contour location, whose optimal plan therefore
@@ -217,7 +212,7 @@ func TestContourCoverageProperty(t *testing.T) {
 			p := space.PointAt(flat)
 			covered := false
 			for i, cf := range c.Flats {
-				if !p.DominatedBy(space.PointAt(cf)) {
+				if !dominatedBy(p, space.PointAt(cf)) {
 					continue
 				}
 				// The covering contour point's plan must
@@ -255,7 +250,7 @@ func TestContourFlatsAreMaximal(t *testing.T) {
 				if flat == f || d.Cost(flat) > c.Budget {
 					continue
 				}
-				if p.DominatedBy(space.PointAt(flat)) {
+				if dominatedBy(p, space.PointAt(flat)) {
 					t.Fatalf("IC%d: contour point %d dominated by in-budget %d", c.K, f, flat)
 				}
 			}

@@ -124,8 +124,8 @@ func benchBouquetRun(b *testing.B, workers int, reuse bool) {
 
 // BenchmarkBouquetRun drives the full bouquet protocol on real rows
 // across both engines with operator-state reuse on and off. The
-// reuse/noreuse ratio is the PR's headline number; bench-check gates
-// the reuse configurations against bench/bouquet_seed.txt.
+// reuse/noreuse ratio is the headline number; `make bench-exec` records it
+// in BENCH_exec.json against bench/bouquet_seed.txt.
 func BenchmarkBouquetRun(b *testing.B) {
 	b.Run("Volcano/reuse", func(b *testing.B) { benchBouquetRun(b, 0, true) })
 	b.Run("Volcano/noreuse", func(b *testing.B) { benchBouquetRun(b, 0, false) })

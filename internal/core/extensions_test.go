@@ -114,7 +114,9 @@ func negatedFixture(t testing.TB) (*Bouquet, *exec.Engine, *data.Database, *quer
 		t.Fatal(err)
 	}
 	db := data.Generate(cat, []string{"part", "lineitem"}, nil, 31)
-	bound, _ := db.NegatedSelectionBound("part", "p_retailprice", 0.1)
+	// "col ≥ c" passing 10% is "col < c" passing 90%, the way the server
+	// binds a negated predicate.
+	bound, _ := db.SelectionBound("part", "p_retailprice", 1-0.1)
 	eng, err := exec.NewEngine(q, db, cost.Postgres(), map[int]int64{0: bound})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +140,8 @@ func TestNegatedPredicateExecutionCorrect(t *testing.T) {
 	b, eng, db, q := negatedFixture(t)
 	// Ground truth via brute force.
 	part, li := db.Table("part"), db.Table("lineitem")
-	bound, realized := db.NegatedSelectionBound("part", "p_retailprice", 0.1)
+	bound, below := db.SelectionBound("part", "p_retailprice", 1-0.1)
+	realized := 1 - below
 	var want int64
 	for i := 0; i < li.NumRows(); i++ {
 		p := li.Value(i, "l_partkey")
@@ -185,14 +188,15 @@ func TestNegatedIndexScanUsesSuffix(t *testing.T) {
 		NegatedSelectionPred("part", "p_retailprice", 0.25, true).
 		MustBuild()
 	db := data.Generate(cat, []string{"part"}, nil, 41)
-	bound, realized := db.NegatedSelectionBound("part", "p_retailprice", 0.25)
+	bound, _ := db.SelectionBound("part", "p_retailprice", 1-0.25)
 	eng, err := exec.NewEngine(q, db, cost.Postgres(), map[int]int64{0: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
 	scan := plan.NewIndexScan("part", "p_retailprice", []int{0})
 	idx := eng.MustRun(scan, exec.Options{})
-	want := int64(float64(db.Table("part").NumRows()) * realized)
+	part := db.Table("part")
+	want := int64(part.NumRows()) - part.CountLess("p_retailprice", bound)
 	if idx.RowsOut != want {
 		t.Fatalf("index scan rows %d, want %d", idx.RowsOut, want)
 	}

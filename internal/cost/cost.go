@@ -214,8 +214,7 @@ func (c *Coster) Rows(root *plan.Node, sels Selectivities) Card {
 // hot loops (the optimizer's DP, plan-diagram cost matrices); use Detail
 // when the per-operator breakdown matters (explain output, diagnostics).
 // Panics if the plan contains an operator the model does not price.
-//
-//bouquet:allocfree pinned dynamically by TestPriceAllocFree
+// Allocation-freedom is pinned by TestPriceAllocFree.
 func (c *Coster) Price(root *plan.Node, sels Selectivities) Summary {
 	var left, right Summary
 	if root.Left != nil {
@@ -232,9 +231,8 @@ func (c *Coster) Price(root *plan.Node, sels Selectivities) Summary {
 // the optimizer's DP runs on: child summaries come from the memo, so a
 // candidate join is priced without re-walking its subtree. Zero-value
 // summaries stand in for absent children. Panics if n's operator is not
-// priced by the model.
-//
-//bouquet:allocfree pinned dynamically by TestPriceStepAllocFree
+// priced by the model. Allocation-freedom is pinned by
+// TestPriceStepAllocFree.
 func (c *Coster) PriceStep(n *plan.Node, left, right Summary, sels Selectivities) Summary {
 	self, rows, width := c.priceOne(n, left, right, sels)
 	return Summary{Rows: rows, Width: width, Cost: self + left.Cost + right.Cost}
@@ -256,9 +254,8 @@ type OpSpec struct {
 // nodes only for winners. It ignores the coster's perturbation (which
 // keys on node fingerprints); callers must check Perturbed first and fall
 // back to PriceStep on a real node. Panics if spec's operator is not
-// priced by the model.
-//
-//bouquet:allocfree pinned dynamically by TestPriceSpecAllocFree
+// priced by the model. Allocation-freedom is pinned by
+// TestPriceSpecAllocFree.
 func (c *Coster) PriceSpec(spec OpSpec, left, right Summary, sels Selectivities) Summary {
 	self, rows, width := c.priceSpec(spec.Op, spec.Relation, spec.IndexColumn, spec.Preds, left, right, sels)
 	return Summary{Rows: rows, Width: width, Cost: self + left.Cost + right.Cost}
@@ -321,7 +318,9 @@ func (c *Coster) pagesFor(rows, width float64) float64 {
 func (c *Coster) priceOne(n *plan.Node, left, right Summary, sels Selectivities) (self Cost, outRows Card, outWidth float64) {
 	self, outRows, outWidth = c.priceSpec(n.Op, n.Relation, n.IndexColumn, n.Preds, left, right, sels)
 	if c.perturb != nil {
-		//bouquet:allow allocbound: perturbation is an opt-in diagnostic mode (WithPerturbation); the steady-state coster has perturb == nil and TestPriceAllocFree pins that path
+		// Perturbation is an opt-in diagnostic mode (WithPerturbation) and
+		// may allocate; the steady-state coster has perturb == nil, the
+		// path TestPriceAllocFree pins.
 		self = self.Scale(Ratio(c.perturb(n)))
 	}
 	return self, outRows, outWidth

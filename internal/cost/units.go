@@ -52,23 +52,3 @@ func (c Cost) Scale(r Ratio) Cost { return Cost(float64(c) * float64(r)) }
 // Over divides two costs, yielding the dimensionless ratio between them
 // (the MSO bound's shape: spend over oracle cost).
 func (c Cost) Over(d Cost) Ratio { return Ratio(float64(c) / float64(d)) }
-
-// ToSels converts a bare []float64 selectivity vector into a typed
-// assignment. It is the bridge for numeric code (grids, decoders) that
-// produces selectivities as plain floats.
-func ToSels(fs []float64) Selectivities {
-	out := make(Selectivities, len(fs))
-	for i, f := range fs {
-		out[i] = Sel(f)
-	}
-	return out
-}
-
-// Floats unwraps the assignment to a bare []float64 (a fresh slice).
-func (s Selectivities) Floats() []float64 {
-	out := make([]float64, len(s))
-	for i, v := range s {
-		out[i] = float64(v)
-	}
-	return out
-}

@@ -51,14 +51,6 @@ type Table struct {
 // NumRows returns the row count.
 func (t *Table) NumRows() int { return t.n }
 
-// ColIndex returns the positional index of the named column, or -1.
-func (t *Table) ColIndex(name string) int {
-	if i, ok := t.colIdx[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Value returns the value of column col at row r. Panics on an unknown
 // column.
 func (t *Table) Value(r int, col string) int64 {
@@ -263,31 +255,6 @@ func (db *Database) SelectionBound(relName, col string, target float64) (bound i
 		bound = 1
 	}
 	realized = float64(t.CountLess(col, bound)) / float64(t.NumRows())
-	return bound, realized
-}
-
-// NegatedSelectionBound returns the constant c such that "col ≥ c" passes
-// a fraction of rows as close as possible to target, with the exactly
-// realized fraction. Panics on an unknown relation or column.
-func (db *Database) NegatedSelectionBound(relName, col string, target float64) (bound int64, realized float64) {
-	t := db.Table(relName)
-	c := t.Rel.Column(col)
-	if c == nil {
-		panic(fmt.Sprintf("data: no column %s.%s", relName, col))
-	}
-	domain := c.DistinctCount
-	if domain < 1 {
-		domain = 1
-	}
-	bound = int64((1 - target) * float64(domain))
-	if bound >= domain {
-		bound = domain - 1
-	}
-	if bound < 0 {
-		bound = 0
-	}
-	passing := int64(t.NumRows()) - t.CountLess(col, bound)
-	realized = float64(passing) / float64(t.NumRows())
 	return bound, realized
 }
 

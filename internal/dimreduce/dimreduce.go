@@ -7,10 +7,10 @@
 //
 // Sensitivities measures, per error dimension, the worst multiplicative
 // cost swing any low-resolution POSP plan exhibits along that dimension;
-// Apply rebuilds the query with the insensitive dimensions demoted to
-// error-free predicates pinned at their upper bounds (conservative under
-// PCM: pinning high can only overestimate costs, never break the
-// completion guarantee).
+// Partition splits the dimensions into those worth keeping and those a
+// user may demote to error-free predicates pinned at their upper bounds
+// (conservative under PCM: pinning high can only overestimate costs, never
+// break the completion guarantee).
 package dimreduce
 
 import (
@@ -19,7 +19,6 @@ import (
 	"repro/internal/ess"
 	"repro/internal/optimizer"
 	"repro/internal/posp"
-	"repro/internal/query"
 )
 
 // Sensitivity is the cost impact of one ESS dimension.
@@ -98,65 +97,4 @@ func Partition(sens []Sensitivity, threshold float64) (keep, drop []int) {
 		}
 	}
 	return keep, drop
-}
-
-// Apply rebuilds the query with the dropped dimensions demoted to
-// error-free predicates whose default selectivity is pinned at the
-// dimension's upper bound (the conservative choice under PCM). The
-// surviving dimensions keep their bounds in a freshly built space.
-func Apply(space *ess.Space, drop []int) (*query.Query, *ess.Space, error) {
-	q := space.Query()
-	dropSet := make(map[int]bool, len(drop)) // predicate IDs to demote
-	pin := make(map[int]float64, len(drop))
-	for _, d := range drop {
-		if d < 0 || d >= space.Dims() {
-			return nil, nil, fmt.Errorf("dimreduce: dimension %d out of range", d)
-		}
-		dim := space.Dim(d)
-		dropSet[dim.PredID] = true
-		pin[dim.PredID] = dim.Hi
-	}
-	if len(drop) >= space.Dims() {
-		return nil, nil, fmt.Errorf("dimreduce: cannot drop all %d dimensions", space.Dims())
-	}
-
-	b := query.NewBuilder(q.Name+"_reduced", q.Catalog)
-	for _, r := range q.Relations() {
-		b.Relation(r)
-	}
-	for _, p := range q.Predicates() {
-		errProne := p.ErrorProne && !dropSet[p.ID]
-		sel := p.DefaultSel
-		if dropSet[p.ID] {
-			sel = pin[p.ID]
-		}
-		switch {
-		case p.Kind == query.Selection && p.Negated:
-			b.NegatedSelectionPred(p.Left.Relation, p.Left.Column, sel, errProne)
-		case p.Kind == query.Selection:
-			b.SelectionPred(p.Left.Relation, p.Left.Column, sel, errProne)
-		default:
-			b.JoinPred(p.Left.Relation, p.Left.Column, p.Right.Relation, p.Right.Column, sel, errProne)
-		}
-	}
-	reduced, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var dims []ess.Dim
-	for d := 0; d < space.Dims(); d++ {
-		dim := space.Dim(d)
-		if dropSet[dim.PredID] {
-			continue
-		}
-		// Predicate IDs are positional and preserved by the rebuild
-		// (same declaration order), so the dim carries over directly.
-		dims = append(dims, dim)
-	}
-	rspace, err := ess.NewSpaceWithDims(reduced, dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	return reduced, rspace, nil
 }

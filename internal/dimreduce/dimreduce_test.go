@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/ess"
 	"repro/internal/optimizer"
@@ -73,80 +72,6 @@ func TestPartition(t *testing.T) {
 	}
 	if len(drop) != 1 || drop[0] != 0 {
 		t.Fatalf("drop = %v", drop)
-	}
-}
-
-func TestApplyReducesDimensionality(t *testing.T) {
-	opt, space := fixture(t)
-	sens, err := Sensitivities(opt, space, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, drop := Partition(sens, 1.0)
-	if len(drop) == 0 {
-		t.Skip("nothing to drop at this threshold")
-	}
-	reduced, rspace, err := Apply(space, drop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reduced.Dims() != space.Dims()-len(drop) {
-		t.Fatalf("reduced query has %d dims", reduced.Dims())
-	}
-	if rspace.Dims() != reduced.Dims() {
-		t.Fatalf("reduced space has %d dims", rspace.Dims())
-	}
-	// The demoted predicate is pinned at its conservative upper bound.
-	for _, d := range drop {
-		pid := space.Dim(d).PredID
-		if got := reduced.Predicate(pid).DefaultSel; got != space.Dim(d).Hi {
-			t.Fatalf("dropped pred %d pinned at %g, want Hi %g", pid, got, space.Dim(d).Hi)
-		}
-		if reduced.Predicate(pid).ErrorProne {
-			t.Fatalf("dropped pred %d still error-prone", pid)
-		}
-	}
-}
-
-func TestReducedBouquetStillWorks(t *testing.T) {
-	// End-to-end: compile a bouquet on the reduced space and verify its
-	// guarantee holds against the reduced query's own oracle.
-	opt, space := fixture(t)
-	sens, err := Sensitivities(opt, space, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, drop := Partition(sens, 1.0)
-	if len(drop) == 0 {
-		t.Skip("nothing to drop")
-	}
-	reduced, rspace, err := Apply(space, drop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ropt := optimizer.New(cost.NewCoster(reduced, cost.Postgres()))
-	b, err := core.Compile(ropt, rspace, core.CompileOptions{Lambda: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := 0; f < rspace.NumPoints(); f++ {
-		e := b.RunBasic(rspace.PointAt(f))
-		if !e.Completed {
-			t.Fatalf("reduced bouquet failed at %d", f)
-		}
-		if e.SubOpt() > b.BoundMSO().F()*(1+1e-9) {
-			t.Fatalf("reduced bouquet SubOpt %g exceeds bound %g", e.SubOpt(), b.BoundMSO())
-		}
-	}
-}
-
-func TestApplyErrors(t *testing.T) {
-	_, space := fixture(t)
-	if _, _, err := Apply(space, []int{0, 1, 2}); err == nil {
-		t.Error("dropping all dims should fail")
-	}
-	if _, _, err := Apply(space, []int{9}); err == nil {
-		t.Error("out-of-range dim should fail")
 	}
 }
 

@@ -52,17 +52,6 @@ func (p Point) String() string {
 	return s + ")"
 }
 
-// DominatedBy reports whether p ≤ q component-wise (p is inside q's third
-// quadrant, or equal). Under PCM, cost at p ≤ cost at q for every plan.
-func (p Point) DominatedBy(q Point) bool {
-	for i := range p {
-		if p[i] > q[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Space is a discretized ESS grid.
 type Space struct {
 	q    *query.Query

@@ -2,11 +2,10 @@ package exec
 
 import "testing"
 
-// The vectorized engine's per-batch kernels carry //bouquet:allocfree
-// directives: after one warm-up batch sizes the per-worker scratch
+// The vectorized engine's per-batch kernels promise an allocation-free
+// warm path: after one warm-up batch sizes the per-worker scratch
 // buffers, every subsequent batch must run without touching the heap.
-// These tests are the dynamic half of that contract — the static half
-// is the allocbound analyzer walking the same functions.
+// These tests are that contract.
 
 func TestFilterBatchAllocFree(t *testing.T) {
 	const n = 1024

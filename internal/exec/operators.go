@@ -1102,7 +1102,9 @@ func pageBreaks(lo, hi, rpp int) int {
 // vector with the surviving rows. cols[sp.off] is the column vector the
 // batch rows index into with base+i.
 //
-//bouquet:allocfree pinned dynamically by TestFilterBatchAllocFree
+// The warm path allocates nothing (pinned by TestFilterBatchAllocFree):
+// the slot's selection vector is made once and refilled, at most batch
+// size, by every later batch.
 func filterBatch(st *NodeStats, ws *wslot, preds []scanPred, cols [][]int64, base, nrows int) []int32 {
 	fail := ws.failbuf(nrows)
 	for _, sp := range preds {
@@ -1120,12 +1122,12 @@ func filterBatch(st *NodeStats, ws *wslot, preds []scanPred, cols [][]int64, bas
 	if ws.sel == nil {
 		// A nil selection vector means "all rows live", so the empty
 		// result of an all-fail batch must still be non-nil.
-		ws.sel = make([]int32, 0, nrows) //bouquet:allow allocbound: one-time slot initialization; every later batch reuses the buffer
+		ws.sel = make([]int32, 0, nrows)
 	}
 	sel := ws.sel[:0]
 	for i := 0; i < nrows; i++ {
 		if !fail[i] {
-			sel = append(sel, int32(i)) //bouquet:allow allocbound: refills a reused per-worker buffer capped at batch size; warm path pinned by TestFilterBatchAllocFree
+			sel = append(sel, int32(i))
 		}
 	}
 	ws.sel = sel
@@ -1377,7 +1379,9 @@ func (t *joinTable) lookup(k int64) int32 {
 // construction so this loop stays branch-light and the caller's column
 // copies become sequential gathers.
 //
-//bouquet:allocfree pinned dynamically by TestGatherAllocFree
+// The warm path allocates nothing (pinned by TestGatherAllocFree): lidx
+// and ridx are reused per-worker scratch whose capacity amortizes to the
+// match high-water mark.
 func (t *joinTable) gather(b *vbatch, keyCol []int64, resid []joinKey, mat [][]int64, lidx, ridx []int32) ([]int32, []int32, int) {
 	nl := b.live()
 	residCmps := 0
@@ -1385,8 +1389,8 @@ func (t *joinTable) gather(b *vbatch, keyCol []int64, resid []joinKey, mat [][]i
 		for k := 0; k < nl; k++ {
 			ri := b.row(k)
 			for mi := t.lookup(keyCol[ri]); mi >= 0; mi = t.next[mi] {
-				lidx = append(lidx, ri) //bouquet:allow allocbound: refills reused per-worker scratch whose capacity amortizes to the match high-water mark; warm path pinned by TestGatherAllocFree
-				ridx = append(ridx, mi) //bouquet:allow allocbound: same reused scratch as lidx
+				lidx = append(lidx, ri)
+				ridx = append(ridx, mi)
 			}
 		}
 		return lidx, ridx, residCmps
@@ -1403,8 +1407,8 @@ func (t *joinTable) gather(b *vbatch, keyCol []int64, resid []joinKey, mat [][]i
 				}
 			}
 			if ok {
-				lidx = append(lidx, ri) //bouquet:allow allocbound: refills reused per-worker scratch whose capacity amortizes to the match high-water mark; warm path pinned by TestGatherAllocFree
-				ridx = append(ridx, mi) //bouquet:allow allocbound: same reused scratch as lidx
+				lidx = append(lidx, ri)
+				ridx = append(ridx, mi)
 			}
 		}
 	}

@@ -161,10 +161,11 @@ type wslot struct {
 	idxb []int32
 }
 
-// failbuf returns the slot's per-row failure bitmap, zeroed, sized n.
+// failbuf returns the slot's per-row failure bitmap, zeroed, sized n. The
+// bitmap grows to batch capacity once per worker and is reused after.
 func (ws *wslot) failbuf(n int) []bool {
 	if cap(ws.fail) < n {
-		ws.fail = make([]bool, n) //bouquet:allow allocbound: cold growth path; the bitmap reaches batch capacity once per worker and is reused after
+		ws.fail = make([]bool, n)
 	} else {
 		ws.fail = ws.fail[:n]
 		clear(ws.fail)
@@ -174,11 +175,12 @@ func (ws *wslot) failbuf(n int) []bool {
 
 func (w *vecWorker) st(i int) *NodeStats { return &w.stats[i] }
 
-// pass bumps a predicate's pass counter, creating the map lazily (worker
-// stats start without maps so untouched nodes cost nothing to merge).
+// pass bumps a predicate's pass counter, creating the map lazily, once per
+// (worker, node): worker stats start without maps so untouched nodes cost
+// nothing to merge.
 func (s *NodeStats) pass(id int, n int64) {
 	if s.PassBy == nil {
-		s.PassBy = make(map[int]int64) //bouquet:allow allocbound: one-time lazy map per (worker, node); untouched nodes cost nothing to merge
+		s.PassBy = make(map[int]int64)
 	}
 	s.PassBy[id] += n
 }

@@ -75,16 +75,6 @@ func (o Op) String() string {
 	}
 }
 
-// IsJoin reports whether the operator combines two inputs.
-func (o Op) IsJoin() bool {
-	return o == OpIndexNLJoin || o == OpHashJoin || o == OpMergeJoin || o == OpAntiJoin
-}
-
-// IsScan reports whether the operator reads a base relation.
-func (o Op) IsScan() bool {
-	return o == OpSeqScan || o == OpIndexScan
-}
-
 // Node is one operator of a physical plan tree.
 type Node struct {
 	// Op is the physical operator.
@@ -194,23 +184,6 @@ func (n *Node) visit(f func(*Node)) {
 
 // Walk calls f on every node in pre-order.
 func (n *Node) Walk(f func(*Node)) { n.visit(f) }
-
-// AllPreds returns the union of predicate IDs applied anywhere in the
-// subtree, ascending.
-func (n *Node) AllPreds() []int {
-	set := make(map[int]bool)
-	n.visit(func(m *Node) {
-		for _, p := range m.Preds {
-			set[p] = true
-		}
-	})
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // NumNodes returns the operator count of the subtree.
 func (n *Node) NumNodes() int {

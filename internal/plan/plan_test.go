@@ -42,19 +42,6 @@ func TestRelations(t *testing.T) {
 	}
 }
 
-func TestAllPreds(t *testing.T) {
-	got := samplePlan().AllPreds()
-	want := []int{0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("AllPreds = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AllPreds = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestNumNodes(t *testing.T) {
 	if got := samplePlan().NumNodes(); got != 4 {
 		t.Fatalf("NumNodes = %d, want 4", got)
@@ -159,18 +146,6 @@ func TestValidateRejections(t *testing.T) {
 }
 
 func TestOpPredicatesAndString(t *testing.T) {
-	joins := []Op{OpIndexNLJoin, OpHashJoin, OpMergeJoin}
-	for _, op := range joins {
-		if !op.IsJoin() || op.IsScan() {
-			t.Errorf("%v misclassified", op)
-		}
-	}
-	scans := []Op{OpSeqScan, OpIndexScan}
-	for _, op := range scans {
-		if op.IsJoin() || !op.IsScan() {
-			t.Errorf("%v misclassified", op)
-		}
-	}
 	want := map[Op]string{OpSeqScan: "SeqScan", OpIndexScan: "IdxScan", OpIndexNLJoin: "NL", OpHashJoin: "HJ", OpMergeJoin: "MJ"}
 	for op, s := range want {
 		if op.String() != s {
@@ -251,9 +226,6 @@ func TestAggregateNode(t *testing.T) {
 	if err := agg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if agg.Op.IsJoin() || agg.Op.IsScan() {
-		t.Error("AGG misclassified")
-	}
 	if agg.Op.String() != "AGG" {
 		t.Errorf("AGG renders as %s", agg.Op)
 	}
@@ -274,25 +246,5 @@ func TestAggregateNode(t *testing.T) {
 	}
 	if back.Fingerprint() != agg.Fingerprint() {
 		t.Fatal("AGG lost in round trip")
-	}
-}
-
-func TestDOT(t *testing.T) {
-	out := samplePlan().DOT("sample")
-	for _, want := range []string{
-		"digraph \"sample\"",
-		"HJ", "NL\\nb.b_a", "IdxScan\\na.a_v", "SeqScan\\nc",
-		"n0 -> n1;", "preds [2]",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q in:\n%s", want, out)
-		}
-	}
-	// Edge count = node count - 1 for a tree.
-	if got := strings.Count(out, "->"); got != samplePlan().NumNodes()-1 {
-		t.Errorf("DOT has %d edges", got)
-	}
-	if !strings.HasSuffix(out, "}\n") {
-		t.Error("DOT not terminated")
 	}
 }

@@ -126,17 +126,6 @@ func (d *Diagram) CostBounds() (cmin, cmax cost.Cost) {
 	return cmin, cmax
 }
 
-// RegionOf returns the flat indices whose optimal plan is id.
-func (d *Diagram) RegionOf(id int) []int {
-	var out []int
-	for flat, pid := range d.planID {
-		if pid == id {
-			out = append(out, flat)
-		}
-	}
-	return out
-}
-
 // Generate exhaustively optimizes every grid location of space with opt,
 // using up to workers goroutines (0 means GOMAXPROCS). Plan numbering is
 // deterministic: IDs are assigned by first appearance in flat-index order.

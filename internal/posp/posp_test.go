@@ -53,9 +53,6 @@ func TestDiagramBasics(t *testing.T) {
 	if d.NumPlans() != 2 {
 		t.Fatalf("NumPlans = %d", d.NumPlans())
 	}
-	if got := d.RegionOf(id1); len(got) != 2 {
-		t.Fatalf("RegionOf = %v", got)
-	}
 	cmin, cmax := d.CostBounds()
 	if cmin != 10 || cmax != 12 {
 		t.Fatalf("bounds = %g, %g", cmin, cmax)

@@ -2,10 +2,9 @@ package query
 
 import "testing"
 
-// TestPredicateAllocFree pins the dynamic half of the allocbound
-// analyzer's trust: Query.Predicate is on the cost kernel's
-// //bouquet:allocfree allowlist (internal/analysis/allocbound), so its
-// allocation-freedom must hold empirically.
+// TestPredicateAllocFree pins Query.Predicate, which the allocation-free
+// cost kernel (cost.Price, PriceStep, PriceSpec) calls per operator: it
+// must not allocate.
 func TestPredicateAllocFree(t *testing.T) {
 	q := chainQuery(t)
 	if got := testing.AllocsPerRun(100, func() { q.Predicate(0) }); got > 0 {

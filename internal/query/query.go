@@ -10,7 +10,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/catalog"
@@ -441,33 +440,6 @@ func (q *Query) DimOf(predID int) int {
 	return -1
 }
 
-// SelectionsOn returns the IDs of selection predicates on relation rel.
-func (q *Query) SelectionsOn(rel string) []int {
-	var out []int
-	for _, p := range q.predicates {
-		if p.Kind == Selection && p.Left.Relation == rel {
-			out = append(out, p.ID)
-		}
-	}
-	return out
-}
-
-// JoinsBetween returns IDs of join predicates connecting a relation in left
-// with a relation in right.
-func (q *Query) JoinsBetween(left, right map[string]bool) []int {
-	var out []int
-	for _, p := range q.predicates {
-		if p.Kind != Join {
-			continue
-		}
-		if (left[p.Left.Relation] && right[p.Right.Relation]) ||
-			(left[p.Right.Relation] && right[p.Left.Relation]) {
-			out = append(out, p.ID)
-		}
-	}
-	return out
-}
-
 // JoinGraphShape classifies the query's join-graph geometry, matching the
 // paper's Table 2 nomenclature (chain, star, branch, cycle).
 func (q *Query) JoinGraphShape() string {
@@ -554,15 +526,4 @@ func MaxLegalSel(cat *catalog.Catalog, p Predicate) float64 {
 		minCard = rcard
 	}
 	return 1.0 / float64(minCard)
-}
-
-// SortedErrorPredicates returns the error-prone predicates in ESS dimension
-// order, convenient for reporting.
-func (q *Query) SortedErrorPredicates() []Predicate {
-	out := make([]Predicate, 0, len(q.errorDims))
-	for _, id := range q.errorDims {
-		out = append(out, q.predicates[id])
-	}
-	sort.Slice(out, func(i, j int) bool { return q.DimOf(out[i].ID) < q.DimOf(out[j].ID) })
-	return out
 }

@@ -118,28 +118,6 @@ func TestErrorDimsOrder(t *testing.T) {
 	}
 }
 
-func TestSelectionsOnAndJoinsBetween(t *testing.T) {
-	q := chainQuery(t)
-	if got := q.SelectionsOn("a"); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("SelectionsOn(a) = %v", got)
-	}
-	if got := q.SelectionsOn("b"); got != nil {
-		t.Fatalf("SelectionsOn(b) = %v, want none", got)
-	}
-	joins := q.JoinsBetween(map[string]bool{"a": true}, map[string]bool{"b": true})
-	if len(joins) != 1 || joins[0] != 1 {
-		t.Fatalf("JoinsBetween(a,b) = %v", joins)
-	}
-	// Orientation-insensitive.
-	joins = q.JoinsBetween(map[string]bool{"b": true}, map[string]bool{"a": true})
-	if len(joins) != 1 {
-		t.Fatalf("JoinsBetween(b,a) = %v", joins)
-	}
-	if got := q.JoinsBetween(map[string]bool{"a": true}, map[string]bool{"c": true}); got != nil {
-		t.Fatalf("JoinsBetween(a,c) = %v, want none", got)
-	}
-}
-
 func TestJoinGraphShapes(t *testing.T) {
 	cat := testCatalog()
 	chain := chainQuery(t)
@@ -228,14 +206,6 @@ func TestPredicateString(t *testing.T) {
 	}
 	if got := q.Predicate(1).String(); !strings.Contains(got, "?") {
 		t.Errorf("error-prone predicate missing '?': %s", got)
-	}
-}
-
-func TestSortedErrorPredicates(t *testing.T) {
-	q := chainQuery(t)
-	preds := q.SortedErrorPredicates()
-	if len(preds) != 2 || preds[0].ID != 0 || preds[1].ID != 1 {
-		t.Fatalf("SortedErrorPredicates = %v", preds)
 	}
 }
 

@@ -27,9 +27,6 @@ type Options struct {
 	SkipOptimized bool
 }
 
-// DefaultOptions returns the paper's evaluation configuration.
-func DefaultOptions() Options { return Options{Lambda: anorexic.DefaultLambda} }
-
 // Eval is the complete evaluation of one workload: everything Figures
 // 14–18 and Tables 1–2 need.
 type Eval struct {

@@ -35,10 +35,6 @@ type Replacement struct {
 // Cardinality returns the retained plan count.
 func (r Replacement) Cardinality() int { return len(r.Retained) }
 
-// PlanFor returns the plan SEER executes when the optimizer's estimate
-// selects original plan pid.
-func (r Replacement) PlanFor(pid int) int { return r.Map[pid] }
-
 // Reduce computes a SEER replacement for a fully covered diagram.
 // planCost is posp.CostMatrix(d, …).
 //

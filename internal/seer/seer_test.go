@@ -49,13 +49,13 @@ func TestReduceSafety(t *testing.T) {
 		retained[pid] = true
 	}
 	for pid := range rep.Map {
-		if !retained[rep.PlanFor(pid)] {
-			t.Fatalf("plan %d maps to non-retained %d", pid, rep.PlanFor(pid))
+		if !retained[rep.Map[pid]] {
+			t.Fatalf("plan %d maps to non-retained %d", pid, rep.Map[pid])
 		}
 	}
 	// Retained plans map to themselves.
 	for _, pid := range rep.Retained {
-		if rep.PlanFor(pid) != pid {
+		if rep.Map[pid] != pid {
 			t.Fatalf("retained plan %d mapped away", pid)
 		}
 	}

@@ -231,9 +231,7 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // Record appends one span: a single atomic claims the next slot, the
 // span is copied in, and its Seq is the claim order. When the ring is
 // full the oldest span is overwritten. Safe for concurrent use; no-op
-// on a nil Recorder.
-//
-//bouquet:allocfree pinned dynamically by TestRecordAllocFree
+// on a nil Recorder. Allocation-freedom is pinned by TestRecordAllocFree.
 func (r *Recorder) Record(s Span) {
 	if r == nil {
 		return
