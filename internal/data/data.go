@@ -9,9 +9,10 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/catalog"
 )
@@ -35,17 +36,23 @@ type Spec struct {
 	Skew map[string]float64
 }
 
-// Table is a columnar table with lazily built secondary structures.
+// Table is a columnar table with a lazily built Index per column.
+//
+// Concurrency: the column vectors are immutable once generated. Index
+// builds its column's index on first use and caches it in an unguarded
+// map, so the executor calls it only on the goroutine composing a run —
+// before any morsel worker of that run starts — and the built Index is
+// read-only afterwards. Runs that could compose concurrently on one table
+// must be serialized by the caller (the server holds one mutex per
+// engine).
 type Table struct {
 	// Rel is the catalog relation this table instantiates.
 	Rel *catalog.Relation
 
-	colIdx map[string]int
-	cols   [][]int64
-	n      int
-
-	sorted map[string][]int32           // row ids ordered by column value
-	hashed map[string]map[int64][]int32 // value -> row ids
+	colIdx  map[string]int
+	cols    [][]int64
+	n       int
+	indexes map[string]*Index
 }
 
 // NumRows returns the row count.
@@ -71,36 +78,122 @@ func (t *Table) Column(col string) []int64 {
 	return t.cols[i]
 }
 
-// SortedBy returns row ids ordered ascending by the column's value,
-// building the structure on first use. This is the table's "index" for
-// range scans.
-func (t *Table) SortedBy(col string) []int32 {
-	if ids, ok := t.sorted[col]; ok {
-		return ids
+// Index returns the column's index, building it on first use (see Table
+// for the concurrency rule). It serves both range scans (Order) and
+// equality probes (Rows). Panics on an unknown column.
+func (t *Table) Index(col string) *Index {
+	if ix, ok := t.indexes[col]; ok {
+		return ix
 	}
-	vals := t.Column(col)
-	ids := make([]int32, t.n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.SliceStable(ids, func(a, b int) bool { return vals[ids[a]] < vals[ids[b]] })
-	t.sorted[col] = ids
-	return ids
+	ix := newIndex(t.Column(col))
+	t.indexes[col] = ix
+	return ix
 }
 
-// HashOn returns a value→rows map over the column, building it on first
-// use. This is the table's "index" for equality probes.
-func (t *Table) HashOn(col string) map[int64][]int32 {
-	if h, ok := t.hashed[col]; ok {
-		return h
+// Index is a column's secondary index: the row ids ordered by (value, row
+// id), and where each value's run starts in that order. One structure
+// answers both range scans and equality probes in 4 B per row plus 4 B
+// per value slot (12 B on the sparse path, which also keeps the value):
+// 8 B/row on a key column and at most 12 B/row on the dense path (pinned
+// by TestIndexBytesPerRow), where a Go map of row-id slices took ~88.
+//
+// When the column's value span is at most denseSpanPerRow times its row
+// count — every key and foreign-key column the generator makes — the
+// index is built by a counting sort in O(n + span) and a value's run is
+// found by offset (dense path). Otherwise it is built by a comparison sort
+// and the run is found by binary search over the sorted distinct values
+// (sparse path). An Index is immutable once built and safe for concurrent
+// readers.
+type Index struct {
+	order []int32 // row ids ascending by (value, row id)
+	// starts[i] is the offset in order of the i-th value slot's run;
+	// starts[len(starts)-1] == len(order). Dense path: slot i holds value
+	// lo+i. Sparse path: slot i holds vals[i].
+	starts []int32
+	lo     int64
+	vals   []int64 // sorted distinct values; nil on the dense path
+}
+
+// denseSpanPerRow bounds the dense path's value span per row, and with it
+// the starts slice at 2×4 B per row.
+const denseSpanPerRow = 2
+
+func newIndex(vals []int64) *Index {
+	n := len(vals)
+	ix := &Index{order: make([]int32, n)}
+	if n == 0 {
+		ix.starts = []int32{0}
+		return ix
 	}
-	vals := t.Column(col)
-	h := make(map[int64][]int32, t.n)
-	for i, v := range vals {
-		h[v] = append(h[v], int32(i))
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	t.hashed[col] = h
-	return h
+	// Unsigned difference: exact for any lo ≤ hi, including spans that
+	// overflow int64.
+	if span := uint64(hi) - uint64(lo); span < denseSpanPerRow*uint64(n) {
+		// Counting sort. starts[i+1] counts value lo+i; the prefix sum
+		// turns starts[i] into the first offset of value lo+i; scattering
+		// rows in ascending id order (stable) advances each starts[i] to
+		// its run's end, so shifting right by one restores the starts.
+		ix.lo = lo
+		starts := make([]int32, span+2)
+		for _, v := range vals {
+			starts[v-lo+1]++
+		}
+		for i := 1; i < len(starts); i++ {
+			starts[i] += starts[i-1]
+		}
+		for r, v := range vals {
+			s := &starts[v-lo]
+			ix.order[*s] = int32(r)
+			*s++
+		}
+		copy(starts[1:], starts[:len(starts)-1])
+		starts[0] = 0
+		ix.starts = starts
+		return ix
+	}
+	for i := range ix.order {
+		ix.order[i] = int32(i)
+	}
+	slices.SortFunc(ix.order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(vals[a], vals[b]), cmp.Compare(a, b))
+	})
+	for i, r := range ix.order {
+		if v := vals[r]; i == 0 || v != ix.vals[len(ix.vals)-1] {
+			ix.vals = append(ix.vals, v)
+			ix.starts = append(ix.starts, int32(i))
+		}
+	}
+	ix.starts = append(ix.starts, int32(n))
+	return ix
+}
+
+// Order returns every row id ordered ascending by (value, row id) — the
+// index's leaf order, for range scans. Shared; do not mutate.
+func (ix *Index) Order() []int32 { return ix.order }
+
+// Rows returns the ids of the rows holding value v, ascending; empty when
+// no row does. The slice aliases Order (capacity clipped). Rows allocates
+// nothing on either path, pinned by TestIndexRowsAllocFree.
+func (ix *Index) Rows(v int64) []int32 {
+	var i int
+	if ix.vals == nil {
+		// v < lo wraps to a huge unsigned offset, so one compare
+		// rejects both sides of the span.
+		off := uint64(v) - uint64(ix.lo)
+		if off >= uint64(len(ix.starts)-1) {
+			return nil
+		}
+		i = int(off)
+	} else {
+		var ok bool
+		if i, ok = slices.BinarySearch(ix.vals, v); !ok {
+			return nil
+		}
+	}
+	return ix.order[ix.starts[i]:ix.starts[i+1]:ix.starts[i+1]]
 }
 
 // CountLess returns the number of rows with column value < bound.
@@ -165,12 +258,11 @@ func stableHash(s string) uint32 {
 func generateTable(rel *catalog.Relation, spec Spec, rng *rand.Rand) *Table {
 	n := int(rel.Card)
 	t := &Table{
-		Rel:    rel,
-		colIdx: make(map[string]int, len(rel.Columns)),
-		cols:   make([][]int64, len(rel.Columns)),
-		n:      n,
-		sorted: make(map[string][]int32),
-		hashed: make(map[string]map[int64][]int32),
+		Rel:     rel,
+		colIdx:  make(map[string]int, len(rel.Columns)),
+		cols:    make([][]int64, len(rel.Columns)),
+		n:       n,
+		indexes: make(map[string]*Index),
 	}
 	for ci, col := range rel.Columns {
 		t.colIdx[col.Name] = ci
@@ -262,15 +354,15 @@ func (db *Database) SelectionBound(relName, col string, target float64) (bound i
 // lrel.lcol = rrel.rcol: matches / (|L|·|R|).
 func (db *Database) JoinSelectivity(lrel, lcol, rrel, rcol string) float64 {
 	l, r := db.Table(lrel), db.Table(rrel)
-	// Count via the smaller side's hash to bound memory.
+	// Count via the smaller side's index to bound memory.
 	if l.NumRows() > r.NumRows() {
 		l, r = r, l
 		lcol, rcol = rcol, lcol
 	}
-	h := l.HashOn(lcol)
+	ix := l.Index(lcol)
 	var matches int64
 	for _, v := range r.Column(rcol) {
-		matches += int64(len(h[v]))
+		matches += int64(len(ix.Rows(v)))
 	}
 	return float64(matches) / (float64(l.NumRows()) * float64(r.NumRows()))
 }

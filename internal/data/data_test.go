@@ -161,40 +161,42 @@ func TestSelectionBound(t *testing.T) {
 	}
 }
 
-func TestSortedBy(t *testing.T) {
+func TestIndexOrder(t *testing.T) {
 	db := Generate(smallCatalog(), nil, nil, 17)
 	tbl := db.Table("fk")
-	order := tbl.SortedBy("w")
+	ix := tbl.Index("w")
+	order := ix.Order()
 	if len(order) != tbl.NumRows() {
 		t.Fatal("order length mismatch")
 	}
 	vals := tbl.Column("w")
 	for i := 1; i < len(order); i++ {
 		if vals[order[i-1]] > vals[order[i]] {
-			t.Fatal("SortedBy not ascending")
+			t.Fatal("Order not ascending")
 		}
 	}
-	// Cached: same slice on second call.
-	if &order[0] != &tbl.SortedBy("w")[0] {
-		t.Fatal("SortedBy rebuilt instead of cached")
+	// Cached: the same index on the second call.
+	if tbl.Index("w") != ix {
+		t.Fatal("Index rebuilt instead of cached")
 	}
 }
 
-func TestHashOn(t *testing.T) {
+func TestIndexRows(t *testing.T) {
 	db := Generate(smallCatalog(), nil, nil, 19)
 	tbl := db.Table("fk")
-	h := tbl.HashOn("ref")
+	ix := tbl.Index("ref")
 	total := 0
-	for v, rows := range h {
+	for v := int64(-1); v < 200; v++ {
+		rows := ix.Rows(v)
 		for _, r := range rows {
 			if tbl.Value(int(r), "ref") != v {
-				t.Fatal("hash bucket contains wrong row")
+				t.Fatal("Rows returned a row holding another value")
 			}
 		}
 		total += len(rows)
 	}
 	if total != tbl.NumRows() {
-		t.Fatalf("hash covers %d of %d rows", total, tbl.NumRows())
+		t.Fatalf("Rows covers %d of %d rows", total, tbl.NumRows())
 	}
 }
 
@@ -270,9 +272,9 @@ func TestSkewedFKStillJoins(t *testing.T) {
 		t.Fatal("skewed FK join has zero selectivity")
 	}
 	// Hot key 0 should carry far more than the uniform share.
-	h := db.Table("fk").HashOn("ref")
-	if len(h[0]) < 10*len(h[150])+1 {
-		t.Errorf("no hot-key clustering: key0=%d key150=%d", len(h[0]), len(h[150]))
+	ix := db.Table("fk").Index("ref")
+	if hot, cold := len(ix.Rows(0)), len(ix.Rows(150)); hot < 10*cold+1 {
+		t.Errorf("no hot-key clustering: key0=%d key150=%d", hot, cold)
 	}
 }
 
@@ -290,4 +292,20 @@ func BenchmarkJoinSelectivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db.JoinSelectivity("pk", "id", "fk", "ref")
 	}
+}
+
+var benchIndex *Index
+
+// BenchmarkIndex builds the index of a 600k-row foreign-key column
+// (TPC-H-like lineitem.l_orderkey at scale 0.1) from scratch: the dense
+// counting-sort path every generated key and FK column takes.
+func BenchmarkIndex(b *testing.B) {
+	db := Generate(catalog.TPCHLike(0.1), []string{"lineitem"}, nil, 1)
+	vals := db.Table("lineitem").Column("l_orderkey")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchIndex = newIndex(vals)
+	}
+	b.ReportMetric(float64(len(vals))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

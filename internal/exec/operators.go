@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/data"
 	"repro/internal/plan"
 )
 
@@ -169,7 +170,7 @@ func (b *builder) buildIndexScan(n *plan.Node) (iterator, schema, error) {
 	if !found {
 		return nil, nil, errors.New("exec: index scan without a predicate on its index column")
 	}
-	s.order = tbl.SortedBy(n.IndexColumn)
+	s.order = tbl.Index(n.IndexColumn).Order()
 	idx := b.e.q.Catalog.Index(n.Relation, n.IndexColumn)
 	if idx != nil && idx.Clustered {
 		s.perPage = b.e.params.SeqPageCost
@@ -291,7 +292,7 @@ type indexNL struct {
 
 	innerCols func(i int) []int64 // by inner-schema offset
 	innerSch  schema
-	probe     map[int64][]int32
+	probe     *data.Index
 	innerN    int
 
 	keys    []joinKey  // first is the probe key
@@ -334,7 +335,7 @@ func (b *builder) buildIndexNL(n *plan.Node) (iterator, schema, error) {
 		innerCols: func(i int) []int64 {
 			return tbl.Column(innerSch[i].Column)
 		},
-		probe:  tbl.HashOn(n.IndexColumn),
+		probe:  tbl.Index(n.IndexColumn),
 		innerN: tbl.NumRows(),
 		keys:   keys,
 	}
@@ -424,7 +425,7 @@ func (j *indexNL) next() (row, bool, error) {
 			return nil, false, err
 		}
 		j.cur = r
-		j.matches = j.probe[r[j.keys[0].leftOff]]
+		j.matches = j.probe.Rows(r[j.keys[0].leftOff])
 		j.mi = 0
 	}
 }
@@ -1184,9 +1185,9 @@ func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 }
 
 // streamIndexScan is the vectorized index scan: the qualifying range of
-// the sorted order is located once by binary search (the descent charge,
-// as the Volcano open), then morsels over the range gather rows into
-// worker-owned batches.
+// the column index's order is located once by binary search (the descent
+// charge, as the Volcano open), then morsels over the range gather rows
+// into worker-owned batches.
 func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
 	sch := v.vb.relSchema(n.Relation)
@@ -1207,7 +1208,7 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 			resid = append(resid, sp)
 		}
 	}
-	order := tbl.SortedBy(n.IndexColumn)
+	order := tbl.Index(n.IndexColumn).Order()
 	perPage := pr.RandomPageCost
 	if idx := v.e.q.Catalog.Index(n.Relation, n.IndexColumn); idx != nil && idx.Clustered {
 		perPage = pr.SeqPageCost
@@ -1586,8 +1587,10 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 }
 
 // streamIndexNL is the vectorized index nested-loops join: a transform
-// over the outer pipeline probing the inner table's hash index per outer
-// row, with the Volcano engine's descent and per-match charges.
+// over the outer pipeline probing the inner table's column index per outer
+// row, with the Volcano engine's descent and per-match charges. The index
+// is fetched (and built, on first use) here, on the composing goroutine,
+// before any worker runs.
 func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
 	outerSch := v.schemaOf(n.Left)
@@ -1613,7 +1616,7 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 	for c := range innerSch {
 		innerCols[c] = tbl.Column(innerSch[c].Column)
 	}
-	probeMap := tbl.HashOn(n.IndexColumn)
+	probeIdx := tbl.Index(n.IndexColumn)
 	f := v.vb.factor(n)
 	pr := v.e.params
 	perMatch := pr.RandomPageCost
@@ -1639,7 +1642,7 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 			ws.owned(ow, v.batch)
 			for k := 0; k < nl; k++ {
 				ri := b.row(k)
-				for _, mi := range probeMap[b.cols[lkey][ri]] {
+				for _, mi := range probeIdx.Rows(b.cols[lkey][ri]) {
 					ev[cEntry]++
 					ok := true
 					for _, kk := range keys[1:] {

@@ -25,11 +25,13 @@ import (
 // Data generation cost scales with the catalog's scale factor, so
 // concrete runs are intended for servers started at small -sf. Engines
 // are cached per (bouquet, dataSeed) in a small FIFO cache; runs on one
-// engine serialize (the generated tables hold lazily built sort/hash
-// caches that are not safe for concurrent runs).
+// engine serialize (each generated table builds a column's index on the
+// first run that reads it, into a cache that is not safe for concurrent
+// runs; a built index is read-only).
 
-// DefaultEngineCacheSize bounds the concrete-run engine cache (each
-// entry retains a full generated database).
+// DefaultEngineCacheSize bounds the concrete-run engine cache. Each entry
+// retains a generated database: 8 B per row per column, plus 4–16 B per
+// row (8 on a key column) for every column index its runs have built.
 const DefaultEngineCacheSize = 4
 
 // engineEntry pairs a built engine with the mutex serializing runs on it.
