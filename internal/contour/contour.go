@@ -160,15 +160,8 @@ func IdentifySparse(d *posp.Diagram, l Ladder) []Contour {
 // successors.
 func isMaximalAmongCovered(d *posp.Diagram, flat int, budget cost.Cost) bool {
 	space := d.Space()
-	coord := space.Coord(flat)
 	for dim := 0; dim < space.Dims(); dim++ {
-		if coord[dim]+1 >= space.Dim(dim).Res {
-			continue
-		}
-		coord[dim]++
-		succ := space.Flat(coord)
-		coord[dim]--
-		if d.Covered(succ) && d.Cost(succ) <= budget {
+		if succ, ok := successor(space, flat, dim); ok && d.Covered(succ) && d.Cost(succ) <= budget {
 			return false
 		}
 	}
@@ -179,19 +172,19 @@ func isMaximalAmongCovered(d *posp.Diagram, flat int, budget cost.Cost) bool {
 // exceeds budget (or is off-grid).
 func isMaximalWithin(d *posp.Diagram, flat int, budget cost.Cost) bool {
 	space := d.Space()
-	coord := space.Coord(flat)
 	for dim := 0; dim < space.Dims(); dim++ {
-		if coord[dim]+1 >= space.Dim(dim).Res {
-			continue
-		}
-		coord[dim]++
-		succ := space.Flat(coord)
-		coord[dim]--
-		if d.Cost(succ) <= budget {
+		if succ, ok := successor(space, flat, dim); ok && d.Cost(succ) <= budget {
 			return false
 		}
 	}
 	return true
+}
+
+// successor returns flat's neighbour one step up dimension dim, a stride
+// away; ok is false when flat lies on the grid's upper face there.
+func successor(space *ess.Space, flat, dim int) (succ int, ok bool) {
+	stride, res := space.Stride(dim), space.Dim(dim).Res
+	return flat + stride, flat/stride%res+1 < res
 }
 
 func distinctSorted(ids []int) []int {
@@ -247,15 +240,9 @@ func CheckPCM(d *posp.Diagram) error {
 		if !d.Covered(flat) {
 			continue
 		}
-		coord := space.Coord(flat)
 		for dim := 0; dim < space.Dims(); dim++ {
-			if coord[dim]+1 >= space.Dim(dim).Res {
-				continue
-			}
-			coord[dim]++
-			succ := space.Flat(coord)
-			coord[dim]--
-			if d.Covered(succ) && d.Cost(succ) < d.Cost(flat).Scale(1-1e-9) {
+			succ, ok := successor(space, flat, dim)
+			if ok && d.Covered(succ) && d.Cost(succ) < d.Cost(flat).Scale(1-1e-9) {
 				return fmt.Errorf("contour: PCM violated between locations %d (cost %g) and %d (cost %g)",
 					flat, d.Cost(flat), succ, d.Cost(succ))
 			}

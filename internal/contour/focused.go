@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 
+	"repro/internal/cost"
 	"repro/internal/ess"
 	"repro/internal/optimizer"
+	"repro/internal/plan"
 	"repro/internal/posp"
 )
 
@@ -50,8 +52,9 @@ func Focused(opt *optimizer.Optimizer, space *ess.Space, l Ladder) (*posp.Diagra
 //
 // The subdivision runs level by level: every cube of a level has its
 // not-yet-optimized diagonal corners optimized in one batch on up to
-// workers goroutines (0 means GOMAXPROCS), and the small crossed cubes
-// found on the way have their locations batched likewise. The diagram is
+// workers goroutines (0 means GOMAXPROCS); the other locations of the
+// small crossed cubes found on the way, which no decision reads, are
+// optimized after the last level, in flat order. The diagram is
 // then numbered by replaying the subdivision depth-first over the memoized
 // results, so it is the same — coverage, plan IDs, costs, optimizer calls —
 // at every worker count. ctx is checked between batches; on cancellation
@@ -60,62 +63,41 @@ func Focused(opt *optimizer.Optimizer, space *ess.Space, l Ladder) (*posp.Diagra
 // The returned diagram covers (at least) every contour location of the
 // corresponding exhaustive diagram, which tests assert.
 func FocusedContext(ctx context.Context, opt *optimizer.Optimizer, space *ess.Space, l Ladder, workers int) (*posp.Diagram, FocusStats, error) {
+	n := space.NumPoints()
 	g := &focusGen{
 		opt: opt, space: space, ladder: l, workers: workers,
-		memo:   posp.NewDiagram(space),
-		queued: make([]bool, space.NumPoints()),
+		stride: make([]int, space.Dims()),
+		width:  make([]int, space.Dims()),
+		plans:  make([]*plan.Node, n),
+		costs:  make([]cost.Cost, n),
+		state:  make([]locState, n),
+		cubes:  []cube{{lo: 0, hi: n - 1}},
 	}
-	root := cube{lo: make([]int, space.Dims()), hi: make([]int, space.Dims())}
-	for dim := range root.hi {
-		root.hi[dim] = space.Dim(dim).Res - 1
+	for d := range g.stride {
+		g.stride[d] = space.Stride(d)
 	}
-	if err := g.subdivide(ctx, root); err != nil {
+	if err := g.subdivide(ctx); err != nil {
 		return nil, FocusStats{}, err
 	}
 	g.out = posp.NewDiagram(space)
-	g.replay(root)
-	return g.out, FocusStats{OptimizerCalls: g.calls, GridPoints: space.NumPoints()}, nil
+	g.replay(0)
+	return g.out, FocusStats{OptimizerCalls: g.calls, GridPoints: n}, nil
 }
 
-// batchSize bounds how many locations are optimized before their plans are
-// interned. Every result of a batch holds a freshly built plan tree, and
-// interning keeps one per distinct plan, so the trees live at any moment
-// stay a few thousand however wide a level grows.
+// batchSize bounds how many locations are optimized between two polls of
+// the context.
 const batchSize = 4096
 
-// cube is the hypercube [lo, hi] of grid coordinates, corners included.
-type cube struct{ lo, hi []int }
-
-// each calls f at every location of c in odometer order (last dimension
-// fastest). coord is reused between calls.
-func (c cube) each(f func(coord []int)) {
-	coord := append([]int{}, c.lo...)
-	for {
-		f(coord)
-		d := len(coord) - 1
-		for d >= 0 {
-			coord[d]++
-			if coord[d] <= c.hi[d] {
-				break
-			}
-			coord[d] = c.lo[d]
-			d--
-		}
-		if d < 0 {
-			return
-		}
-	}
-}
-
-// halves splits c at the midpoint of dimension dim; the two halves share
-// the mid plane.
-func (c cube) halves(dim int) (cube, cube) {
-	mid := (c.lo[dim] + c.hi[dim]) / 2
-	hiA := append([]int{}, c.hi...)
-	hiA[dim] = mid
-	loB := append([]int{}, c.lo...)
-	loB[dim] = mid
-	return cube{c.lo, hiA}, cube{loB, c.hi}
+// cube is the hypercube spanned by the principal diagonal from location lo
+// to location hi (flat indexes; corners included), and what the
+// subdivision made of it.
+type cube struct {
+	lo, hi int
+	// fill marks a small crossed cube, optimized exhaustively; halves is
+	// the index in focusGen.cubes of the first of the two halves a split
+	// cube became (the second follows it), 0 for a cube not split.
+	fill   bool
+	halves int
 }
 
 type focusGen struct {
@@ -123,29 +105,90 @@ type focusGen struct {
 	space   *ess.Space
 	ladder  Ladder
 	workers int
+	// stride is the space's flat stride per dimension: cubes are sized,
+	// split and walked by flat arithmetic alone.
+	stride []int
+	// width and flats are scratch: a cube's side lengths, a small cube's
+	// locations.
+	width, flats []int
 
-	// memo holds every optimized location; its plan IDs follow batch
-	// order and never leave the generator.
-	memo *posp.Diagram
-	// queued marks the locations in memo or in pending.
-	queued  []bool
+	// plans and costs hold every optimized location's result, by flat
+	// index; state says how far each location has got.
+	plans   []*plan.Node
+	costs   []cost.Cost
+	state   []locState
 	pending []int
 	calls   int
+
+	// cubes is every cube the subdivision visited, a level after another
+	// (the root first), so that replay walks the decisions without
+	// re-deriving them.
+	cubes []cube
 
 	// out is the diagram replay numbers.
 	out *posp.Diagram
 }
 
-// want queues the location for the next flush unless it already was.
-func (g *focusGen) want(coord []int) {
-	flat := g.space.Flat(coord)
-	if !g.queued[flat] {
-		g.queued[flat] = true
+// sides fills g.width with c's side lengths: hi-lo written in the grid's
+// mixed radix, one digit per dimension.
+func (g *focusGen) sides(c cube) {
+	diff := c.hi - c.lo
+	for d, s := range g.stride {
+		g.width[d] = diff / s
+		diff -= g.width[d] * s
+	}
+}
+
+// inner lists the locations of a small cube — one no side of which is
+// more than one step wide — other than its diagonal corners, in flat
+// order (last dimension fastest): lo plus every sum of the strides along
+// which the cube is one step wide, but none and all of them. hi-lo is the
+// sum of all of them, and each stride exceeds the sum of all the smaller
+// ones, so they are read off largest first. The slice is scratch, valid
+// until the next call.
+func (g *focusGen) inner(c cube) []int {
+	steps := g.width[:0]
+	diff := c.hi - c.lo
+	for _, s := range g.stride {
+		if diff >= s {
+			steps = append(steps, s)
+			diff -= s
+		}
+	}
+	out := append(g.flats[:0], c.lo)
+	for i := len(steps) - 1; i >= 0; i-- {
+		for _, f := range out {
+			out = append(out, f+steps[i])
+		}
+	}
+	g.flats = out
+	if len(out) < 2 {
+		return nil // lo is hi
+	}
+	return out[1 : len(out)-1]
+}
+
+// locState is how far a location has got: a corner is optimized with its
+// level, since the next level's decisions read its cost; a small cube's
+// other locations nothing reads before the replay, so they are left to one
+// last batch, in flat order, unless a later cube takes one as a corner.
+type locState uint8
+
+const (
+	unseen   locState = iota
+	deferred          // a small cube's location, for the last batch
+	taken             // optimized, or pending in the next flush
+)
+
+// want queues a corner for the next flush unless it already was.
+func (g *focusGen) want(flat int) {
+	if g.state[flat] != taken {
+		g.state[flat] = taken
 		g.pending = append(g.pending, flat)
 	}
 }
 
-// flush optimizes the pending locations into memo, a batch at a time.
+// flush optimizes the pending locations, a batch at a time.
 func (g *focusGen) flush(ctx context.Context) error {
 	for rest := g.pending; len(rest) > 0; {
 		if err := ctx.Err(); err != nil {
@@ -153,7 +196,7 @@ func (g *focusGen) flush(ctx context.Context) error {
 		}
 		batch := rest[:min(batchSize, len(rest))]
 		for i, res := range posp.OptimizeAll(g.opt, g.space, batch, g.workers) {
-			g.memo.Set(batch[i], res.Plan, res.Cost)
+			g.plans[batch[i]], g.costs[batch[i]] = res.Plan, res.Cost
 		}
 		rest = rest[len(batch):]
 	}
@@ -162,82 +205,106 @@ func (g *focusGen) flush(ctx context.Context) error {
 	return nil
 }
 
-// classify decides what becomes of c from the memoized costs of its
-// diagonal corners: crossed reports whether some IC step lies within them
-// (if none does, c is dropped), and dim is c's longest side wider than one
-// step, or -1 for a small cube, to be optimized exhaustively.
-func (g *focusGen) classify(c cube) (crossed bool, dim int) {
-	cLo, cHi := g.memo.Cost(g.space.Flat(c.lo)), g.memo.Cost(g.space.Flat(c.hi))
+// crossed reports whether some IC step lies within the costs of c's
+// diagonal corners; if none does, c is dropped.
+func (g *focusGen) crossed(c cube) bool {
+	cLo, cHi := g.costs[c.lo], g.costs[c.hi]
 	for _, s := range g.ladder.Steps {
 		if cLo <= s && s <= cHi {
-			crossed = true
-			break
+			return true
 		}
 	}
-	if !crossed {
-		return false, -1
-	}
-	dim, width := -1, 1
-	for i := range c.lo {
-		if w := c.hi[i] - c.lo[i]; w > width {
-			dim, width = i, w
-		}
-	}
-	return true, dim
+	return false
 }
 
-// subdivide optimizes, level by level, everything the subdivision of root
-// visits.
-func (g *focusGen) subdivide(ctx context.Context, root cube) error {
-	level, next := []cube{root}, []cube(nil)
-	for len(level) > 0 {
-		for _, c := range level {
+// split returns c's longest side wider than one step, or -1 for a small
+// cube, to be optimized exhaustively.
+func (g *focusGen) split(c cube) int {
+	g.sides(c)
+	dim, width := -1, 1
+	for d, w := range g.width {
+		if w > width {
+			dim, width = d, w
+		}
+	}
+	return dim
+}
+
+// halve appends the halves of c at the midpoint of dimension dim, which
+// share the mid plane; it returns the index of the first.
+func (g *focusGen) halve(c cube, dim int) int {
+	g.sides(c)
+	w, s := g.width[dim], g.stride[dim]
+	g.cubes = append(g.cubes, cube{lo: c.lo, hi: c.hi - (w-w/2)*s}, cube{lo: c.lo + w/2*s, hi: c.hi})
+	return len(g.cubes) - 2
+}
+
+// subdivide optimizes, level by level, the corners of every cube the
+// subdivision of the root cube visits, recording each cube's fate in
+// g.cubes, and then the small cubes' other locations.
+func (g *focusGen) subdivide(ctx context.Context) error {
+	for start := 0; start < len(g.cubes); {
+		end := len(g.cubes)
+		for _, c := range g.cubes[start:end] {
 			g.want(c.lo)
 			g.want(c.hi)
 		}
 		if err := g.flush(ctx); err != nil {
 			return err
 		}
-		next = next[:0]
-		for _, c := range level {
-			switch crossed, dim := g.classify(c); {
-			case !crossed:
-			case dim < 0:
-				c.each(g.want) // optimized with the next level's corners
-			default:
-				a, b := c.halves(dim)
-				next = append(next, a, b)
+		for i := start; i < end; i++ {
+			c := g.cubes[i]
+			if !g.crossed(c) {
+				continue
+			}
+			if dim := g.split(c); dim >= 0 {
+				h := g.halve(c, dim) // appends: index g.cubes afresh
+				g.cubes[i].halves = h
+			} else {
+				g.cubes[i].fill = true
+				for _, f := range g.inner(c) {
+					if g.state[f] == unseen {
+						g.state[f] = deferred
+					}
+				}
 			}
 		}
-		level, next = next, level
+		start = end
+	}
+	for f, st := range g.state {
+		if st == deferred {
+			g.state[f] = taken
+			g.pending = append(g.pending, f)
+		}
 	}
 	return g.flush(ctx)
 }
 
-// replay copies memo into out in the order a depth-first subdivision visits
-// locations: a cube's lo corner, its hi corner, then its fill or its lower
-// and upper half. Diagram plan IDs are assigned by first appearance, and
-// contour identification and the anorexic reduction break ties towards the
-// lowest ID, so this order — the serial generator's — is what makes the
-// bouquet independent of how the optimizations were batched.
-func (g *focusGen) replay(c cube) {
+// replay numbers the optimized locations into out in the order a
+// depth-first subdivision visits them: a cube's lo corner, its hi corner,
+// then its fill or its lower and upper half. Diagram plan IDs are assigned
+// by first appearance, and contour identification and the anorexic
+// reduction break ties towards the lowest ID, so this order — the serial
+// generator's — is what makes the bouquet independent of how the
+// optimizations were batched.
+func (g *focusGen) replay(i int) {
+	c := g.cubes[i]
 	g.visit(c.lo)
 	g.visit(c.hi)
-	switch crossed, dim := g.classify(c); {
-	case !crossed:
-	case dim < 0:
-		c.each(g.visit)
-	default:
-		a, b := c.halves(dim)
-		g.replay(a)
-		g.replay(b)
+	switch {
+	case c.fill:
+		for _, f := range g.inner(c) {
+			g.visit(f)
+		}
+	case c.halves > 0:
+		g.replay(c.halves)
+		g.replay(c.halves + 1)
 	}
 }
 
 // visit numbers the location in out on its first visit.
-func (g *focusGen) visit(coord []int) {
-	flat := g.space.Flat(coord)
+func (g *focusGen) visit(flat int) {
 	if !g.out.Covered(flat) {
-		g.out.Set(flat, g.memo.Plan(g.memo.PlanID(flat)), g.memo.Cost(flat))
+		g.out.Set(flat, g.plans[flat], g.costs[flat])
 	}
 }

@@ -64,9 +64,9 @@ type CompileOptions struct {
 	Focused bool
 	// Ctx, when non-nil, bounds the compilation: cancellation is checked
 	// cooperatively between the major compile stages, between the batches
-	// of focused generation and between contour steps, and Compile returns
-	// ctx.Err() on expiry. A nil Ctx compiles to completion (the library
-	// default).
+	// of POSP generation, exhaustive or focused, and between contour
+	// steps, and Compile returns ctx.Err() on expiry. A nil Ctx compiles
+	// to completion (the library default).
 	Ctx context.Context
 	// Trace, when non-nil, receives one compile span when identification
 	// finishes: its Contour field carries the contour count, Rows the
@@ -152,8 +152,8 @@ func (b *Bouquet) execCost(p *plan.Node, sels cost.Selectivities) cost.Cost {
 
 // Compile identifies the plan bouquet for opt's query over space. When
 // opts.Ctx carries a deadline, compilation is abandoned cooperatively (and
-// ctx's error returned) at the next stage boundary, focused-generation
-// batch or contour step.
+// ctx's error returned) at the next stage boundary, generation batch or
+// contour step.
 func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*Bouquet, error) {
 	//bouquet:allow floatcmp: 0 is the zero-value "unset option" sentinel, never a computed cost
 	if opts.Ratio == 0 {
@@ -188,7 +188,10 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 		raw = contour.IdentifySparse(d, ladder)
 	default:
 		if d == nil {
-			d = posp.Generate(opt, space, opts.Workers)
+			d, err = posp.GenerateContext(ctx, opt, space, opts.Workers)
+			if err != nil {
+				return nil, err
+			}
 		}
 		cmin, cmax := d.CostBounds()
 		ladder, err = contour.NewLadder(cmin, cmax, opts.Ratio)
@@ -205,8 +208,8 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 			raw = contour.IdentifySparse(d, ladder)
 		}
 	}
-	// Exhaustive generation and contour identification run to their end;
-	// honour a deadline that expired while they ran before reducing.
+	// Contour identification runs to its end; honour a deadline that
+	// expired while it ran before reducing.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -227,6 +230,7 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 	}
 
 	union := map[int]bool{}
+	prepared := make([]*cost.PreparedPlan, d.NumPlans())
 	for _, rc := range raw {
 		// Cooperative cancellation between contour steps: the anorexic
 		// reduction prices a full cost matrix per contour, so this is
@@ -248,18 +252,14 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 				cc.AssignAt[f] = rc.PlanAt[i]
 			}
 		} else {
-			optCosts := make([]cost.Cost, space.NumPoints())
-			for _, f := range rc.Flats {
-				optCosts[f] = d.Cost(f)
-			}
-			m := contourCostMatrix(b.Coster, d, space, rc.PlanIDs, rc.Flats)
-			red, err := anorexic.Reduce(rc.Flats, optCosts, rc.PlanIDs, m, lambda)
+			pos, optCosts, m := contourCostMatrix(b.Coster, d, space, prepared, rc.PlanIDs, rc.Flats)
+			red, err := anorexic.Reduce(pos, optCosts, rc.PlanIDs, m, lambda)
 			if err != nil {
 				return nil, fmt.Errorf("core: contour %d: %w", rc.K, err)
 			}
 			cc.PlanIDs = red.Retained
-			for f, pid := range red.AssignAt {
-				cc.AssignAt[f] = pid
+			for li, pid := range red.AssignAt {
+				cc.AssignAt[rc.Flats[li]] = pid
 			}
 		}
 		for _, pid := range cc.PlanIDs {
@@ -280,19 +280,32 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 	return b, nil
 }
 
-// contourCostMatrix prices the candidate plans at the contour locations
-// only, leaving other matrix cells zero (Reduce touches listed flats only).
-func contourCostMatrix(coster *cost.Coster, d *posp.Diagram, space *ess.Space, candidates, flats []int) [][]cost.Cost {
-	m := make([][]cost.Cost, d.NumPlans())
+// contourCostMatrix prices the candidate plans at the contour locations,
+// indexed by position on the contour rather than by grid location:
+// anorexic.Reduce treats locations as opaque indices, so it is handed the
+// positions (pos, 0…k-1) with the optimal costs and the candidates' costs
+// indexed alike, and answers in positions. Each location's selectivities
+// are filled once and shared by every plan, and each plan is prepared for
+// pricing once per compile, in prepared (by diagram plan ID).
+func contourCostMatrix(coster *cost.Coster, d *posp.Diagram, space *ess.Space, prepared []*cost.PreparedPlan, candidates, flats []int) (pos []int, optCosts []cost.Cost, m [][]cost.Cost) {
+	pos = make([]int, len(flats))
+	optCosts = make([]cost.Cost, len(flats))
+	m = make([][]cost.Cost, d.NumPlans())
 	for _, pid := range candidates {
-		col := make([]cost.Cost, space.NumPoints())
-		p := d.Plan(pid)
-		for _, f := range flats {
-			col[f] = coster.Cost(p, space.Sels(space.PointAt(f)))
+		m[pid] = make([]cost.Cost, len(flats))
+		if prepared[pid] == nil {
+			prepared[pid] = coster.PreparePlan(d.Plan(pid))
 		}
-		m[pid] = col
 	}
-	return m
+	var sels cost.Selectivities
+	for li, f := range flats {
+		pos[li], optCosts[li] = li, d.Cost(f)
+		sels = space.SelsAt(sels, f)
+		for _, pid := range candidates {
+			m[pid][li] = coster.PricePlan(prepared[pid], sels).Cost
+		}
+	}
+	return pos, optCosts, m
 }
 
 // Cardinality returns the bouquet plan count |B|.
@@ -361,7 +374,7 @@ func (b *Bouquet) optCostAtFloor(p ess.Point) cost.Cost {
 	if b.Diagram.Covered(flat) {
 		return b.Diagram.Cost(flat)
 	}
-	sels := b.Space.Sels(b.Space.PointAt(flat))
+	sels := b.Space.SelsAt(nil, flat)
 	best := cost.Cost(math.Inf(1))
 	for _, pid := range b.PlanIDs {
 		best = min(best, b.Coster.Cost(b.Diagram.Plan(pid), sels))
@@ -381,6 +394,7 @@ func (b *Bouquet) Validate() error {
 	}
 	union := map[int]bool{}
 	prev := cost.Cost(0)
+	var sels cost.Selectivities
 	for i, c := range b.Contours {
 		if c.K != i+1 {
 			return fmt.Errorf("core: contour %d has step index %d", i, c.K)
@@ -408,7 +422,7 @@ func (b *Bouquet) Validate() error {
 			if !planSet[pid] {
 				return fmt.Errorf("core: contour %d location %d assigned to non-contour plan %d", c.K, f, pid)
 			}
-			sels := b.Space.Sels(b.Space.PointAt(f))
+			sels = b.Space.SelsAt(sels, f)
 			if got := b.Coster.Cost(b.Diagram.Plan(pid), sels); got > c.Budget.Scale(1+1e-9) {
 				return fmt.Errorf("core: contour %d location %d plan %d costs %g over budget %g",
 					c.K, f, pid, got, c.Budget)

@@ -226,3 +226,48 @@ func TestFocusedCompileCancelsMidGeneration(t *testing.T) {
 		t.Fatalf("cancelled compile made %d optimizer calls, a full one %d", calls, fullCalls)
 	}
 }
+
+// TestDenseCompileCancelsMidGeneration is the dense twin: exhaustive
+// generation polls the context between its batches, so a context
+// cancelled while the grid is under way makes Compile return
+// context.Canceled at that very poll, with the remaining batches never
+// optimized.
+func TestDenseCompileCancelsMidGeneration(t *testing.T) {
+	q := query2D(t)
+	space, err := ess.NewSpace(q, []int{64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := CompileOptions{Lambda: 0.2}
+
+	probe := &stepLimitedCtx{allowance: 1 << 30}
+	opts.Ctx = probe
+	opt := optimizer.New(cost.NewCoster(q, cost.Postgres()))
+	if _, err := Compile(opt, space, opts); err != nil {
+		t.Fatal(err)
+	}
+	if calls := opt.Calls(); calls != int64(space.NumPoints()) {
+		t.Fatalf("dense compile made %d optimizer calls for %d locations", calls, space.NumPoints())
+	}
+
+	// Compile polls once on entry; the generator then polls before each of
+	// its batches (4 096 locations make several).
+	const allowance = 2
+	if probe.polls.Load() <= allowance+1 {
+		t.Fatalf("dense compile polled ctx only %d times", probe.polls.Load())
+	}
+	ctx := &stepLimitedCtx{allowance: allowance}
+	opts.Ctx = ctx
+	opt = optimizer.New(cost.NewCoster(q, cost.Postgres()))
+	b, err := Compile(opt, space, opts)
+	if !errors.Is(err, context.Canceled) || b != nil {
+		t.Fatalf("cancelled compile returned (%v, %v), want context.Canceled", b, err)
+	}
+	if got := ctx.polls.Load(); got != allowance+1 {
+		t.Fatalf("compile went on for %d polls after the cancelled one", got-allowance-1)
+	}
+	// The first batch ran; most of the grid did not.
+	if calls := opt.Calls(); calls == 0 || calls >= int64(space.NumPoints())/2 {
+		t.Fatalf("cancelled compile made %d optimizer calls, a full one %d", calls, space.NumPoints())
+	}
+}

@@ -133,6 +133,11 @@ type Summary struct {
 	Width float64
 	// Cost is the total cost of the (sub)tree.
 	Cost Cost
+	// Sort is what sorting this input for a merge join above it costs
+	// (SortCost). PriceSpec reads a merge join's inputs' Sort, so the
+	// optimizer's memo fills it once per entry; node pricing (Price,
+	// PriceStep, Detail) computes it itself and never reads it.
+	Sort float64
 }
 
 // NodeCost carries the cost annotations of one plan node at one
@@ -227,37 +232,117 @@ func (c *Coster) Price(root *plan.Node, sels Selectivities) Summary {
 }
 
 // PriceStep prices the single operator n given the already-priced
-// summaries of its children, returning n's summary. It is the O(1) kernel
-// the optimizer's DP runs on: child summaries come from the memo, so a
-// candidate join is priced without re-walking its subtree. Zero-value
-// summaries stand in for absent children. Panics if n's operator is not
-// priced by the model. Allocation-freedom is pinned by
-// TestPriceStepAllocFree.
+// summaries of its children, returning n's summary: it prepares n on the
+// stack and runs PriceSpec's kernel, then applies the coster's
+// perturbation, if any. Zero-value summaries stand in for absent
+// children. Panics if n's operator is not priced by the model.
+// Allocation-freedom is pinned by TestPriceStepAllocFree.
 func (c *Coster) PriceStep(n *plan.Node, left, right Summary, sels Selectivities) Summary {
 	self, rows, width := c.priceOne(n, left, right, sels)
 	return Summary{Rows: rows, Width: width, Cost: self + left.Cost + right.Cost}
 }
 
-// OpSpec identifies a candidate operator for node-free pricing: the same
-// fields a plan.Node carries, minus the children (whose summaries are
-// passed separately) and without requiring the node to exist yet.
-type OpSpec struct {
-	Op          plan.Op
-	Relation    string
-	IndexColumn string
-	Preds       []int
+// Spec is a candidate operator prepared for pricing: its operator and
+// predicates, and everything its price needs that no selectivity changes —
+// the relation's cardinality and width, the index descent, whether the
+// index is clustered, which predicates drive and which filter, the
+// anti-join's build — resolved once, so pricing it does no catalog or
+// predicate lookup. The optimizer prepares every candidate of its DP
+// skeleton; PriceStep prepares a plan node on the fly. A Spec is read-only
+// once prepared.
+type Spec struct {
+	op    plan.Op
+	preds []int
+	// rel holds the terms of an operator that reads a relation (or, for
+	// a group aggregate, a column); nil for the joins and the scalar
+	// aggregate, whose price needs nothing but their inputs and preds.
+	rel *relTerms
 }
 
-// PriceSpec prices the candidate operator described by spec from its
-// children's summaries without materializing a plan.Node — the optimizer
-// uses it to evaluate every losing candidate allocation-free and build
-// nodes only for winners. It ignores the coster's perturbation (which
-// keys on node fingerprints); callers must check Perturbed first and fall
-// back to PriceStep on a real node. Panics if spec's operator is not
-// priced by the model. Allocation-freedom is pinned by
-// TestPriceSpecAllocFree.
-func (c *Coster) PriceSpec(spec OpSpec, left, right Summary, sels Selectivities) Summary {
-	self, rows, width := c.priceSpec(spec.Op, spec.Relation, spec.IndexColumn, spec.Preds, left, right, sels)
+// relTerms are a Spec's relation and its selectivity-independent terms.
+type relTerms struct {
+	// relation and indexColumn name what the operator reads, as its plan
+	// node does.
+	relation, indexColumn string
+	// on and off split an index scan's predicates into the driving and
+	// the residual ones, and an index NL join's into the join predicates
+	// and the inner's residual filters, each in predicate order.
+	on, off []int
+	// card and width describe the relation; for a group aggregate card
+	// is the grouping column's distinct count, the cap on its output
+	// (+Inf for an unknown column).
+	card, width float64
+	// descent is one index descent's cost; perMatch is an index NL
+	// join's cost per fetched match; fixed is the selectivity-independent
+	// part of the operator's own cost: a sequential scan's whole cost, an
+	// anti-join's build.
+	descent, perMatch, fixed float64
+	clustered                bool
+}
+
+// Op returns the prepared operator.
+func (s *Spec) Op() plan.Op { return s.op }
+
+// Preds returns the prepared operator's predicates, as given to Prepare.
+func (s *Spec) Preds() []int { return s.preds }
+
+// Relation returns the relation the prepared operator names, as given to
+// Prepare ("" for the joins and the scalar aggregate).
+func (s *Spec) Relation() string {
+	if s.rel == nil {
+		return ""
+	}
+	return s.rel.relation
+}
+
+// IndexColumn returns the column the prepared operator names, as given to
+// Prepare ("" for the joins and the scalar aggregate).
+func (s *Spec) IndexColumn() string {
+	if s.rel == nil {
+		return ""
+	}
+	return s.rel.indexColumn
+}
+
+// Prepare resolves the selectivity-independent terms of the candidate
+// operator (op, relation, indexColumn, preds) — the identity a plan.Node
+// carries, minus its children. preds is referenced, not copied. Panics if
+// relation is unknown to an operator that reads one.
+func (c *Coster) Prepare(op plan.Op, relation, indexColumn string, preds []int) Spec {
+	s := Spec{op: op, preds: preds}
+	if readsRelation(op) {
+		rel := &relTerms{relation: relation, indexColumn: indexColumn}
+		c.terms(rel, op, relation, indexColumn, preds)
+		if splitsPreds(op) {
+			rel.on, rel.off = c.split(op, relation, indexColumn, preds, make([]int, 0, len(preds)), make([]int, 0, len(preds)))
+		}
+		s.rel = rel
+	}
+	return s
+}
+
+// readsRelation reports whether op's price needs relTerms: all but the
+// joins and the scalar aggregate, whose price needs nothing but their
+// inputs and predicates.
+func readsRelation(op plan.Op) bool {
+	return op != plan.OpHashJoin && op != plan.OpMergeJoin && op != plan.OpAggregate
+}
+
+// splitsPreds reports whether op's predicates split into driving and
+// residual ones: the index scan's and the index NL join's.
+func splitsPreds(op plan.Op) bool {
+	return op == plan.OpIndexScan || op == plan.OpIndexNLJoin
+}
+
+// PriceSpec prices a prepared candidate from its children's summaries,
+// without a plan.Node: the optimizer prices every candidate this way and
+// builds nodes only for winners. A merge join reads its inputs' Sort. It
+// ignores the coster's perturbation (which keys on node fingerprints);
+// callers check Perturbed first and price a real node with PriceStep.
+// Panics if the operator is not priced by the model. Allocation-freedom is
+// pinned by TestPriceSpecAllocFree.
+func (c *Coster) PriceSpec(s *Spec, left, right Summary, sels Selectivities) Summary {
+	self, rows, width := c.price(s, &left, &right, sels)
 	return Summary{Rows: rows, Width: width, Cost: self + left.Cost + right.Cost}
 }
 
@@ -312,11 +397,31 @@ func (c *Coster) pagesFor(rows, width float64) float64 {
 }
 
 // priceOne prices a single operator node given its (already priced)
-// children, applying the coster's perturbation (if any) on top of the
-// spec-based kernel. It performs no heap allocation — the compile hot
-// path's requirement.
+// children: it prepares the node into a stack Spec, sorts a merge join's
+// inputs, runs the kernel, and applies the coster's perturbation (if
+// any). It performs no heap allocation — the compile hot path's
+// requirement.
 func (c *Coster) priceOne(n *plan.Node, left, right Summary, sels Selectivities) (self Cost, outRows Card, outWidth float64) {
-	self, outRows, outWidth = c.priceSpec(n.Op, n.Relation, n.IndexColumn, n.Preds, left, right, sels)
+	s := Spec{op: n.Op, preds: n.Preds}
+	if readsRelation(n.Op) {
+		var rel relTerms
+		c.terms(&rel, n.Op, n.Relation, n.IndexColumn, n.Preds)
+		if splitsPreds(n.Op) {
+			var on, off [8]int
+			rel.on, rel.off = c.split(n.Op, n.Relation, n.IndexColumn, n.Preds, on[:0], off[:0])
+		}
+		s.rel = &rel
+	}
+	return c.priceNode(&s, n, left, right, sels)
+}
+
+// priceNode prices node n, prepared as s: it sorts a merge join's inputs,
+// runs the kernel, and applies the coster's perturbation, if any.
+func (c *Coster) priceNode(s *Spec, n *plan.Node, left, right Summary, sels Selectivities) (self Cost, outRows Card, outWidth float64) {
+	if s.op == plan.OpMergeJoin {
+		left.Sort, right.Sort = c.SortCost(left), c.SortCost(right)
+	}
+	self, outRows, outWidth = c.price(s, &left, &right, sels)
 	if c.perturb != nil {
 		// Perturbation is an opt-in diagnostic mode (WithPerturbation) and
 		// may allocate; the steady-state coster has perturb == nil, the
@@ -326,103 +431,195 @@ func (c *Coster) priceOne(n *plan.Node, left, right Summary, sels Selectivities)
 	return self, outRows, outWidth
 }
 
-// priceSpec is the node-free operator pricing kernel: the operator's
-// identity arrives as discrete fields rather than a *plan.Node, so the
-// optimizer can price a candidate before deciding to materialize it. The
-// pricing arithmetic runs on bare float64 (unwrapped once here); the
-// results are wrapped back into their dimensions when returned.
-func (c *Coster) priceSpec(op plan.Op, relation, indexColumn string, preds []int, left, right Summary, sels Selectivities) (self Cost, outRows Card, outWidth float64) {
-	p := c.model.P
-	leftRows, rightRows := left.Rows.F(), right.Rows.F()
+// PreparedPlan is a plan tree prepared for pricing at many selectivity
+// assignments — a row of a plan-cost matrix: every operator's Spec is
+// resolved once, so pricing walks no plan.Node and looks nothing up.
+type PreparedPlan struct {
+	// steps are the operators in post-order (children first, the root
+	// last), each with its children's positions.
+	steps []planStep
+}
 
+type planStep struct {
+	spec Spec
+	// node is the operator itself, which a perturbed coster keys on.
+	node *plan.Node
+	// left and right are the children's steps, -1 for none.
+	left, right int
+}
+
+// PreparePlan prepares root for PricePlan. Panics if the plan names a
+// relation the catalog lacks or an operator the model does not price.
+func (c *Coster) PreparePlan(root *plan.Node) *PreparedPlan {
+	pp := &PreparedPlan{}
+	c.preparePlan(pp, root)
+	return pp
+}
+
+func (c *Coster) preparePlan(pp *PreparedPlan, n *plan.Node) int {
+	st := planStep{node: n, left: -1, right: -1}
+	if n.Left != nil {
+		st.left = c.preparePlan(pp, n.Left)
+	}
+	if n.Right != nil {
+		st.right = c.preparePlan(pp, n.Right)
+	}
+	st.spec = c.Prepare(n.Op, n.Relation, n.IndexColumn, n.Preds)
+	pp.steps = append(pp.steps, st)
+	return len(pp.steps) - 1
+}
+
+// PricePlan returns the prepared plan's summary at sels: Price(root,
+// sels), bit for bit. Panics if the plan holds an operator the model does
+// not price (PreparePlan panics first). Allocation-freedom is pinned by
+// TestPricePlanAllocFree.
+func (c *Coster) PricePlan(pp *PreparedPlan, sels Selectivities) Summary {
+	return c.priceStep(pp, len(pp.steps)-1, sels)
+}
+
+func (c *Coster) priceStep(pp *PreparedPlan, i int, sels Selectivities) Summary {
+	st := &pp.steps[i]
+	var left, right Summary
+	if st.left >= 0 {
+		left = c.priceStep(pp, st.left, sels)
+	}
+	if st.right >= 0 {
+		right = c.priceStep(pp, st.right, sels)
+	}
+	self, rows, width := c.priceNode(&st.spec, st.node, left, right, sels)
+	return Summary{Rows: rows, Width: width, Cost: self + left.Cost + right.Cost}
+}
+
+// terms fills rel with the selectivity-independent terms of an operator
+// that reads a relation, all but its identity and its predicate split
+// (split's job). Panics on an operator the model does not price.
+func (c *Coster) terms(rel *relTerms, op plan.Op, relation, indexColumn string, preds []int) {
+	p := &c.model.P
+	switch op {
+	case plan.OpGroupAggregate:
+		rel.card = math.Inf(1)
+		if col := c.q.Catalog.MustRelation(relation).Column(indexColumn); col != nil {
+			rel.card = float64(col.DistinctCount)
+		}
+		return
+	case plan.OpSeqScan, plan.OpIndexScan, plan.OpIndexNLJoin, plan.OpAntiJoin:
+	default:
+		panic(fmt.Sprintf("cost: unknown operator %v", op))
+	}
+
+	r := c.q.Catalog.MustRelation(relation)
+	rel.card = float64(r.Card)
+	rel.width = float64(r.TupleWidth)
 	switch op {
 	case plan.OpSeqScan:
-		rel := c.q.Catalog.MustRelation(relation)
-		card := float64(rel.Card)
-		pages := float64(rel.Pages(c.q.Catalog.PageSize))
-		rows := card
-		for _, id := range preds {
+		pages := float64(r.Pages(c.q.Catalog.PageSize))
+		rel.fixed = pages*p.SeqPageCost +
+			rel.card*p.CPUTupleCost +
+			rel.card*float64(len(preds))*p.CPUOperatorCost
+
+	case plan.OpIndexScan, plan.OpIndexNLJoin:
+		idx := c.q.Catalog.Index(relation, indexColumn)
+		clustered := idx != nil && idx.Clustered
+		rel.descent = math.Log2(rel.card+1) * p.CPUIndexTupleCost
+		if op == plan.OpIndexScan {
+			rel.clustered = clustered
+			break
+		}
+		perMatch := p.RandomPageCost
+		if clustered {
+			perMatch = p.SeqPageCost
+		}
+		rel.perMatch = p.CPUIndexTupleCost + perMatch
+
+	case plan.OpAntiJoin:
+		rel.fixed = rel.card * (p.CPUOperatorCost + p.CPUTupleCost)
+	}
+}
+
+// split partitions an index operator's preds, in predicate order, into
+// on (appended to onBuf) and off (appended to offBuf). For an index scan
+// the driving predicate — the one on the indexed column — is on and the
+// rest are residual filters on fetched rows; for an index NL join the join
+// predicates, which determine matches per probe, are on and the inner
+// relation's selections are residual filters.
+func (c *Coster) split(op plan.Op, relation, indexColumn string, preds, onBuf, offBuf []int) (on, off []int) {
+	on, off = onBuf, offBuf
+	for _, id := range preds {
+		pr := c.q.Predicate(id)
+		isOn := pr.Kind == query.Join
+		if op == plan.OpIndexScan {
+			isOn = pr.Left.Column == indexColumn && pr.Left.Relation == relation
+		}
+		if isOn {
+			on = append(on, id)
+		} else {
+			off = append(off, id)
+		}
+	}
+	return on, off
+}
+
+// selProduct multiplies the selectivities of ids under sels, in order.
+func (c *Coster) selProduct(ids []int, sels Selectivities) float64 {
+	f := 1.0
+	for _, id := range ids {
+		f *= c.selOf(id, sels)
+	}
+	return f
+}
+
+// price is the one operator pricing kernel, over a prepared Spec. The
+// arithmetic runs on bare float64 (unwrapped once here); the results are
+// wrapped back into their dimensions when returned.
+func (c *Coster) price(s *Spec, left, right *Summary, sels Selectivities) (self Cost, outRows Card, outWidth float64) {
+	p := &c.model.P
+	leftRows, rightRows := left.Rows.F(), right.Rows.F()
+	rel := s.rel
+
+	switch s.op {
+	case plan.OpSeqScan:
+		rows := rel.card
+		for _, id := range s.preds {
 			rows *= c.selOf(id, sels)
 		}
 		outRows = Card(rows)
-		outWidth = float64(rel.TupleWidth)
-		self = Cost(pages*p.SeqPageCost +
-			card*p.CPUTupleCost +
-			card*float64(len(preds))*p.CPUOperatorCost)
+		outWidth = rel.width
+		self = Cost(rel.fixed)
 
 	case plan.OpIndexScan:
-		rel := c.q.Catalog.MustRelation(relation)
-		card := float64(rel.Card)
-		// The driving predicate is the one on the indexed column;
-		// remaining predicates are residual filters on fetched rows.
-		drivingSel, residSel, residCount := 1.0, 1.0, 0
-		for _, id := range preds {
-			pr := c.q.Predicate(id)
-			if pr.Left.Column == indexColumn && pr.Left.Relation == relation {
-				drivingSel *= c.selOf(id, sels)
-			} else {
-				residSel *= c.selOf(id, sels)
-				residCount++
-			}
-		}
-		matched := card * drivingSel
+		drivingSel, residSel := c.selProduct(rel.on, sels), c.selProduct(rel.off, sels)
+		matched := rel.card * drivingSel
 		outRows = Card(matched * residSel)
-		outWidth = float64(rel.TupleWidth)
-		descent := math.Log2(card+1) * p.CPUIndexTupleCost
-		idx := c.q.Catalog.Index(relation, indexColumn)
+		outWidth = rel.width
 		var fetch float64
-		if idx != nil && idx.Clustered {
-			fetch = c.pagesFor(matched, float64(rel.TupleWidth)) * p.SeqPageCost
+		if rel.clustered {
+			fetch = c.pagesFor(matched, rel.width) * p.SeqPageCost
 		} else {
-			// One random heap page per matching row: the
-			// uncapped form keeps the cost strictly monotone and
-			// maximises the Cmax/Cmin gradient ("hard-nut"
-			// environments, §6).
+			// One random heap page per matching row: the uncapped form
+			// keeps the cost strictly monotone and maximises the
+			// Cmax/Cmin gradient ("hard-nut" environments, §6).
 			fetch = matched * p.RandomPageCost
 		}
-		self = Cost(descent +
+		self = Cost(rel.descent +
 			matched*p.CPUIndexTupleCost +
 			fetch +
-			matched*float64(residCount)*p.CPUOperatorCost +
+			matched*float64(len(rel.off))*p.CPUOperatorCost +
 			matched*p.CPUTupleCost)
 
 	case plan.OpIndexNLJoin:
-		rel := c.q.Catalog.MustRelation(relation)
-		innerCard := float64(rel.Card)
-		// Partition preds: join predicates determine matches per
-		// probe; selection predicates on the inner relation are
-		// residual filters.
-		joinSel, filterSel, filterCount := 1.0, 1.0, 0
-		for _, id := range preds {
-			pr := c.q.Predicate(id)
-			if pr.Kind == query.Join {
-				joinSel *= c.selOf(id, sels)
-			} else {
-				filterSel *= c.selOf(id, sels)
-				filterCount++
-			}
-		}
+		joinSel, filterSel := c.selProduct(rel.on, sels), c.selProduct(rel.off, sels)
 		probes := leftRows
-		matchesPerProbe := joinSel * innerCard
+		matchesPerProbe := joinSel * rel.card
 		matches := probes * matchesPerProbe
 		outRows = Card(matches * filterSel)
-		outWidth = left.Width + float64(rel.TupleWidth)
-		descent := math.Log2(innerCard+1) * p.CPUIndexTupleCost
-		idx := c.q.Catalog.Index(relation, indexColumn)
-		perMatch := p.RandomPageCost
-		if idx != nil && idx.Clustered {
-			perMatch = p.SeqPageCost
-		}
-		self = Cost(probes*descent +
-			matches*(p.CPUIndexTupleCost+perMatch) +
-			matches*float64(filterCount)*p.CPUOperatorCost +
+		outWidth = left.Width + rel.width
+		self = Cost(probes*rel.descent +
+			matches*rel.perMatch +
+			matches*float64(len(rel.off))*p.CPUOperatorCost +
 			outRows.F()*p.CPUTupleCost)
 
 	case plan.OpHashJoin:
-		joinSel := 1.0
-		for _, id := range preds {
-			joinSel *= c.selOf(id, sels)
-		}
+		joinSel := c.selProduct(s.preds, sels)
 		outRows = Card(joinSel * leftRows * rightRows)
 		outWidth = left.Width + right.Width
 		build := rightRows * (p.CPUOperatorCost + p.CPUTupleCost)
@@ -438,13 +635,10 @@ func (c *Coster) priceSpec(op plan.Op, relation, indexColumn string, preds []int
 		self = Cost(build + probe + emit + spill)
 
 	case plan.OpMergeJoin:
-		joinSel := 1.0
-		for _, id := range preds {
-			joinSel *= c.selOf(id, sels)
-		}
+		joinSel := c.selProduct(s.preds, sels)
 		outRows = Card(joinSel * leftRows * rightRows)
 		outWidth = left.Width + right.Width
-		sortCost := c.sortCost(left) + c.sortCost(right)
+		sortCost := left.Sort + right.Sort
 		merge := (leftRows + rightRows) * p.CPUOperatorCost
 		emit := outRows.F() * p.CPUTupleCost
 		self = Cost(sortCost + merge + emit)
@@ -457,10 +651,9 @@ func (c *Coster) priceSpec(op plan.Op, relation, indexColumn string, preds []int
 	case plan.OpGroupAggregate:
 		// Hash aggregate: groups bounded by the column's distinct count
 		// and the input cardinality (both bounds monotone).
-		col := c.q.Catalog.MustRelation(relation).Column(indexColumn)
 		groups := leftRows
-		if col != nil && float64(col.DistinctCount) < groups {
-			groups = float64(col.DistinctCount)
+		if rel.card < groups {
+			groups = rel.card
 		}
 		outRows = Card(groups)
 		outWidth = 16
@@ -470,18 +663,16 @@ func (c *Coster) priceSpec(op plan.Op, relation, indexColumn string, preds []int
 		// NOT EXISTS: the predicate's selectivity is the outer pass
 		// fraction (the §2 axis flip), so output — and hence cost —
 		// is monotone increasing in the ESS value.
-		rel := c.q.Catalog.MustRelation(relation)
-		innerCard := float64(rel.Card)
-		passFrac := c.selOf(preds[0], sels)
+		passFrac := c.selOf(s.preds[0], sels)
 		outRows = Card(leftRows * passFrac)
 		outWidth = left.Width
-		build := innerCard * (p.CPUOperatorCost + p.CPUTupleCost)
+		build := rel.fixed
 		probe := leftRows * p.HashQualCost
 		emit := outRows.F() * p.CPUTupleCost
 		self = Cost(build + probe + emit)
 
 	default:
-		panic(fmt.Sprintf("cost: unknown operator %v", op))
+		panic(fmt.Sprintf("cost: unknown operator %v", s.op))
 	}
 	return self, outRows, outWidth
 }
@@ -524,10 +715,11 @@ func (c *Coster) Explain(root *plan.Node, sels Selectivities) string {
 	return sb.String()
 }
 
-// sortCost prices sorting one input of a merge join, including external
-// sort spill passes when the input exceeds work memory.
-func (c *Coster) sortCost(in Summary) float64 {
-	p := c.model.P
+// SortCost prices sorting one input of a merge join, including external
+// sort spill passes when the input exceeds work memory. It is what
+// Summary.Sort carries.
+func (c *Coster) SortCost(in Summary) float64 {
+	p := &c.model.P
 	rows := in.Rows.F()
 	if rows < 2 {
 		return 0

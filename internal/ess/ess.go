@@ -60,6 +60,9 @@ type Space struct {
 	// dimension 0 slowest).
 	strides []int
 	total   int
+	// defaults is every predicate at its default selectivity: the
+	// assignment's entries no dimension overrides.
+	defaults cost.Selectivities
 }
 
 // DefaultLoFraction is the default ratio Lo/Hi for a dimension when only
@@ -100,7 +103,7 @@ func NewSpaceWithDims(q *query.Query, dims []Dim) (*Space, error) {
 	if len(dims) != q.Dims() {
 		return nil, fmt.Errorf("ess: %d dims given, query has %d error dimensions", len(dims), q.Dims())
 	}
-	s := &Space{q: q, dims: make([]Dim, len(dims))}
+	s := &Space{q: q, dims: make([]Dim, len(dims)), defaults: cost.DefaultSels(q)}
 	copy(s.dims, dims)
 	for d := range s.dims {
 		dim := &s.dims[d]
@@ -166,6 +169,12 @@ func (s *Space) Coord(flat int) []int {
 	return out
 }
 
+// Stride returns the flat-index distance between neighbouring locations
+// along dimension d (row-major: the last dimension has stride 1), so a
+// location's successor along d is flat+Stride(d) whenever its coordinate
+// there, flat/Stride(d)%Dim(d).Res, is below Res-1.
+func (s *Space) Stride(d int) int { return s.strides[d] }
+
 // Flat converts grid coordinates into a flat index. Panics if a
 // coordinate is outside its dimension's resolution.
 func (s *Space) Flat(coord []int) int {
@@ -222,15 +231,31 @@ func (s *Space) Terminus() Point {
 // query: error dimensions take the point's values, everything else its
 // default selectivity. The returned slice is indexed by predicate ID.
 func (s *Space) Sels(p Point) cost.Selectivities {
-	preds := s.q.Predicates()
-	out := make(cost.Selectivities, len(preds))
-	for i := range preds {
-		out[i] = cost.Sel(preds[i].DefaultSel)
-	}
+	out := s.defaults.Clone()
 	for d, dim := range s.dims {
 		out[dim.PredID] = cost.Sel(p[d])
 	}
 	return out
+}
+
+// SelsAt writes the selectivity assignment at grid location flat —
+// Sels(PointAt(flat)) — into buf, growing it only when it is too short,
+// and returns it. With a buffer of the query's predicate count it
+// allocates nothing, pinned by TestSelsAtAllocFree. Panics if flat is
+// outside [0, NumPoints()).
+func (s *Space) SelsAt(buf cost.Selectivities, flat int) cost.Selectivities {
+	if flat < 0 || flat >= s.total {
+		panic(fmt.Sprintf("ess: flat index %d out of range [0,%d)", flat, s.total))
+	}
+	if cap(buf) < len(s.defaults) {
+		buf = make(cost.Selectivities, len(s.defaults))
+	}
+	buf = buf[:len(s.defaults)]
+	copy(buf, s.defaults)
+	for d, dim := range s.dims {
+		buf[dim.PredID] = cost.Sel(dim.values[flat/s.strides[d]%dim.Res])
+	}
+	return buf
 }
 
 // ForEach calls f for every grid location in flat-index order.

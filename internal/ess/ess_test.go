@@ -196,6 +196,59 @@ func TestSelsInjection(t *testing.T) {
 	}
 }
 
+// TestSelsAtAllocFree: SelsAt equals Sels(PointAt(flat)) at every location
+// of a mixed-resolution space, reuses a long-enough buffer, and allocates
+// nothing when it does.
+func TestSelsAtAllocFree(t *testing.T) {
+	q := testQuery(t, 3)
+	s, err := NewSpace(q, []int{3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf cost.Selectivities
+	for flat := 0; flat < s.NumPoints(); flat++ {
+		buf = s.SelsAt(buf, flat)
+		want := s.Sels(s.PointAt(flat))
+		if len(buf) != len(want) {
+			t.Fatalf("location %d: %d selectivities, want %d", flat, len(buf), len(want))
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("location %d: selectivity %d is %v, want %v", flat, i, buf[i], want[i])
+			}
+		}
+	}
+	long := make(cost.Selectivities, q.NumPredicates()+2)
+	if got := s.SelsAt(long, 0); len(got) != q.NumPredicates() || &got[0] != &long[0] {
+		t.Fatal("SelsAt did not reuse a long buffer")
+	}
+	if got := testing.AllocsPerRun(100, func() { buf = s.SelsAt(buf, s.NumPoints()-1) }); got > 0 {
+		t.Errorf("SelsAt allocates %.0f/call, want 0", got)
+	}
+}
+
+func TestStrideSteps(t *testing.T) {
+	s, err := NewSpace(testQuery(t, 3), []int{3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for flat := 0; flat < s.NumPoints(); flat++ {
+		coord := s.Coord(flat)
+		for d := 0; d < s.Dims(); d++ {
+			if got := flat / s.Stride(d) % s.Dim(d).Res; got != coord[d] {
+				t.Fatalf("location %d dimension %d: coordinate %d by stride, %d by Coord", flat, d, got, coord[d])
+			}
+			if coord[d]+1 < s.Dim(d).Res {
+				coord[d]++
+				if got := s.Flat(coord); got != flat+s.Stride(d) {
+					t.Fatalf("location %d dimension %d: successor %d, want %d", flat, d, got, flat+s.Stride(d))
+				}
+				coord[d]--
+			}
+		}
+	}
+}
+
 func TestNearestAndFloorFlat(t *testing.T) {
 	s := testSpace(t, 1, 10)
 	vals := s.Values(0)

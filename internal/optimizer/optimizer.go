@@ -18,18 +18,23 @@
 // join order search that does not depend on the injected selectivities is
 // therefore hoisted into a one-time DP skeleton at construction: the
 // connected subset masks in DP order, the valid (left, right) splits per
-// mask with their join predicates, the index-nested-loops candidates, and
-// the access-path candidate nodes. Optimize itself only prices candidates
-// (via the cost package's O(1) PriceStep kernel over memoized child
-// summaries) and materializes winners, with its memo drawn from a pooled
-// arena so steady-state calls allocate only the winning plan nodes.
+// mask, and every candidate operator with its price prepared (cost.Spec:
+// cardinalities, widths, index descents and predicate splits resolved).
+// Optimize itself only prices candidates over memoized child summaries and
+// records each mask's winner as a candidate plus child masks; plan nodes
+// are materialized only for the final plan (and for an exact-cost tie),
+// and are hash-consed per Optimizer, so a plan the POSP already holds
+// comes back as the same pointer and a steady-state call allocates
+// nothing.
 package optimizer
 
 import (
 	"fmt"
-	"math"
+	"hash/maphash"
 	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -50,8 +55,9 @@ var totalCalls atomic.Int64
 func TotalCalls() int64 { return totalCalls.Load() }
 
 // Optimizer enumerates plans for one query under one Coster. It is safe
-// for concurrent use: the skeleton is read-only after New and per-call
-// memo state comes from an internal arena pool.
+// for concurrent use: the skeleton is read-only after New, per-call memo
+// state comes from a pooled arena, and interned nodes are found by atomic
+// loads and added under one lock.
 type Optimizer struct {
 	q      *query.Query
 	coster *cost.Coster
@@ -63,18 +69,22 @@ type Optimizer struct {
 
 	// DP skeleton — everything the join search knows before seeing a
 	// single selectivity (computed once in New).
-	access [][]*plan.Node // per relation: candidate access-path nodes
+	access [][]cand       // per relation: candidate access paths
+	leaves [][]*plan.Node // per relation: each access path's one node
 	masks  []maskPlan     // connected ≥2-relation masks, ascending
 	full   uint64         // mask covering every relation
+	// top is the aggregate or group aggregate over the full join, or nil
+	// for a query without one; topSplit feeds it the full join.
+	top      *cand
+	topSplit split
 
-	// arena pools per-call memo slices (length full+1) so steady-state
-	// Optimize calls produce no memo garbage.
-	arena sync.Pool
+	// interning serializes additions to the candidates' node tables.
+	interning sync.Mutex
 
-	// specPrice enables node-free candidate pricing (PriceSpec): true
-	// unless the coster perturbs per-node costs, which requires real
-	// nodes for fingerprint-keyed factors.
-	specPrice bool
+	// perturbed is set when the coster perturbs per-node costs, which key
+	// on node fingerprints: every candidate is then materialized (through
+	// the same interner) and priced as a node with PriceStep.
+	perturbed bool
 
 	calls atomic.Int64
 }
@@ -87,36 +97,167 @@ type maskPlan struct {
 }
 
 // split is one ordered (left = probe/outer, right = build/inner) partition
-// of a mask into two connected halves joined by at least one predicate.
-// All slices are pre-sorted and shared by every plan node built from this
-// split; plan nodes are immutable, so sharing is safe.
+// of a mask into two connected halves joined by at least one predicate,
+// with the candidate operators that join them in enumeration (tie-break)
+// order: a lone hash anti-join for an anti-join split; otherwise a hash
+// join, a merge join, and an index nested-loops join per indexed inner
+// join column when the right half is one base relation.
 type split struct {
 	left, right uint64
-	// anti, when non-nil, marks an anti-join split: the single anti
-	// predicate admits exactly one operator shape, and no generic join
-	// applies.
-	anti *antiCand
-	// preds are the join predicate IDs connecting the halves (ascending),
-	// applied by hash and merge join candidates.
-	preds []int
-	// nl are the index nested-loops candidates (right half is a single
-	// indexed base relation).
-	nl []nlCand
+	cands       []cand
 }
 
-// antiCand is the sole candidate of an anti-join split: a hash anti-join
-// consuming the inner base relation.
-type antiCand struct {
-	rel, col string
-	preds    []int // the single anti-join predicate ID
+// cand is one candidate operator of the skeleton: its prepared price,
+// which carries its identity (operator, relation, column, predicates), and
+// the plan nodes it has become. Predicate slices are pre-sorted and shared
+// by every node built from the candidate; plan nodes are immutable, so
+// sharing is safe.
+type cand struct {
+	spec cost.Spec
+	// nodes hash-conses the nodes a join candidate becomes, keyed by
+	// their children: within one Optimizer, equal subplans are one
+	// pointer (pinned by TestInternedPlansShared).
+	nodes nodeTable
 }
 
-// nlCand is one index nested-loops candidate: probe rel's index on col,
-// applying preds (the join predicates plus the inner relation's selection
-// predicates, folded in as residual filters; ascending).
-type nlCand struct {
+// binary reports whether the candidate joins both halves of its split;
+// the other joins read the left half and name their inner relation.
+func (c *cand) binary() bool {
+	op := c.spec.Op()
+	return op == plan.OpHashJoin || op == plan.OpMergeJoin
+}
+
+// candSpec is a candidate's identity before it is prepared.
+type candSpec struct {
+	op       plan.Op
 	rel, col string
 	preds    []int
+}
+
+// cands prepares candidates in place, one allocation for all of them.
+// Candidates that read a relation are prepared once per identity: the
+// index NL join into one inner on one predicate set recurs in every split
+// whose right half is that inner, and all of them share one Spec (memo).
+func (o *Optimizer) cands(specs []candSpec, memo map[candKey]cost.Spec) []cand {
+	out := make([]cand, len(specs))
+	for i, s := range specs {
+		if s.rel == "" {
+			out[i].spec = o.coster.Prepare(s.op, s.rel, s.col, s.preds)
+			continue
+		}
+		k := candKey{op: s.op, rel: s.rel, col: s.col, preds: predsKey(s.preds)}
+		spec, ok := memo[k]
+		if !ok {
+			spec = o.coster.Prepare(s.op, s.rel, s.col, s.preds)
+			memo[k] = spec
+		}
+		out[i].spec = spec
+	}
+	return out
+}
+
+// candKey is a candidate's identity as a map key.
+type candKey struct {
+	op       plan.Op
+	rel, col string
+	preds    string
+}
+
+// predsKey renders predicate IDs as a map key.
+func predsKey(preds []int) string {
+	var b []byte
+	for _, id := range preds {
+		b = strconv.AppendInt(append(b, ','), int64(id), 10)
+	}
+	return string(b)
+}
+
+// intern returns candidate c's node over the given children (a join's or
+// the aggregate's; an access path's node is its leaf), building it on
+// first use.
+func (o *Optimizer) intern(c *cand, left, right *plan.Node) *plan.Node {
+	h := maphash.Comparable(internSeed, [2]*plan.Node{left, right})
+	if n := c.nodes.find(h, left, right); n != nil {
+		return n
+	}
+	o.interning.Lock()
+	defer o.interning.Unlock()
+	if n := c.nodes.find(h, left, right); n != nil {
+		return n
+	}
+	n := &plan.Node{
+		Op: c.spec.Op(), Relation: c.spec.Relation(), IndexColumn: c.spec.IndexColumn(),
+		Preds: c.spec.Preds(), Left: left, Right: right,
+	}
+	c.nodes.add(h, n)
+	return n
+}
+
+// internSeed seeds the hash of a node's children.
+var internSeed = maphash.MakeSeed()
+
+// nodeTable is one candidate's set of interned nodes: an open-addressing
+// hash table of node pointers whose keys are the nodes' own children. A
+// lookup is atomic loads only, so the workers of a POSP generation share
+// the table without writing to it; an addition, made under the
+// optimizer's lock, publishes a copy twice the size once the table is half
+// full. Nodes are never removed, so a reader holding an older copy can
+// only miss, and a miss re-checks under the lock.
+type nodeTable struct {
+	p atomic.Pointer[nodeSlots]
+}
+
+type nodeSlots struct {
+	count int // nodes stored; guarded by the optimizer's lock
+	slots []atomic.Pointer[plan.Node]
+}
+
+// find returns the node over (left, right), hashing to h, or nil.
+func (t *nodeTable) find(h uint64, left, right *plan.Node) *plan.Node {
+	s := t.p.Load()
+	if s == nil {
+		return nil
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		n := s.slots[i].Load()
+		if n == nil || n.Left == left && n.Right == right {
+			return n
+		}
+	}
+}
+
+// add stores n, hashing to h; the caller holds the optimizer's lock.
+func (t *nodeTable) add(h uint64, n *plan.Node) {
+	s := t.p.Load()
+	if s == nil || 2*(s.count+1) > len(s.slots) {
+		size := 2
+		if s != nil {
+			size = 2 * len(s.slots)
+		}
+		grown := &nodeSlots{slots: make([]atomic.Pointer[plan.Node], size)}
+		if s != nil {
+			for i := range s.slots {
+				if m := s.slots[i].Load(); m != nil {
+					grown.place(maphash.Comparable(internSeed, [2]*plan.Node{m.Left, m.Right}), m)
+				}
+			}
+		}
+		t.p.Store(grown)
+		s = grown
+	}
+	s.place(h, n)
+}
+
+// place stores n in the first empty slot from h's home slot.
+func (s *nodeSlots) place(h uint64, n *plan.Node) {
+	mask := uint64(len(s.slots) - 1)
+	i := h & mask
+	for s.slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	s.slots[i].Store(n)
+	s.count++
 }
 
 // New builds an optimizer for coster's query, precomputing the
@@ -129,12 +270,13 @@ func New(coster *cost.Coster) *Optimizer {
 		panic("optimizer: too many relations")
 	}
 	o := &Optimizer{
-		q:       q,
-		coster:  coster,
-		rels:    rels,
-		relBit:  make(map[string]int, len(rels)),
-		adj:     make([]uint64, len(rels)),
-		selPred: make([][]int, len(rels)),
+		q:         q,
+		coster:    coster,
+		rels:      rels,
+		relBit:    make(map[string]int, len(rels)),
+		adj:       make([]uint64, len(rels)),
+		selPred:   make([][]int, len(rels)),
+		perturbed: coster.Perturbed(),
 	}
 	for i, r := range rels {
 		o.relBit[r] = i
@@ -151,19 +293,27 @@ func New(coster *cost.Coster) *Optimizer {
 			o.adj[r] |= 1 << uint(l)
 		}
 	}
-	o.specPrice = !coster.Perturbed()
 	o.buildSkeleton()
-	size := o.full + 1
-	o.arena.New = func() any {
-		s := make([]memoEntry, size)
-		return &s
-	}
 	return o
 }
 
-// buildSkeleton precomputes the DP structure: access-path candidate nodes
-// per relation, and per connected mask the valid splits with their join
-// predicates and index-NL candidates. Everything here is independent of
+// arenas pools memo slices by relation count — a query of n relations
+// uses 1<<n entries — so steady-state Optimize calls produce no memo
+// garbage, and idle optimizers hold none.
+var arenas [65]sync.Pool
+
+// getMemo returns a memo of 1<<n entries whose slot 0 is zero.
+func getMemo(n int) *[]memoEntry {
+	if m, ok := arenas[n].Get().(*[]memoEntry); ok {
+		return m
+	}
+	m := make([]memoEntry, 1<<uint(n))
+	return &m
+}
+
+// buildSkeleton precomputes the DP structure: access-path candidates per
+// relation, per connected mask the valid splits with their join
+// candidates, and the aggregate on top. Everything here is independent of
 // the injected selectivities, so Optimize never re-derives it.
 func (o *Optimizer) buildSkeleton() {
 	n := len(o.rels)
@@ -172,29 +322,37 @@ func (o *Optimizer) buildSkeleton() {
 	// Base case: candidate access paths per relation — a sequential scan
 	// plus an index scan per indexed selection-predicate column, in
 	// predicate order (the tie-break enumeration order of the original
-	// per-call loop).
-	o.access = make([][]*plan.Node, n)
+	// per-call loop). A column two predicates share is one candidate.
+	memo := make(map[candKey]cost.Spec)
+	o.access = make([][]cand, n)
+	o.leaves = make([][]*plan.Node, n)
 	for i, rel := range o.rels {
 		preds := o.selPred[i]
-		cands := []*plan.Node{plan.NewSeqScan(rel, preds)}
+		leaves := []*plan.Node{plan.NewSeqScan(rel, preds)}
 		for _, id := range preds {
 			col := o.q.Predicate(id).Left.Column
-			if !o.q.Catalog.HasIndex(rel, col) {
+			if !o.q.Catalog.HasIndex(rel, col) || slices.ContainsFunc(leaves, func(n *plan.Node) bool { return n.IndexColumn == col }) {
 				continue
 			}
-			cands = append(cands, plan.NewIndexScan(rel, col, preds))
+			leaves = append(leaves, plan.NewIndexScan(rel, col, preds))
 		}
-		o.access[i] = cands
+		specs := make([]candSpec, len(leaves))
+		for j, n := range leaves {
+			specs[j] = candSpec{op: n.Op, rel: n.Relation, col: n.IndexColumn, preds: n.Preds}
+		}
+		o.access[i], o.leaves[i] = o.cands(specs, memo), leaves
 	}
 
 	// Inductive case: connected masks in increasing numeric order (every
 	// proper submask of m is numerically smaller than m, so this is a
-	// valid DP order), each with its feasible ordered splits.
+	// valid DP order), each with its feasible ordered splits. The skeleton
+	// lives as long as the optimizer, so its slices are cut to size.
+	var splits []split
 	for m := uint64(1); m <= o.full; m++ {
 		if bits.OnesCount64(m) < 2 || !o.connectedMask(m) {
 			continue
 		}
-		mp := maskPlan{mask: m}
+		splits = splits[:0]
 		for sub := (m - 1) & m; sub > 0; sub = (sub - 1) & m {
 			left, right := sub, m&^sub
 			// Disconnected halves never acquire memo entries; prune
@@ -207,18 +365,26 @@ func (o *Optimizer) buildSkeleton() {
 				continue // would be a Cartesian product
 			}
 			sort.Ints(preds) // plan.Node.Preds are normalized ascending
-			if sp, ok := o.buildSplit(left, right, preds); ok {
-				mp.splits = append(mp.splits, sp)
+			if specs := o.splitCands(right, preds); specs != nil {
+				splits = append(splits, split{left: left, right: right, cands: o.cands(specs, memo)})
 			}
 		}
-		o.masks = append(o.masks, mp)
+		o.masks = append(o.masks, maskPlan{mask: m, splits: slices.Clone(splits)})
 	}
+	o.masks = slices.Clip(o.masks)
+
+	if col, ok := o.q.GroupBy(); ok {
+		o.top = &o.cands([]candSpec{{op: plan.OpGroupAggregate, rel: col.Relation, col: col.Column}}, memo)[0]
+	} else if o.q.Aggregate() {
+		o.top = &o.cands([]candSpec{{op: plan.OpAggregate}}, memo)[0]
+	}
+	o.topSplit = split{left: o.full}
 }
 
-// buildSplit assembles the candidate structure of one split. ok is false
-// when the split admits no operator at all (an anti-join predicate in an
-// invalid shape).
-func (o *Optimizer) buildSplit(left, right uint64, preds []int) (split, bool) {
+// splitCands lists the candidates of a split whose right half is right,
+// joined by preds; nil when the split admits no operator at all (an
+// anti-join predicate in an invalid shape).
+func (o *Optimizer) splitCands(right uint64, preds []int) []candSpec {
 	// An anti-join predicate admits exactly one shape: the inner base
 	// relation alone on the right, consumed by a hash anti-join.
 	for _, id := range preds {
@@ -228,15 +394,12 @@ func (o *Optimizer) buildSplit(left, right uint64, preds []int) (split, bool) {
 		}
 		if len(preds) == 1 && bits.OnesCount64(right) == 1 &&
 			o.rels[bits.TrailingZeros64(right)] == p.Right.Relation {
-			return split{
-				left: left, right: right,
-				anti: &antiCand{rel: p.Right.Relation, col: p.Right.Column, preds: preds},
-			}, true
+			return []candSpec{{op: plan.OpAntiJoin, rel: p.Right.Relation, col: p.Right.Column, preds: preds}}
 		}
-		return split{}, false // no generic join operator applies to anti predicates
+		return nil // no generic join operator applies to anti predicates
 	}
 
-	sp := split{left: left, right: right, preds: preds}
+	specs := []candSpec{{op: plan.OpHashJoin, preds: preds}, {op: plan.OpMergeJoin, preds: preds}}
 
 	// Index nested loops: inner must be a single base relation with an
 	// index on (one of) the join columns. The inner's selection
@@ -244,6 +407,7 @@ func (o *Optimizer) buildSplit(left, right uint64, preds []int) (split, bool) {
 	if bits.OnesCount64(right) == 1 {
 		ri := bits.TrailingZeros64(right)
 		innerRel := o.rels[ri]
+		var all []int
 		for _, id := range preds {
 			p := o.q.Predicate(id)
 			var col string
@@ -255,15 +419,17 @@ func (o *Optimizer) buildSplit(left, right uint64, preds []int) (split, bool) {
 			default:
 				continue
 			}
-			if !o.q.Catalog.HasIndex(innerRel, col) {
+			if !o.q.Catalog.HasIndex(innerRel, col) || slices.ContainsFunc(specs, func(s candSpec) bool { return s.col == col }) {
 				continue
 			}
-			all := append(append([]int{}, preds...), o.selPred[ri]...)
-			sort.Ints(all)
-			sp.nl = append(sp.nl, nlCand{rel: innerRel, col: col, preds: all})
+			if all == nil {
+				all = append(append([]int{}, preds...), o.selPred[ri]...)
+				sort.Ints(all)
+			}
+			specs = append(specs, candSpec{op: plan.OpIndexNLJoin, rel: innerRel, col: col, preds: all})
 		}
 	}
-	return sp, true
+	return specs
 }
 
 // Query returns the optimizer's query.
@@ -282,21 +448,33 @@ func (o *Optimizer) ResetCalls() { o.calls.Store(0) }
 // Result is an optimization outcome: the chosen plan and its cost at the
 // injected selectivities.
 type Result struct {
-	// Plan is the cheapest plan found.
+	// Plan is the cheapest plan found. Within one Optimizer, equal plans
+	// are the same pointer.
 	Plan *plan.Node
 	// Cost is Plan's total cost at the injected selectivities.
 	Cost cost.Cost
 }
 
+// memoEntry is a priced candidate: the candidate and the split whose memo
+// entries it reads, which is all a DP winner records. Its node is
+// materialized only on demand — for the final plan and for an exact-cost
+// tie that compares fingerprints.
 type memoEntry struct {
+	sum cost.Summary
+	// c is the candidate; nil marks a mask with no feasible plan.
+	c *cand
+	// sp is the split whose halves c reads: the left, and the right too
+	// for a binary join; nil for an access path.
+	sp *split
+	// node is the materialized plan, nil until needed.
 	node *plan.Node
-	sum  cost.Summary
 }
 
 // Optimize returns the optimal plan and cost at the injected selectivity
 // assignment. sels must cover every predicate ID of the query. Panics on
 // an under-length assignment or a query with no feasible plan (both are
-// programming errors in the workload definition).
+// programming errors in the workload definition). In steady state it
+// allocates nothing, pinned by TestOptimizeAllocFree.
 func (o *Optimizer) Optimize(sels cost.Selectivities) Result {
 	o.calls.Add(1)
 	totalCalls.Add(1)
@@ -305,139 +483,111 @@ func (o *Optimizer) Optimize(sels cost.Selectivities) Result {
 			len(sels), o.q.NumPredicates()))
 	}
 
-	memop := o.arena.Get().(*[]memoEntry)
+	// The memo is not cleared: the DP writes every entry it reads before
+	// reading it, and slot 0 is never written.
+	memop := getMemo(len(o.rels))
 	memo := *memop
-	clear(memo)
+	defer arenas[len(o.rels)].Put(memop)
 
 	// Base case: single relations — access path selection.
 	for i := range o.rels {
-		memo[1<<uint(i)] = o.bestAccessPath(i, sels)
+		best := memoEntry{}
+		for ci := range o.access[i] {
+			o.consider(memo, &best, memoEntry{c: &o.access[i][ci], node: o.leaves[i][ci]}, sels)
+		}
+		o.settle(&best)
+		memo[1<<uint(i)] = best
 	}
 
 	// Inductive case: precomputed connected masks in DP order; each split
 	// prices its candidates from the halves' memoized summaries.
 	for mi := range o.masks {
 		mp := &o.masks[mi]
-		best := memoEntry{sum: cost.Summary{Cost: cost.Cost(math.Inf(1))}}
+		best := memoEntry{}
 		for si := range mp.splits {
 			sp := &mp.splits[si]
-			l, r := memo[sp.left], memo[sp.right]
-			if l.node == nil || r.node == nil {
+			if memo[sp.left].c == nil || memo[sp.right].c == nil {
 				continue // a half with no feasible plan (anti-join shapes)
 			}
-			o.considerJoins(&best, l, r, sp, sels)
+			for ci := range sp.cands {
+				o.consider(memo, &best, memoEntry{c: &sp.cands[ci], sp: sp}, sels)
+			}
+		}
+		if mp.mask != o.full {
+			o.settle(&best)
 		}
 		memo[mp.mask] = best
 	}
 
-	final := memo[o.full]
-	o.arena.Put(memop)
-	if final.node == nil {
+	final := &memo[o.full]
+	if final.c == nil {
 		panic(fmt.Sprintf("optimizer: no plan for query %s", o.q.Name))
 	}
-	if col, ok := o.q.GroupBy(); ok {
-		g := o.stepEntry(plan.NewGroupAggregate(final.node, col.Relation, col.Column), final, memoEntry{}, sels)
-		return Result{Plan: g.node, Cost: g.sum.Cost}
+	if o.top != nil {
+		top := memoEntry{c: o.top, sp: &o.topSplit}
+		o.price(memo, &top, sels)
+		final = &top
 	}
-	if o.q.Aggregate() {
-		agg := o.stepEntry(plan.NewAggregate(final.node), final, memoEntry{}, sels)
-		return Result{Plan: agg.node, Cost: agg.sum.Cost}
-	}
-	return Result{Plan: final.node, Cost: final.sum.Cost}
+	return Result{Plan: o.node(memo, final), Cost: final.sum.Cost}
 }
 
-// bestAccessPath prices the precomputed access-path candidates of
-// relation index i and returns the cheapest.
-func (o *Optimizer) bestAccessPath(i int, sels cost.Selectivities) memoEntry {
-	cands := o.access[i]
-	best := o.stepEntry(cands[0], memoEntry{}, memoEntry{}, sels)
-	for _, c := range cands[1:] {
-		best = o.cheaper(best, o.stepEntry(c, memoEntry{}, memoEntry{}, sels))
+// settle fills a finished memo entry's Sort, which every merge join
+// reading it prices.
+func (o *Optimizer) settle(e *memoEntry) {
+	if e.c != nil {
+		e.sum.Sort = o.coster.SortCost(e.sum)
 	}
-	return best
 }
 
-// considerJoins evaluates every physical join candidate of the split and
-// updates best in place. Candidates are priced node-free (PriceSpec) and
-// materialized only when they win, so losing candidates cost zero
-// allocations; candidate nodes reference the split's shared predicate
-// slices.
-func (o *Optimizer) considerJoins(best *memoEntry, left, right memoEntry, sp *split, sels cost.Selectivities) {
-	if sp.anti != nil {
-		o.consider(best, cost.OpSpec{
-			Op: plan.OpAntiJoin, Relation: sp.anti.rel, IndexColumn: sp.anti.col, Preds: sp.anti.preds,
-		}, left, memoEntry{}, sels)
+// price fills e.sum from its children's memoized summaries — the O(1)
+// costing step that replaces whole-subtree re-costing. An absent child
+// reads as the zero summary.
+func (o *Optimizer) price(memo []memoEntry, e *memoEntry, sels cost.Selectivities) {
+	var left, right cost.Summary
+	if e.sp != nil {
+		left = memo[e.sp.left].sum
+		if e.c.binary() {
+			right = memo[e.sp.right].sum
+		}
+	}
+	if o.perturbed {
+		e.sum = o.coster.PriceStep(o.node(memo, e), left, right, sels)
 		return
 	}
-
-	o.consider(best, cost.OpSpec{Op: plan.OpHashJoin, Preds: sp.preds}, left, right, sels)
-	o.consider(best, cost.OpSpec{Op: plan.OpMergeJoin, Preds: sp.preds}, left, right, sels)
-
-	for ci := range sp.nl {
-		c := &sp.nl[ci]
-		o.consider(best, cost.OpSpec{
-			Op: plan.OpIndexNLJoin, Relation: c.rel, IndexColumn: c.col, Preds: c.preds,
-		}, left, memoEntry{}, sels)
-	}
+	e.sum = o.coster.PriceSpec(&e.c.spec, left, right, sels)
 }
 
-// consider folds one candidate into best, replicating cheaper()'s total
-// order exactly: a strictly cheaper candidate wins, a strictly costlier
-// one loses, and an exact cost tie (including NaN, which compares neither
-// way) falls back to the fingerprint order — the only case that has to
-// materialize a losing candidate. Under a perturbed coster the node-free
-// fast path is unsound (perturbation keys on node fingerprints), so every
-// candidate is materialized and priced with PriceStep instead.
-func (o *Optimizer) consider(best *memoEntry, spec cost.OpSpec, left, right memoEntry, sels cost.Selectivities) {
-	if !o.specPrice {
-		*best = o.cheaper(*best, o.stepEntry(o.materialize(spec, left, right), left, right, sels))
-		return
-	}
-	sum := o.coster.PriceSpec(spec, left.sum, right.sum, sels)
+// consider prices candidate e and folds it into best with cheaper's total
+// order: a strictly cheaper candidate wins, a strictly costlier one loses,
+// and an exact cost tie (including NaN, which compares neither way) falls
+// back to the fingerprint order — the only case that materializes a
+// candidate that may lose.
+func (o *Optimizer) consider(memo []memoEntry, best *memoEntry, e memoEntry, sels cost.Selectivities) {
+	o.price(memo, &e, sels)
 	switch {
-	case best.node == nil, sum.Cost < best.sum.Cost:
-		*best = memoEntry{node: o.materialize(spec, left, right), sum: sum}
-	case sum.Cost > best.sum.Cost:
+	case best.c == nil, e.sum.Cost < best.sum.Cost:
+		*best = e
+	case e.sum.Cost > best.sum.Cost:
 		// keep best
 	default:
-		if n := o.materialize(spec, left, right); n.Fingerprint() < best.node.Fingerprint() {
-			*best = memoEntry{node: n, sum: sum}
+		if o.node(memo, &e).Fingerprint() < o.node(memo, best).Fingerprint() {
+			*best = e
 		}
 	}
 }
 
-// materialize builds the plan node for a candidate spec over the halves'
-// winning subplans.
-func (o *Optimizer) materialize(spec cost.OpSpec, left, right memoEntry) *plan.Node {
-	return &plan.Node{
-		Op: spec.Op, Relation: spec.Relation, IndexColumn: spec.IndexColumn,
-		Preds: spec.Preds, Left: left.node, Right: right.node,
+// node returns e's plan, interning it — and, first, its children — on
+// first use. It is the one place plan nodes are materialized.
+func (o *Optimizer) node(memo []memoEntry, e *memoEntry) *plan.Node {
+	if e.node == nil {
+		var right *plan.Node
+		left := o.node(memo, &memo[e.sp.left])
+		if e.c.binary() {
+			right = o.node(memo, &memo[e.sp.right])
+		}
+		e.node = o.intern(e.c, left, right)
 	}
-}
-
-// stepEntry prices a candidate operator from its children's memoized
-// summaries — the O(1) costing step that replaces whole-subtree re-costing.
-func (o *Optimizer) stepEntry(n *plan.Node, left, right memoEntry, sels cost.Selectivities) memoEntry {
-	return memoEntry{node: n, sum: o.coster.PriceStep(n, left.sum, right.sum, sels)}
-}
-
-// cheaper returns the lower-cost entry, breaking exact ties by fingerprint
-// so optimization is deterministic.
-func (o *Optimizer) cheaper(a, b memoEntry) memoEntry {
-	switch {
-	case b.node == nil:
-		return a
-	case a.node == nil:
-		return b
-	case b.sum.Cost < a.sum.Cost:
-		return b
-	case b.sum.Cost > a.sum.Cost:
-		return a
-	case b.node.Fingerprint() < a.node.Fingerprint():
-		return b
-	default:
-		return a
-	}
+	return e.node
 }
 
 // joinPredsBetween returns the join (and anti-join) predicate IDs
@@ -445,7 +595,8 @@ func (o *Optimizer) cheaper(a, b memoEntry) memoEntry {
 // reads the precomputed per-split slices.
 func (o *Optimizer) joinPredsBetween(left, right uint64) []int {
 	var out []int
-	for _, p := range o.q.Predicates() {
+	for id := range o.q.NumPredicates() {
+		p := o.q.Predicate(id)
 		if p.Kind == query.Selection {
 			continue
 		}

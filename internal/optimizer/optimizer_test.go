@@ -314,9 +314,12 @@ func BenchmarkOptimizeChain3(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimizeBranch8(b *testing.B) {
+// branch8Query is an eight-relation TPC-H join tree with four error-prone
+// joins: the DP's largest skeleton among the optimizer's fixtures.
+func branch8Query(t testing.TB) *query.Query {
+	t.Helper()
 	cat := catalog.TPCHLike(1.0)
-	q := query.NewBuilder("bench8", cat).
+	return query.NewBuilder("bench8", cat).
 		Relation("part").Relation("partsupp").Relation("lineitem").
 		Relation("supplier").Relation("orders").Relation("customer").
 		Relation("nation").Relation("region").
@@ -328,6 +331,10 @@ func BenchmarkOptimizeBranch8(b *testing.B) {
 		JoinPred("customer", "c_nationkey", "nation", "n_nationkey", query.PKFKSel(cat, "nation"), false).
 		JoinPred("nation", "n_regionkey", "region", "r_regionkey", query.PKFKSel(cat, "region"), false).
 		MustBuild()
+}
+
+func BenchmarkOptimizeBranch8(b *testing.B) {
+	q := branch8Query(b)
 	opt := newOpt(b, q)
 	sels := cost.DefaultSels(q)
 	b.ReportAllocs()

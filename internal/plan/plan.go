@@ -6,11 +6,21 @@
 // Plans are immutable after construction. Identity is structural: two plans
 // with the same fingerprint are the same plan, which is how POSP plan
 // diagrams count distinct plans.
+//
+// Nodes may be shared. The optimizer hash-conses the nodes it builds, so
+// within one optimizer equal subplans are one pointer, and one node can sit
+// in many plans of a diagram or bouquet. Within one tree every node is
+// distinct (its subtrees cover disjoint relations), so a map keyed by
+// *Node is sound only for state about one tree — per execution or per
+// Detail walk, as internal/exec and internal/cost keep theirs. State that
+// outlives a tree or spans plans keys on Fingerprint, as the exec reuse
+// cache does.
 package plan
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -233,7 +243,9 @@ func (n *Node) Fingerprint() string {
 	}
 	var sb strings.Builder
 	n.fingerprint(&sb)
-	s := sb.String()
+	// The memo outlives the builder: keep an exact-size copy, not the
+	// builder's doubled buffer.
+	s := strings.Clone(sb.String())
 	n.fp.Store(&s)
 	return s
 }
@@ -261,7 +273,8 @@ func (n *Node) fingerprint(sb *strings.Builder) {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			fmt.Fprintf(sb, "%d", p)
+			var num [20]byte
+			sb.Write(strconv.AppendInt(num[:0], int64(p), 10))
 		}
 		sb.WriteByte('}')
 	}

@@ -20,9 +20,9 @@ const matrixChunk = 4096
 // metrics — all of which compare foreign plan costs across the ESS.
 //
 // Computation parallelises over (plan, location-range) chunks rather than
-// whole plans, so few-plan diagrams still saturate every worker; each
-// pricing walks the plan tree once per location (the paper's abstract-plan-
-// costing capability) through the allocation-free Coster.Price path.
+// whole plans, so few-plan diagrams still saturate every worker; each plan
+// is prepared once and priced at every location (the paper's abstract-plan-
+// costing capability) through the allocation-free Coster.PricePlan path.
 func CostMatrix(d *Diagram, coster *cost.Coster, workers int) [][]cost.Cost {
 	space := d.Space()
 	n := space.NumPoints()
@@ -35,12 +35,16 @@ func CostMatrix(d *Diagram, coster *cost.Coster, workers int) [][]cost.Cost {
 		return m
 	}
 
-	// Pre-materialize the selectivity assignment per location so worker
-	// goroutines share it read-only.
+	// Pre-materialize the selectivity assignment per location and prepare
+	// every plan for pricing, so worker goroutines share both read-only.
 	sels := make([]cost.Selectivities, n)
 	space.ForEach(func(flat int, p ess.Point) {
 		sels[flat] = space.Sels(p)
 	})
+	prepared := make([]*cost.PreparedPlan, len(plans))
+	for pid, p := range plans {
+		prepared[pid] = coster.PreparePlan(p)
+	}
 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -70,9 +74,9 @@ func CostMatrix(d *Diagram, coster *cost.Coster, workers int) [][]cost.Cost {
 				if hi > n {
 					hi = n
 				}
-				row, p := m[pid], plans[pid]
+				row, pp := m[pid], prepared[pid]
 				for flat := lo; flat < hi; flat++ {
-					row[flat] = coster.Cost(p, sels[flat])
+					row[flat] = coster.PricePlan(pp, sels[flat]).Cost
 				}
 			}
 		}()

@@ -9,6 +9,7 @@
 package posp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -31,8 +32,16 @@ type Diagram struct {
 	planID []int       // per flat index; -1 = not optimized
 	cost   []cost.Cost // optimal cost per flat index; NaN = not optimized
 
-	plans  []*plan.Node
-	fpToID map[string]int
+	plans []*plan.Node
+	// byNode numbers plans by pointer: one optimizer's plans are interned,
+	// so this is the whole lookup for them. byFP numbers them by
+	// structure, for a new pointer — a plan built elsewhere (a snapshot,
+	// a test) or by another optimizer. last remembers the latest lookup:
+	// neighbouring locations mostly share their plan.
+	byNode map[*plan.Node]int
+	byFP   map[string]int
+	last   *plan.Node
+	lastID int
 }
 
 // NewDiagram returns an empty diagram over space.
@@ -42,7 +51,8 @@ func NewDiagram(space *ess.Space) *Diagram {
 		space:  space,
 		planID: make([]int, n),
 		cost:   make([]cost.Cost, n),
-		fpToID: make(map[string]int),
+		byNode: make(map[*plan.Node]int),
+		byFP:   make(map[string]int),
 	}
 	for i := range d.planID {
 		d.planID[i] = -1
@@ -63,15 +73,23 @@ func (d *Diagram) Set(flat int, p *plan.Node, c cost.Cost) int {
 	return id
 }
 
-// registerPlan interns p, returning its diagram ID.
+// registerPlan returns p's diagram ID, assigning the next one to a plan
+// not seen before. Only a pointer not seen before is fingerprinted.
 func (d *Diagram) registerPlan(p *plan.Node) int {
-	fp := p.Fingerprint()
-	id, ok := d.fpToID[fp]
-	if !ok {
-		id = len(d.plans)
-		d.plans = append(d.plans, p)
-		d.fpToID[fp] = id
+	if p == d.last {
+		return d.lastID
 	}
+	id, ok := d.byNode[p]
+	if !ok {
+		fp := p.Fingerprint()
+		if id, ok = d.byFP[fp]; !ok {
+			id = len(d.plans)
+			d.plans = append(d.plans, p)
+			d.byFP[fp] = id
+		}
+		d.byNode[p] = id
+	}
+	d.last, d.lastID = p, id
 	return id
 }
 
@@ -126,62 +144,94 @@ func (d *Diagram) CostBounds() (cmin, cmax cost.Cost) {
 	return cmin, cmax
 }
 
-// Generate exhaustively optimizes every grid location of space with opt,
-// using up to workers goroutines (0 means GOMAXPROCS). Plan numbering is
-// deterministic: IDs are assigned by first appearance in flat-index order.
+// Generate is GenerateContext under a context that is never cancelled.
+// Cancellation is GenerateContext's only error, so the panic on one is
+// unreachable.
 func Generate(opt *optimizer.Optimizer, space *ess.Space, workers int) *Diagram {
-	n := space.NumPoints()
-	results := OptimizeAll(opt, space, allFlats(n), workers)
-	d := NewDiagram(space)
-	for flat := 0; flat < n; flat++ {
-		d.Set(flat, results[flat].Plan, results[flat].Cost)
+	d, err := GenerateContext(context.Background(), opt, space, workers)
+	if err != nil {
+		panic(err)
 	}
 	return d
 }
 
-func allFlats(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// generateBatch is how many locations GenerateContext optimizes between
+// two polls of its context.
+const generateBatch = 1024
+
+// GenerateContext exhaustively optimizes every grid location of space
+// with opt, using up to workers goroutines (0 means GOMAXPROCS), a batch
+// of locations at a time. Plan numbering is deterministic: IDs are
+// assigned by first appearance in flat-index order. ctx is polled before
+// each batch; on cancellation its error is returned with no diagram.
+func GenerateContext(ctx context.Context, opt *optimizer.Optimizer, space *ess.Space, workers int) (*Diagram, error) {
+	n := space.NumPoints()
+	d := NewDiagram(space)
+	batch := make([]int, 0, min(n, generateBatch))
+	for lo := 0; lo < n; lo += len(batch) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		batch = batch[:min(generateBatch, n-lo)]
+		for i := range batch {
+			batch[i] = lo + i
+		}
+		for i, res := range OptimizeAll(opt, space, batch, workers) {
+			d.Set(batch[i], res.Plan, res.Cost)
+		}
 	}
-	return out
+	return d, nil
 }
+
+// maxGrain caps how many consecutive locations an OptimizeAll worker
+// claims at once.
+const maxGrain = 16
 
 // OptimizeAll runs opt at each listed location with up to workers
 // goroutines (0 means GOMAXPROCS), returning results positionally parallel
-// to flats; it is the one batch primitive both generators — Generate and
-// contour.Focused — are built on. Work distribution is a shared atomic
-// cursor and results land directly in the pre-sized slice — no channels,
-// no per-item sends, no map assembly on the hot compile path. Each worker
-// also fingerprints the plan it found (memoized on the node), so that the
-// caller's serial Diagram.Set merge is a map probe per location.
+// to flats; it is the one batch primitive both generators — GenerateContext
+// and contour.FocusedContext — are built on. Work distribution is a shared
+// atomic cursor over runs of locations, each worker fills one selectivity
+// buffer in place, and results land directly in the pre-sized slice — no
+// channels, no per-item sends, no map assembly on the hot compile path.
+// Each worker also fingerprints the plan it found (memoized on the
+// interned node, so only a new plan costs anything), keeping that work off
+// the caller's serial Diagram.Set merge.
 func OptimizeAll(opt *optimizer.Optimizer, space *ess.Space, flats []int, workers int) []optimizer.Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(flats) {
-		workers = len(flats)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(flats)))
 	results := make([]optimizer.Result, len(flats))
+	// Workers claim runs of grain locations, so that on a cheap query the
+	// cursor and the results' cache lines are not shared call by call.
+	grain := min(maxGrain, max(1, len(flats)/(workers*maxGrain)))
 	var cursor atomic.Int64
+	work := func() {
+		var sels cost.Selectivities
+		for {
+			lo := int(cursor.Add(int64(grain))) - grain
+			if lo >= len(flats) {
+				return
+			}
+			for i := lo; i < min(lo+grain, len(flats)); i++ {
+				sels = space.SelsAt(sels, flats[i])
+				results[i] = opt.Optimize(sels)
+				results[i].Plan.Fingerprint()
+			}
+		}
+	}
+	// The caller is the first worker, so a small batch never waits for a
+	// goroutine to be scheduled.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(flats) {
-					return
-				}
-				results[i] = opt.Optimize(space.Sels(space.PointAt(flats[i])))
-				results[i].Plan.Fingerprint()
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return results
 }
