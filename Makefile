@@ -96,17 +96,19 @@ bench-compile-smoke:
 # bench-exec measures executor throughput — the Volcano engine against
 # the vectorized engine at 1 and 8 morsel workers on a 400k-row
 # three-way join (plus the aggregate pipeline), and the whole-bouquet
-# run with operator-state reuse on and off, and the column-index build
-# on a 600k-row lineitem.l_orderkey — and converts the raw output into
+# run with operator-state reuse on and off, the column-index build on a
+# 600k-row lineitem.l_orderkey, and generating that lineitem reading two
+# of its six columns against all six — and converts the raw output into
 # BENCH_exec.json with speedups against the checked-in seed baselines
-# (bench/exec_seed.txt + bench/bouquet_seed.txt; the index has none).
+# (bench/exec_seed.txt + bench/bouquet_seed.txt; the index and the
+# generator have none).
 bench-exec:
 	@mkdir -p $(BIN)
 	$(GO) test -run '^$$' -bench 'BenchmarkExecJoin|BenchmarkExecAggregate' \
 		-benchmem -count 3 -timeout 30m ./internal/exec | tee $(BIN)/bench_exec.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkBouquetRun$$' \
 		-benchmem -count 3 -timeout 30m ./internal/core | tee -a $(BIN)/bench_exec.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkIndex$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkIndex$$|BenchmarkGenerate$$' \
 		-benchmem -count 3 ./internal/data | tee -a $(BIN)/bench_exec.txt
 	$(GO) build -o $(BIN)/benchjson ./cmd/benchjson
 	@cat bench/exec_seed.txt bench/bouquet_seed.txt > $(BIN)/exec_baseline.txt
@@ -115,13 +117,13 @@ bench-exec:
 	@echo "wrote BENCH_exec.json"
 
 # bench-exec-smoke is the CI variant: single short iterations on both
-# engines plus the multi-step bouquet run and the index build, so a
-# benchmark that no longer compiles or crashes fails fast.
+# engines plus the multi-step bouquet run, the index build and the
+# generator, so a benchmark that no longer compiles or crashes fails fast.
 bench-exec-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecJoinVolcano$$|BenchmarkExecJoinVector8$$' \
 		-benchtime 1x -benchmem ./internal/exec
 	$(GO) test -run '^$$' -bench 'BenchmarkBouquetRun$$' -benchtime 1x -benchmem ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkIndex$$' -benchtime 1x -benchmem ./internal/data
+	$(GO) test -run '^$$' -bench 'BenchmarkIndex$$|BenchmarkGenerate$$' -benchtime 1x -benchmem ./internal/data
 
 # cover writes an atomic-mode coverage profile for the whole repo and
 # fails when total statement coverage drops below COVER_FLOOR. CI uploads

@@ -5,7 +5,11 @@
 //
 // All generation is seeded and order-stable: the same catalog + spec + seed
 // always produce byte-identical tables, underpinning the paper's
-// repeatable-execution claim (tested in internal/core).
+// repeatable-execution claim (tested in internal/core). Generate fixes each
+// relation's seed and spec; a column is materialized on its first read, with
+// the values it would have had had every column been drawn up front (pinned
+// by TestLazyColumnsMatchEager), so a database holds only the columns its
+// runs touch.
 package data
 
 import (
@@ -36,23 +40,38 @@ type Spec struct {
 	Skew map[string]float64
 }
 
-// Table is a columnar table with a lazily built Index per column.
+// Table is a columnar table whose columns, and the Index of each, are
+// built on first use.
 //
-// Concurrency: the column vectors are immutable once generated. Index
-// builds its column's index on first use and caches it in an unguarded
-// map, so the executor calls it only on the goroutine composing a run —
-// before any morsel worker of that run starts — and the built Index is
-// read-only afterwards. Runs that could compose concurrently on one table
-// must be serialized by the caller (the server holds one mutex per
-// engine).
+// A column is drawn when it is first read. The relation's generator draws
+// its non-key columns in catalog order from one seeded stream, so the
+// first read of a column draws the stream forward to it, discarding the
+// draws of the columns it skips; a read of an earlier column replays the
+// stream from the seed. Key columns draw nothing. Either way a column
+// holds exactly the values it would have had had every column been drawn
+// up front.
+//
+// Concurrency: the column vectors and built indexes are immutable once
+// made, but Column and Index build on first use into unguarded state, so
+// the executor calls them only on the goroutine composing a run — before
+// any morsel worker of that run starts — and the slices it hands workers
+// are read-only. Runs that could compose concurrently on one table must be
+// serialized by the caller (the server holds one mutex per engine).
 type Table struct {
 	// Rel is the catalog relation this table instantiates.
 	Rel *catalog.Relation
 
 	colIdx  map[string]int
-	cols    [][]int64
+	cols    [][]int64 // nil until the column's first read
 	n       int
 	indexes map[string]*Index
+
+	// The relation's generator: its spec and seed, and the stream rng
+	// positioned at the draws of column next (nil before the first draw).
+	spec Spec
+	seed int64
+	rng  *rand.Rand
+	next int
 }
 
 // NumRows returns the row count.
@@ -61,19 +80,19 @@ func (t *Table) NumRows() int { return t.n }
 // Value returns the value of column col at row r. Panics on an unknown
 // column.
 func (t *Table) Value(r int, col string) int64 {
-	i, ok := t.colIdx[col]
-	if !ok {
-		panic(fmt.Sprintf("data: table %s has no column %s", t.Rel.Name, col))
-	}
-	return t.cols[i][r]
+	return t.Column(col)[r]
 }
 
-// Column returns the full column vector (shared; do not mutate). Panics
+// Column returns the full column vector (shared; do not mutate),
+// generating it on first read (see Table for the concurrency rule). Panics
 // on an unknown column.
 func (t *Table) Column(col string) []int64 {
 	i, ok := t.colIdx[col]
 	if !ok {
 		panic(fmt.Sprintf("data: table %s has no column %s", t.Rel.Name, col))
+	}
+	if t.cols[i] == nil {
+		t.cols[i] = t.generate(i)
 	}
 	return t.cols[i]
 }
@@ -224,9 +243,10 @@ func (db *Database) Table(name string) *Table {
 	return t
 }
 
-// Generate materializes every relation in cat (or only rels, if non-empty)
+// Generate instantiates every relation in cat (or only rels, if non-empty)
 // with rel.Card rows each, using specs to steer distributions and seed for
-// determinism.
+// determinism. It draws nothing itself: each column is generated on its
+// first read (see Table).
 func Generate(cat *catalog.Catalog, rels []string, specs map[string]Spec, seed int64) *Database {
 	db := &Database{Cat: cat, tables: make(map[string]*Table)}
 	var list []*catalog.Relation
@@ -240,10 +260,26 @@ func Generate(cat *catalog.Catalog, rels []string, specs map[string]Spec, seed i
 	for _, rel := range list {
 		// Per-relation seed derived stably from the global seed and
 		// relation name so adding relations never reshuffles others.
-		rng := rand.New(rand.NewSource(seed ^ int64(stableHash(rel.Name))))
-		db.tables[rel.Name] = generateTable(rel, specs[rel.Name], rng)
+		db.tables[rel.Name] = newTable(rel, specs[rel.Name], seed^int64(stableHash(rel.Name)))
 	}
 	return db
+}
+
+// newTable instantiates rel with no column generated yet.
+func newTable(rel *catalog.Relation, spec Spec, seed int64) *Table {
+	t := &Table{
+		Rel:     rel,
+		colIdx:  make(map[string]int, len(rel.Columns)),
+		cols:    make([][]int64, len(rel.Columns)),
+		n:       int(rel.Card),
+		indexes: make(map[string]*Index),
+		spec:    spec,
+		seed:    seed,
+	}
+	for ci, col := range rel.Columns {
+		t.colIdx[col.Name] = ci
+	}
+	return t
 }
 
 func stableHash(s string) uint32 {
@@ -255,63 +291,75 @@ func stableHash(s string) uint32 {
 	return h
 }
 
-func generateTable(rel *catalog.Relation, spec Spec, rng *rand.Rand) *Table {
-	n := int(rel.Card)
-	t := &Table{
-		Rel:     rel,
-		colIdx:  make(map[string]int, len(rel.Columns)),
-		cols:    make([][]int64, len(rel.Columns)),
-		n:       n,
-		indexes: make(map[string]*Index),
+// generate materializes column ci. A key column is its row ids; any other
+// column positions the relation's stream at its draws first — replaying
+// from the seed if the stream has passed them, drawing and discarding the
+// columns in between otherwise.
+func (t *Table) generate(ci int) []int64 {
+	vals := make([]int64, t.n)
+	if t.Rel.Columns[ci].Type == catalog.TypeKey {
+		for i := range vals {
+			vals[i] = int64(i)
+		}
+		return vals
 	}
-	for ci, col := range rel.Columns {
-		t.colIdx[col.Name] = ci
-		vals := make([]int64, n)
-		switch col.Type {
-		case catalog.TypeKey:
-			for i := range vals {
-				vals[i] = int64(i)
-			}
-		case catalog.TypeForeignKey:
-			// Referenced keys are dense 0..refCard-1 by the
-			// TypeKey construction above, so a draw in that range
-			// references a real key.
-			refCard := col.DistinctCount
-			if refCard < 1 {
-				refCard = 1
-			}
-			match := 1.0
-			if spec.MatchFrac != nil {
-				if f, ok := spec.MatchFrac[col.Name]; ok {
-					match = f
-				}
-			}
-			draw := drawerFor(spec, col.Name, refCard, rng)
-			for i := range vals {
-				if match >= 1.0 || rng.Float64() < match {
-					vals[i] = draw()
-				} else {
-					vals[i] = -1 // dangling: matches nothing
-				}
-			}
-		case catalog.TypeInt:
-			domain := col.DistinctCount
-			if spec.Domain != nil {
-				if d, ok := spec.Domain[col.Name]; ok {
-					domain = d
-				}
-			}
-			if domain < 1 {
-				domain = 1
-			}
-			draw := drawerFor(spec, col.Name, domain, rng)
-			for i := range vals {
-				vals[i] = draw()
+	if t.rng == nil || ci < t.next {
+		t.rng, t.next = rand.New(rand.NewSource(t.seed)), 0
+	}
+	for ; t.next < ci; t.next++ {
+		t.draw(t.next, nil)
+	}
+	t.draw(ci, vals)
+	t.next = ci + 1
+	return vals
+}
+
+// draw makes column ci's draws from the stream, storing them in vals, or
+// discarding them when vals is nil. Key columns draw nothing.
+func (t *Table) draw(ci int, vals []int64) {
+	col, spec, rng := &t.Rel.Columns[ci], t.spec, t.rng
+	switch col.Type {
+	case catalog.TypeForeignKey:
+		// Referenced keys are dense 0..refCard-1 by the TypeKey
+		// construction, so a draw in that range references a real key.
+		refCard := col.DistinctCount
+		if refCard < 1 {
+			refCard = 1
+		}
+		match := 1.0
+		if spec.MatchFrac != nil {
+			if f, ok := spec.MatchFrac[col.Name]; ok {
+				match = f
 			}
 		}
-		t.cols[ci] = vals
+		draw := drawerFor(spec, col.Name, refCard, rng)
+		for i := 0; i < t.n; i++ {
+			v := int64(-1) // dangling: matches nothing
+			if match >= 1.0 || rng.Float64() < match {
+				v = draw()
+			}
+			if vals != nil {
+				vals[i] = v
+			}
+		}
+	case catalog.TypeInt:
+		domain := col.DistinctCount
+		if spec.Domain != nil {
+			if d, ok := spec.Domain[col.Name]; ok {
+				domain = d
+			}
+		}
+		if domain < 1 {
+			domain = 1
+		}
+		draw := drawerFor(spec, col.Name, domain, rng)
+		for i := 0; i < t.n; i++ {
+			v := draw()
+			if vals != nil {
+				vals[i] = v
+			}
+		}
 	}
-	return t
 }
 
 // drawerFor returns the value generator for a column: uniform over

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -278,11 +279,24 @@ func TestSkewedFKStillJoins(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate generates a 600k-row lineitem (TPC-H-like, scale 0.1)
+// and reads two of its six columns — what 2D_H_Q8a's plans read — or all
+// six: what generation costs a query, against what it cost before columns
+// were generated on first read.
 func BenchmarkGenerate(b *testing.B) {
-	cat := smallCatalog()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Generate(cat, nil, nil, int64(i))
+	cat := catalog.TPCHLike(0.1)
+	all := []string{"l_orderkey", "l_partkey", "l_suppkey", "l_shipdate", "l_quantity", "l_extendedprice"}
+	for _, read := range [][]string{all[:2], all} {
+		b.Run(fmt.Sprintf("read=%dof6", len(read)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tbl := Generate(cat, []string{"lineitem"}, nil, int64(i)).Table("lineitem")
+				for _, col := range read {
+					tbl.Column(col)
+				}
+			}
+			b.ReportMetric(float64(cat.MustRelation("lineitem").Card)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }
 
@@ -308,4 +322,22 @@ func BenchmarkIndex(b *testing.B) {
 		benchIndex = newIndex(vals)
 	}
 	b.ReportMetric(float64(len(vals))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// TestUnreadColumnsStayUngenerated pins the point of laziness: reading one
+// column materializes that column alone, and an unread table nothing.
+func TestUnreadColumnsStayUngenerated(t *testing.T) {
+	db := Generate(smallCatalog(), nil, nil, 5)
+	tbl := db.Table("fk")
+	tbl.Column("w")
+	for i, col := range tbl.Rel.Columns {
+		if (tbl.cols[i] != nil) != (col.Name == "w") {
+			t.Fatalf("column %s materialized = %v", col.Name, tbl.cols[i] != nil)
+		}
+	}
+	for i := range db.Table("pk").cols {
+		if db.Table("pk").cols[i] != nil {
+			t.Fatal("an unread table generated a column")
+		}
+	}
 }

@@ -13,15 +13,21 @@ func TestFilterBatchAllocFree(t *testing.T) {
 	for i := range col {
 		col[i] = int64(i)
 	}
-	cols := [][]int64{col}
-	preds := []scanPred{{id: 0, off: 0, bound: n / 2}}
+	preds := []scanPred{{id: 0, col: col, bound: n / 2}}
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(n - 1 - i)
+	}
 	st := &NodeStats{}
 	ws := &wslot{}
 	// Warm-up batch: sizes the failure bitmap, the selection vector, and
 	// the lazy pass-count map.
-	filterBatch(st, ws, preds, cols, 0, n)
-	if got := testing.AllocsPerRun(100, func() { filterBatch(st, ws, preds, cols, 0, n) }); got > 0 {
+	filterBatch(st, ws, preds, 0, n, nil)
+	if got := testing.AllocsPerRun(100, func() { filterBatch(st, ws, preds, 0, n, nil) }); got > 0 {
 		t.Errorf("filterBatch allocates %.0f/batch warm, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { filterBatch(st, ws, preds, 0, n, rows) }); got > 0 {
+		t.Errorf("filterBatch over gathered rows allocates %.0f/batch warm, want 0", got)
 	}
 }
 

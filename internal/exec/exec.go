@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -162,7 +163,7 @@ func (e *Engine) Run(root *plan.Node, opts Options) (Result, error) {
 func (e *Engine) runVolcano(driven *plan.Node, opts Options, budget float64) (Result, error) {
 	m := &meter{budget: budget}
 	res := Result{Stats: make(map[*plan.Node]*NodeStats)}
-	b := &builder{e: e, m: m, stats: res.Stats, perturb: opts.Perturb, tally: &reuseTally{}}
+	b := &builder{e: e, shapes: e.shapes(driven, opts.Collect != nil), m: m, stats: res.Stats, perturb: opts.Perturb, tally: &reuseTally{}}
 	if opts.Perturb == nil {
 		b.reuse = opts.Reuse
 	}
@@ -282,13 +283,141 @@ type row []int64
 // schema names the columns of a row as (relation, column) pairs.
 type schema []query.ColumnRef
 
-func (s schema) offset(rel, col string) int {
-	for i, c := range s {
-		if c.Relation == rel && c.Column == col {
+// find returns c's offset in s, or -1.
+func (s schema) find(c query.ColumnRef) int {
+	for i, sc := range s {
+		if sc == c {
 			return i
 		}
 	}
-	panic(fmt.Sprintf("exec: column %s.%s not in schema", rel, col))
+	return -1
+}
+
+func (s schema) offset(c query.ColumnRef) int {
+	if i := s.find(c); i >= 0 {
+		return i
+	}
+	panic(fmt.Sprintf("exec: column %s not in schema", c))
+}
+
+// shape is one node's output in a run: the pruned schema — the columns the
+// node's ancestors read, in the unpruned schema's order — and the width of
+// the unpruned schema, which is what the cost model prices and so what
+// every width-dependent charge (hash-join page rows and grace spill,
+// merge-join sort spill) uses.
+type shape struct {
+	sch  schema
+	full int
+}
+
+// need is the set of columns a node's ancestors read. all marks a run that
+// collects rows: its root reads every column, so nothing is pruned.
+type need struct {
+	cols schema
+	all  bool
+}
+
+func (nd need) has(c query.ColumnRef) bool { return nd.all || nd.cols.find(c) >= 0 }
+
+// plus returns the set with the columns of the given predicates added.
+func (nd need) plus(q *query.Query, preds []int) need {
+	if nd.all {
+		return nd
+	}
+	cols := slices.Clip(nd.cols)
+	for _, id := range preds {
+		p := q.Predicate(id)
+		cols = append(cols, p.Left, p.Right)
+	}
+	return need{cols: cols}
+}
+
+// pick keeps the columns of sch that nd has, in sch's order.
+func (nd need) pick(sch schema) schema {
+	var out schema
+	for _, c := range sch {
+		if nd.has(c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// shapes computes, once per run, every node's output under driven: what
+// its ancestors read of it. The root reads nothing, or every column when
+// the run collects rows. A hash or merge join reads what its parent needs
+// of each side plus that side's join keys; an index nested-loops join
+// the same of its outer side (it reads inner columns straight from the
+// table); an anti-join its parent's set plus the anti column; a group
+// aggregate its group column; a scalar aggregate (COUNT(*)) nothing.
+// Scans read their predicate columns straight from the table too. Both
+// engines build their operators over these shapes, so what a run carries
+// is a function of the plan and of whether the run collects rows alone.
+func (e *Engine) shapes(driven *plan.Node, collect bool) map[*plan.Node]shape {
+	out := make(map[*plan.Node]shape)
+	e.shapeOf(driven, need{all: collect}, out)
+	return out
+}
+
+func (e *Engine) shapeOf(n *plan.Node, nd need, out map[*plan.Node]shape) shape {
+	var s shape
+	switch n.Op {
+	case plan.OpSeqScan, plan.OpIndexScan:
+		rel := e.relSchema(n.Relation)
+		s = shape{sch: nd.pick(rel), full: len(rel)}
+	case plan.OpHashJoin, plan.OpMergeJoin:
+		sides := nd.plus(e.q, n.Preds)
+		l, r := e.shapeOf(n.Left, sides, out), e.shapeOf(n.Right, sides, out)
+		s = shape{sch: append(nd.pick(l.sch), nd.pick(r.sch)...), full: l.full + r.full}
+	case plan.OpIndexNLJoin:
+		l := e.shapeOf(n.Left, nd.plus(e.q, n.Preds), out)
+		rel := e.relSchema(n.Relation)
+		s = shape{sch: append(nd.pick(l.sch), nd.pick(rel)...), full: l.full + len(rel)}
+	case plan.OpAntiJoin:
+		s = e.shapeOf(n.Left, nd.plus(e.q, n.Preds[:1]), out)
+	case plan.OpAggregate:
+		e.shapeOf(n.Left, need{}, out)
+		s = shape{sch: schema{{Column: "count"}}, full: 1}
+	case plan.OpGroupAggregate:
+		group := query.ColumnRef{Relation: n.Relation, Column: n.IndexColumn}
+		e.shapeOf(n.Left, need{cols: schema{group}}, out)
+		s = shape{sch: schema{group, {Column: "count"}}, full: 2}
+	}
+	out[n] = s
+	return s
+}
+
+// relSchema returns the unpruned schema of a base relation.
+func (e *Engine) relSchema(relName string) schema {
+	rel := e.q.Catalog.MustRelation(relName)
+	s := make(schema, len(rel.Columns))
+	for i, c := range rel.Columns {
+		s[i] = query.ColumnRef{Relation: relName, Column: c.Name}
+	}
+	return s
+}
+
+// columns resolves sch's columns to table's vectors, once, when an
+// operator is built.
+func columns(tbl *data.Table, sch schema) [][]int64 {
+	cols := make([][]int64, len(sch))
+	for i, c := range sch {
+		cols[i] = tbl.Column(c.Column)
+	}
+	return cols
+}
+
+// split maps a join's output columns to their offsets in its two inputs'
+// schemas: the output is the picked left columns, then the picked right.
+func split(out, left, right schema) (l, r []int) {
+	for _, c := range out {
+		if i := left.find(c); i >= 0 {
+			l = append(l, i)
+		} else {
+			r = append(r, right.offset(c))
+		}
+	}
+	return l, r
 }
 
 // iterator is the Volcano operator interface.
@@ -301,6 +430,7 @@ type iterator interface {
 // builder assembles the iterator tree for a plan.
 type builder struct {
 	e       *Engine
+	shapes  map[*plan.Node]shape // the run's pruned outputs (Engine.shapes)
 	m       *meter
 	stats   map[*plan.Node]*NodeStats
 	perturb func(*plan.Node) float64
@@ -343,16 +473,6 @@ func (b *builder) build(n *plan.Node) (iterator, schema, error) {
 	default:
 		return nil, nil, fmt.Errorf("exec: unknown operator %v", n.Op)
 	}
-}
-
-// relSchema returns the schema of a base relation.
-func (b *builder) relSchema(relName string) schema {
-	rel := b.e.q.Catalog.MustRelation(relName)
-	s := make(schema, len(rel.Columns))
-	for i, c := range rel.Columns {
-		s[i] = query.ColumnRef{Relation: relName, Column: c.Name}
-	}
-	return s
 }
 
 // predSplit partitions a node's predicate IDs into join and selection

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // ---------------------------------------------------------------------------
@@ -18,21 +19,20 @@ type seqScan struct {
 	b     *builder
 	n     *plan.Node
 	st    *NodeStats
-	sch   schema
 	f     float64 // charge factor
 	preds []scanPred
 
-	tbl         tableRef
+	cols        [][]int64 // the output columns' table vectors
+	numRows     int
 	pos         int
 	rowsPerPage int
-	width       int
 }
 
-// scanPred is a bound selection predicate: "col < bound", or
-// "col ≥ bound" when negated.
+// scanPred is a bound selection predicate over a table column: "col <
+// bound", or "col ≥ bound" when negated.
 type scanPred struct {
 	id      int
-	off     int
+	col     []int64 // the predicate column's table vector
 	bound   int64
 	negated bool
 }
@@ -45,14 +45,24 @@ func (sp scanPred) eval(v int64) bool {
 	return v < sp.bound
 }
 
-// tableRef narrows data.Table to what operators need, easing testing.
-type tableRef struct {
-	numRows int
-	col     func(i int) []int64 // columnar access by schema offset
+// scanPreds binds selection predicates to tbl's columns, for both
+// engines' scans and index nested-loops inner filters.
+func (e *Engine) scanPreds(ids []int, tbl *data.Table) []scanPred {
+	var preds []scanPred
+	for _, id := range ids {
+		p := e.q.Predicate(id)
+		preds = append(preds, scanPred{
+			id:      id,
+			col:     tbl.Column(p.Left.Column),
+			bound:   e.bindings[id],
+			negated: p.Negated,
+		})
+	}
+	return preds
 }
 
 func (b *builder) buildSeqScan(n *plan.Node) (iterator, schema, error) {
-	sch := b.relSchema(n.Relation)
+	sch := b.shapes[n].sch
 	tbl := b.e.db.Table(n.Relation)
 	rel := b.e.q.Catalog.MustRelation(n.Relation)
 	rpp := int(b.e.q.Catalog.PageSize / rel.TupleWidth)
@@ -60,20 +70,9 @@ func (b *builder) buildSeqScan(n *plan.Node) (iterator, schema, error) {
 		rpp = 1
 	}
 	s := &seqScan{
-		b: b, n: n, st: b.statsFor(n), sch: sch, f: b.factor(n),
-		rowsPerPage: rpp, width: len(sch),
-	}
-	s.tbl = tableRef{numRows: tbl.NumRows(), col: func(i int) []int64 {
-		return tbl.Column(sch[i].Column)
-	}}
-	for _, id := range n.Preds {
-		p := b.e.q.Predicate(id)
-		s.preds = append(s.preds, scanPred{
-			id:      id,
-			off:     sch.offset(p.Left.Relation, p.Left.Column),
-			bound:   b.e.bindings[id],
-			negated: p.Negated,
-		})
+		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
+		preds: b.e.scanPreds(n.Preds, tbl),
+		cols:  columns(tbl, sch), numRows: tbl.NumRows(), rowsPerPage: rpp,
 	}
 	return s, sch, nil
 }
@@ -82,7 +81,7 @@ func (s *seqScan) open() error { return nil }
 
 func (s *seqScan) next() (row, bool, error) {
 	p := s.b.e.params
-	for s.pos < s.tbl.numRows {
+	for s.pos < s.numRows {
 		i := s.pos
 		s.pos++
 		charge := p.CPUTupleCost + float64(len(s.preds))*p.CPUOperatorCost
@@ -98,7 +97,7 @@ func (s *seqScan) next() (row, bool, error) {
 		// selectivity learning.
 		pass := true
 		for _, sp := range s.preds {
-			if sp.eval(s.tbl.col(sp.off)[i]) {
+			if sp.eval(sp.col[i]) {
 				s.st.PassBy[sp.id]++
 			} else {
 				pass = false
@@ -107,9 +106,9 @@ func (s *seqScan) next() (row, bool, error) {
 		if !pass {
 			continue
 		}
-		out := make(row, s.width)
-		for c := 0; c < s.width; c++ {
-			out[c] = s.tbl.col(c)[i]
+		out := make(row, len(s.cols))
+		for c, col := range s.cols {
+			out[c] = col[i]
 		}
 		s.st.Out++
 		return out, true, nil
@@ -125,51 +124,42 @@ func (s *seqScan) close() {}
 // Index scan
 
 type indexScan struct {
-	b   *builder
-	n   *plan.Node
-	st  *NodeStats
-	sch schema
-	f   float64
+	b  *builder
+	n  *plan.Node
+	st *NodeStats
+	f  float64
 
 	driving scanPred   // predicate on the indexed column
 	resid   []scanPred // remaining predicates
 	order   []int32    // row ids sorted by the indexed column
-	col     func(i int) []int64
-	width   int
+	cols    [][]int64  // the output columns' table vectors
 	pos     int
 	perPage float64
 	opened  bool
 }
 
-func (b *builder) buildIndexScan(n *plan.Node) (iterator, schema, error) {
-	sch := b.relSchema(n.Relation)
-	tbl := b.e.db.Table(n.Relation)
-	s := &indexScan{
-		b: b, n: n, st: b.statsFor(n), sch: sch, f: b.factor(n),
-		width: len(sch),
-		col: func(i int) []int64 {
-			return tbl.Column(sch[i].Column)
-		},
-	}
-	found := false
-	for _, id := range n.Preds {
-		p := b.e.q.Predicate(id)
-		sp := scanPred{
-			id:      id,
-			off:     sch.offset(p.Left.Relation, p.Left.Column),
-			bound:   b.e.bindings[id],
-			negated: p.Negated,
-		}
-		if !found && p.Left.Column == n.IndexColumn {
-			s.driving = sp
-			found = true
+// splitDriving separates an index scan's predicate on its index column —
+// the first, if several — from the residual ones.
+func (e *Engine) splitDriving(n *plan.Node, preds []scanPred) (driving scanPred, resid []scanPred, found bool) {
+	for _, sp := range preds {
+		if !found && e.q.Predicate(sp.id).Left.Column == n.IndexColumn {
+			driving, found = sp, true
 		} else {
-			s.resid = append(s.resid, sp)
+			resid = append(resid, sp)
 		}
 	}
-	if !found {
+	return driving, resid, found
+}
+
+func (b *builder) buildIndexScan(n *plan.Node) (iterator, schema, error) {
+	sch := b.shapes[n].sch
+	tbl := b.e.db.Table(n.Relation)
+	s := &indexScan{b: b, n: n, st: b.statsFor(n), f: b.factor(n)}
+	var found bool
+	if s.driving, s.resid, found = b.e.splitDriving(n, b.e.scanPreds(n.Preds, tbl)); !found {
 		return nil, nil, errors.New("exec: index scan without a predicate on its index column")
 	}
+	s.cols = columns(tbl, sch)
 	s.order = tbl.Index(n.IndexColumn).Order()
 	idx := b.e.q.Catalog.Index(n.Relation, n.IndexColumn)
 	if idx != nil && idx.Clustered {
@@ -187,7 +177,7 @@ func (s *indexScan) open() error {
 	if s.driving.negated {
 		// "col ≥ bound": matches are the suffix of the sorted order;
 		// position at the first qualifying entry.
-		drv := s.col(s.driving.off)
+		drv := s.driving.col
 		s.pos = sort.Search(len(s.order), func(i int) bool {
 			return drv[s.order[i]] >= s.driving.bound
 		})
@@ -197,7 +187,7 @@ func (s *indexScan) open() error {
 
 func (s *indexScan) next() (row, bool, error) {
 	p := s.b.e.params
-	drv := s.col(s.driving.off)
+	drv := s.driving.col
 	for s.pos < len(s.order) {
 		rid := s.order[s.pos]
 		if !s.driving.negated && drv[rid] >= s.driving.bound {
@@ -215,7 +205,7 @@ func (s *indexScan) next() (row, bool, error) {
 		}
 		pass := true
 		for _, sp := range s.resid {
-			if sp.eval(s.col(sp.off)[rid]) {
+			if sp.eval(sp.col[rid]) {
 				s.st.PassBy[sp.id]++
 			} else {
 				pass = false
@@ -224,9 +214,9 @@ func (s *indexScan) next() (row, bool, error) {
 		if !pass {
 			continue
 		}
-		out := make(row, s.width)
-		for c := 0; c < s.width; c++ {
-			out[c] = s.col(c)[rid]
+		out := make(row, len(s.cols))
+		for c, col := range s.cols {
+			out[c] = col[rid]
 		}
 		s.st.Out++
 		return out, true, nil
@@ -255,54 +245,74 @@ func (b *builder) bindJoinKeys(ids []int, left, right schema) []joinKey {
 	for _, id := range ids {
 		p := b.e.q.Predicate(id)
 		k := joinKey{id: id}
-		if contains(left, p.Left) {
-			k.leftOff = left.offset(p.Left.Relation, p.Left.Column)
-			k.rightOff = right.offset(p.Right.Relation, p.Right.Column)
+		if left.find(p.Left) >= 0 {
+			k.leftOff = left.offset(p.Left)
+			k.rightOff = right.offset(p.Right)
 		} else {
-			k.leftOff = left.offset(p.Right.Relation, p.Right.Column)
-			k.rightOff = right.offset(p.Left.Relation, p.Left.Column)
+			k.leftOff = left.offset(p.Right)
+			k.rightOff = right.offset(p.Left)
 		}
 		keys = append(keys, k)
 	}
 	return keys
 }
 
-func contains(s schema, c interface{ String() string }) bool {
-	want := c.String()
-	for _, sc := range s {
-		if sc.String() == want {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Index nested-loops join
 
 type indexNL struct {
-	b   *builder
-	n   *plan.Node
-	st  *NodeStats
-	f   float64
-	out schema
+	b  *builder
+	n  *plan.Node
+	st *NodeStats
+	f  float64
 
-	outer    iterator
-	outerSch schema
-
-	innerCols func(i int) []int64 // by inner-schema offset
-	innerSch  schema
-	probe     *data.Index
-	innerN    int
-
-	keys    []joinKey  // first is the probe key
-	filters []scanPred // inner selection predicates (offsets in inner schema)
-
-	perMatch float64
+	outer  iterator
+	probe  *data.Index
+	innerN int
+	indexNLParts
 
 	cur     row     // current outer row
 	matches []int32 // inner matches of cur not yet emitted
 	mi      int
+}
+
+// indexNLParts is what both engines' index nested-loops joins bind at
+// build time: the join keys (probe key first) with each key's inner column
+// as a table vector, the inner selection filters, which outer offsets and
+// inner table vectors make up the output, and the per-match page charge.
+type indexNLParts struct {
+	keys     []joinKey  // first is the probe key
+	keyCols  [][]int64  // each key's inner column
+	filters  []scanPred // inner selection predicates
+	outOff   []int      // outer-row offsets of the output's outer columns
+	outIn    [][]int64  // table vectors of the output's inner columns
+	perMatch float64
+}
+
+func (b *builder) bindIndexNL(n *plan.Node, outerSch schema, tbl *data.Table) indexNLParts {
+	inner := b.e.relSchema(n.Relation)
+	joins, sels := b.predSplit(n.Preds)
+	keys := b.bindJoinKeys(joins, outerSch, inner)
+	// The probe key must be the one on the index column; reorder.
+	for i, k := range keys {
+		if inner[k.rightOff].Column == n.IndexColumn {
+			keys[0], keys[i] = keys[i], keys[0]
+			break
+		}
+	}
+	var ip []int
+	parts := indexNLParts{keys: keys, filters: b.e.scanPreds(sels, tbl), perMatch: b.e.params.RandomPageCost}
+	parts.outOff, ip = split(b.shapes[n].sch, outerSch, inner)
+	for _, k := range keys {
+		parts.keyCols = append(parts.keyCols, tbl.Column(inner[k.rightOff].Column))
+	}
+	for _, i := range ip {
+		parts.outIn = append(parts.outIn, tbl.Column(inner[i].Column))
+	}
+	if idx := b.e.q.Catalog.Index(n.Relation, n.IndexColumn); idx != nil && idx.Clustered {
+		parts.perMatch = b.e.params.SeqPageCost
+	}
+	return parts
 }
 
 func (b *builder) buildIndexNL(n *plan.Node) (iterator, schema, error) {
@@ -310,52 +320,13 @@ func (b *builder) buildIndexNL(n *plan.Node) (iterator, schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	innerSch := b.relSchema(n.Relation)
 	tbl := b.e.db.Table(n.Relation)
-
-	joins, sels := b.predSplit(n.Preds)
-	keys := b.bindJoinKeys(joins, outerSch, innerSch)
-	// The probe key must be the one on the index column; reorder.
-	for i, k := range keys {
-		p := b.e.q.Predicate(k.id)
-		col := p.Left
-		if p.Left.Relation != n.Relation {
-			col = p.Right
-		}
-		if col.Relation == n.Relation && col.Column == n.IndexColumn {
-			keys[0], keys[i] = keys[i], keys[0]
-			break
-		}
-	}
-
 	j := &indexNL{
 		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
-		outer: outer, outerSch: outerSch,
-		innerSch: innerSch,
-		innerCols: func(i int) []int64 {
-			return tbl.Column(innerSch[i].Column)
-		},
-		probe:  tbl.Index(n.IndexColumn),
-		innerN: tbl.NumRows(),
-		keys:   keys,
+		outer: outer, probe: tbl.Index(n.IndexColumn), innerN: tbl.NumRows(),
+		indexNLParts: b.bindIndexNL(n, outerSch, tbl),
 	}
-	for _, id := range sels {
-		p := b.e.q.Predicate(id)
-		j.filters = append(j.filters, scanPred{
-			id:      id,
-			off:     innerSch.offset(p.Left.Relation, p.Left.Column),
-			bound:   b.e.bindings[id],
-			negated: p.Negated,
-		})
-	}
-	idx := b.e.q.Catalog.Index(n.Relation, n.IndexColumn)
-	if idx != nil && idx.Clustered {
-		j.perMatch = b.e.params.SeqPageCost
-	} else {
-		j.perMatch = b.e.params.RandomPageCost
-	}
-	j.out = append(append(schema{}, outerSch...), innerSch...)
-	return j, j.out, nil
+	return j, b.shapes[n].sch, nil
 }
 
 func (j *indexNL) open() error { return j.outer.open() }
@@ -373,11 +344,11 @@ func (j *indexNL) next() (row, bool, error) {
 			}
 			// Residual join predicates beyond the probe key.
 			ok := true
-			for _, k := range j.keys[1:] {
+			for ki, k := range j.keys[1:] {
 				if err := j.b.m.charge(p.CPUOperatorCost * j.f); err != nil {
 					return nil, false, err
 				}
-				if j.cur[k.leftOff] != j.innerCols(k.rightOff)[rid] {
+				if j.cur[k.leftOff] != j.keyCols[1+ki][rid] {
 					ok = false
 					break
 				}
@@ -391,7 +362,7 @@ func (j *indexNL) next() (row, bool, error) {
 				if err := j.b.m.charge(p.CPUOperatorCost * j.f); err != nil {
 					return nil, false, err
 				}
-				if !fp.eval(j.innerCols(fp.off)[rid]) {
+				if !fp.eval(fp.col[rid]) {
 					ok = false
 					break
 				}
@@ -402,10 +373,12 @@ func (j *indexNL) next() (row, bool, error) {
 			if err := j.b.m.charge(p.CPUTupleCost * j.f); err != nil {
 				return nil, false, err
 			}
-			out := make(row, len(j.out))
-			copy(out, j.cur)
-			for c := range j.innerSch {
-				out[len(j.outerSch)+c] = j.innerCols(c)[rid]
+			out := make(row, 0, len(j.outOff)+len(j.outIn))
+			for _, o := range j.outOff {
+				out = append(out, j.cur[o])
+			}
+			for _, col := range j.outIn {
+				out = append(out, col[rid])
 			}
 			j.st.Out++
 			return out, true, nil
@@ -436,15 +409,15 @@ func (j *indexNL) close() { j.outer.close() }
 // Hash join
 
 type hashJoin struct {
-	b   *builder
-	n   *plan.Node
-	st  *NodeStats
-	f   float64
-	out schema
+	b  *builder
+	n  *plan.Node
+	st *NodeStats
+	f  float64
 
 	left, right   iterator
-	leftSch       schema
 	rightSch      schema
+	rightFull     int   // the unpruned build width the spill threshold prices
+	lOut, rOut    []int // input offsets of the output's left and right columns
 	keys          []joinKey
 	table         map[int64][]row
 	builtRows     int64
@@ -472,15 +445,29 @@ func (b *builder) buildHashJoin(n *plan.Node) (iterator, schema, error) {
 	}
 	j := &hashJoin{
 		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
-		left: left, right: right, leftSch: leftSch, rightSch: rightSch,
+		left: left, right: right, rightSch: rightSch, rightFull: b.shapes[n.Right].full,
 		keys: b.bindJoinKeys(joins, leftSch, rightSch),
 	}
-	j.out = append(append(schema{}, leftSch...), rightSch...)
+	out := b.shapes[n].sch
+	j.lOut, j.rOut = split(out, leftSch, rightSch)
 	ps := float64(b.e.q.Catalog.PageSize)
-	// Approximate row widths by 8 bytes per column for spill accounting.
-	j.leftPageRows = ps / (8 * float64(len(leftSch)))
-	j.rightPageRows = ps / (8 * float64(len(rightSch)))
-	return j, j.out, nil
+	// Approximate row widths by 8 bytes per column of the unpruned schemas
+	// for spill accounting.
+	j.leftPageRows = ps / (8 * float64(b.shapes[n.Left].full))
+	j.rightPageRows = ps / (8 * float64(j.rightFull))
+	return j, out, nil
+}
+
+// joinRow builds a join's output row from a left and a right input row.
+func joinRow(l, r row, lOut, rOut []int) row {
+	out := make(row, 0, len(lOut)+len(rOut))
+	for _, o := range lOut {
+		out = append(out, l[o])
+	}
+	for _, o := range rOut {
+		out = append(out, r[o])
+	}
+	return out
 }
 
 func (j *hashJoin) open() error {
@@ -493,7 +480,7 @@ func (j *hashJoin) open() error {
 	// unspilled build stores its table for later executions.
 	key := ""
 	if j.b.reuse != nil {
-		key = reuseKey("hj", j.keys[0].rightOff, -1, j.b.e.bindSig, j.n.Right.Fingerprint())
+		key = reuseKey("hj", j.keys[0].rightOff, -1, j.b.e.bindSig, j.n.Right.Fingerprint(), j.rightSch)
 		if e := j.b.reuse.lookup(key); e != nil && j.b.m.fits(windowPrice(e.window)) {
 			st := e.state.(*hjBuildState)
 			j.table, j.builtRows = st.table, st.builtRows
@@ -525,7 +512,7 @@ func (j *hashJoin) open() error {
 	}
 	// Grace-join spill: if the build side exceeds work memory, charge
 	// the write+read of both inputs' pages (right now, left during the probe).
-	if float64(j.builtRows)*8*float64(len(j.rightSch)) > p.WorkMemBytes {
+	if float64(j.builtRows)*8*float64(j.rightFull) > p.WorkMemBytes {
 		pages := math.Ceil(float64(j.builtRows) / j.rightPageRows)
 		if pages < 1 {
 			pages = 1
@@ -568,11 +555,8 @@ func (j *hashJoin) next() (row, bool, error) {
 			if err := j.b.m.charge(p.CPUTupleCost * j.f); err != nil {
 				return nil, false, err
 			}
-			out := make(row, len(j.out))
-			copy(out, j.cur)
-			copy(out[len(j.leftSch):], m)
 			j.st.Out++
-			return out, true, nil
+			return joinRow(j.cur, m, j.lOut, j.rOut), true, nil
 		}
 		r, ok, err := j.left.next()
 		if err != nil || !ok {
@@ -605,15 +589,15 @@ func (j *hashJoin) close() {
 // Sort-merge join
 
 type mergeJoin struct {
-	b   *builder
-	n   *plan.Node
-	st  *NodeStats
-	f   float64
-	out schema
+	b  *builder
+	n  *plan.Node
+	st *NodeStats
+	f  float64
 
 	left, right iterator
 	leftSch     schema
 	rightSch    schema
+	lOut, rOut  []int // input offsets of the output's left and right columns
 	keys        []joinKey
 
 	lrows, rrows []row
@@ -643,14 +627,16 @@ func (b *builder) buildMergeJoin(n *plan.Node) (iterator, schema, error) {
 		left: left, right: right, leftSch: leftSch, rightSch: rightSch,
 		keys: b.bindJoinKeys(joins, leftSch, rightSch),
 	}
-	j.out = append(append(schema{}, leftSch...), rightSch...)
-	return j, j.out, nil
+	out := b.shapes[n].sch
+	j.lOut, j.rOut = split(out, leftSch, rightSch)
+	return j, out, nil
 }
 
 // drainSorted materializes and sorts one input, charging ~n·log2(n)
 // comparison costs plus external-sort spill I/O, mirroring Coster.sortCost.
 // Charges accrue incrementally per drained row (Σ log2(i) ≈ n·log2 n), so a
 // budget abort fires promptly rather than after a lump-sum sort charge.
+// width is the input's unpruned schema width, which the spill I/O prices.
 func (j *mergeJoin) drainSorted(it iterator, key int, width int) ([]row, bool, error) {
 	p := j.b.e.params
 	rowBytes := 8 * float64(width)
@@ -691,7 +677,7 @@ func (j *mergeJoin) open() error {
 	// node wholesale preserves the from-scratch charge sequence exactly.
 	key := ""
 	if j.b.reuse != nil {
-		key = reuseKey("mj", j.keys[0].leftOff, j.keys[0].rightOff, j.b.e.bindSig, j.n.Fingerprint())
+		key = reuseKey("mj", j.keys[0].leftOff, j.keys[0].rightOff, j.b.e.bindSig, j.n.Fingerprint(), j.leftSch, j.rightSch)
 		if e := j.b.reuse.lookup(key); e != nil && j.b.m.fits(windowPrice(e.window)) {
 			st := e.state.(*mjSortState)
 			j.lrows, j.rrows = st.lrows, st.rrows
@@ -709,10 +695,10 @@ func (j *mergeJoin) open() error {
 	}
 	var lspill, rspill bool
 	var err error
-	if j.lrows, lspill, err = j.drainSorted(j.left, j.keys[0].leftOff, len(j.leftSch)); err != nil {
+	if j.lrows, lspill, err = j.drainSorted(j.left, j.keys[0].leftOff, j.b.shapes[j.n.Left].full); err != nil {
 		return err
 	}
-	if j.rrows, rspill, err = j.drainSorted(j.right, j.keys[0].rightOff, len(j.rightSch)); err != nil {
+	if j.rrows, rspill, err = j.drainSorted(j.right, j.keys[0].rightOff, j.b.shapes[j.n.Right].full); err != nil {
 		return err
 	}
 	if key != "" && !lspill && !rspill {
@@ -750,11 +736,8 @@ func (j *mergeJoin) next() (row, bool, error) {
 			if err := j.b.m.charge(p.CPUTupleCost * j.f); err != nil {
 				return nil, false, err
 			}
-			out := make(row, len(j.out))
-			copy(out, j.curLeft)
-			copy(out[len(j.leftSch):], m)
 			j.st.Out++
-			return out, true, nil
+			return joinRow(j.curLeft, m, j.lOut, j.rOut), true, nil
 		}
 
 		// Advance: if the current left row's key equals the group's
@@ -808,8 +791,8 @@ func (j *mergeJoin) close() {
 // ---------------------------------------------------------------------------
 // Scalar aggregate
 
-// aggregate drains its child and emits a single row [count, sum(first col)],
-// mirroring the decision-support COUNT/SUM root.
+// aggregate drains its child and emits a single row [count] — the
+// decision-support COUNT(*) root, which reads no column of its input.
 type aggregate struct {
 	b     *builder
 	n     *plan.Node
@@ -819,7 +802,6 @@ type aggregate struct {
 
 	done  bool
 	count int64
-	sum   int64
 }
 
 func (b *builder) buildAggregate(n *plan.Node) (iterator, schema, error) {
@@ -828,8 +810,7 @@ func (b *builder) buildAggregate(n *plan.Node) (iterator, schema, error) {
 		return nil, nil, err
 	}
 	a := &aggregate{b: b, n: n, st: b.statsFor(n), f: b.factor(n), child: child}
-	out := schema{{Relation: "", Column: "count"}, {Relation: "", Column: "sum"}}
-	return a, out, nil
+	return a, b.shapes[n].sch, nil
 }
 
 func (a *aggregate) open() error { return a.child.open() }
@@ -840,7 +821,7 @@ func (a *aggregate) next() (row, bool, error) {
 	}
 	p := a.b.e.params
 	for {
-		r, ok, err := a.child.next()
+		_, ok, err := a.child.next()
 		if err != nil {
 			return nil, false, err
 		}
@@ -852,9 +833,6 @@ func (a *aggregate) next() (row, bool, error) {
 			return nil, false, err
 		}
 		a.count++
-		if len(r) > 0 {
-			a.sum += r[0]
-		}
 	}
 	if err := a.b.m.charge(p.CPUTupleCost * a.f); err != nil {
 		return nil, false, err
@@ -863,7 +841,7 @@ func (a *aggregate) next() (row, bool, error) {
 	a.st.InputsDone = true
 	a.st.Done = true
 	a.st.Out = 1
-	return row{a.count, a.sum}, true, nil
+	return row{a.count}, true, nil
 }
 
 func (a *aggregate) close() { a.child.close() }
@@ -877,11 +855,10 @@ func (a *aggregate) close() { a.child.close() }
 // fraction even mid-budget (§5.2 learning applied to the §2 existential
 // case).
 type antiJoin struct {
-	b   *builder
-	n   *plan.Node
-	st  *NodeStats
-	f   float64
-	out schema
+	b  *builder
+	n  *plan.Node
+	st *NodeStats
+	f  float64
 
 	outer    iterator
 	outerOff int
@@ -901,9 +878,8 @@ func (b *builder) buildAntiJoin(n *plan.Node) (iterator, schema, error) {
 	tbl := b.e.db.Table(n.Relation)
 	j := &antiJoin{
 		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
-		out:      outerSch,
 		outer:    outer,
-		outerOff: outerSch.offset(p.Left.Relation, p.Left.Column),
+		outerOff: outerSch.offset(p.Left),
 		innerN:   tbl.NumRows(),
 		pred:     n.Preds[0],
 	}
@@ -1004,13 +980,9 @@ func (b *builder) buildGroupAggregate(n *plan.Node) (iterator, schema, error) {
 	g := &groupAggregate{
 		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
 		child: child,
-		off:   childSch.offset(n.Relation, n.IndexColumn),
+		off:   childSch.offset(query.ColumnRef{Relation: n.Relation, Column: n.IndexColumn}),
 	}
-	out := schema{
-		{Relation: n.Relation, Column: n.IndexColumn},
-		{Relation: "", Column: "count"},
-	}
-	return g, out, nil
+	return g, b.shapes[n].sch, nil
 }
 
 func (g *groupAggregate) open() error { return g.child.open() }
@@ -1067,22 +1039,6 @@ func (g *groupAggregate) close() { g.child.close() }
 // the count meter while the pipeline is composed, and the kernel counts
 // events into the worker's vector (w.ev[class] += n).
 
-// vecScanPreds binds a node's predicates against a scan schema, exactly
-// as the Volcano scan builders do.
-func (v *vecEngine) vecScanPreds(ids []int, sch schema) []scanPred {
-	var preds []scanPred
-	for _, id := range ids {
-		p := v.e.q.Predicate(id)
-		preds = append(preds, scanPred{
-			id:      id,
-			off:     sch.offset(p.Left.Relation, p.Left.Column),
-			bound:   v.e.bindings[id],
-			negated: p.Negated,
-		})
-	}
-	return preds
-}
-
 // pageBreaks counts the page-boundary rows (i % rpp == 0) in [lo, hi),
 // so a scan batch charges exactly the page reads its rows would have
 // charged one at a time.
@@ -1100,22 +1056,31 @@ func pageBreaks(lo, hi, rpp int) int {
 // filterBatch evaluates every predicate independently over the batch
 // (no short-circuit, matching the cost model and the Volcano scan),
 // accumulates per-predicate pass counts, and fills the slot's selection
-// vector with the surviving rows. cols[sp.off] is the column vector the
-// batch rows index into with base+i.
+// vector with the surviving rows. The batch's i-th row is table row
+// base+i, or rows[i] when rows is non-nil (an index scan's gather).
 //
 // The warm path allocates nothing (pinned by TestFilterBatchAllocFree):
 // the slot's selection vector is made once and refilled, at most batch
 // size, by every later batch.
-func filterBatch(st *NodeStats, ws *wslot, preds []scanPred, cols [][]int64, base, nrows int) []int32 {
+func filterBatch(st *NodeStats, ws *wslot, preds []scanPred, base, nrows int, rows []int32) []int32 {
 	fail := ws.failbuf(nrows)
 	for _, sp := range preds {
-		col := cols[sp.off]
 		var passed int64
-		for i := 0; i < nrows; i++ {
-			if sp.eval(col[base+i]) {
-				passed++
-			} else {
-				fail[i] = true
+		if rows == nil {
+			for i, v := range sp.col[base : base+nrows] {
+				if sp.eval(v) {
+					passed++
+				} else {
+					fail[i] = true
+				}
+			}
+		} else {
+			for i, r := range rows {
+				if sp.eval(sp.col[r]) {
+					passed++
+				} else {
+					fail[i] = true
+				}
 			}
 		}
 		st.pass(sp.id, passed)
@@ -1140,7 +1105,6 @@ func filterBatch(st *NodeStats, ws *wslot, preds []scanPred, cols [][]int64, bas
 // selection vector from the bound predicates.
 func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	sch := v.vb.relSchema(n.Relation)
 	tbl := v.e.db.Table(n.Relation)
 	rel := v.e.q.Catalog.MustRelation(n.Relation)
 	rpp := int(v.e.q.Catalog.PageSize / rel.TupleWidth)
@@ -1149,11 +1113,8 @@ func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 	}
 	f := v.vb.factor(n)
 	pr := v.e.params
-	cols := make([][]int64, len(sch))
-	for i := range sch {
-		cols[i] = tbl.Column(sch[i].Column)
-	}
-	preds := v.vecScanPreds(n.Preds, sch)
+	cols := columns(tbl, v.vb.shapes[n].sch)
+	preds := v.e.scanPreds(n.Preds, tbl)
 	cRow := v.m.class((pr.CPUTupleCost + float64(len(preds))*pr.CPUOperatorCost) * f)
 	cPage := v.m.class(pr.SeqPageCost * f)
 	slot := v.newSlot()
@@ -1173,7 +1134,7 @@ func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 			b.n = nrows
 			b.sel = nil
 			if len(preds) > 0 {
-				b.sel = filterBatch(st, ws, preds, cols, s, nrows)
+				b.sel = filterBatch(st, ws, preds, s, nrows, nil)
 			}
 			st.Out += int64(b.live())
 			if err := w.deliver(b, sink); err != nil {
@@ -1190,24 +1151,11 @@ func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 // into worker-owned batches.
 func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	sch := v.vb.relSchema(n.Relation)
 	tbl := v.e.db.Table(n.Relation)
 	f := v.vb.factor(n)
 	pr := v.e.params
-	cols := make([][]int64, len(sch))
-	for i := range sch {
-		cols[i] = tbl.Column(sch[i].Column)
-	}
-	var driving scanPred
-	var resid []scanPred
-	found := false
-	for _, sp := range v.vecScanPreds(n.Preds, sch) {
-		if !found && v.e.q.Predicate(sp.id).Left.Column == n.IndexColumn {
-			driving, found = sp, true
-		} else {
-			resid = append(resid, sp)
-		}
-	}
+	cols := columns(tbl, v.vb.shapes[n].sch)
+	driving, resid, _ := v.e.splitDriving(n, v.e.scanPreds(n.Preds, tbl))
 	order := tbl.Index(n.IndexColumn).Order()
 	perPage := pr.RandomPageCost
 	if idx := v.e.q.Catalog.Index(n.Relation, n.IndexColumn); idx != nil && idx.Clustered {
@@ -1216,7 +1164,7 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	if err := v.m.lump(math.Log2(float64(len(order))+1)*pr.CPUIndexTupleCost*f, 1); err != nil {
 		return err
 	}
-	drv := cols[driving.off]
+	drv := driving.col
 	boundary := sort.Search(len(order), func(i int) bool { return drv[order[i]] >= driving.bound })
 	rlo, rhi := 0, boundary
 	if driving.negated {
@@ -1236,18 +1184,19 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 			st.InTuples += int64(nrows)
 			st.pass(driving.id, int64(nrows))
 			b := &ws.b
+			rows := order[rlo+s : rlo+e]
 			for c := 0; c < width; c++ {
 				dst := ws.data[c][:nrows]
 				src := cols[c]
-				for i := 0; i < nrows; i++ {
-					dst[i] = src[order[rlo+s+i]]
+				for i, r := range rows {
+					dst[i] = src[r]
 				}
 				b.cols[c] = dst
 			}
 			b.n = nrows
 			b.sel = nil
 			if len(resid) > 0 {
-				b.sel = filterBatch(st, ws, resid, b.cols, 0, nrows)
+				b.sel = filterBatch(st, ws, resid, 0, nrows, rows)
 			}
 			st.Out += int64(b.live())
 			if err := w.deliver(b, sink); err != nil {
@@ -1258,13 +1207,14 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	}, sink.done)
 }
 
-// flushOut delivers a transform's accumulated output batch downstream and
+// flushOut delivers a transform's accumulated output batch — ws.nout rows,
+// in as many columns as the output carries, possibly none — downstream and
 // resets the slot's column buffers for the next one.
 func flushOut(w *vecWorker, ws *wslot, sink vecSink) error {
 	for c := range ws.data {
 		ws.b.cols[c] = ws.data[c]
 	}
-	ws.b.n = len(ws.data[0])
+	ws.b.n = ws.nout
 	ws.b.sel = nil
 	if err := w.deliver(&ws.b, sink); err != nil {
 		return err
@@ -1272,6 +1222,7 @@ func flushOut(w *vecWorker, ws *wslot, sink vecSink) error {
 	for c := range ws.data {
 		ws.data[c] = ws.data[c][:0]
 	}
+	ws.nout = 0
 	return nil
 }
 
@@ -1279,7 +1230,7 @@ func flushOut(w *vecWorker, ws *wslot, sink vecSink) error {
 // slot: flush it downstream, then pass done on.
 func carryDone(slot, width int, sink vecSink) func(w *vecWorker) error {
 	return func(w *vecWorker) error {
-		if ws := w.slot(slot, width); ws.data != nil && len(ws.data[0]) > 0 {
+		if ws := w.slot(slot, width); ws.nout > 0 {
 			if err := flushOut(w, ws, sink); err != nil {
 				return err
 			}
@@ -1421,17 +1372,16 @@ func (t *joinTable) gather(b *vbatch, keyCol []int64, resid []joinKey, mat [][]i
 // transform streams over the left pipeline.
 func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	leftSch := v.schemaOf(n.Left)
-	rightSch := v.schemaOf(n.Right)
+	left, right := v.vb.shapes[n.Left], v.vb.shapes[n.Right]
 	joins, _ := v.vb.predSplit(n.Preds)
-	keys := v.vb.bindJoinKeys(joins, leftSch, rightSch)
+	keys := v.vb.bindJoinKeys(joins, left.sch, right.sch)
 	f := v.vb.factor(n)
 	pr := v.e.params
 	ps := float64(v.e.q.Catalog.PageSize)
-	leftPageRows := ps / (8 * float64(len(leftSch)))
-	rightPageRows := ps / (8 * float64(len(rightSch)))
+	leftPageRows := ps / (8 * float64(left.full))
+	rightPageRows := ps / (8 * float64(right.full))
 
-	rw := len(rightSch)
+	rw := len(right.sch)
 	rkey := keys[0].rightOff
 
 	// Reuse: the build phase — right pipeline, partition merge, probe
@@ -1439,7 +1389,7 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 	// here to the end of the build, each counted from zero and committed
 	// by the time its stream call returns. A hit installs the finished
 	// table and replays the window.
-	key := reuseKey("vhj", rkey, -1, v.e.bindSig, n.Right.Fingerprint())
+	key := reuseKey("vhj", rkey, -1, v.e.bindSig, n.Right.Fingerprint(), right.sch)
 	var mat [][]int64
 	var jt *joinTable
 	spilled := false
@@ -1499,7 +1449,7 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 		jt = newJoinTable(mat[rkey])
 
 		// Grace-join spill charge, as the Volcano open.
-		if float64(built)*8*float64(rw) > pr.WorkMemBytes {
+		if float64(built)*8*float64(right.full) > pr.WorkMemBytes {
 			pages := math.Ceil(float64(built) / rightPageRows)
 			if pages < 1 {
 				pages = 1
@@ -1520,8 +1470,9 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 
 	// Probe phase: transform over the left pipeline.
 	oslot := v.newSlot()
-	lw := len(leftSch)
-	ow := lw + rw
+	lOut, rOut := split(v.vb.shapes[n].sch, left.sch, right.sch)
+	lw := len(lOut)
+	ow := lw + len(rOut)
 	lkey := keys[0].leftOff
 	resid := keys[1:]
 	cIn := v.m.class(pr.HashQualCost * f)
@@ -1554,26 +1505,24 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 			st.Matches += int64(matches)
 			st.Out += int64(matches)
 			for pos := 0; pos < matches; {
-				take := v.batch - len(ws.data[0])
-				if take > matches-pos {
-					take = matches - pos
-				}
-				for c := 0; c < lw; c++ {
-					col, dst := b.cols[c], ws.data[c]
+				take := min(v.batch-ws.nout, matches-pos)
+				for c, o := range lOut {
+					col, dst := b.cols[o], ws.data[c]
 					for _, ri := range lidx[pos : pos+take] {
 						dst = append(dst, col[ri])
 					}
 					ws.data[c] = dst
 				}
-				for c := 0; c < rw; c++ {
-					col, dst := mat[c], ws.data[lw+c]
+				for c, o := range rOut {
+					col, dst := mat[o], ws.data[lw+c]
 					for _, mi := range ridx[pos : pos+take] {
 						dst = append(dst, col[mi])
 					}
 					ws.data[lw+c] = dst
 				}
 				pos += take
-				if len(ws.data[0]) == v.batch {
+				ws.nout += take
+				if ws.nout == v.batch {
 					if err := flushOut(w, ws, sink); err != nil {
 						return err
 					}
@@ -1593,42 +1542,18 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 // before any worker runs.
 func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	outerSch := v.schemaOf(n.Left)
-	innerSch := v.vb.relSchema(n.Relation)
 	tbl := v.e.db.Table(n.Relation)
-	joins, sels := v.vb.predSplit(n.Preds)
-	keys := v.vb.bindJoinKeys(joins, outerSch, innerSch)
-	// The probe key must be the one on the index column; reorder, as the
-	// Volcano builder does.
-	for i, k := range keys {
-		p := v.e.q.Predicate(k.id)
-		col := p.Left
-		if p.Left.Relation != n.Relation {
-			col = p.Right
-		}
-		if col.Relation == n.Relation && col.Column == n.IndexColumn {
-			keys[0], keys[i] = keys[i], keys[0]
-			break
-		}
-	}
-	filters := v.vecScanPreds(sels, innerSch)
-	innerCols := make([][]int64, len(innerSch))
-	for c := range innerSch {
-		innerCols[c] = tbl.Column(innerSch[c].Column)
-	}
+	parts := v.vb.bindIndexNL(n, v.vb.shapes[n.Left].sch, tbl)
+	keys, keyCols, filters := parts.keys, parts.keyCols, parts.filters
 	probeIdx := tbl.Index(n.IndexColumn)
 	f := v.vb.factor(n)
 	pr := v.e.params
-	perMatch := pr.RandomPageCost
-	if idx := v.e.q.Catalog.Index(n.Relation, n.IndexColumn); idx != nil && idx.Clustered {
-		perMatch = pr.SeqPageCost
-	}
 	cDescent := v.m.class(math.Log2(float64(tbl.NumRows())+1) * pr.CPUIndexTupleCost * f)
-	cEntry := v.m.class((pr.CPUIndexTupleCost + perMatch) * f)
+	cEntry := v.m.class((pr.CPUIndexTupleCost + parts.perMatch) * f)
 	cCmp := v.m.class(pr.CPUOperatorCost * f)
 	cOut := v.m.class(pr.CPUTupleCost * f)
-	lw, iw := len(outerSch), len(innerSch)
-	ow := lw + iw
+	lw := len(parts.outOff)
+	ow := lw + len(parts.outIn)
 	oslot := v.newSlot()
 	lkey := keys[0].leftOff
 	tr := vecSink{
@@ -1645,9 +1570,9 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 				for _, mi := range probeIdx.Rows(b.cols[lkey][ri]) {
 					ev[cEntry]++
 					ok := true
-					for _, kk := range keys[1:] {
+					for ki, kk := range keys[1:] {
 						ev[cCmp]++
-						if b.cols[kk.leftOff][ri] != innerCols[kk.rightOff][mi] {
+						if b.cols[kk.leftOff][ri] != keyCols[1+ki][mi] {
 							ok = false
 							break
 						}
@@ -1658,7 +1583,7 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 					st.Matches++
 					for _, fp := range filters {
 						ev[cCmp]++
-						if !fp.eval(innerCols[fp.off][mi]) {
+						if !fp.eval(fp.col[mi]) {
 							ok = false
 							break
 						}
@@ -1667,14 +1592,15 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 						continue
 					}
 					ev[cOut]++
-					for c := 0; c < lw; c++ {
-						ws.data[c] = append(ws.data[c], b.cols[c][ri])
+					for c, o := range parts.outOff {
+						ws.data[c] = append(ws.data[c], b.cols[o][ri])
 					}
-					for c := 0; c < iw; c++ {
-						ws.data[lw+c] = append(ws.data[lw+c], innerCols[c][mi])
+					for c, col := range parts.outIn {
+						ws.data[lw+c] = append(ws.data[lw+c], col[mi])
 					}
+					ws.nout++
 					st.Out++
-					if len(ws.data[0]) == v.batch {
+					if ws.nout == v.batch {
 						if err := flushOut(w, ws, sink); err != nil {
 							return err
 						}
@@ -1693,10 +1619,9 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 // set, passing batches through without copying.
 func (v *vecEngine) streamAntiJoin(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	outerSch := v.schemaOf(n.Left)
 	p0 := v.e.q.Predicate(n.Preds[0])
 	tbl := v.e.db.Table(n.Relation)
-	off := outerSch.offset(p0.Left.Relation, p0.Left.Column)
+	off := v.vb.shapes[n.Left].sch.offset(p0.Left)
 	// Reuse: the inner set depends only on the base relation; the entry
 	// (unmetered — the build charge below is levied either way) is
 	// shared with the Volcano engine.
@@ -1772,7 +1697,8 @@ type rowPart struct {
 // sort, and sorts on key — one input of the vectorized merge join. The
 // rows are collected in worker-arrival order; sortRows removes the
 // schedule from it.
-func (v *vecEngine) sortedRows(n *plan.Node, width, key int, f float64) ([][]int64, error) {
+func (v *vecEngine) sortedRows(n *plan.Node, key int, f float64) ([][]int64, error) {
+	width := len(v.vb.shapes[n].sch)
 	slot := v.newSlot()
 	var mu sync.Mutex
 	var parts []*rowPart
@@ -1802,7 +1728,7 @@ func (v *vecEngine) sortedRows(n *plan.Node, width, key int, f float64) ([][]int
 	for _, p := range parts {
 		rows = append(rows, p.rows...)
 	}
-	if err := v.chargeSortDrain(len(rows), width, f); err != nil {
+	if err := v.chargeSortDrain(len(rows), v.vb.shapes[n].full, f); err != nil {
 		return nil, err
 	}
 	sortRows(rows, key)
@@ -1813,7 +1739,9 @@ func (v *vecEngine) sortedRows(n *plan.Node, width, key int, f float64) ([][]int
 // column, so rows that tie on the key still land in one order whatever
 // order the workers collected them in: the serial merge loop below — where
 // it stands when the budget runs out, and its counters there — then
-// depends on the data alone. (Fully equal rows are interchangeable.)
+// depends on the data alone. (Fully equal rows are interchangeable, and so
+// are rows that differ only in columns the run pruned: nothing reads
+// those.)
 func sortRows(rows [][]int64, key int) {
 	sort.Slice(rows, func(a, b int) bool {
 		ra, rb := rows[a], rows[b]
@@ -1827,6 +1755,7 @@ func sortRows(rows [][]int64, key int) {
 // chargeSortDrain charges the incremental sort costs drainSorted accrues
 // per arrived row (Σ log2(i+1) comparisons plus external-sort spill I/O
 // once the run outgrows work memory) as one lump, summed in row order.
+// width is the input's unpruned schema width, which the spill I/O prices.
 func (v *vecEngine) chargeSortDrain(nrows, width int, f float64) error {
 	pr := v.e.params
 	rowBytes := 8 * float64(width)
@@ -1850,10 +1779,9 @@ func (v *vecEngine) chargeSortDrain(nrows, width int, f float64) error {
 // Matches agree exactly.
 func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	leftSch := v.schemaOf(n.Left)
-	rightSch := v.schemaOf(n.Right)
+	left, right := v.vb.shapes[n.Left], v.vb.shapes[n.Right]
 	joins, _ := v.vb.predSplit(n.Preds)
-	keys := v.vb.bindJoinKeys(joins, leftSch, rightSch)
+	keys := v.vb.bindJoinKeys(joins, left.sch, right.sch)
 	f := v.vb.factor(n)
 	pr := v.e.params
 	lk, rk := keys[0].leftOff, keys[0].rightOff
@@ -1861,7 +1789,7 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 	// Reuse: both materialized, sorted inputs are cached as one
 	// whole-node entry — collect and sort charges form one window of the
 	// meter, so a hit replays the window and skips both pipelines.
-	key := reuseKey("vmj", lk, rk, v.e.bindSig, n.Fingerprint())
+	key := reuseKey("vmj", lk, rk, v.e.bindSig, n.Fingerprint(), left.sch, right.sch)
 	var lrows, rrows [][]int64
 	if e := v.reuse.lookup(key); e != nil && v.m.hit(e.window) {
 		st := e.state.(*vecMJState)
@@ -1871,14 +1799,14 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 	} else {
 		sortStart := len(v.m.cls)
 		var err error
-		if lrows, err = v.sortedRows(n.Left, len(leftSch), lk, f); err != nil {
+		if lrows, err = v.sortedRows(n.Left, lk, f); err != nil {
 			return err
 		}
-		if rrows, err = v.sortedRows(n.Right, len(rightSch), rk, f); err != nil {
+		if rrows, err = v.sortedRows(n.Right, rk, f); err != nil {
 			return err
 		}
-		lspill := float64(len(lrows))*8*float64(len(leftSch)) > pr.WorkMemBytes
-		rspill := float64(len(rrows))*8*float64(len(rightSch)) > pr.WorkMemBytes
+		lspill := float64(len(lrows))*8*float64(left.full) > pr.WorkMemBytes
+		rspill := float64(len(rrows))*8*float64(right.full) > pr.WorkMemBytes
 		if v.reuse != nil && !lspill && !rspill {
 			v.reuse.store(key, &reuseEntry{
 				window: slices.Clone(v.m.cls[sortStart:]),
@@ -1887,8 +1815,9 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 			})
 		}
 	}
-	lw, rw := len(leftSch), len(rightSch)
-	ow := lw + rw
+	lOut, rOut := split(v.vb.shapes[n].sch, left.sch, right.sch)
+	lw := len(lOut)
+	ow := lw + len(rOut)
 	oslot := v.newSlot()
 	cCmp := v.m.class(pr.CPUOperatorCost * f)
 	cMatch := v.m.class(pr.CPUTupleCost * f)
@@ -1917,14 +1846,15 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 				}
 				st.Matches++
 				sw.ev[cMatch]++
-				for c := 0; c < lw; c++ {
-					ws.data[c] = append(ws.data[c], curLeft[c])
+				for c, o := range lOut {
+					ws.data[c] = append(ws.data[c], curLeft[o])
 				}
-				for c := 0; c < rw; c++ {
-					ws.data[lw+c] = append(ws.data[lw+c], m[c])
+				for c, o := range rOut {
+					ws.data[lw+c] = append(ws.data[lw+c], m[o])
 				}
+				ws.nout++
 				st.Out++
-				if len(ws.data[0]) == v.batch {
+				if ws.nout == v.batch {
 					// Every full output batch is a commit point: the
 					// loop is serial over sorted rows, so the counts here
 					// are a function of the data.
@@ -1970,7 +1900,7 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 				gi = 0
 			}
 		}
-		if len(ws.data[0]) > 0 {
+		if ws.nout > 0 {
 			return flushOut(sw, ws, sink)
 		}
 		return nil
@@ -1979,11 +1909,11 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 
 // aggPart is one worker's scalar-aggregate accumulator.
 type aggPart struct {
-	count, sum int64
+	count int64
 }
 
-// streamAggregate is the vectorized COUNT/SUM root: per-worker
-// accumulators merged at the barrier, then a single output row.
+// streamAggregate is the vectorized COUNT(*) root: per-worker counts
+// merged at the barrier, then a single output row [count].
 func (v *vecEngine) streamAggregate(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
 	f := v.vb.factor(n)
@@ -1998,14 +1928,7 @@ func (v *vecEngine) streamAggregate(n *plan.Node, sink vecSink) error {
 			st := w.st(id)
 			st.InTuples += int64(nl)
 			w.ev[cIn] += int64(nl)
-			part := sharedPart[aggPart](w, slot, &mu, &parts)
-			part.count += int64(nl)
-			if len(b.cols) > 0 {
-				col := b.cols[0]
-				for k := 0; k < nl; k++ {
-					part.sum += col[b.row(k)]
-				}
-			}
+			sharedPart[aggPart](w, slot, &mu, &parts).count += int64(nl)
 			return nil
 		},
 		done: func(w *vecWorker) error { return nil },
@@ -2013,17 +1936,16 @@ func (v *vecEngine) streamAggregate(n *plan.Node, sink vecSink) error {
 	if err := v.stream(n.Left, collector); err != nil {
 		return err
 	}
-	var count, sum int64
+	var count int64
 	for _, p := range parts {
 		count += p.count
-		sum += p.sum
 	}
 	if err := v.m.lump(pr.CPUTupleCost*f, 1); err != nil {
 		return err
 	}
 	v.stats[n].Out = 1
 	return v.serial(sink, func(sw *vecWorker) error {
-		return sw.deliver(&vbatch{cols: [][]int64{{count}, {sum}}, n: 1}, sink)
+		return sw.deliver(&vbatch{cols: [][]int64{{count}}, n: 1}, sink)
 	})
 }
 
@@ -2037,8 +1959,7 @@ type groupPart struct {
 // order (as the Volcano operator) in batch-sized slices.
 func (v *vecEngine) streamGroupAggregate(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	childSch := v.schemaOf(n.Left)
-	off := childSch.offset(n.Relation, n.IndexColumn)
+	off := v.vb.shapes[n.Left].sch.offset(query.ColumnRef{Relation: n.Relation, Column: n.IndexColumn})
 	f := v.vb.factor(n)
 	pr := v.e.params
 	slot := v.newSlot()

@@ -151,12 +151,14 @@ func (c *ReuseCache) store(key string, e *reuseEntry) {
 
 // reuseKey builds a cache key: a state-kind tag, the join-key offsets the
 // state is organized by (-1 when not applicable), the engine's binding
-// signature, and the producing subtree's canonical fingerprint. Equal
-// fingerprints guarantee structurally identical subtrees, and equal
-// binding signatures guarantee identical selection constants, so equal
-// keys guarantee bit-identical state.
-func reuseKey(kind string, off1, off2 int, bindSig, fp string) string {
-	return fmt.Sprintf("%s|%d|%d|%s|%s", kind, off1, off2, bindSig, fp)
+// signature, the producing subtree's canonical fingerprint, and the column
+// lists of the state's rows. Equal fingerprints guarantee structurally
+// identical subtrees, equal binding signatures identical selection
+// constants, and equal column lists the same pruned rows (one subtree
+// carries different columns under different parents, or when a run
+// collects rows), so equal keys guarantee bit-identical state.
+func reuseKey(kind string, off1, off2 int, bindSig, fp string, cols ...schema) string {
+	return fmt.Sprintf("%s|%d|%d|%s|%s|%v", kind, off1, off2, bindSig, fp, cols)
 }
 
 // reuseTally accumulates one execution's reuse observations, surfaced on

@@ -95,6 +95,10 @@ func TestReuseSalvageAcrossBudgetAbort(t *testing.T) {
 			under := base
 			under.Budget = cost.Cost(math.Nextafter(full.res.CostUsed.F(), 0))
 			under.Reuse = cache
+			// The warm run below collects rows, so it carries every column;
+			// the aborted step must too for its state to be the same state
+			// (reuse keys carry the column list).
+			under.Collect = func([]int64) {}
 			aborted, err := fx.eng.Run(p, under)
 			if err != nil {
 				t.Fatal(err)

@@ -155,6 +155,10 @@ type wslot struct {
 	sel  []int32
 	fail []bool
 	data [][]int64
+	// nout is the number of rows accumulated in data — carried separately
+	// because an output that no ancestor reads a column of has no column
+	// to take a length from.
+	nout int
 	// idxa/idxb are match-index scratch buffers (probe row, build row)
 	// for join kernels that gather matches before copying columns.
 	idxa []int32
@@ -256,7 +260,7 @@ type vecEngine struct {
 	e       *Engine
 	collect func(row []int64) // Options.Collect
 	m       countMeter
-	vb      *builder // schema, predicate-binding and perturbation helpers only
+	vb      *builder // shapes, predicate-binding and perturbation helpers only
 	stats   map[*plan.Node]*NodeStats
 	idx     map[*plan.Node]int
 	nodes   []*plan.Node
@@ -448,25 +452,6 @@ func sharedPart[T any](w *vecWorker, slot int, mu *sync.Mutex, all *[]*T) *T {
 	return p
 }
 
-// schemaOf computes a node's output schema without building anything.
-func (v *vecEngine) schemaOf(n *plan.Node) schema {
-	switch n.Op {
-	case plan.OpSeqScan, plan.OpIndexScan:
-		return v.vb.relSchema(n.Relation)
-	case plan.OpHashJoin, plan.OpMergeJoin:
-		return append(append(schema{}, v.schemaOf(n.Left)...), v.schemaOf(n.Right)...)
-	case plan.OpIndexNLJoin:
-		return append(append(schema{}, v.schemaOf(n.Left)...), v.vb.relSchema(n.Relation)...)
-	case plan.OpAntiJoin:
-		return v.schemaOf(n.Left)
-	case plan.OpAggregate:
-		return schema{{Relation: "", Column: "count"}, {Relation: "", Column: "sum"}}
-	case plan.OpGroupAggregate:
-		return schema{{Relation: n.Relation, Column: n.IndexColumn}, {Relation: "", Column: "count"}}
-	}
-	panic(fmt.Sprintf("exec: schemaOf on unknown operator %v", n.Op))
-}
-
 // validate walks the driven subtree surfacing the same contract errors
 // the Volcano builder reports, before any work is charged.
 func (v *vecEngine) validate(root *plan.Node) error {
@@ -568,7 +553,7 @@ func (e *Engine) runVectorized(driven *plan.Node, opts Options, budget float64) 
 		e:       e,
 		collect: opts.Collect,
 		m:       countMeter{budget: budget},
-		vb:      &builder{e: e, perturb: opts.Perturb},
+		vb:      &builder{e: e, shapes: e.shapes(driven, opts.Collect != nil), perturb: opts.Perturb},
 		stats:   make(map[*plan.Node]*NodeStats),
 		idx:     make(map[*plan.Node]int),
 		batch:   opts.BatchSize,

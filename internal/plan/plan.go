@@ -47,8 +47,9 @@ const (
 	// the sorts as part of the join) and merges.
 	OpMergeJoin
 	// OpAggregate is a scalar (group-less) aggregate over its child:
-	// the decision-support queries' COUNT/SUM root. It applies no
-	// predicates and emits exactly one row.
+	// the decision-support queries' COUNT(*) root. It applies no
+	// predicates, reads no column of its child, and emits exactly one
+	// row, [count].
 	OpAggregate
 	// OpAntiJoin is a hash anti-join (NOT EXISTS): outer (Left) rows
 	// pass iff no row of the inner base relation (Relation/IndexColumn)

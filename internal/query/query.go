@@ -121,7 +121,8 @@ type Query struct {
 }
 
 // Aggregate reports whether the query's result is a scalar aggregate
-// (COUNT/SUM root) rather than the raw join output.
+// (a COUNT(*) root, the only aggregate the grammar has) rather than the
+// raw join output.
 func (q *Query) Aggregate() bool { return q.aggregate }
 
 // GroupBy returns the grouping column and true when the query is a grouped
@@ -298,7 +299,7 @@ func (b *Builder) AntiJoinPred(lrel, lcol, rrel, rcol string, passFrac float64, 
 }
 
 // Aggregate marks the query as a scalar aggregate: plans are rooted at an
-// OpAggregate node, as in the decision-support benchmarks' COUNT/SUM
+// OpAggregate node, as in the decision-support benchmarks' COUNT(*)
 // queries.
 func (b *Builder) Aggregate() *Builder {
 	if b.err == nil {

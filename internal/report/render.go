@@ -7,6 +7,7 @@ package report
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -24,16 +25,15 @@ type Table struct {
 	Notes []string
 }
 
-// AddRow appends a row of cells, formatting each with %v.
+// AddRow appends a row of cells. A cell of any float kind — float64,
+// float32, or a unit type over one such as cost.Cost and cost.Ratio — is
+// rounded by formatFloat; any other cell is formatted with %v.
 func (t *Table) AddRow(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = formatFloat(v)
-		default:
+		if v := reflect.ValueOf(c); v.Kind() == reflect.Float64 || v.Kind() == reflect.Float32 {
+			row[i] = formatFloat(v.Float())
+		} else {
 			row[i] = fmt.Sprintf("%v", c)
 		}
 	}

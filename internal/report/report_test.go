@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/workload"
 )
 
@@ -35,6 +36,36 @@ func TestFormatFloat(t *testing.T) {
 	for v, want := range cases {
 		if got := formatFloat(v); got != want {
 			t.Errorf("formatFloat(%g) = %s, want %s", v, got, want)
+		}
+	}
+}
+
+// TestAddRowRoundsEveryFloatKind pins that unit-typed cells round like
+// float64 ones: Table 1's MSO bounds and Fig. 14's bound column are
+// cost.Ratio, and once printed unrounded (27.4921875).
+func TestAddRowRoundsEveryFloatKind(t *testing.T) {
+	type celsius float32
+	cases := []struct {
+		cell interface{}
+		want string
+	}{
+		{cost.Ratio(27.4921875), "27.49"},
+		{cost.Ratio(14.399999999999999), "14.40"},
+		{cost.Ratio(0), "0"},
+		{cost.Cost(123456789), "1.23e+08"},
+		{cost.Cost(250.4), "250"},
+		{cost.Sel(0.00005), "5e-05"},
+		{float32(1.1), "1.10"},
+		{celsius(3.75), "3.75"},
+		{2.5, "2.50"},
+		{7, "7"},
+		{"x", "x"},
+	}
+	for _, c := range cases {
+		tbl := &Table{}
+		tbl.AddRow(c.cell)
+		if got := tbl.Rows[0][0]; got != c.want {
+			t.Errorf("AddRow(%T(%v)) = %q, want %q", c.cell, c.cell, got, c.want)
 		}
 	}
 }

@@ -25,13 +25,15 @@ import (
 // Data generation cost scales with the catalog's scale factor, so
 // concrete runs are intended for servers started at small -sf. Engines
 // are cached per (bouquet, dataSeed) in a small FIFO cache; runs on one
-// engine serialize (each generated table builds a column's index on the
-// first run that reads it, into a cache that is not safe for concurrent
-// runs; a built index is read-only).
+// engine serialize (each generated table generates a column, and builds
+// its index, on the first run that reads it, into state that is not safe
+// for concurrent runs; a generated column and a built index are
+// read-only).
 
 // DefaultEngineCacheSize bounds the concrete-run engine cache. Each entry
-// retains a generated database: 8 B per row per column, plus 4–16 B per
-// row (8 on a key column) for every column index its runs have built.
+// retains a generated database: 8 B per row per column its runs have read
+// (columns are generated on first read), plus 4–16 B per row (8 on a key
+// column) for every column index its runs have built.
 const DefaultEngineCacheSize = 4
 
 // engineEntry pairs a built engine with the mutex serializing runs on it.
