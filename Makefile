@@ -29,11 +29,13 @@ race-generators:
 	$(GO) test -race -cpu 1,2,8 ./internal/contour ./internal/posp
 
 # race-serving runs the traced serving path — the recorder pool, the span
-# fold and the handlers that share them — under the race detector at one,
-# two and eight Ps, never from the test cache: a recorder handed to the next
-# run too early only shows when runs really overlap.
+# fold and the handlers that share them — and the data package, whose
+# row-id vector is process-wide state every concurrent engine build reads
+# and grows, under the race detector at one, two and eight Ps, never from
+# the test cache: a recorder handed to the next run too early only shows
+# when runs really overlap.
 race-serving:
-	$(GO) test -race -count=1 -cpu 1,2,8 ./internal/trace ./internal/metrics ./internal/server
+	$(GO) test -race -count=1 -cpu 1,2,8 ./internal/trace ./internal/metrics ./internal/server ./internal/data
 
 # determinism-exec runs the engine and the concrete drivers at one, two
 # and eight Ps, never from the test cache: what a vectorized run reports —
@@ -97,11 +99,12 @@ bench-compile-smoke:
 # the vectorized engine at 1 and 8 morsel workers on a 400k-row
 # three-way join (plus the aggregate pipeline), and the whole-bouquet
 # run with operator-state reuse on and off, the column-index build on a
-# 600k-row lineitem.l_orderkey, and generating that lineitem reading two
-# of its six columns against all six — and converts the raw output into
-# BENCH_exec.json with speedups against the checked-in seed baselines
-# (bench/exec_seed.txt + bench/bouquet_seed.txt; the index and the
-# generator have none).
+# 600k-row lineitem.l_orderkey (and, as the "key" case, the index of a
+# key column, which aliases the shared row-id vector), and generating that
+# lineitem reading two of its six columns against all six — and converts
+# the raw output into BENCH_exec.json with speedups against the checked-in
+# seed baselines (bench/exec_seed.txt + bench/bouquet_seed.txt; the index
+# and the generator have none).
 bench-exec:
 	@mkdir -p $(BIN)
 	$(GO) test -run '^$$' -bench 'BenchmarkExecJoin|BenchmarkExecAggregate' \

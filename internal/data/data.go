@@ -10,6 +10,11 @@
 // the values it would have had had every column been drawn up front (pinned
 // by TestLazyColumnsMatchEager), so a database holds only the columns its
 // runs touch.
+//
+// Row ids are not data: a key column is its row ids 0…n-1, and its index
+// the identity permutation, so neither is stored per table. Every key
+// column, and every key column's index, aliases one process-wide,
+// read-only row-id vector (see rowIDs), whatever database it belongs to.
 package data
 
 import (
@@ -17,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/catalog"
 )
@@ -47,16 +53,20 @@ type Spec struct {
 // its non-key columns in catalog order from one seeded stream, so the
 // first read of a column draws the stream forward to it, discarding the
 // draws of the columns it skips; a read of an earlier column replays the
-// stream from the seed. Key columns draw nothing. Either way a column
-// holds exactly the values it would have had had every column been drawn
-// up front.
+// stream from the seed. The generator is released once no non-key column
+// past the stream's position is left to draw. Key columns draw nothing:
+// a key column and its index alias the shared row-id vector (rowIDs).
+// Either way a column holds exactly the values it would have had had
+// every column been drawn up front.
 //
 // Concurrency: the column vectors and built indexes are immutable once
-// made, but Column and Index build on first use into unguarded state, so
-// the executor calls them only on the goroutine composing a run — before
-// any morsel worker of that run starts — and the slices it hands workers
-// are read-only. Runs that could compose concurrently on one table must be
-// serialized by the caller (the server holds one mutex per engine).
+// made (a key column and its index from birth: the shared row-id vector
+// is read-only and guards its own growth), but Column and Index build on
+// first use into unguarded per-table state, so the executor calls them
+// only on the goroutine composing a run — before any morsel worker of that
+// run starts — and the slices it hands workers are read-only. Runs that
+// could compose concurrently on one table must be serialized by the caller
+// (the server holds one mutex per engine).
 type Table struct {
 	// Rel is the catalog relation this table instantiates.
 	Rel *catalog.Relation
@@ -67,7 +77,8 @@ type Table struct {
 	indexes map[string]*Index
 
 	// The relation's generator: its spec and seed, and the stream rng
-	// positioned at the draws of column next (nil before the first draw).
+	// positioned at the draws of column next (nil before the first draw
+	// and once no column past next is left to draw).
 	spec Spec
 	seed int64
 	rng  *rand.Rand
@@ -99,12 +110,22 @@ func (t *Table) Column(col string) []int64 {
 
 // Index returns the column's index, building it on first use (see Table
 // for the concurrency rule). It serves both range scans (Order) and
-// equality probes (Rows). Panics on an unknown column.
+// equality probes (Rows). A key column's index is the identity: it aliases
+// the shared row-id vector, allocates only its header, and equals what
+// newIndex would build over the column (pinned by
+// TestKeyColumnsShareRowIDs). Panics on an unknown column.
 func (t *Table) Index(col string) *Index {
 	if ix, ok := t.indexes[col]; ok {
 		return ix
 	}
-	ix := newIndex(t.Column(col))
+	vals := t.Column(col)
+	var ix *Index
+	if t.Rel.Columns[t.colIdx[col]].Type == catalog.TypeKey {
+		_, ids := rowIDs(t.n)
+		ix = &Index{order: ids[:t.n:t.n], starts: ids}
+	} else {
+		ix = newIndex(vals)
+	}
 	t.indexes[col] = ix
 	return ix
 }
@@ -113,16 +134,16 @@ func (t *Table) Index(col string) *Index {
 // id), and where each value's run starts in that order. One structure
 // answers both range scans and equality probes in 4 B per row plus 4 B
 // per value slot (12 B on the sparse path, which also keeps the value):
-// 8 B/row on a key column and at most 12 B/row on the dense path (pinned
-// by TestIndexBytesPerRow), where a Go map of row-id slices took ~88.
+// at most 12 B/row on the dense path (pinned by TestIndexBytesPerRow),
+// where a Go map of row-id slices took ~88. A key column's index costs
+// nothing per row: Table.Index aliases the shared row-id vector.
 //
 // When the column's value span is at most denseSpanPerRow times its row
-// count — every key and foreign-key column the generator makes — the
-// index is built by a counting sort in O(n + span) and a value's run is
-// found by offset (dense path). Otherwise it is built by a comparison sort
-// and the run is found by binary search over the sorted distinct values
-// (sparse path). An Index is immutable once built and safe for concurrent
-// readers.
+// count — every foreign-key column the generator makes — the index is
+// built by a counting sort in O(n + span) and a value's run is found by
+// offset (dense path). Otherwise it is built by a comparison sort and the
+// run is found by binary search over the sorted distinct values (sparse
+// path). An Index is immutable once built and safe for concurrent readers.
 type Index struct {
 	order []int32 // row ids ascending by (value, row id)
 	// starts[i] is the offset in order of the i-th value slot's run;
@@ -291,17 +312,18 @@ func stableHash(s string) uint32 {
 	return h
 }
 
-// generate materializes column ci. A key column is its row ids; any other
-// column positions the relation's stream at its draws first — replaying
-// from the seed if the stream has passed them, drawing and discarding the
-// columns in between otherwise.
+// generate materializes column ci. A key column is its row ids, aliased
+// from the shared vector; any other column positions the relation's stream
+// at its draws first — replaying from the seed if the stream has passed
+// them, drawing and discarding the columns in between otherwise. Once no
+// non-key column past the stream's position is left ungenerated, the
+// generator is released: a later read of a column it skipped replays from
+// the seed.
 func (t *Table) generate(ci int) []int64 {
-	vals := make([]int64, t.n)
-	if t.Rel.Columns[ci].Type == catalog.TypeKey {
-		for i := range vals {
-			vals[i] = int64(i)
-		}
-		return vals
+	cols := t.Rel.Columns
+	if cols[ci].Type == catalog.TypeKey {
+		ids, _ := rowIDs(t.n)
+		return ids
 	}
 	if t.rng == nil || ci < t.next {
 		t.rng, t.next = rand.New(rand.NewSource(t.seed)), 0
@@ -309,9 +331,47 @@ func (t *Table) generate(ci int) []int64 {
 	for ; t.next < ci; t.next++ {
 		t.draw(t.next, nil)
 	}
+	vals := make([]int64, t.n)
 	t.draw(ci, vals)
 	t.next = ci + 1
+	for i := t.next; i < len(cols); i++ {
+		if cols[i].Type != catalog.TypeKey && t.cols[i] == nil {
+			return vals
+		}
+	}
+	t.rng = nil
 	return vals
+}
+
+// rowIDs returns the row ids 0…n-1 as int64 and 0…n as int32, aliasing
+// one process-wide identity vector with capacity clipped, so an append by
+// any caller reallocates instead of writing into it. The vector is
+// read-only, grows geometrically under the mutex and never shrinks; a
+// prefix handed out before a growth stays valid because its values never
+// change. It retains under 24 B per row of the largest key table the
+// process has generated.
+func rowIDs(n int) ([]int64, []int32) {
+	sharedIDs.Lock()
+	defer sharedIDs.Unlock()
+	if n >= len(sharedIDs.i32) {
+		m := max(n, 2*len(sharedIDs.i64))
+		i64, i32 := make([]int64, m), make([]int32, m+1)
+		for i := range i64 {
+			i64[i], i32[i] = int64(i), int32(i)
+		}
+		i32[m] = int32(m)
+		sharedIDs.i64, sharedIDs.i32 = i64, i32
+	}
+	return sharedIDs.i64[:n:n], sharedIDs.i32[: n+1 : n+1]
+}
+
+// sharedIDs is the identity vector rowIDs hands out: i64 holds 0…m-1 and
+// i32 holds 0…m. It is process-wide rather than per database because it is
+// the same for every table: one copy serves every key column.
+var sharedIDs struct {
+	sync.Mutex
+	i64 []int64
+	i32 []int32
 }
 
 // draw makes column ci's draws from the stream, storing them in vals, or

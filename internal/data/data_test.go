@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -310,22 +311,39 @@ func BenchmarkJoinSelectivity(b *testing.B) {
 
 var benchIndex *Index
 
-// BenchmarkIndex builds the index of a 600k-row foreign-key column
-// (TPC-H-like lineitem.l_orderkey at scale 0.1) from scratch: the dense
-// counting-sort path every generated key and FK column takes.
+// BenchmarkIndex builds, from scratch, the index of a 600k-row
+// foreign-key column (TPC-H-like lineitem.l_orderkey at scale 0.1) — the
+// dense counting-sort path every generated FK column takes — and, as
+// "key", the index Table.Index hands out for the 150k-row key column
+// orders.o_orderkey, which aliases the shared row-id vector and builds
+// nothing.
 func BenchmarkIndex(b *testing.B) {
-	db := Generate(catalog.TPCHLike(0.1), []string{"lineitem"}, nil, 1)
-	vals := db.Table("lineitem").Column("l_orderkey")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchIndex = newIndex(vals)
-	}
-	b.ReportMetric(float64(len(vals))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	cat := catalog.TPCHLike(0.1)
+	b.Run("fk", func(b *testing.B) {
+		vals := Generate(cat, []string{"lineitem"}, nil, 1).Table("lineitem").Column("l_orderkey")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchIndex = newIndex(vals)
+		}
+		b.ReportMetric(float64(len(vals))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
+	b.Run("key", func(b *testing.B) {
+		tbl := Generate(cat, []string{"orders"}, nil, 1).Table("orders")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			delete(tbl.indexes, "o_orderkey") // each call is a first use
+			benchIndex = tbl.Index("o_orderkey")
+		}
+	})
 }
 
 // TestUnreadColumnsStayUngenerated pins the point of laziness: reading one
-// column materializes that column alone, and an unread table nothing.
+// column materializes that column alone, and an unread table nothing. It
+// also pins that a table releases its generator once the stream has drawn
+// the last non-key column, and that a later out-of-order read, replayed
+// from the seed, is bit-identical to an in-order one.
 func TestUnreadColumnsStayUngenerated(t *testing.T) {
 	db := Generate(smallCatalog(), nil, nil, 5)
 	tbl := db.Table("fk")
@@ -339,5 +357,28 @@ func TestUnreadColumnsStayUngenerated(t *testing.T) {
 		if db.Table("pk").cols[i] != nil {
 			t.Fatal("an unread table generated a column")
 		}
+	}
+
+	// "w" is fk's last non-key column: its draw releases the generator.
+	if tbl.rng != nil {
+		t.Fatal("generator kept after the last non-key column was drawn")
+	}
+	inOrder := Generate(smallCatalog(), nil, nil, 5).Table("fk")
+	if !slices.Equal(tbl.Column("ref"), inOrder.Column("ref")) || !slices.Equal(tbl.Column("w"), inOrder.Column("w")) {
+		t.Fatal("a read replayed after the generator was released differs from an in-order read")
+	}
+	if tbl.rng != nil || inOrder.rng != nil {
+		t.Fatal("generator kept once every non-key column was drawn")
+	}
+	// pk's only non-key column "v" follows its key: reading the key
+	// draws nothing, and reading "v" releases the generator.
+	pk := db.Table("pk")
+	pk.Column("id")
+	if pk.rng != nil {
+		t.Fatal("a key column started the generator")
+	}
+	pk.Column("v")
+	if pk.rng != nil {
+		t.Fatal("generator kept after pk's last non-key column was drawn")
 	}
 }

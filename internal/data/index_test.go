@@ -156,6 +156,10 @@ func TestIndexRowsAllocFree(t *testing.T) {
 	}
 }
 
+// TestIndexBytesPerRow pins newIndex's dense path at ≤ 12 B/row on the
+// identity column 0…n-1. No key column reaches newIndex in production any
+// more — Table.Index aliases the shared row-id vector instead — so this
+// pins the counting sort's footprint, not what a key column costs.
 func TestIndexBytesPerRow(t *testing.T) {
 	const n = 100_000
 	c := catalog.NewCatalog()

@@ -31,9 +31,11 @@ import (
 // read-only).
 
 // DefaultEngineCacheSize bounds the concrete-run engine cache. Each entry
-// retains a generated database: 8 B per row per column its runs have read
-// (columns are generated on first read), plus 4–16 B per row (8 on a key
-// column) for every column index its runs have built.
+// retains a generated database: 8 B per row per non-key column its runs
+// have read (columns are generated on first read), plus 4–16 B per row for
+// every non-key column index its runs have built. Key columns and their
+// indexes cost nothing per entry: they alias the data package's shared
+// row-id vector.
 const DefaultEngineCacheSize = 4
 
 // engineEntry pairs a built engine with the mutex serializing runs on it.
