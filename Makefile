@@ -46,12 +46,10 @@ race-serving:
 determinism-exec:
 	$(GO) test -count=1 -cpu 1,2,8 ./internal/exec ./internal/core
 
-# fuzz runs the fuzz targets (SQL parser, CFG builder) for a short,
-# CI-friendly budget each. Run one by hand with a longer
-# -fuzztime to explore further.
+# fuzz runs the fuzz target (the SQL parser) for a short, CI-friendly
+# budget. Run it by hand with a longer -fuzztime to explore further.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse
-	$(GO) test -fuzz=FuzzBuild -fuzztime=30s ./internal/analysis/cfg
 
 # lint builds the repository's own analyzer suite and runs it through the
 # go vet driver. CI invokes this same target, so local and CI findings

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/anorexic"
@@ -458,20 +457,9 @@ func traceRun(name string, res int, lambda float64, workers int, qaFlag, artifac
 	if err != nil {
 		return err
 	}
-	qa := w.Space.Terminus()
-	if qaFlag != "" {
-		parts := strings.Split(qaFlag, ",")
-		if len(parts) != w.Space.Dims() {
-			return fmt.Errorf("-qa needs %d values for %s", w.Space.Dims(), name)
-		}
-		qa = make(ess.Point, len(parts))
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return fmt.Errorf("bad -qa value %q: %w", p, err)
-			}
-			qa[i] = v
-		}
+	qa, err := parseQA(w, qaFlag)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("running %s at q_a=%v\n\nbasic driver:\n  %s\n", name, qa, b.RunBasic(qa))
 	fmt.Printf("\noptimized driver:\n  %s\n", b.RunOptimized(qa))

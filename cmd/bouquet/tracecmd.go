@@ -92,9 +92,6 @@ func parseQA(w *workload.Workload, qaFlag string) (ess.Point, error) {
 		return qa, nil
 	}
 	parts := strings.Split(qaFlag, ",")
-	if len(parts) != w.Space.Dims() {
-		return nil, fmt.Errorf("-qa needs %d values for %s", w.Space.Dims(), w.Name)
-	}
 	qa = make(ess.Point, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
@@ -102,6 +99,9 @@ func parseQA(w *workload.Workload, qaFlag string) (ess.Point, error) {
 			return nil, fmt.Errorf("bad -qa value %q: %w", p, err)
 		}
 		qa[i] = v
+	}
+	if err := w.Space.Check(qa); err != nil {
+		return nil, fmt.Errorf("-qa for %s: %w", w.Name, err)
 	}
 	return qa, nil
 }

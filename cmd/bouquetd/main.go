@@ -93,7 +93,8 @@ func run(addr, schema string, sf float64, cfg server.Config, readTimeout, writeT
 	defer stop()
 
 	errCh := make(chan error, 1)
-	//bouquet:allow goleak: the one-slot buffer lets the send complete; the drain-incomplete path exits the process without collecting the listener's error
+	// The one-slot buffer lets the send complete; the drain-incomplete path
+	// exits the process without collecting the listener's error.
 	go func() {
 		fmt.Printf("bouquetd: serving %s-shaped catalog on %s\n", schema, addr)
 		errCh <- hs.ListenAndServe()

@@ -53,68 +53,6 @@ func report() int64 { return hits }
 `, "hits is accessed with sync/atomic elsewhere in this package")
 }
 
-// TestGoleakDualMode: a goroutine sending on a launcher-local channel
-// the launcher can abandon on its error path must be reported in both
-// modes.
-func TestGoleakDualMode(t *testing.T) {
-	dualMode(t, `package a
-
-func compute() int { return 1 }
-
-func abandoned(fail bool) int {
-	ch := make(chan int)
-	go func() {
-		ch <- compute()
-	}()
-	if fail {
-		return -1
-	}
-	return <-ch
-}
-`, "goroutine sends on ch, but the launching function can return without receiving from it")
-}
-
-// TestLockheldDualMode: a channel receive while holding a mutex must be
-// reported in both modes.
-func TestLockheldDualMode(t *testing.T) {
-	dualMode(t, `package a
-
-import "sync"
-
-type q struct {
-	mu  sync.Mutex
-	out chan int
-}
-
-func (x *q) wait() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return <-x.out
-}
-`, "mu may be held across a channel receive")
-}
-
-// TestPoollifeDualMode: reading a pooled buffer after returning it to
-// the pool must be reported in both modes.
-func TestPoollifeDualMode(t *testing.T) {
-	dualMode(t, `package a
-
-import (
-	"bytes"
-	"sync"
-)
-
-var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func use(data []byte) int {
-	buf := bufs.Get().(*bytes.Buffer)
-	buf.Write(data)
-	bufs.Put(buf)
-	return buf.Len()
-}
-`, "buf is used after being returned to the pool")
-}
-
 // TestMaporderDualMode: map iteration appended to an output slice with
 // no later sort must be reported in both modes.
 func TestMaporderDualMode(t *testing.T) {

@@ -166,11 +166,10 @@ func printJSON(diags []analysis.Diagnostic) {
 // data source for the lint budget: when `make lint` drifts, the table
 // names the analyzer that paid for it.
 //
-// Shared infrastructure — the per-package call graph and CFGs that the
-// interprocedural analyzers all consult — is primed before any analyzer
-// runs and reported on its own "(infra)" row. Without that, the whole
-// construction cost lands on whichever consumer happens to run first
-// and the table blames the wrong analyzer.
+// Shared infrastructure — the per-package call graph — is primed before
+// any analyzer runs and reported on its own "(infra)" row. Without that,
+// the whole construction cost lands on whichever consumer happens to run
+// first and the table blames the wrong analyzer.
 func runTiming(pkgs []*analysis.LoadedPackage) int {
 	totals := make(map[string]time.Duration)
 	const infraRow = "(infra)"

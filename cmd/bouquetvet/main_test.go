@@ -97,52 +97,6 @@ func suppressed(x float64) bool {
 	}
 }
 
-// TestUnitflowDualMode is the unitflow acceptance test: a scratch module
-// that launders a Card through a plain float64 and passes it into a Sel
-// parameter must be reported in both entry modes — the direct driver and
-// the `go vet -vettool` unitchecker protocol.
-func TestUnitflowDualMode(t *testing.T) {
-	bin := buildVet(t)
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "go.mod"), "module vetfixture\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(dir, "a.go"), `package a
-
-type Sel float64
-type Card float64
-
-func (s Sel) F() float64  { return float64(s) }
-func (c Card) F() float64 { return float64(c) }
-
-func takeSel(s Sel) Sel { return s }
-
-func confused(rows Card) Sel {
-	raw := float64(rows)
-	return takeSel(Sel(raw))
-}
-`)
-	const want = "Card-derived value passed as Sel argument to takeSel"
-
-	direct := exec.Command(bin, "./...")
-	direct.Dir = dir
-	out, err := direct.CombinedOutput()
-	if err == nil {
-		t.Fatalf("direct mode exited 0 on the unit-confused fixture\n%s", out)
-	}
-	if !strings.Contains(string(out), want) {
-		t.Fatalf("direct mode output missing unitflow diagnostic %q:\n%s", want, out)
-	}
-
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = dir
-	out, err = vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool exited 0 on the unit-confused fixture\n%s", out)
-	}
-	if !strings.Contains(string(out), want) {
-		t.Fatalf("vettool output missing unitflow diagnostic %q:\n%s", want, out)
-	}
-}
-
 // TestOutputSortedAndStable pins the cross-analyzer reporting contract:
 // findings from different analyzers arrive interleaved in file-position
 // order, and two runs over the same input produce byte-identical output.
@@ -154,27 +108,26 @@ func TestOutputSortedAndStable(t *testing.T) {
 
 import (
 	"errors"
-	"math"
+	"sync/atomic"
 )
 
-type Sel float64
-type Card float64
+var hits int64
 
-func takeSel(s Sel) Sel { return s }
+func bump() { atomic.AddInt64(&hits, 1) }
 
 func mayFail() error { return errors.New("boom") }
 
 func eq(x, y float64) bool { return x == y }
 
-func sentinel() float64 {
-	v := math.Inf(1)
-	return v * 2
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
 }
 
-func confused(rows Card) Sel {
-	raw := float64(rows)
-	return takeSel(Sel(raw))
-}
+func report() int64 { return hits }
 
 func drop() {
 	_ = mayFail()
@@ -225,7 +178,7 @@ func drop() {
 		}
 		analyzers[line[open+1:len(line)-1]] = true
 	}
-	for _, want := range []string{"errflow", "floatcmp", "infguard", "unitflow"} {
+	for _, want := range []string{"atomicmix", "errflow", "floatcmp", "maporder"} {
 		if !analyzers[want] {
 			t.Errorf("no %s finding in output (analyzers seen: %v):\n%s", want, analyzers, first)
 		}

@@ -1,11 +1,9 @@
 // Package callgraph builds a class-hierarchy-analysis (CHA) call graph
 // over one type-checked package, using only the standard library. It is
-// the interprocedural substrate for the concflow analyzers (atomicmix,
-// poollife, goleak, lockheld): where the CFG/dataflow layer answers
-// "what happens inside this function", the call graph answers "who can
-// this call reach", so invariants that span function boundaries —
-// atomic/plain access mixes, pool lifetimes, blocking under a lock —
-// become checkable.
+// the interprocedural substrate for atomicmix: the call graph answers
+// "who can this call reach", so an invariant that spans function
+// boundaries — a variable accessed atomically in one function and
+// plainly in another — becomes checkable.
 //
 // # Resolution
 //

@@ -7,20 +7,15 @@ import (
 	"strings"
 
 	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/cfg"
 )
 
-// Infra caches the shared per-package infrastructure the interprocedural
-// analyzers all rebuild from the same inputs: the non-test file subset,
-// the CHA call graph over it, and per-function CFGs. One Infra is shared
-// by every Pass in a RunPackage call, so the first analyzer to ask pays
-// the construction cost once and the rest hit the cache — and -timing
-// can prime it up front to attribute that cost to "infra" rather than to
-// whichever analyzer happens to run first.
-//
-// Summaries (dataflow.Summaries) stay per-analyzer: each analyzer's
-// summary lattice answers a different question over the same graph, so
-// there is nothing shareable below the graph itself.
+// Infra caches the shared per-package infrastructure analyzers would
+// otherwise rebuild from the same inputs: the non-test file subset and
+// the CHA call graph over it. One Infra is shared by every Pass in a
+// RunPackage call, so the first analyzer to ask pays the construction
+// cost once and the rest hit the cache — and -timing can prime it up
+// front to attribute that cost to "infra" rather than to whichever
+// analyzer happens to run first.
 //
 // Infra is not safe for concurrent use; drivers run analyzers
 // sequentially per package.
@@ -33,7 +28,6 @@ type Infra struct {
 	nonTest      []*ast.File
 	nonTestBuilt bool
 	graph        *callgraph.Graph
-	cfgs         map[*ast.BlockStmt]*cfg.Graph
 }
 
 // NewInfra returns an empty cache over one type-checked package.
@@ -67,32 +61,9 @@ func (in *Infra) CallGraph() *callgraph.Graph {
 	return in.graph
 }
 
-// FuncCFG returns the control-flow graph for one function body,
-// building it on first use. Analyzers that walk the same bodies
-// (lockheld, poollife, goleak, ...) share the result.
-func (in *Infra) FuncCFG(body *ast.BlockStmt) *cfg.Graph {
-	if body == nil {
-		return nil
-	}
-	if g, ok := in.cfgs[body]; ok {
-		return g
-	}
-	if in.cfgs == nil {
-		in.cfgs = map[*ast.BlockStmt]*cfg.Graph{}
-	}
-	g := cfg.New(body)
-	in.cfgs[body] = g
-	return g
-}
-
-// Prime eagerly builds everything the cache can hold: the call graph
-// and a CFG for every node body. Used by -timing to measure shared
-// infrastructure cost on its own row.
-func (in *Infra) Prime() {
-	for _, n := range in.CallGraph().Nodes() {
-		in.FuncCFG(n.Body)
-	}
-}
+// Prime eagerly builds everything the cache can hold: the call graph.
+// Used by -timing to measure shared infrastructure cost on its own row.
+func (in *Infra) Prime() { in.CallGraph() }
 
 // NonTestFiles returns the package's non-test files via the pass's
 // shared cache.
@@ -101,10 +72,6 @@ func (p *Pass) NonTestFiles() []*ast.File { return p.infra().NonTestFiles() }
 // CallGraph returns the package's CHA call graph (non-test files) via
 // the pass's shared cache.
 func (p *Pass) CallGraph() *callgraph.Graph { return p.infra().CallGraph() }
-
-// FuncCFG returns the memoized control-flow graph for body via the
-// pass's shared cache.
-func (p *Pass) FuncCFG(body *ast.BlockStmt) *cfg.Graph { return p.infra().FuncCFG(body) }
 
 // infra returns the pass's cache, creating a private one for passes
 // constructed without RunPackage (tests, single-analyzer drivers).

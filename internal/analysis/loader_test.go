@@ -70,7 +70,7 @@ func TestAllowIndexSuppression(t *testing.T) {
 	if ai.covers("floatcmp", token.Position{Filename: "f.go", Line: 12}) {
 		t.Error("directive two lines up must not suppress")
 	}
-	if ai.covers("selbounds", token.Position{Filename: "f.go", Line: 10}) {
+	if ai.covers("maporder", token.Position{Filename: "f.go", Line: 10}) {
 		t.Error("directive names a different analyzer")
 	}
 }

@@ -9,17 +9,10 @@ import (
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/errflow"
 	"repro/internal/analysis/floatcmp"
-	"repro/internal/analysis/goleak"
-	"repro/internal/analysis/infguard"
-	"repro/internal/analysis/lockheld"
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/panicdoc"
 	"repro/internal/analysis/pkgdoc"
-	"repro/internal/analysis/poollife"
 	"repro/internal/analysis/printless"
-	"repro/internal/analysis/seededrand"
-	"repro/internal/analysis/selbounds"
-	"repro/internal/analysis/unitflow"
 )
 
 // All returns the full bouquetvet suite in diagnostic-name order.
@@ -29,16 +22,9 @@ func All() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		errflow.Analyzer,
 		floatcmp.Analyzer,
-		goleak.Analyzer,
-		infguard.Analyzer,
-		lockheld.Analyzer,
 		maporder.Analyzer,
 		panicdoc.Analyzer,
 		pkgdoc.Analyzer,
-		poollife.Analyzer,
 		printless.Analyzer,
-		seededrand.Analyzer,
-		selbounds.Analyzer,
-		unitflow.Analyzer,
 	}
 }

@@ -12,8 +12,8 @@ import (
 // callers re-sorting.
 func TestSuiteShape(t *testing.T) {
 	all := All()
-	if len(all) != 15 {
-		t.Fatalf("suite has %d analyzers, want 15 (update this count and the docs together)", len(all))
+	if len(all) != 8 {
+		t.Fatalf("suite has %d analyzers, want 8 (update this count and the docs together)", len(all))
 	}
 	nameRE := regexp.MustCompile(`^[a-z]+$`)
 	seen := map[string]bool{}

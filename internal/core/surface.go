@@ -13,14 +13,16 @@ import (
 
 // RunBasic simulates the basic bouquet algorithm (Fig. 7) at the actual
 // location qa: RunBasicTraced with a background context, no seed and no
-// recorder. It panics on an error, which then only a driver bug can cause.
+// recorder. It panics on an error: a q_a that Space.Check rejects, or a
+// driver bug.
 func (b *Bouquet) RunBasic(qa ess.Point) Execution {
 	return must(b.RunBasicTraced(context.Background(), qa, nil, nil))
 }
 
 // RunOptimized simulates the optimized bouquet algorithm (Fig. 13) at the
 // actual location qa: RunOptimizedTraced with a background context, no seed,
-// no recorder. It panics on an error, which then only a driver bug can cause.
+// no recorder. It panics on an error: a q_a that Space.Check rejects, or a
+// driver bug.
 func (b *Bouquet) RunOptimized(qa ess.Point) Execution {
 	return must(b.RunOptimizedTraced(context.Background(), qa, nil, nil))
 }
@@ -38,8 +40,12 @@ func (b *Bouquet) RunOptimized(qa ess.Point) Execution {
 // returned alongside its error when it expires mid-run. rec, when non-nil,
 // receives a contour span per isocost step entered, an exec span per
 // (possibly partial) plan execution with the cost model's realized per-node
-// cardinalities, and a budget-abort span per jettisoned step.
+// cardinalities, and a budget-abort span per jettisoned step. A q_a that
+// Space.Check rejects is returned as its error before anything runs.
 func (b *Bouquet) RunBasicTraced(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
+	if err := b.Space.Check(qa); err != nil {
+		return Execution{}, err
+	}
 	s := b.onSurface(qa, rec)
 	err := b.runBasic(ctx, s, rec, seed)
 	return s.e, err
@@ -50,8 +56,12 @@ func (b *Bouquet) RunBasicTraced(ctx context.Context, qa, seed ess.Point, rec *t
 // and early contour change. seed, ctx and rec are as for RunBasicTraced —
 // q_run starts at the seed rather than the origin, so low contours are
 // skipped by the early-change test — and rec additionally receives spill
-// and discovered-selectivity learn spans.
+// and discovered-selectivity learn spans. A q_a that Space.Check rejects is
+// returned as its error before anything runs.
 func (b *Bouquet) RunOptimizedTraced(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
+	if err := b.Space.Check(qa); err != nil {
+		return Execution{}, err
+	}
 	s := b.onSurface(qa, rec)
 	st := b.newRunState(seed)
 	for d := range st.qrun {

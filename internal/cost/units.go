@@ -4,20 +4,19 @@
 // a dimensionless ratio — and mixing them silently corrupts the bound the
 // same way mis-estimated selectivities corrupt a classical optimizer.
 // Defining each dimension as its own float64 type makes the Go type
-// checker reject cross-unit assignment and arithmetic outright, and gives
-// the unitflow analyzer (internal/analysis/unitflow) firm provenance
-// anchors for values that are laundered through plain float64.
+// checker reject cross-unit assignment and arithmetic outright.
 //
 // Conversion discipline: entering a dimension is an explicit conversion
-// (cost.Sel(x)); leaving it is the F method. unitflow tracks both, so a
-// float64 derived from a Card that is later converted to a Sel is a
-// compile-gate failure even though the type checker cannot see it.
+// (cost.Sel(x)); leaving it is the F method. A value laundered through a
+// plain float64 in between is out of the type checker's sight; a mix-up
+// there that changes a cost moves the golden costs the tests and the
+// plan-regression corpus pin.
 
 package cost
 
 // Sel is a predicate selectivity: a dimensionless fraction in (0,1]
-// (paper §2). The selbounds analyzer enforces the domain on constants;
-// the type enforces the dimension on variables.
+// (paper §2). query.Builder and ess.Space.Check enforce the domain at
+// run time; the type enforces the dimension on variables.
 type Sel float64
 
 // Cost is a plan cost in abstract optimizer cost-model units (the unit

@@ -227,6 +227,21 @@ func (s *Space) Terminus() Point {
 	return out
 }
 
+// Check reports whether p can be a query location in the space: one value
+// per dimension, each a selectivity in (0,1]. Runs that take an actual
+// location q_a from outside — a request, a caller — check it here first.
+func (s *Space) Check(p Point) error {
+	if len(p) != s.Dims() {
+		return fmt.Errorf("ess: a point needs %d values, got %d", s.Dims(), len(p))
+	}
+	for d, v := range p {
+		if !(v > 0 && v <= 1) {
+			return fmt.Errorf("ess: value %d is %v, out of (0,1]", d, v)
+		}
+	}
+	return nil
+}
+
 // Sels converts an ESS point into a full selectivity assignment for the
 // query: error dimensions take the point's values, everything else its
 // default selectivity. The returned slice is indexed by predicate ID.

@@ -177,6 +177,20 @@ func TestOriginAndTerminus(t *testing.T) {
 	}
 }
 
+func TestCheck(t *testing.T) {
+	s := testSpace(t, 2, 3)
+	for _, p := range []Point{{1, 1e-9}, s.Origin(), s.Terminus()} {
+		if err := s.Check(p); err != nil {
+			t.Errorf("Check(%v) = %v, want nil", p, err)
+		}
+	}
+	for _, p := range []Point{nil, {0.5}, {0.5, 0.5, 0.5}, {0, 0.5}, {0.5, -1}, {0.5, 1.5}, {math.NaN(), 0.5}, {math.Inf(1), 0.5}} {
+		if err := s.Check(p); err == nil {
+			t.Errorf("Check(%v) = nil, want an error", p)
+		}
+	}
+}
+
 func TestSelsInjection(t *testing.T) {
 	s := testSpace(t, 2, 3)
 	q := s.Query()

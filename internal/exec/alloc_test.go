@@ -1,6 +1,42 @@
 package exec
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/cost"
+)
+
+// TestRunLeavesNoGoroutines: every morsel worker a vectorized run forks is
+// joined before Run returns — after a completed run, a budget abort and a
+// run budgeted at exactly its cost — so the goroutine count is back at its
+// start value once the runs are done. It is the package's first test on
+// purpose: a goroutine leaked per run piles up over the tests after it
+// until the package times out, so a check placed behind them would never
+// run.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	fx := newFixture(t)
+	before := runtime.NumGoroutine()
+	for _, name := range []string{"hj", "mj", "nl"} {
+		p := fx.plans[name]
+		full := fx.eng.MustRun(p, vopts(8))
+		for _, frac := range []cost.Ratio{0.3, 1} {
+			o := vopts(8)
+			o.Budget = full.CostUsed.Scale(frac)
+			if res := fx.eng.MustRun(p, o); frac < 1 && res.Completed {
+				t.Fatalf("%s: completed at %v of its cost", name, frac)
+			}
+		}
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines 1 s after the runs, %d before:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
 
 // The vectorized engine's per-batch kernels promise an allocation-free
 // warm path: after one warm-up batch sizes the per-worker scratch

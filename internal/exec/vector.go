@@ -501,7 +501,8 @@ func (v *vecEngine) rootSink() vecSink {
 				for c := range b.cols {
 					r[c] = b.cols[c][ri]
 				}
-				//bouquet:allow lockheld: serializing collect callbacks is collectMu's entire purpose; the callback contract forbids blocking
+				// Serializing collect callbacks is collectMu's entire purpose; the
+				// callback contract forbids blocking.
 				collect(r)
 			}
 			return nil

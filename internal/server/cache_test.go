@@ -6,9 +6,28 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func entryFor(id string) cacheEntry { return cacheEntry{id: id} }
+
+// waitOrFail waits for wg, failing the test after 10 s instead of letting
+// the package time out: a getOrCompute caller blocked that long is stuck in
+// the single-flight wait on call.done, which only returns if the cache lock
+// is free for the computing caller to publish its result.
+func waitOrFail(t *testing.T, wg *sync.WaitGroup) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("getOrCompute callers still blocked after 10 s: the single-flight wait on call.done never returned (is mu held across it?)")
+	}
+}
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newCompileCache(2)
@@ -76,7 +95,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	// other goroutines either wait on the call or hit the cached entry.
 	<-started
 	close(release)
-	wg.Wait()
+	waitOrFail(t, &wg)
 
 	if got := computes.Load(); got != 1 {
 		t.Fatalf("compute ran %d times, want 1", got)
@@ -138,7 +157,7 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 			}
 		}(i)
 	}
-	wg.Wait()
+	waitOrFail(t, &wg)
 	if st := c.stats(); st.Entries != 4 || st.Hits+st.Misses != 64 {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -77,7 +77,8 @@ func (c *engineCache) getOrBuild(key string, build func() (*exec.Engine, error))
 	if e, ok := c.entries[key]; ok {
 		return e, nil
 	}
-	//bouquet:allow lockheld: building under the cache lock suppresses a thundering herd of identical engine builds; builds are deterministic, CPU-bound, and fast
+	// Building under the cache lock suppresses a thundering herd of
+	// identical engine builds; builds are deterministic, CPU-bound, and fast.
 	eng, err := build()
 	if err != nil {
 		return nil, err

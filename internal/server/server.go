@@ -181,7 +181,8 @@ func encodeJSON(v interface{}) (*bytes.Buffer, error) {
 		jsonBufs.Put(buf)
 		return nil, err
 	}
-	//bouquet:allow poollife: ownership transfers to the caller, which must release via releaseBuf once the body is written
+	// Ownership transfers to the caller, which must release via releaseBuf
+	// once the body is written.
 	return buf, nil
 }
 
@@ -322,7 +323,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		err   error
 	}
 	ch := make(chan outcome, 1)
-	//bouquet:allow goleak: the one-slot buffer lets the send complete even when the deadline arm wins; dropping the finished compile is the 503 contract
+	// The one-slot buffer lets the send complete even when the deadline arm
+	// wins; dropping the finished compile is the 503 contract.
 	go func() {
 		entry, hit, err := s.cache.getOrCompute(key, func() (cacheEntry, error) {
 			s.metrics.compiles.Add(1)
@@ -539,15 +541,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "reuse applies to concrete runs only")
 		return
 	}
-	if len(req.QA) != b.Space.Dims() {
-		jsonError(w, http.StatusBadRequest, "qa needs %d values", b.Space.Dims())
+	if err := b.Space.Check(req.QA); err != nil {
+		jsonError(w, http.StatusBadRequest, "qa: %v", err)
 		return
-	}
-	for d, v := range req.QA {
-		if v <= 0 || v > 1 {
-			jsonError(w, http.StatusBadRequest, "qa[%d] = %v out of (0,1]", d, v)
-			return
-		}
 	}
 	var seed ess.Point
 	if len(req.Seed) > 0 {

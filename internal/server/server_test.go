@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -20,6 +23,26 @@ const apiEQ2D = `
 	WHERE part.p_retailprice < sel(0.10)?
 	  AND part.p_partkey = lineitem.l_partkey sel(0.000005)?
 	  AND lineitem.l_orderkey = orders.o_orderkey`
+
+// TestMain fails the package when goroutines outlive its tests: within
+// 5 s of the last test the count must be back at its start value. A
+// handler, a client or a test that leaves one behind — an unread response
+// body keeps its connection's goroutines alive — shows up here.
+func TestMain(m *testing.M) {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			fmt.Fprintf(os.Stderr, "%d goroutines 5 s after the tests, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
@@ -245,8 +268,13 @@ func TestAPIErrors(t *testing.T) {
 	if resp, _ := postJSON(t, srv.URL+"/run", runRequest{ID: sum.ID, QA: []float64{7}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatal("out-of-range qa accepted")
 	}
-	if resp, err := http.Get(srv.URL + "/bouquets/ghost"); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("ghost lookup: %v %v", resp.StatusCode, err)
+	resp, err := http.Get(srv.URL + "/bouquets/ghost")
+	if err != nil {
+		t.Fatalf("ghost lookup: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("ghost lookup: status %d", resp.StatusCode)
 	}
 }
 
