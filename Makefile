@@ -30,10 +30,11 @@ race-generators:
 
 # race-serving runs the traced serving path — the recorder pool, the span
 # fold and the handlers that share them — and the data package, whose
-# row-id vector is process-wide state every concurrent engine build reads
-# and grows, under the race detector at one, two and eight Ps, never from
-# the test cache: a recorder handed to the next run too early only shows
-# when runs really overlap.
+# row-id vector and table store are process-wide state that concurrent
+# runs read and grow, under the race detector at one, two and eight Ps,
+# never from the test cache: a recorder handed to the next run too early,
+# or a column published before it is drawn, only shows when runs really
+# overlap.
 race-serving:
 	$(GO) test -race -count=1 -cpu 1,2,8 ./internal/trace ./internal/metrics ./internal/server ./internal/data
 

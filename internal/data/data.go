@@ -15,14 +15,24 @@
 // the identity permutation, so neither is stored per table. Every key
 // column, and every key column's index, aliases one process-wide,
 // read-only row-id vector (see rowIDs), whatever database it belongs to.
+//
+// Tables are values: a table is a pure function of its relation, spec and
+// seed, so the process holds at most one live table per (relation, spec,
+// seed). Every database over one catalog at one seed shares it, with the
+// columns and indexes any of them has read (see store).
 package data
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"weak"
 
 	"repro/internal/catalog"
 )
@@ -59,26 +69,26 @@ type Spec struct {
 // Either way a column holds exactly the values it would have had had
 // every column been drawn up front.
 //
-// Concurrency: the column vectors and built indexes are immutable once
-// made (a key column and its index from birth: the shared row-id vector
-// is read-only and guards its own growth), but Column and Index build on
-// first use into unguarded per-table state, so the executor calls them
-// only on the goroutine composing a run — before any morsel worker of that
-// run starts — and the slices it hands workers are read-only. Runs that
-// could compose concurrently on one table must be serialized by the caller
-// (the server holds one mutex per engine).
+// Concurrency: a table is immutable once published. Each column and each
+// index is built once and published through an atomic slot, so a read of
+// a published one takes no lock, from any goroutine. A miss takes the
+// table's mutex, re-checks the slot, and builds and publishes under it;
+// the mutex also guards the generator's stream position. Any number of
+// runs may therefore read one table concurrently, first reads included.
 type Table struct {
 	// Rel is the catalog relation this table instantiates.
 	Rel *catalog.Relation
 
 	colIdx  map[string]int
-	cols    [][]int64 // nil until the column's first read
 	n       int
-	indexes map[string]*Index
+	cols    []atomic.Pointer[[]int64] // by column ordinal; nil until first read
+	indexes []atomic.Pointer[Index]   // by column ordinal; nil until first use
 
-	// The relation's generator: its spec and seed, and the stream rng
-	// positioned at the draws of column next (nil before the first draw
-	// and once no column past next is left to draw).
+	// mu guards building a column or index and the generator below: the
+	// relation's spec and seed, and the stream rng positioned at the
+	// draws of column next (nil before the first draw and once no column
+	// past next is left to draw).
+	mu   sync.Mutex
 	spec Spec
 	seed int64
 	rng  *rand.Rand
@@ -98,14 +108,29 @@ func (t *Table) Value(r int, col string) int64 {
 // generating it on first read (see Table for the concurrency rule). Panics
 // on an unknown column.
 func (t *Table) Column(col string) []int64 {
+	return t.column(t.ordinal(col))
+}
+
+func (t *Table) ordinal(col string) int {
 	i, ok := t.colIdx[col]
 	if !ok {
 		panic(fmt.Sprintf("data: table %s has no column %s", t.Rel.Name, col))
 	}
-	if t.cols[i] == nil {
-		t.cols[i] = t.generate(i)
+	return i
+}
+
+func (t *Table) column(i int) []int64 {
+	if p := t.cols[i].Load(); p != nil {
+		return *p
 	}
-	return t.cols[i]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if p := t.cols[i].Load(); p != nil {
+		return *p
+	}
+	vals := t.generate(i)
+	t.cols[i].Store(&vals)
+	return vals
 }
 
 // Index returns the column's index, building it on first use (see Table
@@ -115,18 +140,24 @@ func (t *Table) Column(col string) []int64 {
 // newIndex would build over the column (pinned by
 // TestKeyColumnsShareRowIDs). Panics on an unknown column.
 func (t *Table) Index(col string) *Index {
-	if ix, ok := t.indexes[col]; ok {
+	i := t.ordinal(col)
+	if ix := t.indexes[i].Load(); ix != nil {
 		return ix
 	}
-	vals := t.Column(col)
+	vals := t.column(i)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ix := t.indexes[i].Load(); ix != nil {
+		return ix
+	}
 	var ix *Index
-	if t.Rel.Columns[t.colIdx[col]].Type == catalog.TypeKey {
+	if t.Rel.Columns[i].Type == catalog.TypeKey {
 		_, ids := rowIDs(t.n)
 		ix = &Index{order: ids[:t.n:t.n], starts: ids}
 	} else {
 		ix = newIndex(vals)
 	}
-	t.indexes[col] = ix
+	t.indexes[i].Store(ix)
 	return ix
 }
 
@@ -267,7 +298,9 @@ func (db *Database) Table(name string) *Table {
 // Generate instantiates every relation in cat (or only rels, if non-empty)
 // with rel.Card rows each, using specs to steer distributions and seed for
 // determinism. It draws nothing itself: each column is generated on its
-// first read (see Table).
+// first read (see Table). A relation whose table is live in the process
+// under the same spec and seed gets that table, with whatever columns and
+// indexes it already holds (see store).
 func Generate(cat *catalog.Catalog, rels []string, specs map[string]Spec, seed int64) *Database {
 	db := &Database{Cat: cat, tables: make(map[string]*Table)}
 	var list []*catalog.Relation
@@ -281,26 +314,90 @@ func Generate(cat *catalog.Catalog, rels []string, specs map[string]Spec, seed i
 	for _, rel := range list {
 		// Per-relation seed derived stably from the global seed and
 		// relation name so adding relations never reshuffles others.
-		db.tables[rel.Name] = newTable(rel, specs[rel.Name], seed^int64(stableHash(rel.Name)))
+		db.tables[rel.Name] = table(rel, specs[rel.Name], seed^int64(stableHash(rel.Name)))
 	}
 	return db
 }
 
-// newTable instantiates rel with no column generated yet.
+// tableKey names a table: the relation it instantiates (by pointer, so
+// separately built catalogs never share a table), its spec rendered by
+// specKey, and its per-relation seed.
+type tableKey struct {
+	rel  *catalog.Relation
+	spec string
+	seed int64
+}
+
+// store holds every live table weakly, so a table lives exactly as long as
+// some Database references it: once the last one is collected, a cleanup
+// deletes its entry, and the next Generate for its key makes a fresh table.
+// A strong store would keep every table the process ever generated. The
+// store has no other eviction and no size cap.
+var store = struct {
+	sync.Mutex
+	m map[tableKey]weak.Pointer[Table]
+}{m: make(map[tableKey]weak.Pointer[Table])}
+
+// table returns the live table for (rel, spec, seed), or makes and
+// registers one with no column generated yet.
+func table(rel *catalog.Relation, spec Spec, seed int64) *Table {
+	key := tableKey{rel: rel, spec: specKey(spec), seed: seed}
+	store.Lock()
+	defer store.Unlock()
+	if t := store.m[key].Value(); t != nil {
+		return t
+	}
+	t := newTable(rel, spec, seed)
+	wp := weak.Make(t)
+	store.m[key] = wp
+	// The entry may already hold a newer table for the key, registered
+	// after t died and before this cleanup ran: only t's entry goes.
+	runtime.AddCleanup(t, func(key tableKey) {
+		store.Lock()
+		defer store.Unlock()
+		if store.m[key] == wp {
+			delete(store.m, key)
+		}
+	}, key)
+	return t
+}
+
+// newTable instantiates rel with no column generated yet, outside the
+// store.
 func newTable(rel *catalog.Relation, spec Spec, seed int64) *Table {
 	t := &Table{
 		Rel:     rel,
 		colIdx:  make(map[string]int, len(rel.Columns)),
-		cols:    make([][]int64, len(rel.Columns)),
 		n:       int(rel.Card),
-		indexes: make(map[string]*Index),
-		spec:    spec,
-		seed:    seed,
+		cols:    make([]atomic.Pointer[[]int64], len(rel.Columns)),
+		indexes: make([]atomic.Pointer[Index], len(rel.Columns)),
+		// The table owns its spec: a caller's later edit to its maps
+		// must not change a table other databases share.
+		spec: Spec{MatchFrac: maps.Clone(spec.MatchFrac), Domain: maps.Clone(spec.Domain), Skew: maps.Clone(spec.Skew)},
+		seed: seed,
 	}
 	for ci, col := range rel.Columns {
 		t.colIdx[col.Name] = ci
 	}
 	return t
+}
+
+// specKey renders spec canonically: each map's entries in sorted key
+// order, values in their shortest exact form, so neither map iteration
+// order nor a nil-versus-empty map changes the key.
+func specKey(spec Spec) string {
+	var b strings.Builder
+	writeSorted(&b, spec.MatchFrac)
+	writeSorted(&b, spec.Domain)
+	writeSorted(&b, spec.Skew)
+	return b.String()
+}
+
+func writeSorted[V float64 | int64](b *strings.Builder, m map[string]V) {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		fmt.Fprintf(b, "%q=%v,", k, m[k])
+	}
+	b.WriteByte('|')
 }
 
 func stableHash(s string) uint32 {
@@ -312,7 +409,7 @@ func stableHash(s string) uint32 {
 	return h
 }
 
-// generate materializes column ci. A key column is its row ids, aliased
+// generate materializes column ci, under t.mu. A key column is its row ids, aliased
 // from the shared vector; any other column positions the relation's stream
 // at its draws first — replaying from the seed if the stream has passed
 // them, drawing and discarding the columns in between otherwise. Once no
@@ -335,7 +432,7 @@ func (t *Table) generate(ci int) []int64 {
 	t.draw(ci, vals)
 	t.next = ci + 1
 	for i := t.next; i < len(cols); i++ {
-		if cols[i].Type != catalog.TypeKey && t.cols[i] == nil {
+		if cols[i].Type != catalog.TypeKey && t.cols[i].Load() == nil {
 			return vals
 		}
 	}

@@ -1,9 +1,11 @@
 package data_test
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -218,5 +220,106 @@ func TestLazyColumnsMatchEager(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestConcurrentFirstReadsMatchEager reads every column and every index of
+// freshly generated tables from eight goroutines at once, each in its own
+// shuffled order and through its own Generate call: the goroutines must
+// all get the one shared table, the same published column and index, and
+// those must equal the eager oracle bit for bit — values, Order, and Rows
+// for every value present plus two absent ones. Every seventh lazy case,
+// plain and with specs alternately, and the zero-row case keep it to
+// seconds under the race detector.
+func TestConcurrentFirstReadsMatchEager(t *testing.T) {
+	const seed, goroutines = 4242, 8
+	cases := lazyCases(t)
+	for ci, c := range cases {
+		if ci%7 != 0 && ci != len(cases)-1 {
+			continue
+		}
+		type read struct {
+			tbl  *data.Table
+			cols [][]int64
+			ixs  []*data.Index
+		}
+		reads := make([][]read, goroutines)
+		var wg sync.WaitGroup
+		for g := range reads {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				db := data.Generate(c.cat, c.rels, c.specs, seed)
+				r := rand.New(rand.NewSource(int64(ci*goroutines + g)))
+				for _, name := range c.rels {
+					tbl := db.Table(name)
+					n := len(tbl.Rel.Columns)
+					rd := read{tbl: tbl, cols: make([][]int64, n), ixs: make([]*data.Index, n)}
+					// Each of 2n reads is a column or an index, in
+					// this goroutine's own order.
+					for _, k := range r.Perm(2 * n) {
+						if col := tbl.Rel.Columns[k%n].Name; k < n {
+							rd.cols[k] = tbl.Column(col)
+						} else {
+							rd.ixs[k-n] = tbl.Index(col)
+						}
+					}
+					reads[g] = append(reads[g], rd)
+				}
+			}(g)
+		}
+		wg.Wait()
+
+		for ri, name := range c.rels {
+			rel := c.cat.MustRelation(name)
+			want := eagerColumns(rel, c.specs[name], seed)
+			first := reads[0][ri]
+			for g := 1; g < goroutines; g++ {
+				rd := reads[g][ri]
+				if rd.tbl != first.tbl {
+					t.Fatalf("%s: goroutine %d got another %s table", c.name, g, name)
+				}
+				for i := range rd.cols {
+					if rd.ixs[i] != first.ixs[i] || len(rd.cols[i]) != len(first.cols[i]) ||
+						(len(rd.cols[i]) > 0 && &rd.cols[i][0] != &first.cols[i][0]) {
+						t.Fatalf("%s: goroutine %d got another %s.%s", c.name, g, name, rel.Columns[i].Name)
+					}
+				}
+			}
+			for i, col := range rel.Columns {
+				if !slices.Equal(first.cols[i], want[i]) {
+					t.Fatalf("%s: %s.%s differs from the eager oracle", c.name, name, col.Name)
+				}
+				checkIndex(t, c.name+": "+name+"."+col.Name, first.ixs[i], want[i])
+			}
+		}
+	}
+}
+
+// checkIndex compares ix against the index oracle of vals: row ids sorted
+// stably by value, and each value's run of them.
+func checkIndex(t *testing.T, what string, ix *data.Index, vals []int64) {
+	t.Helper()
+	order := make([]int32, len(vals))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) })
+	if !slices.Equal(ix.Order(), order) {
+		t.Fatalf("%s: Order differs from the oracle", what)
+	}
+	lo, hi := int64(0), int64(0)
+	for i := 0; i < len(order); {
+		v, j := vals[order[i]], i
+		for j < len(order) && vals[order[j]] == v {
+			j++
+		}
+		if !slices.Equal(ix.Rows(v), order[i:j]) {
+			t.Fatalf("%s: Rows(%d) differs from the oracle", what, v)
+		}
+		lo, hi, i = min(lo, v), max(hi, v), j
+	}
+	if len(ix.Rows(lo-1)) != 0 || len(ix.Rows(hi+1)) != 0 {
+		t.Fatalf("%s: Rows of an absent value is not empty", what)
 	}
 }

@@ -24,43 +24,30 @@ import (
 //
 // Data generation cost scales with the catalog's scale factor, so
 // concrete runs are intended for servers started at small -sf. Engines
-// are cached per (bouquet, dataSeed) in a small FIFO cache; runs on one
-// engine serialize (each generated table generates a column, and builds
-// its index, on the first run that reads it, into state that is not safe
-// for concurrent runs; a generated column and a built index are
-// read-only).
+// are cached per (bouquet, dataSeed) in a small FIFO cache. An engine is
+// a cheap view — query, bindings and cost model — over the data package's
+// shared tables, which are immutable once published: any number of runs,
+// on one engine or on several, proceed in parallel.
 
-// DefaultEngineCacheSize bounds the concrete-run engine cache. Each entry
-// retains a generated database: 8 B per row per non-key column its runs
-// have read (columns are generated on first read), plus 4–16 B per row for
-// every non-key column index its runs have built. Key columns and their
-// indexes cost nothing per entry: they alias the data package's shared
-// row-id vector.
+// DefaultEngineCacheSize bounds the concrete-run engine cache. An entry
+// retains its engine's selection bindings and, through its database, the
+// tables of the bouquet's relations: 8 B per row per non-key column any
+// run has read (columns are generated on first read), plus 4–16 B per row
+// for every non-key column index any run has built. The data package holds
+// one table per (relation, spec, seed), so an entry over the same catalog
+// and seed as another entry retains only its bindings. Key columns and
+// their indexes cost nothing per table: they alias the data package's
+// shared row-id vector.
 const DefaultEngineCacheSize = 4
 
-// engineEntry pairs a built engine with the mutex serializing runs on it.
-type engineEntry struct {
-	eng *exec.Engine
-	mu  sync.Mutex
-}
-
-// run drives runner over the entry's engine with runs on it serialized. The
-// unlock is deferred so that neither an error nor a panic out of the engine
-// can leave every later run on this (bouquet, dataSeed) blocked.
-func (e *engineEntry) run(ctx context.Context, runner *core.ConcreteRunner, optimized bool) (core.ConcreteExecution, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return runner.Run(ctx, optimized)
-}
-
 // engineCache is a bounded FIFO cache of concrete-run engines keyed by
-// "bouquetID#dataSeed". Builds run under the cache lock: generation is
-// deterministic, so a stampede would only waste work building identical
-// engines.
+// "bouquetID#dataSeed". Builds run outside the cache lock: two requests
+// that miss on one key both build, over the same shared tables, and the
+// first to finish is cached.
 type engineCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*engineEntry
+	entries map[string]*exec.Engine
 	order   []string
 }
 
@@ -68,34 +55,37 @@ func newEngineCache(capacity int) *engineCache {
 	if capacity < 1 {
 		capacity = DefaultEngineCacheSize
 	}
-	return &engineCache{cap: capacity, entries: make(map[string]*engineEntry)}
+	return &engineCache{cap: capacity, entries: make(map[string]*exec.Engine)}
 }
 
-func (c *engineCache) getOrBuild(key string, build func() (*exec.Engine, error)) (*engineEntry, error) {
+func (c *engineCache) getOrBuild(key string, build func() (*exec.Engine, error)) (*exec.Engine, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e, nil
+	eng, ok := c.entries[key]
+	c.mu.Unlock()
+	if ok {
+		return eng, nil
 	}
-	// Building under the cache lock suppresses a thundering herd of
-	// identical engine builds; builds are deterministic, CPU-bound, and fast.
 	eng, err := build()
 	if err != nil {
 		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cached, ok := c.entries[key]; ok {
+		return cached, nil
 	}
 	if len(c.order) >= c.cap {
 		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
 	}
-	e := &engineEntry{eng: eng}
-	c.entries[key] = e
+	c.entries[key] = eng
 	c.order = append(c.order, key)
-	return e, nil
+	return eng, nil
 }
 
 // engineFor returns (building and caching if needed) the execution
 // engine for bouquet id at the given data seed.
-func (s *Server) engineFor(id string, b *core.Bouquet, seed int64) (*engineEntry, error) {
+func (s *Server) engineFor(id string, b *core.Bouquet, seed int64) (*exec.Engine, error) {
 	return s.engines.getOrBuild(fmt.Sprintf("%s#%d", id, seed), func() (*exec.Engine, error) {
 		db := data.Generate(s.cat, b.Query.Relations(), nil, seed)
 		// Bind every selection predicate to the constant realizing its
@@ -124,7 +114,7 @@ func (s *Server) engineFor(id string, b *core.Bouquet, seed int64) (*engineEntry
 // request's qa field is ignored. ctx is checked between executions: a
 // cancelled request answers 503 like a simulated one. A worker count the
 // engine refuses (outside 0 … exec.MaxParallelism) answers 400, any other
-// engine error 500 — in every case with the engine's mutex released.
+// engine error 500.
 func (s *Server) handleRunConcrete(ctx context.Context, w http.ResponseWriter, req runRequest, b *core.Bouquet) {
 	workers := s.cfg.ExecWorkers
 	if req.Parallelism != nil {
@@ -138,7 +128,7 @@ func (s *Server) handleRunConcrete(ctx context.Context, w http.ResponseWriter, r
 	if seed == 0 {
 		seed = 1
 	}
-	entry, err := s.engineFor(req.ID, b, seed)
+	eng, err := s.engineFor(req.ID, b, seed)
 	if err != nil {
 		jsonError(w, http.StatusUnprocessableEntity, "building execution engine: %v", err)
 		return
@@ -148,8 +138,8 @@ func (s *Server) handleRunConcrete(ctx context.Context, w http.ResponseWriter, r
 	if req.Trace {
 		rec = trace.Acquire()
 	}
-	runner := &core.ConcreteRunner{B: b, Engine: entry.eng, Trace: rec, Parallelism: workers, Reuse: reuse}
-	e, err := entry.run(ctx, runner, req.Optimized)
+	runner := &core.ConcreteRunner{B: b, Engine: eng, Trace: rec, Parallelism: workers, Reuse: reuse}
+	e, err := runner.Run(ctx, req.Optimized)
 	if err != nil {
 		switch {
 		case errors.Is(err, exec.ErrInvalidOptions):

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -146,8 +147,8 @@ func TestRunConcreteValidation(t *testing.T) {
 }
 
 // serveRun posts a /run request straight into the handler under ctx and
-// fails the test if it does not answer — the symptom of an engine mutex
-// left locked by an earlier run on the same (bouquet, dataSeed).
+// fails the test if it does not answer — the symptom of an earlier run on
+// the same (bouquet, dataSeed) leaving its engine wedged.
 func serveRun(t *testing.T, ctx context.Context, h http.Handler, req runRequest) *httptest.ResponseRecorder {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -181,7 +182,7 @@ func concreteHandler(t *testing.T) (*Server, http.Handler, runRequest) {
 
 // TestRunConcreteEngineErrorReleasesEngine is the regression test for the
 // engine wedge: a concrete run that ends in an engine error answers 500
-// with the engine's mutex free, so the next run on the same (bouquet,
+// and leaves the engine usable, so the next run on the same (bouquet,
 // dataSeed) answers too.
 func TestRunConcreteEngineErrorReleasesEngine(t *testing.T) {
 	s, h, req := concreteHandler(t)
@@ -215,5 +216,51 @@ func TestRunConcreteCancelled(t *testing.T) {
 	}
 	if rec := serveRun(t, context.Background(), h, req); rec.Code != http.StatusOK {
 		t.Fatalf("run after a cancelled one status %d (%s), want 200", rec.Code, rec.Body)
+	}
+}
+
+// concreteRunsRetain compiles k bouquets of one SQL text at distinct
+// resolutions on a fresh server, runs each once concretely at one data
+// seed, and returns what the runs left on the live heap: the engine cache's
+// entries and the tables under them.
+func concreteRunsRetain(t *testing.T, k int) int64 {
+	t.Helper()
+	srv := newConcreteServer(t, Config{})
+	defer srv.Close()
+	ids := make([]string, k)
+	for i := range ids {
+		ids[i] = compileOne(t, srv, apiEQ2D, 8+2*i).ID
+	}
+	before := liveHeap()
+	for _, id := range ids {
+		runConcrete(t, srv, runRequest{ID: id, Concrete: true})
+	}
+	return liveHeap() - before
+}
+
+// liveHeap returns the heap in use after a full collection. The second
+// collection empties what sync.Pool's victim cache kept through the first.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestEngineCacheHoldsOneCopyOfEachTable pins that the engine cache holds
+// each table once, however many bouquets over the catalog it caches: four
+// bouquets' concrete runs over the same relations and seed retain within
+// 10 % of what one bouquet's run does, where a database per engine would
+// retain four times as much.
+func TestEngineCacheHoldsOneCopyOfEachTable(t *testing.T) {
+	// The first runs in a process also grow process-wide state: the
+	// shared row-id vector and the pools. Neither is per table.
+	concreteRunsRetain(t, 1)
+	one := concreteRunsRetain(t, 1)
+	four := concreteRunsRetain(t, DefaultEngineCacheSize)
+	t.Logf("retained by concrete runs: 1 bouquet %d B, %d bouquets %d B", one, DefaultEngineCacheSize, four)
+	if one <= 0 || float64(four) > 1.1*float64(one) {
+		t.Fatalf("%d bouquets' runs retain %d B, one bouquet's %d B: want within 10 %%", DefaultEngineCacheSize, four, one)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -183,5 +184,67 @@ func TestParallelDistinctCompiles(t *testing.T) {
 	}
 	if st.entries > 2 {
 		t.Fatalf("cache holds %g entries, capacity 2", st.entries)
+	}
+}
+
+// TestConcurrentConcreteRunsOneBouquet fires concrete /runs on one bouquet
+// and data seed from eight goroutines at once — parallelism 0, 1 and 8,
+// basic and optimized — so engine builds, first reads of the shared
+// tables and the runs themselves overlap. Every answer must equal the
+// same request's serial answer, taken afterwards on the same server.
+// Under -race it also proves a concrete run needs no engine lock.
+func TestConcurrentConcreteRunsOneBouquet(t *testing.T) {
+	srv := newConcreteServer(t, Config{})
+	id := compileOne(t, srv, apiEQ2D, 12).ID
+	var reqs []runRequest
+	for _, workers := range []int{0, 1, 8} {
+		for _, optimized := range []bool{false, true} {
+			reqs = append(reqs, runRequest{ID: id, Concrete: true, DataSeed: 3, Parallelism: &workers, Optimized: optimized})
+		}
+	}
+
+	const goroutines, perGoroutine = 8, 3
+	got := make([][perGoroutine]runResponse, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perGoroutine && errs[g] == nil; i++ {
+				body, _ := json.Marshal(reqs[(g+i)%len(reqs)])
+				resp, err := http.Post(srv.URL+"/run", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if resp.StatusCode != http.StatusOK {
+					errs[g] = fmt.Errorf("run status %d", resp.StatusCode)
+				} else {
+					errs[g] = json.NewDecoder(resp.Body).Decode(&got[g][i])
+				}
+				resp.Body.Close()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+
+	serial := make([]runResponse, len(reqs))
+	for i, req := range reqs {
+		serial[i] = runConcrete(t, srv, req)
+	}
+	for g := range got {
+		for i, out := range got[g] {
+			req, want := reqs[(g+i)%len(reqs)], serial[(g+i)%len(reqs)]
+			if !reflect.DeepEqual(out.Steps, want.Steps) || out.TotalCost != want.TotalCost || out.ResultRows != want.ResultRows {
+				t.Fatalf("parallelism %d optimized %v: concurrent answer (cost %v, rows %d, steps %+v) differs from serial (cost %v, rows %d, steps %+v)",
+					*req.Parallelism, req.Optimized, out.TotalCost, out.ResultRows, out.Steps, want.TotalCost, want.ResultRows, want.Steps)
+			}
+		}
 	}
 }

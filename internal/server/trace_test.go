@@ -262,7 +262,7 @@ func TestConcurrentTracedRunsKeepTheirOwnSpans(t *testing.T) {
 func TestTracedConcreteRunRecyclesItsRecorderAfterTheJoin(t *testing.T) {
 	s, h, req := concreteHandler(t)
 	b, _ := s.lookup(req.ID)
-	entry, err := s.engineFor(req.ID, b, 1)
+	eng, err := s.engineFor(req.ID, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +275,8 @@ func TestTracedConcreteRunRecyclesItsRecorderAfterTheJoin(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 8} {
 		own := trace.New(0)
-		runner := &core.ConcreteRunner{B: b, Engine: entry.eng, Trace: own, Parallelism: workers, Reuse: s.cfg.ExecReuse}
-		if _, err := entry.run(context.Background(), runner, false); err != nil {
+		runner := &core.ConcreteRunner{B: b, Engine: eng, Trace: own, Parallelism: workers, Reuse: s.cfg.ExecReuse}
+		if _, err := runner.Run(context.Background(), false); err != nil {
 			t.Fatal(err)
 		}
 		want := kinds(own.Spans())
