@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -285,37 +284,40 @@ func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 // pinnedConcreteRuns is the (contour:plan:dim:completed) sequence and total
 // charged cost of every concrete run of the reuse differential's ten
 // workloads plus HQ8a and HQ5a, Volcano engine, both algorithms — captured
-// from the two hand-written concrete loops the shared driver replaced.
+// from the two hand-written concrete loops the shared driver replaced —
+// and each run's total charged cost on the vectorized engine at one worker.
+// Both totals are pinned to the bit.
 var pinnedConcreteRuns = []struct {
 	workload  string
 	optimized bool
 	steps     string
 	totalCost float64
+	vecTotal  float64
 }{
-	{"3D_H_Q5", false, "1:0:-1:0 2:0:-1:0 3:1:-1:0 4:0:-1:0 4:5:-1:0 5:2:-1:0 5:4:-1:0 6:3:-1:0 6:4:-1:0 7:6:-1:0 7:7:-1:0 8:6:-1:0 8:8:-1:0 9:9:-1:0 9:16:-1:0 10:17:-1:1", 6837.3834880040831},
-	{"3D_H_Q5", true, "1:0:0:0 2:0:0:0 3:1:0:0 4:0:0:0 4:5:0:1 6:4:1:0 7:6:1:0 7:7:1:1 9:16:2:1 10:17:-1:1", 3885.6276836592815},
-	{"3D_H_Q7", false, "1:0:-1:0 2:0:-1:0 2:2:-1:0 3:2:-1:0 3:9:-1:0 3:11:-1:0 4:2:-1:0 4:9:-1:0 4:11:-1:0 5:7:-1:0 5:10:-1:0 5:12:-1:0 6:10:-1:1", 10779.697422219928},
-	{"3D_H_Q7", true, "1:0:2:0 2:2:0:0 2:0:2:0 3:2:0:0 3:9:2:1 4:2:0:0 5:7:0:1 5:10:1:1 6:10:-1:1", 5916.4653015943632},
-	{"4D_H_Q8", false, "1:0:-1:0 2:1:-1:0 2:18:-1:0 2:19:-1:0 3:3:-1:0 3:13:-1:0 3:20:-1:0 3:29:-1:0 4:6:-1:0 4:20:-1:0 4:27:-1:0 4:29:-1:0 5:17:-1:0 5:25:-1:0 5:28:-1:0 5:30:-1:0 6:17:-1:0 6:25:-1:0 6:28:-1:0 6:30:-1:0 7:31:-1:1", 28622.115818784154},
-	{"4D_H_Q8", true, "1:0:3:0 2:1:1:0 2:18:3:0 3:3:0:0 3:13:3:1 3:20:1:0 4:6:0:0 4:20:1:0 5:17:0:1 5:25:1:1 5:28:2:1 7:31:-1:1", 9363.4228419602714},
-	{"5D_H_Q7", false, "1:0:-1:0 2:0:-1:0 3:0:-1:0 3:1:-1:0 4:0:-1:0 4:24:-1:0 5:0:-1:0 5:24:-1:0 6:0:-1:0 6:3:-1:0 6:15:-1:0 6:25:-1:0 7:0:-1:0 7:2:-1:0 7:3:-1:0 7:15:-1:0 8:8:-1:0 8:27:-1:0 8:28:-1:0 9:8:-1:0 9:21:-1:0 9:28:-1:0 9:30:-1:0 10:8:-1:0 10:21:-1:0 10:28:-1:0 10:30:-1:0 11:18:-1:0 11:23:-1:0 11:32:-1:0 12:23:-1:1", 12782.805280229251},
-	{"5D_H_Q7", true, "1:0:4:0 2:0:4:0 3:0:4:0 3:1:3:0 4:24:3:0 4:0:4:1 5:24:3:0 6:15:3:0 6:25:3:1 7:2:2:0 8:8:0:0 8:27:2:0 9:8:0:0 9:21:2:1 10:8:0:0 11:18:0:1 11:23:1:1 12:23:-1:1", 6080.1412748636485},
-	{"3D_DS_Q15", false, "1:0:-1:0 2:0:-1:0 3:0:-1:0 4:0:-1:0 4:3:-1:0 4:7:-1:0 5:5:-1:0 5:6:-1:0 5:10:-1:1", 8971.759546663081},
-	{"3D_DS_Q15", true, "1:0:0:0 2:0:0:0 3:0:0:0 4:0:0:0 4:7:2:1 4:3:0:1 5:6:1:0 6:11:1:1 6:11:-1:1", 7183.8272912684333},
-	{"3D_DS_Q96", false, "1:0:-1:0 2:3:-1:0 2:11:-1:0 2:14:-1:0 3:3:-1:0 3:11:-1:0 3:14:-1:0 4:10:-1:0 4:13:-1:0 4:15:-1:0 5:10:-1:1", 9000.3973015649754},
-	{"3D_DS_Q96", true, "1:0:1:0 2:3:0:0 2:11:1:0 2:14:-1:0 3:3:0:0 3:11:1:0 3:14:-1:0 4:10:0:1 4:13:1:1 4:15:2:1 6:15:-1:1", 8839.6934623276575},
-	{"4D_DS_Q7", false, "1:0:-1:0 2:31:-1:0 2:36:-1:0 2:39:-1:0 3:31:-1:0 3:36:-1:0 3:39:-1:0 4:18:-1:0 4:26:-1:0 4:31:-1:0 4:33:-1:0 4:34:-1:0 4:36:-1:0 4:37:-1:0 4:39:-1:0 5:30:-1:0 5:35:-1:0 5:38:-1:0 5:40:-1:0 6:41:-1:1", 26134.585098817133},
-	{"4D_DS_Q7", true, "1:0:3:0 2:31:1:0 2:36:2:0 2:39:-1:0 3:31:1:0 3:36:2:0 3:39:-1:0 4:31:1:0 4:18:0:0 4:39:-1:0 4:36:-1:0 4:34:-1:0 4:37:-1:0 4:33:-1:0 4:26:-1:0 5:30:0:1 5:35:1:1 5:38:2:1 5:40:3:1 6:41:-1:1", 21064.714715813188},
-	{"4D_DS_Q26", false, "1:0:-1:0 2:14:-1:0 2:22:-1:0 2:29:-1:0 2:36:-1:0 3:29:-1:0 3:33:-1:0 3:36:-1:0 4:13:-1:0 4:18:-1:0 4:24:-1:0 4:29:-1:0 4:33:-1:0 4:36:-1:0 5:28:-1:0 5:32:-1:0 5:35:-1:0 5:37:-1:0 6:38:-1:1", 12269.448466872856},
-	{"4D_DS_Q26", true, "1:0:3:0 2:14:2:0 2:29:1:0 2:36:-1:0 3:29:1:0 3:33:2:0 3:36:-1:0 4:29:1:0 4:13:1:0 4:18:3:1 4:33:2:0 5:28:0:1 5:35:2:1 6:38:1:1 6:38:-1:1", 8100.9457970845269},
-	{"4D_DS_Q91", false, "1:0:-1:0 2:5:-1:0 3:5:-1:0 4:5:-1:0 4:15:-1:0 4:28:-1:0 4:29:-1:0 4:32:-1:0 5:18:-1:0 5:27:-1:0 5:33:-1:0 5:35:-1:0 6:18:-1:0 6:30:-1:1", 19869.682982609138},
-	{"4D_DS_Q91", true, "1:0:0:0 2:5:0:0 3:5:0:0 4:5:0:0 4:28:2:1 4:29:3:1 4:15:0:1 5:27:1:0 6:30:1:1 7:36:-1:1", 8564.9672912782844},
-	{"5D_DS_Q19", false, "1:0:-1:0 2:14:-1:0 2:51:-1:0 2:76:-1:0 3:14:-1:0 3:51:-1:0 3:56:-1:0 3:76:-1:0 4:14:-1:0 4:39:-1:0 4:47:-1:0 4:51:-1:0 4:66:-1:0 4:69:-1:0 4:70:-1:0 4:76:-1:0 5:48:-1:0 5:67:-1:0 5:69:-1:0 5:75:-1:0 5:77:-1:0 6:48:-1:0 6:67:-1:0 6:75:-1:1", 41093.002490195722},
-	{"5D_DS_Q19", true, "1:0:4:0 2:14:0:0 2:51:1:0 2:76:-1:0 3:14:0:0 3:56:3:1 3:51:1:0 3:76:-1:0 4:14:0:0 4:51:1:0 4:76:-1:0 4:47:-1:0 4:66:-1:0 4:39:-1:0 4:69:-1:0 4:70:-1:0 5:69:2:0 5:48:0:1 5:67:1:1 5:77:4:1 6:75:2:1 7:75:-1:1", 24794.5588680287},
-	{"HQ8a", false, "1:0:-1:0 2:0:-1:0 3:0:-1:0 4:0:-1:0 5:3:-1:0 5:4:-1:1", 7625.0557022509111},
-	{"HQ8a", true, "1:0:0:0 2:0:0:0 3:0:0:0 4:0:0:0 5:5:1:0 5:3:0:1 5:3:-1:0 6:4:1:1", 12196.613255221428},
-	{"HQ5a", false, "1:0:-1:0 2:1:-1:0 2:15:-1:0 3:3:-1:0 3:5:-1:0 3:15:-1:0 4:6:-1:0 4:15:-1:0 5:6:-1:0 5:9:-1:1", 15118.627077349727},
-	{"HQ5a", true, "1:0:0:0 2:15:2:0 2:1:0:0 3:5:0:1 3:15:2:0 4:15:2:0 4:6:1:0 5:16:2:1 5:6:1:0 6:9:1:1 6:9:-1:1", 18108.239414568616},
+	{"3D_H_Q5", false, "1:0:-1:0 2:0:-1:0 3:1:-1:0 4:0:-1:0 4:5:-1:0 5:2:-1:0 5:4:-1:0 6:3:-1:0 6:4:-1:0 7:6:-1:0 7:7:-1:0 8:6:-1:0 8:8:-1:0 9:9:-1:0 9:16:-1:0 10:17:-1:1", 6837.3834880040831, 6814.0559798014929},
+	{"3D_H_Q5", true, "1:0:0:0 2:0:0:0 3:1:0:0 4:0:0:0 4:5:0:1 6:4:1:0 7:6:1:0 7:7:1:1 9:16:2:1 10:17:-1:1", 3885.6276836592815, 3875.1305061654834},
+	{"3D_H_Q7", false, "1:0:-1:0 2:0:-1:0 2:2:-1:0 3:2:-1:0 3:9:-1:0 3:11:-1:0 4:2:-1:0 4:9:-1:0 4:11:-1:0 5:7:-1:0 5:10:-1:0 5:12:-1:0 6:10:-1:1", 10779.697422219928, 10689.136892831481},
+	{"3D_H_Q7", true, "1:0:2:0 2:2:0:0 2:0:2:0 3:2:0:0 3:9:2:1 4:2:0:0 5:7:0:1 5:10:1:1 6:10:-1:1", 5916.4653015943632, 5906.8418784060132},
+	{"4D_H_Q8", false, "1:0:-1:0 2:1:-1:0 2:18:-1:0 2:19:-1:0 3:3:-1:0 3:13:-1:0 3:20:-1:0 3:29:-1:0 4:6:-1:0 4:20:-1:0 4:27:-1:0 4:29:-1:0 5:17:-1:0 5:25:-1:0 5:28:-1:0 5:30:-1:0 6:17:-1:0 6:25:-1:0 6:28:-1:0 6:30:-1:0 7:31:-1:1", 28622.115818784154, 27581.468967431603},
+	{"4D_H_Q8", true, "1:0:3:0 2:1:1:0 2:18:3:0 3:3:0:0 3:13:3:1 3:20:1:0 4:6:0:0 4:20:1:0 5:17:0:1 5:25:1:1 5:28:2:1 7:31:-1:1", 9363.4228419602714, 9544.7963481391889},
+	{"5D_H_Q7", false, "1:0:-1:0 2:0:-1:0 3:0:-1:0 3:1:-1:0 4:0:-1:0 4:24:-1:0 5:0:-1:0 5:24:-1:0 6:0:-1:0 6:3:-1:0 6:15:-1:0 6:25:-1:0 7:0:-1:0 7:2:-1:0 7:3:-1:0 7:15:-1:0 8:8:-1:0 8:27:-1:0 8:28:-1:0 9:8:-1:0 9:21:-1:0 9:28:-1:0 9:30:-1:0 10:8:-1:0 10:21:-1:0 10:28:-1:0 10:30:-1:0 11:18:-1:0 11:23:-1:0 11:32:-1:0 12:23:-1:1", 12782.805280229251, 12660.102421669806},
+	{"5D_H_Q7", true, "1:0:4:0 2:0:4:0 3:0:4:0 3:1:3:0 4:24:3:0 4:0:4:1 5:24:3:0 6:15:3:0 6:25:3:1 7:2:2:0 8:8:0:0 8:27:2:0 9:8:0:0 9:21:2:1 10:8:0:0 11:18:0:1 11:23:1:1 12:23:-1:1", 6080.1412748636485, 6286.3495991449945},
+	{"3D_DS_Q15", false, "1:0:-1:0 2:0:-1:0 3:0:-1:0 4:0:-1:0 4:3:-1:0 4:7:-1:0 5:5:-1:0 5:6:-1:0 5:10:-1:1", 8971.759546663081, 8615.6828552759598},
+	{"3D_DS_Q15", true, "1:0:0:0 2:0:0:0 3:0:0:0 4:0:0:0 4:7:2:1 4:3:0:1 5:6:1:0 6:11:1:1 6:11:-1:1", 7183.8272912684333, 7172.4336271992815},
+	{"3D_DS_Q96", false, "1:0:-1:0 2:3:-1:0 2:11:-1:0 2:14:-1:0 3:3:-1:0 3:11:-1:0 3:14:-1:0 4:10:-1:0 4:13:-1:0 4:15:-1:0 5:10:-1:1", 9000.3973015649754, 8988.3200250292721},
+	{"3D_DS_Q96", true, "1:0:1:0 2:3:0:0 2:11:1:0 2:14:-1:0 3:3:0:0 3:11:1:0 3:14:-1:0 4:10:0:1 4:13:1:1 4:15:2:1 6:15:-1:1", 8839.6934623276575, 8822.1024529199112},
+	{"4D_DS_Q7", false, "1:0:-1:0 2:31:-1:0 2:36:-1:0 2:39:-1:0 3:31:-1:0 3:36:-1:0 3:39:-1:0 4:18:-1:0 4:26:-1:0 4:31:-1:0 4:33:-1:0 4:34:-1:0 4:36:-1:0 4:37:-1:0 4:39:-1:0 5:30:-1:0 5:35:-1:0 5:38:-1:0 5:40:-1:0 6:41:-1:1", 26134.585098817133, 26114.022374204596},
+	{"4D_DS_Q7", true, "1:0:3:0 2:31:1:0 2:36:2:0 2:39:-1:0 3:31:1:0 3:36:2:0 3:39:-1:0 4:31:1:0 4:18:0:0 4:39:-1:0 4:36:-1:0 4:34:-1:0 4:37:-1:0 4:33:-1:0 4:26:-1:0 5:30:0:1 5:35:1:1 5:38:2:1 5:40:3:1 6:41:-1:1", 21064.714715813188, 21036.351187476062},
+	{"4D_DS_Q26", false, "1:0:-1:0 2:14:-1:0 2:22:-1:0 2:29:-1:0 2:36:-1:0 3:29:-1:0 3:33:-1:0 3:36:-1:0 4:13:-1:0 4:18:-1:0 4:24:-1:0 4:29:-1:0 4:33:-1:0 4:36:-1:0 5:28:-1:0 5:32:-1:0 5:35:-1:0 5:37:-1:0 6:38:-1:1", 12269.448466872856, 12253.890271550599},
+	{"4D_DS_Q26", true, "1:0:3:0 2:14:2:0 2:29:1:0 2:36:-1:0 3:29:1:0 3:33:2:0 3:36:-1:0 4:29:1:0 4:13:1:0 4:18:3:1 4:33:2:0 5:28:0:1 5:35:2:1 6:38:1:1 6:38:-1:1", 8100.9457970845269, 8004.0695843592257},
+	{"4D_DS_Q91", false, "1:0:-1:0 2:5:-1:0 3:5:-1:0 4:5:-1:0 4:15:-1:0 4:28:-1:0 4:29:-1:0 4:32:-1:0 5:18:-1:0 5:27:-1:0 5:33:-1:0 5:35:-1:0 6:18:-1:0 6:30:-1:1", 19869.682982609138, 19822.381111190713},
+	{"4D_DS_Q91", true, "1:0:0:0 2:5:0:0 3:5:0:0 4:5:0:0 4:28:2:1 4:29:3:1 4:15:0:1 5:27:1:0 6:30:1:1 7:36:-1:1", 8564.9672912782844, 8553.5736674609234},
+	{"5D_DS_Q19", false, "1:0:-1:0 2:14:-1:0 2:51:-1:0 2:76:-1:0 3:14:-1:0 3:51:-1:0 3:56:-1:0 3:76:-1:0 4:14:-1:0 4:39:-1:0 4:47:-1:0 4:51:-1:0 4:66:-1:0 4:69:-1:0 4:70:-1:0 4:76:-1:0 5:48:-1:0 5:67:-1:0 5:69:-1:0 5:75:-1:0 5:77:-1:0 6:48:-1:0 6:67:-1:0 6:75:-1:1", 41093.002490195722, 39748.829091162246},
+	{"5D_DS_Q19", true, "1:0:4:0 2:14:0:0 2:51:1:0 2:76:-1:0 3:14:0:0 3:56:3:1 3:51:1:0 3:76:-1:0 4:14:0:0 4:51:1:0 4:76:-1:0 4:47:-1:0 4:66:-1:0 4:39:-1:0 4:69:-1:0 4:70:-1:0 5:69:2:0 5:48:0:1 5:67:1:1 5:77:4:1 6:75:2:1 7:75:-1:1", 24794.5588680287, 24763.744610498103},
+	{"HQ8a", false, "1:0:-1:0 2:0:-1:0 3:0:-1:0 4:0:-1:0 5:3:-1:0 5:4:-1:1", 7625.0557022509111, 7617.676768189719},
+	{"HQ8a", true, "1:0:0:0 2:0:0:0 3:0:0:0 4:0:0:0 5:5:1:0 5:3:0:1 5:3:-1:0 6:4:1:1", 12196.613255221428, 9447.6992681897191},
+	{"HQ5a", false, "1:0:-1:0 2:1:-1:0 2:15:-1:0 3:3:-1:0 3:5:-1:0 3:15:-1:0 4:6:-1:0 4:15:-1:0 5:6:-1:0 5:9:-1:1", 15118.627077349727, 15101.59659004951},
+	{"HQ5a", true, "1:0:0:0 2:15:2:0 2:1:0:0 3:5:0:1 3:15:2:0 4:15:2:0 4:6:1:0 5:16:2:1 5:6:1:0 6:9:1:1 6:9:-1:1", 18108.239414568616, 19123.231460249553},
 }
 
 // pinnedRunners builds a Volcano, reuse-off runner for every workload
@@ -352,12 +354,6 @@ func pinnedRunners(t *testing.T) map[string]*ConcreteRunner {
 	return runners
 }
 
-// relEq reports a ≈ b within the 1e-9 relative tolerance the pinned
-// totals were captured at.
-func relEq(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
 func TestConcreteStepSequencesPinned(t *testing.T) {
 	runners := pinnedRunners(t)
 	for _, want := range pinnedConcreteRuns {
@@ -376,8 +372,17 @@ func TestConcreteStepSequencesPinned(t *testing.T) {
 		if got := strings.Join(steps, " "); got != want.steps {
 			t.Errorf("%s optimized=%v: steps\n got %s\nwant %s", want.workload, want.optimized, got, want.steps)
 		}
-		if !relEq(out.TotalCost.F(), want.totalCost) {
+		if out.TotalCost.F() != want.totalCost {
 			t.Errorf("%s optimized=%v: total cost %.17g, want %.17g", want.workload, want.optimized, out.TotalCost.F(), want.totalCost)
+		}
+		r := *runners[want.workload]
+		r.Parallelism = 1
+		vout, err := r.Run(context.Background(), want.optimized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vout.TotalCost.F() != want.vecTotal {
+			t.Errorf("%s optimized=%v: vectorized total cost %.17g, want %.17g", want.workload, want.optimized, vout.TotalCost.F(), want.vecTotal)
 		}
 	}
 }
