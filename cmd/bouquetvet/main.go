@@ -166,7 +166,7 @@ func printJSON(diags []analysis.Diagnostic) {
 // data source for the lint budget: when `make lint` drifts, the table
 // names the analyzer that paid for it.
 //
-// Shared infrastructure — the per-package call graph — is primed before
+// Shared infrastructure — the per-package function graph — is primed before
 // any analyzer runs and reported on its own "(infra)" row. Without that,
 // the whole construction cost lands on whichever consumer happens to run
 // first and the table blames the wrong analyzer.

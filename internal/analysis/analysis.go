@@ -198,7 +198,7 @@ func NewTypesInfo() *types.Info {
 
 // RunPackage applies each analyzer to one type-checked package and returns
 // the surviving (non-suppressed) diagnostics sorted by position. The
-// analyzers share one Infra cache, so the call graph is built once per
+// analyzers share one Infra cache, so the function graph is built once per
 // package no matter how many analyzers consult it.
 func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
 	return RunPackageWithInfra(analyzers, NewInfra(fset, files, pkg, info))

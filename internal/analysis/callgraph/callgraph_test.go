@@ -12,7 +12,7 @@ import (
 )
 
 // build parses and type-checks src as one package and returns its graph.
-func build(t *testing.T, src string) (*Graph, *types.Info) {
+func build(t *testing.T, src string) *Graph {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "a.go", src, parser.ParseComments)
@@ -26,11 +26,10 @@ func build(t *testing.T, src string) (*Graph, *types.Info) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: importer.Default()}
-	pkg, err := conf.Check("a", fset, []*ast.File{f}, info)
-	if err != nil {
+	if _, err := conf.Check("a", fset, []*ast.File{f}, info); err != nil {
 		t.Fatal(err)
 	}
-	return New([]*ast.File{f}, info, pkg), info
+	return New([]*ast.File{f}, info)
 }
 
 // nodeByName finds a declared function node.
@@ -53,119 +52,57 @@ func names(g *Graph) []string {
 	return out
 }
 
-func calleeNames(n *Node) []string {
-	var out []string
-	for _, e := range n.Calls {
-		out = append(out, e.Callee.Name())
-	}
-	sort.Strings(out)
-	return out
-}
-
-func TestStaticAndMethodEdges(t *testing.T) {
-	g, _ := build(t, `package a
-
-type T struct{}
-
-func (T) M() { helper() }
-
-func helper() {}
-
-func top() {
-	var t T
-	t.M()
-	helper()
-}
-`)
-	top := nodeByName(t, g, "a.top")
-	got := calleeNames(top)
-	want := []string{"(a.T).M", "a.helper"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("top calls %v, want %v", got, want)
-	}
-	m := nodeByName(t, g, "(a.T).M")
-	if got := calleeNames(m); len(got) != 1 || got[0] != "a.helper" {
-		t.Fatalf("M calls %v, want [a.helper]", got)
-	}
-}
-
-func TestInterfaceDispatchCHA(t *testing.T) {
-	g, _ := build(t, `package a
-
-type runner interface{ Run() }
-
-type fast struct{}
-type slow struct{}
-
-func (fast) Run()  {}
-func (*slow) Run() {}
-
-func drive(r runner) { r.Run() }
-`)
-	drive := nodeByName(t, g, "a.drive")
-	got := calleeNames(drive)
-	if len(got) != 2 {
-		t.Fatalf("CHA dispatch resolved %v, want both fast.Run and slow.Run", got)
-	}
-	for _, e := range drive.Calls {
-		if !e.Dynamic {
-			t.Fatalf("interface edge to %s not marked Dynamic", e.Callee.Name())
-		}
-	}
-}
-
+// TestLiteralNodesAndGoLaunches: every function literal — the one a go
+// statement launches and the one nested in it — is a node of its own,
+// linked to its lexical parent, and Inspect attributes each call to
+// exactly the node whose body holds it.
 func TestLiteralNodesAndGoLaunches(t *testing.T) {
-	g, info := build(t, `package a
+	g := build(t, `package a
 
 func launch() {
 	go func() {
 		inner()
+		func() { inner() }()
 	}()
-	func() { inner() }() // immediately invoked: synchronous edge
+	inner()
 }
 
 func inner() {}
 `)
 	launch := nodeByName(t, g, "a.launch")
-	if len(launch.GoLaunches) != 1 {
-		t.Fatalf("GoLaunches = %d, want 1", len(launch.GoLaunches))
+	var lits []*Node
+	for _, n := range g.Nodes() {
+		if n.Lit != nil {
+			lits = append(lits, n)
+		}
 	}
-	// The go-launched literal must NOT be a synchronous call edge; the
-	// immediately-invoked one must be.
-	if len(launch.Calls) != 1 {
-		t.Fatalf("launch has %d synchronous call edges (%v), want 1 (the IIFE)", len(launch.Calls), calleeNames(launch))
+	if len(lits) != 2 {
+		t.Fatalf("%d literal nodes, want 2: %v", len(lits), names(g))
 	}
-	launched := g.Launched(launch.GoLaunches[0], info)
-	if launched == nil || launched.Lit == nil {
-		t.Fatalf("Launched did not resolve the goroutine literal")
+	outer, nested := lits[0], lits[1]
+	if outer.Parent != launch || nested.Parent != outer {
+		t.Fatalf("parents: outer %v, nested %v; want launch and the outer literal", outer.Parent, nested.Parent)
 	}
-	if got := calleeNames(launched); len(got) != 1 || got[0] != "a.inner" {
-		t.Fatalf("goroutine body calls %v, want [a.inner]", got)
+	calls := func(n *Node) int {
+		c := 0
+		n.Inspect(func(m ast.Node) bool {
+			if _, ok := m.(*ast.CallExpr); ok {
+				c++
+			}
+			return true
+		})
+		return c
 	}
-	if launched.Parent != launch {
-		t.Fatalf("literal's Parent = %v, want launch", launched.Parent)
-	}
-}
-
-func TestUnresolvedAndExternal(t *testing.T) {
-	g, _ := build(t, `package a
-
-import "strings"
-
-func opaque(f func()) {
-	f()                      // function value: unresolved
-	strings.TrimSpace("x")   // other package: external
-}
-`)
-	n := nodeByName(t, g, "a.opaque")
-	if len(n.Unresolved) != 1 {
-		t.Fatalf("Unresolved = %d, want 1", len(n.Unresolved))
-	}
-	if len(n.External) != 1 || n.External[0].Callee.Name() != "TrimSpace" {
-		t.Fatalf("External = %v, want [TrimSpace]", n.External)
-	}
-	if len(n.Calls) != 0 {
-		t.Fatalf("unexpected internal edges %v", calleeNames(n))
+	// launch owns inner() and the go statement's call of the outer
+	// literal; the outer literal owns inner() and the nested literal's
+	// call; the nested literal owns its inner().
+	for _, c := range []struct {
+		n    *Node
+		want int
+	}{{launch, 2}, {outer, 2}, {nested, 1}} {
+		if got := calls(c.n); got != c.want {
+			t.Errorf("%s owns %d calls, want %d", c.n.Name(), got, c.want)
+		}
 	}
 }
 
@@ -176,8 +113,7 @@ func c() { a(); b() }
 func a() {}
 func b() { a() }
 `
-	g1, _ := build(t, src)
-	g2, _ := build(t, src)
+	g1, g2 := build(t, src), build(t, src)
 	n1, n2 := names(g1), names(g2)
 	if strings.Join(n1, ",") != strings.Join(n2, ",") {
 		t.Fatalf("node order differs: %v vs %v", n1, n2)
@@ -186,20 +122,5 @@ func b() { a() }
 		return g1.Nodes()[i].Pos() < g1.Nodes()[j].Pos()
 	}) {
 		t.Fatalf("nodes not sorted by position: %v", n1)
-	}
-}
-
-func TestGoNamedFunctionNotSynchronousEdge(t *testing.T) {
-	g, info := build(t, `package a
-
-func launch() { go worker() }
-func worker() {}
-`)
-	launch := nodeByName(t, g, "a.launch")
-	if len(launch.Calls) != 0 {
-		t.Fatalf("go worker() became a synchronous edge: %v", calleeNames(launch))
-	}
-	if n := g.Launched(launch.GoLaunches[0], info); n == nil || n.Func == nil || n.Func.Name() != "worker" {
-		t.Fatalf("Launched(go worker()) = %v, want worker", n)
 	}
 }

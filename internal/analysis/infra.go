@@ -11,7 +11,7 @@ import (
 
 // Infra caches the shared per-package infrastructure analyzers would
 // otherwise rebuild from the same inputs: the non-test file subset and
-// the CHA call graph over it. One Infra is shared by every Pass in a
+// the function graph over it (package callgraph). One Infra is shared by every Pass in a
 // RunPackage call, so the first analyzer to ask pays the construction
 // cost once and the rest hit the cache — and -timing can prime it up
 // front to attribute that cost to "infra" rather than to whichever
@@ -37,8 +37,8 @@ func NewInfra(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *
 
 // NonTestFiles returns the package's non-test files. The bouquetvet
 // analyzers enforce production invariants on production code; keeping
-// test files out of the call graph means test helpers can't create
-// phantom interprocedural paths.
+// test files out of the function graph means test helpers can't create
+// phantom interprocedural facts.
 func (in *Infra) NonTestFiles() []*ast.File {
 	if !in.nonTestBuilt {
 		in.nonTestBuilt = true
@@ -52,16 +52,16 @@ func (in *Infra) NonTestFiles() []*ast.File {
 	return in.nonTest
 }
 
-// CallGraph returns the package's CHA call graph over its non-test
+// CallGraph returns the package's function graph over its non-test
 // files, building it on first use.
 func (in *Infra) CallGraph() *callgraph.Graph {
 	if in.graph == nil {
-		in.graph = callgraph.New(in.NonTestFiles(), in.info, in.pkg)
+		in.graph = callgraph.New(in.NonTestFiles(), in.info)
 	}
 	return in.graph
 }
 
-// Prime eagerly builds everything the cache can hold: the call graph.
+// Prime eagerly builds everything the cache can hold: the function graph.
 // Used by -timing to measure shared infrastructure cost on its own row.
 func (in *Infra) Prime() { in.CallGraph() }
 
@@ -69,7 +69,7 @@ func (in *Infra) Prime() { in.CallGraph() }
 // shared cache.
 func (p *Pass) NonTestFiles() []*ast.File { return p.infra().NonTestFiles() }
 
-// CallGraph returns the package's CHA call graph (non-test files) via
+// CallGraph returns the package's function graph (non-test files) via
 // the pass's shared cache.
 func (p *Pass) CallGraph() *callgraph.Graph { return p.infra().CallGraph() }
 
