@@ -160,6 +160,9 @@ type NodeCost struct {
 type Coster struct {
 	q     *query.Query
 	model Model
+	// rates are the node-independent prices (modelRates): price and
+	// Rates read them alike.
+	rates Rates
 
 	// perturb, when non-nil, multiplies each node's SelfCost by a
 	// node-specific factor; used to model bounded cost-model errors
@@ -169,7 +172,7 @@ type Coster struct {
 
 // NewCoster returns a Coster for q under model.
 func NewCoster(q *query.Query, model Model) *Coster {
-	return &Coster{q: q, model: model}
+	return &Coster{q: q, model: model, rates: modelRates(model.P)}
 }
 
 // Query returns the query this Coster prices plans for.
@@ -272,8 +275,9 @@ type relTerms struct {
 	// is the grouping column's distinct count, the cap on its output
 	// (+Inf for an unknown column).
 	card, width float64
-	// descent is one index descent's cost; perMatch is an index NL
-	// join's cost per fetched match; fixed is the selectivity-independent
+	// descent is one index descent's cost; perMatch is an index
+	// operator's cost per fetched row, its index entry and heap page (an
+	// index NL join's price per match); fixed is the selectivity-independent
 	// part of the operator's own cost: a sequential scan's whole cost, an
 	// anti-join's build.
 	descent, perMatch, fixed float64
@@ -519,20 +523,16 @@ func (c *Coster) terms(rel *relTerms, op plan.Op, relation, indexColumn string, 
 
 	case plan.OpIndexScan, plan.OpIndexNLJoin:
 		idx := c.q.Catalog.Index(relation, indexColumn)
-		clustered := idx != nil && idx.Clustered
+		rel.clustered = idx != nil && idx.Clustered
 		rel.descent = math.Log2(rel.card+1) * p.CPUIndexTupleCost
-		if op == plan.OpIndexScan {
-			rel.clustered = clustered
-			break
+		page := p.RandomPageCost
+		if rel.clustered {
+			page = p.SeqPageCost
 		}
-		perMatch := p.RandomPageCost
-		if clustered {
-			perMatch = p.SeqPageCost
-		}
-		rel.perMatch = p.CPUIndexTupleCost + perMatch
+		rel.perMatch = p.CPUIndexTupleCost + page
 
 	case plan.OpAntiJoin:
-		rel.fixed = rel.card * (p.CPUOperatorCost + p.CPUTupleCost)
+		rel.fixed = rel.card * c.rates.Build
 	}
 }
 
@@ -572,7 +572,7 @@ func (c *Coster) selProduct(ids []int, sels Selectivities) float64 {
 // arithmetic runs on bare float64 (unwrapped once here); the results are
 // wrapped back into their dimensions when returned.
 func (c *Coster) price(s *Spec, left, right *Summary, sels Selectivities) (self Cost, outRows Card, outWidth float64) {
-	p := &c.model.P
+	p, r := &c.model.P, &c.rates
 	leftRows, rightRows := left.Rows.F(), right.Rows.F()
 	rel := s.rel
 
@@ -603,8 +603,8 @@ func (c *Coster) price(s *Spec, left, right *Summary, sels Selectivities) (self 
 		self = Cost(rel.descent +
 			matched*p.CPUIndexTupleCost +
 			fetch +
-			matched*float64(len(rel.off))*p.CPUOperatorCost +
-			matched*p.CPUTupleCost)
+			matched*float64(len(rel.off))*r.Cmp +
+			matched*r.Out)
 
 	case plan.OpIndexNLJoin:
 		joinSel, filterSel := c.selProduct(rel.on, sels), c.selProduct(rel.off, sels)
@@ -615,22 +615,22 @@ func (c *Coster) price(s *Spec, left, right *Summary, sels Selectivities) (self 
 		outWidth = left.Width + rel.width
 		self = Cost(probes*rel.descent +
 			matches*rel.perMatch +
-			matches*float64(len(rel.off))*p.CPUOperatorCost +
-			outRows.F()*p.CPUTupleCost)
+			matches*float64(len(rel.off))*r.Cmp +
+			outRows.F()*r.Out)
 
 	case plan.OpHashJoin:
 		joinSel := c.selProduct(s.preds, sels)
 		outRows = Card(joinSel * leftRows * rightRows)
 		outWidth = left.Width + right.Width
-		build := rightRows * (p.CPUOperatorCost + p.CPUTupleCost)
-		probe := leftRows * p.HashQualCost
-		emit := outRows.F() * p.CPUTupleCost
+		build := rightRows * r.Build
+		probe := leftRows * r.Probe
+		emit := outRows.F() * r.Out
 		spill := 0.0
 		if bytes := rightRows * right.Width; bytes > p.WorkMemBytes {
 			// Multi-batch (Grace) hash join: both inputs are
 			// written out and re-read once.
 			spill = (c.pagesFor(leftRows, left.Width) +
-				c.pagesFor(rightRows, right.Width)) * p.SpillPageCost
+				c.pagesFor(rightRows, right.Width)) * r.SpillPage
 		}
 		self = Cost(build + probe + emit + spill)
 
@@ -639,14 +639,14 @@ func (c *Coster) price(s *Spec, left, right *Summary, sels Selectivities) (self 
 		outRows = Card(joinSel * leftRows * rightRows)
 		outWidth = left.Width + right.Width
 		sortCost := left.Sort + right.Sort
-		merge := (leftRows + rightRows) * p.CPUOperatorCost
-		emit := outRows.F() * p.CPUTupleCost
+		merge := (leftRows + rightRows) * r.Cmp
+		emit := outRows.F() * r.Out
 		self = Cost(sortCost + merge + emit)
 
 	case plan.OpAggregate:
 		outRows = 1
 		outWidth = 8
-		self = Cost(leftRows*p.CPUOperatorCost + p.CPUTupleCost)
+		self = Cost(leftRows*r.Cmp + r.Out)
 
 	case plan.OpGroupAggregate:
 		// Hash aggregate: groups bounded by the column's distinct count
@@ -657,7 +657,7 @@ func (c *Coster) price(s *Spec, left, right *Summary, sels Selectivities) (self 
 		}
 		outRows = Card(groups)
 		outWidth = 16
-		self = Cost(leftRows*(p.CPUOperatorCost+p.HashQualCost) + groups*p.CPUTupleCost)
+		self = Cost(leftRows*r.Group + groups*r.Out)
 
 	case plan.OpAntiJoin:
 		// NOT EXISTS: the predicate's selectivity is the outer pass
@@ -667,8 +667,8 @@ func (c *Coster) price(s *Spec, left, right *Summary, sels Selectivities) (self 
 		outRows = Card(leftRows * passFrac)
 		outWidth = left.Width
 		build := rel.fixed
-		probe := leftRows * p.HashQualCost
-		emit := outRows.F() * p.CPUTupleCost
+		probe := leftRows * r.Probe
+		emit := outRows.F() * r.Out
 		self = Cost(build + probe + emit)
 
 	default:

@@ -13,8 +13,10 @@
 //     budget is spent learning that predicate's selectivity (§5.3).
 //
 // Charging in model units makes the engine a "perfect cost model" engine
-// by construction; a δ-perturbed charger reproduces §3.4's bounded
-// modeling errors.
+// by construction: every price it charges is one internal/cost computes
+// (cost.Rates). §3.4's bounded modeling errors are reproduced on the
+// model side instead, by a perturbed coster standing in for the actual
+// costs (core.Bouquet.SetActualCoster).
 //
 // Two engines share one Engine front door and those contracts. The
 // default is a Volcano-style tuple-at-a-time iterator tree — the

@@ -69,7 +69,7 @@ type Result struct {
 type Engine struct {
 	q        *query.Query
 	db       *data.Database
-	params   cost.Params
+	coster   *cost.Coster  // prices every charge (Coster.Rates)
 	bindings map[int]int64 // selection predicate ID -> "col < bound" constant
 	bindSig  string        // canonical bindings rendering, part of every reuse-cache key
 }
@@ -84,7 +84,7 @@ func NewEngine(q *query.Query, db *data.Database, model cost.Model, bindings map
 			}
 		}
 	}
-	return &Engine{q: q, db: db, params: model.P, bindings: bindings, bindSig: bindingsSignature(q, bindings)}, nil
+	return &Engine{q: q, db: db, coster: cost.NewCoster(q, model), bindings: bindings, bindSig: bindingsSignature(q, bindings)}, nil
 }
 
 // bindingsSignature renders the selection constants in ascending
@@ -163,10 +163,7 @@ func (e *Engine) Run(root *plan.Node, opts Options) (Result, error) {
 func (e *Engine) runVolcano(driven *plan.Node, opts Options, budget float64) (Result, error) {
 	m := &meter{budget: budget}
 	res := Result{Stats: make(map[*plan.Node]*NodeStats)}
-	b := &builder{e: e, shapes: e.shapes(driven, opts.Collect != nil), m: m, stats: res.Stats, perturb: opts.Perturb, tally: &reuseTally{}}
-	if opts.Perturb == nil {
-		b.reuse = opts.Reuse
-	}
+	b := &builder{e: e, shapes: e.shapes(driven, opts.Collect != nil), m: m, stats: res.Stats, reuse: opts.Reuse, tally: &reuseTally{}}
 	it, _, err := b.build(driven)
 	if err != nil {
 		return Result{}, err
@@ -429,27 +426,18 @@ type iterator interface {
 
 // builder assembles the iterator tree for a plan.
 type builder struct {
-	e       *Engine
-	shapes  map[*plan.Node]shape // the run's pruned outputs (Engine.shapes)
-	m       *meter
-	stats   map[*plan.Node]*NodeStats
-	perturb func(*plan.Node) float64
-	reuse   *ReuseCache // nil unless Options.Reuse is set (and Perturb is not)
-	tally   *reuseTally
+	e      *Engine
+	shapes map[*plan.Node]shape // the run's pruned outputs (Engine.shapes)
+	m      *meter
+	stats  map[*plan.Node]*NodeStats
+	reuse  *ReuseCache // nil unless Options.Reuse is set
+	tally  *reuseTally
 }
 
 func (b *builder) statsFor(n *plan.Node) *NodeStats {
 	st := &NodeStats{PassBy: make(map[int]int64)}
 	b.stats[n] = st
 	return st
-}
-
-// factor returns the node's charge multiplier.
-func (b *builder) factor(n *plan.Node) float64 {
-	if b.perturb == nil {
-		return 1
-	}
-	return b.perturb(n)
 }
 
 func (b *builder) build(n *plan.Node) (iterator, schema, error) {

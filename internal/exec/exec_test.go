@@ -313,25 +313,6 @@ func TestSpillLearningSelectivityLowerBound(t *testing.T) {
 	}
 }
 
-func TestPerturbedChargesScale(t *testing.T) {
-	fx := newFixture(t)
-	p := fx.plans["hj"]
-	base := fx.eng.MustRun(p, Options{})
-	delta := 0.4
-	pert := fx.coster.WithPerturbation(delta, 5)
-	// Reuse the coster's deterministic node factors for the engine.
-	res := fx.eng.MustRun(p, Options{Perturb: func(n *plan.Node) float64 {
-		return pert.Cost(n, cost.DefaultSels(fx.q)).Over(fx.coster.Cost(n, cost.DefaultSels(fx.q))).F()
-	}})
-	if res.RowsOut != base.RowsOut {
-		t.Fatal("perturbation changed results")
-	}
-	lo, hi := base.CostUsed.Scale(cost.Ratio(1/(1+delta)*(1-1e-6))), base.CostUsed.Scale(cost.Ratio((1+delta)*(1+1e-6)))
-	if res.CostUsed < lo || res.CostUsed > hi {
-		t.Fatalf("perturbed charge %g outside [%g, %g]", res.CostUsed, lo, hi)
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	fx := newFixture(t)
 	if _, err := NewEngine(fx.q, fx.db, cost.Postgres(), nil); err == nil {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -19,13 +20,12 @@ type seqScan struct {
 	b     *builder
 	n     *plan.Node
 	st    *NodeStats
-	f     float64 // charge factor
+	r     cost.Rates
 	preds []scanPred
 
-	cols        [][]int64 // the output columns' table vectors
-	numRows     int
-	pos         int
-	rowsPerPage int
+	cols    [][]int64 // the output columns' table vectors
+	numRows int
+	pos     int
 }
 
 // scanPred is a bound selection predicate over a table column: "col <
@@ -64,15 +64,10 @@ func (e *Engine) scanPreds(ids []int, tbl *data.Table) []scanPred {
 func (b *builder) buildSeqScan(n *plan.Node) (iterator, schema, error) {
 	sch := b.shapes[n].sch
 	tbl := b.e.db.Table(n.Relation)
-	rel := b.e.q.Catalog.MustRelation(n.Relation)
-	rpp := int(b.e.q.Catalog.PageSize / rel.TupleWidth)
-	if rpp < 1 {
-		rpp = 1
-	}
 	s := &seqScan{
-		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
+		b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n),
 		preds: b.e.scanPreds(n.Preds, tbl),
-		cols:  columns(tbl, sch), numRows: tbl.NumRows(), rowsPerPage: rpp,
+		cols:  columns(tbl, sch), numRows: tbl.NumRows(),
 	}
 	return s, sch, nil
 }
@@ -80,15 +75,14 @@ func (b *builder) buildSeqScan(n *plan.Node) (iterator, schema, error) {
 func (s *seqScan) open() error { return nil }
 
 func (s *seqScan) next() (row, bool, error) {
-	p := s.b.e.params
 	for s.pos < s.numRows {
 		i := s.pos
 		s.pos++
-		charge := p.CPUTupleCost + float64(len(s.preds))*p.CPUOperatorCost
-		if i%s.rowsPerPage == 0 {
-			charge += p.SeqPageCost
+		charge := s.r.Row
+		if i%s.r.PageRows == 0 {
+			charge += s.r.Page
 		}
-		if err := s.b.m.charge(charge * s.f); err != nil {
+		if err := s.b.m.charge(charge); err != nil {
 			return nil, false, err
 		}
 		s.st.InTuples++
@@ -127,14 +121,13 @@ type indexScan struct {
 	b  *builder
 	n  *plan.Node
 	st *NodeStats
-	f  float64
+	r  cost.Rates
 
 	driving scanPred   // predicate on the indexed column
 	resid   []scanPred // remaining predicates
 	order   []int32    // row ids sorted by the indexed column
 	cols    [][]int64  // the output columns' table vectors
 	pos     int
-	perPage float64
 	opened  bool
 }
 
@@ -154,25 +147,17 @@ func (e *Engine) splitDriving(n *plan.Node, preds []scanPred) (driving scanPred,
 func (b *builder) buildIndexScan(n *plan.Node) (iterator, schema, error) {
 	sch := b.shapes[n].sch
 	tbl := b.e.db.Table(n.Relation)
-	s := &indexScan{b: b, n: n, st: b.statsFor(n), f: b.factor(n)}
+	s := &indexScan{b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n)}
 	var found bool
 	if s.driving, s.resid, found = b.e.splitDriving(n, b.e.scanPreds(n.Preds, tbl)); !found {
 		return nil, nil, errors.New("exec: index scan without a predicate on its index column")
 	}
 	s.cols = columns(tbl, sch)
 	s.order = tbl.Index(n.IndexColumn).Order()
-	idx := b.e.q.Catalog.Index(n.Relation, n.IndexColumn)
-	if idx != nil && idx.Clustered {
-		s.perPage = b.e.params.SeqPageCost
-	} else {
-		s.perPage = b.e.params.RandomPageCost
-	}
 	return s, sch, nil
 }
 
 func (s *indexScan) open() error {
-	p := s.b.e.params
-	descent := math.Log2(float64(len(s.order))+1) * p.CPUIndexTupleCost
 	s.opened = true
 	if s.driving.negated {
 		// "col ≥ bound": matches are the suffix of the sorted order;
@@ -182,11 +167,10 @@ func (s *indexScan) open() error {
 			return drv[s.order[i]] >= s.driving.bound
 		})
 	}
-	return s.b.m.charge(descent * s.f)
+	return s.b.m.charge(s.r.Descent)
 }
 
 func (s *indexScan) next() (row, bool, error) {
-	p := s.b.e.params
 	drv := s.driving.col
 	for s.pos < len(s.order) {
 		rid := s.order[s.pos]
@@ -198,9 +182,7 @@ func (s *indexScan) next() (row, bool, error) {
 		s.pos++
 		s.st.InTuples++
 		s.st.PassBy[s.driving.id]++
-		charge := p.CPUIndexTupleCost + s.perPage +
-			float64(len(s.resid))*p.CPUOperatorCost + p.CPUTupleCost
-		if err := s.b.m.charge(charge * s.f); err != nil {
+		if err := s.b.m.charge(s.r.Fetch); err != nil {
 			return nil, false, err
 		}
 		pass := true
@@ -264,11 +246,10 @@ type indexNL struct {
 	b  *builder
 	n  *plan.Node
 	st *NodeStats
-	f  float64
+	r  cost.Rates
 
-	outer  iterator
-	probe  *data.Index
-	innerN int
+	outer iterator
+	probe *data.Index
 	indexNLParts
 
 	cur     row     // current outer row
@@ -278,15 +259,14 @@ type indexNL struct {
 
 // indexNLParts is what both engines' index nested-loops joins bind at
 // build time: the join keys (probe key first) with each key's inner column
-// as a table vector, the inner selection filters, which outer offsets and
-// inner table vectors make up the output, and the per-match page charge.
+// as a table vector, the inner selection filters, and which outer offsets
+// and inner table vectors make up the output.
 type indexNLParts struct {
-	keys     []joinKey  // first is the probe key
-	keyCols  [][]int64  // each key's inner column
-	filters  []scanPred // inner selection predicates
-	outOff   []int      // outer-row offsets of the output's outer columns
-	outIn    [][]int64  // table vectors of the output's inner columns
-	perMatch float64
+	keys    []joinKey  // first is the probe key
+	keyCols [][]int64  // each key's inner column
+	filters []scanPred // inner selection predicates
+	outOff  []int      // outer-row offsets of the output's outer columns
+	outIn   [][]int64  // table vectors of the output's inner columns
 }
 
 func (b *builder) bindIndexNL(n *plan.Node, outerSch schema, tbl *data.Table) indexNLParts {
@@ -301,16 +281,13 @@ func (b *builder) bindIndexNL(n *plan.Node, outerSch schema, tbl *data.Table) in
 		}
 	}
 	var ip []int
-	parts := indexNLParts{keys: keys, filters: b.e.scanPreds(sels, tbl), perMatch: b.e.params.RandomPageCost}
+	parts := indexNLParts{keys: keys, filters: b.e.scanPreds(sels, tbl)}
 	parts.outOff, ip = split(b.shapes[n].sch, outerSch, inner)
 	for _, k := range keys {
 		parts.keyCols = append(parts.keyCols, tbl.Column(inner[k.rightOff].Column))
 	}
 	for _, i := range ip {
 		parts.outIn = append(parts.outIn, tbl.Column(inner[i].Column))
-	}
-	if idx := b.e.q.Catalog.Index(n.Relation, n.IndexColumn); idx != nil && idx.Clustered {
-		parts.perMatch = b.e.params.SeqPageCost
 	}
 	return parts
 }
@@ -322,8 +299,8 @@ func (b *builder) buildIndexNL(n *plan.Node) (iterator, schema, error) {
 	}
 	tbl := b.e.db.Table(n.Relation)
 	j := &indexNL{
-		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
-		outer: outer, probe: tbl.Index(n.IndexColumn), innerN: tbl.NumRows(),
+		b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n),
+		outer: outer, probe: tbl.Index(n.IndexColumn),
 		indexNLParts: b.bindIndexNL(n, outerSch, tbl),
 	}
 	return j, b.shapes[n].sch, nil
@@ -332,20 +309,18 @@ func (b *builder) buildIndexNL(n *plan.Node) (iterator, schema, error) {
 func (j *indexNL) open() error { return j.outer.open() }
 
 func (j *indexNL) next() (row, bool, error) {
-	p := j.b.e.params
 	for {
 		// Drain the remaining matches of the current outer row.
 		for j.mi < len(j.matches) {
 			rid := j.matches[j.mi]
 			j.mi++
-			charge := p.CPUIndexTupleCost + j.perMatch
-			if err := j.b.m.charge(charge * j.f); err != nil {
+			if err := j.b.m.charge(j.r.Match); err != nil {
 				return nil, false, err
 			}
 			// Residual join predicates beyond the probe key.
 			ok := true
 			for ki, k := range j.keys[1:] {
-				if err := j.b.m.charge(p.CPUOperatorCost * j.f); err != nil {
+				if err := j.b.m.charge(j.r.Cmp); err != nil {
 					return nil, false, err
 				}
 				if j.cur[k.leftOff] != j.keyCols[1+ki][rid] {
@@ -359,7 +334,7 @@ func (j *indexNL) next() (row, bool, error) {
 			j.st.Matches++
 			// Inner selection filters.
 			for _, fp := range j.filters {
-				if err := j.b.m.charge(p.CPUOperatorCost * j.f); err != nil {
+				if err := j.b.m.charge(j.r.Cmp); err != nil {
 					return nil, false, err
 				}
 				if !fp.eval(fp.col[rid]) {
@@ -370,7 +345,7 @@ func (j *indexNL) next() (row, bool, error) {
 			if !ok {
 				continue
 			}
-			if err := j.b.m.charge(p.CPUTupleCost * j.f); err != nil {
+			if err := j.b.m.charge(j.r.Out); err != nil {
 				return nil, false, err
 			}
 			out := make(row, 0, len(j.outOff)+len(j.outIn))
@@ -393,8 +368,7 @@ func (j *indexNL) next() (row, bool, error) {
 			return nil, false, err
 		}
 		j.st.InTuples++
-		descent := math.Log2(float64(j.innerN)+1) * p.CPUIndexTupleCost
-		if err := j.b.m.charge(descent * j.f); err != nil {
+		if err := j.b.m.charge(j.r.Descent); err != nil {
 			return nil, false, err
 		}
 		j.cur = r
@@ -412,18 +386,17 @@ type hashJoin struct {
 	b  *builder
 	n  *plan.Node
 	st *NodeStats
-	f  float64
+	r  cost.Rates
 
-	left, right   iterator
-	rightSch      schema
-	rightFull     int   // the unpruned build width the spill threshold prices
-	lOut, rOut    []int // input offsets of the output's left and right columns
-	keys          []joinKey
-	table         map[int64][]row
-	builtRows     int64
-	spillCharged  bool
-	leftPageRows  float64
-	rightPageRows float64
+	left, right  iterator
+	rightSch     schema
+	rightFull    int   // the unpruned build width the spill threshold prices
+	lOut, rOut   []int // input offsets of the output's left and right columns
+	keys         []joinKey
+	table        map[int64][]row
+	builtRows    int64
+	spillCharged bool
+	leftPageRows float64
 
 	cur     row
 	matches []row
@@ -444,17 +417,14 @@ func (b *builder) buildHashJoin(n *plan.Node) (iterator, schema, error) {
 		return nil, nil, errors.New("exec: hash join with selection predicates")
 	}
 	j := &hashJoin{
-		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
+		b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n),
 		left: left, right: right, rightSch: rightSch, rightFull: b.shapes[n.Right].full,
 		keys: b.bindJoinKeys(joins, leftSch, rightSch),
 	}
 	out := b.shapes[n].sch
 	j.lOut, j.rOut = split(out, leftSch, rightSch)
-	ps := float64(b.e.q.Catalog.PageSize)
-	// Approximate row widths by 8 bytes per column of the unpruned schemas
-	// for spill accounting.
-	j.leftPageRows = ps / (8 * float64(b.shapes[n.Left].full))
-	j.rightPageRows = ps / (8 * float64(j.rightFull))
+	// Spill accounting pages the unpruned schemas.
+	j.leftPageRows = j.r.SpillPageRows(b.shapes[n.Left].full)
 	return j, out, nil
 }
 
@@ -494,7 +464,6 @@ func (j *hashJoin) open() error {
 		return err
 	}
 	// Build phase: drain the right child.
-	p := j.b.e.params
 	j.table = make(map[int64][]row)
 	for {
 		r, ok, err := j.right.next()
@@ -504,7 +473,7 @@ func (j *hashJoin) open() error {
 		if !ok {
 			break
 		}
-		if err := j.b.m.charge((p.CPUOperatorCost + p.CPUTupleCost) * j.f); err != nil {
+		if err := j.b.m.charge(j.r.Build); err != nil {
 			return err
 		}
 		j.table[r[j.keys[0].rightOff]] = append(j.table[r[j.keys[0].rightOff]], r)
@@ -512,12 +481,12 @@ func (j *hashJoin) open() error {
 	}
 	// Grace-join spill: if the build side exceeds work memory, charge
 	// the write+read of both inputs' pages (right now, left during the probe).
-	if float64(j.builtRows)*8*float64(j.rightFull) > p.WorkMemBytes {
-		pages := math.Ceil(float64(j.builtRows) / j.rightPageRows)
+	if j.r.OverWorkMem(int(j.builtRows), j.rightFull) {
+		pages := math.Ceil(float64(j.builtRows) / j.r.SpillPageRows(j.rightFull))
 		if pages < 1 {
 			pages = 1
 		}
-		if err := j.b.m.charge(pages * p.SpillPageCost * j.f); err != nil {
+		if err := j.b.m.charge(pages * j.r.SpillPage); err != nil {
 			return err
 		}
 		j.spillCharged = true
@@ -533,14 +502,13 @@ func (j *hashJoin) open() error {
 }
 
 func (j *hashJoin) next() (row, bool, error) {
-	p := j.b.e.params
 	for {
 		for j.mi < len(j.matches) {
 			m := j.matches[j.mi]
 			j.mi++
 			ok := true
 			for _, k := range j.keys[1:] {
-				if err := j.b.m.charge(p.CPUOperatorCost * j.f); err != nil {
+				if err := j.b.m.charge(j.r.Cmp); err != nil {
 					return nil, false, err
 				}
 				if j.cur[k.leftOff] != m[k.rightOff] {
@@ -552,7 +520,7 @@ func (j *hashJoin) next() (row, bool, error) {
 				continue
 			}
 			j.st.Matches++
-			if err := j.b.m.charge(p.CPUTupleCost * j.f); err != nil {
+			if err := j.b.m.charge(j.r.Out); err != nil {
 				return nil, false, err
 			}
 			j.st.Out++
@@ -567,11 +535,11 @@ func (j *hashJoin) next() (row, bool, error) {
 			return nil, false, err
 		}
 		j.st.InTuples++
-		charge := p.HashQualCost
+		charge := j.r.Probe
 		if j.spillCharged && j.st.InTuples%int64(j.leftPageRows+1) == 0 {
-			charge += p.SpillPageCost
+			charge += j.r.SpillPage
 		}
-		if err := j.b.m.charge(charge * j.f); err != nil {
+		if err := j.b.m.charge(charge); err != nil {
 			return nil, false, err
 		}
 		j.cur = r
@@ -592,7 +560,7 @@ type mergeJoin struct {
 	b  *builder
 	n  *plan.Node
 	st *NodeStats
-	f  float64
+	r  cost.Rates
 
 	left, right iterator
 	leftSch     schema
@@ -623,7 +591,7 @@ func (b *builder) buildMergeJoin(n *plan.Node) (iterator, schema, error) {
 		return nil, nil, errors.New("exec: merge join with selection predicates")
 	}
 	j := &mergeJoin{
-		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
+		b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n),
 		left: left, right: right, leftSch: leftSch, rightSch: rightSch,
 		keys: b.bindJoinKeys(joins, leftSch, rightSch),
 	}
@@ -633,41 +601,29 @@ func (b *builder) buildMergeJoin(n *plan.Node) (iterator, schema, error) {
 }
 
 // drainSorted materializes and sorts one input, charging ~n·log2(n)
-// comparison costs plus external-sort spill I/O, mirroring Coster.sortCost.
-// Charges accrue incrementally per drained row (Σ log2(i) ≈ n·log2 n), so a
+// comparison costs plus external-sort spill I/O, mirroring Coster.SortCost.
+// Charges accrue incrementally per drained row (cost.Rates.SortRow), so a
 // budget abort fires promptly rather than after a lump-sum sort charge.
 // width is the input's unpruned schema width, which the spill I/O prices.
+// The bool reports whether the sort outgrew work memory.
 func (j *mergeJoin) drainSorted(it iterator, key int, width int) ([]row, bool, error) {
-	p := j.b.e.params
-	rowBytes := 8 * float64(width)
-	pageRows := float64(j.b.e.q.Catalog.PageSize) / rowBytes
-	spilled := false
 	var rows []row
 	for {
 		r, ok, err := it.next()
 		if err != nil {
-			return nil, spilled, err
+			return nil, false, err
 		}
 		if !ok {
 			break
 		}
 		rows = append(rows, r)
-		n := float64(len(rows))
-		charge := math.Log2(n+1) * p.SortCmpCost
-		if bytes := n * rowBytes; bytes > p.WorkMemBytes {
-			// External sort: approximate the per-pass spill I/O
-			// by charging each overflowing row its share of the
-			// current pass count.
-			passes := math.Ceil(math.Log2(bytes/p.WorkMemBytes)) + 1
-			charge += passes * p.SpillPageCost / pageRows
-			spilled = true
-		}
-		if err := j.b.m.charge(charge * j.f); err != nil {
-			return nil, spilled, err
+		cmp, spill := j.r.SortRow(len(rows), width)
+		if err := j.b.m.charge(cmp + spill); err != nil {
+			return nil, false, err
 		}
 	}
 	sort.SliceStable(rows, func(a, b int) bool { return rows[a][key] < rows[b][key] })
-	return rows, spilled, nil
+	return rows, j.r.OverWorkMem(len(rows), width), nil
 }
 
 func (j *mergeJoin) open() error {
@@ -712,7 +668,6 @@ func (j *mergeJoin) open() error {
 }
 
 func (j *mergeJoin) next() (row, bool, error) {
-	p := j.b.e.params
 	lk, rk := j.keys[0].leftOff, j.keys[0].rightOff
 	for {
 		// Emit from the current group cross product.
@@ -721,7 +676,7 @@ func (j *mergeJoin) next() (row, bool, error) {
 			j.gi++
 			ok := true
 			for _, k := range j.keys[1:] {
-				if err := j.b.m.charge(p.CPUOperatorCost * j.f); err != nil {
+				if err := j.b.m.charge(j.r.Cmp); err != nil {
 					return nil, false, err
 				}
 				if j.curLeft[k.leftOff] != m[k.rightOff] {
@@ -733,7 +688,7 @@ func (j *mergeJoin) next() (row, bool, error) {
 				continue
 			}
 			j.st.Matches++
-			if err := j.b.m.charge(p.CPUTupleCost * j.f); err != nil {
+			if err := j.b.m.charge(j.r.Out); err != nil {
 				return nil, false, err
 			}
 			j.st.Out++
@@ -761,7 +716,7 @@ func (j *mergeJoin) next() (row, bool, error) {
 
 		// Merge step: align keys.
 		lv, rv := j.lrows[j.li][lk], j.rrows[j.ri][rk]
-		if err := j.b.m.charge(p.CPUOperatorCost * j.f); err != nil {
+		if err := j.b.m.charge(j.r.Cmp); err != nil {
 			return nil, false, err
 		}
 		switch {
@@ -797,7 +752,7 @@ type aggregate struct {
 	b     *builder
 	n     *plan.Node
 	st    *NodeStats
-	f     float64
+	r     cost.Rates
 	child iterator
 
 	done  bool
@@ -809,7 +764,7 @@ func (b *builder) buildAggregate(n *plan.Node) (iterator, schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	a := &aggregate{b: b, n: n, st: b.statsFor(n), f: b.factor(n), child: child}
+	a := &aggregate{b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n), child: child}
 	return a, b.shapes[n].sch, nil
 }
 
@@ -819,7 +774,6 @@ func (a *aggregate) next() (row, bool, error) {
 	if a.done {
 		return nil, false, nil
 	}
-	p := a.b.e.params
 	for {
 		_, ok, err := a.child.next()
 		if err != nil {
@@ -829,12 +783,12 @@ func (a *aggregate) next() (row, bool, error) {
 			break
 		}
 		a.st.InTuples++
-		if err := a.b.m.charge(p.CPUOperatorCost * a.f); err != nil {
+		if err := a.b.m.charge(a.r.Cmp); err != nil {
 			return nil, false, err
 		}
 		a.count++
 	}
-	if err := a.b.m.charge(p.CPUTupleCost * a.f); err != nil {
+	if err := a.b.m.charge(a.r.Out); err != nil {
 		return nil, false, err
 	}
 	a.done = true
@@ -858,7 +812,7 @@ type antiJoin struct {
 	b  *builder
 	n  *plan.Node
 	st *NodeStats
-	f  float64
+	r  cost.Rates
 
 	outer    iterator
 	outerOff int
@@ -877,7 +831,7 @@ func (b *builder) buildAntiJoin(n *plan.Node) (iterator, schema, error) {
 	p := b.e.q.Predicate(n.Preds[0])
 	tbl := b.e.db.Table(n.Relation)
 	j := &antiJoin{
-		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
+		b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n),
 		outer:    outer,
 		outerOff: outerSch.offset(p.Left),
 		innerN:   tbl.NumRows(),
@@ -913,9 +867,8 @@ func (j *antiJoin) open() error {
 		return err
 	}
 	// Build-phase charge for hashing the inner relation.
-	p := j.b.e.params
 	j.built = true
-	c := float64(j.innerN) * (p.CPUOperatorCost + p.CPUTupleCost) * j.f
+	c := float64(j.innerN) * j.r.Build
 	if j.reused {
 		j.b.tally.hit(c)
 	}
@@ -923,7 +876,6 @@ func (j *antiJoin) open() error {
 }
 
 func (j *antiJoin) next() (row, bool, error) {
-	p := j.b.e.params
 	for {
 		r, ok, err := j.outer.next()
 		if err != nil || !ok {
@@ -934,7 +886,7 @@ func (j *antiJoin) next() (row, bool, error) {
 			return nil, false, err
 		}
 		j.st.InTuples++
-		if err := j.b.m.charge(p.HashQualCost * j.f); err != nil {
+		if err := j.b.m.charge(j.r.Probe); err != nil {
 			return nil, false, err
 		}
 		if j.innerSet[r[j.outerOff]] {
@@ -942,7 +894,7 @@ func (j *antiJoin) next() (row, bool, error) {
 		}
 		j.st.PassBy[j.pred]++
 		j.st.Matches++
-		if err := j.b.m.charge(p.CPUTupleCost * j.f); err != nil {
+		if err := j.b.m.charge(j.r.Out); err != nil {
 			return nil, false, err
 		}
 		j.st.Out++
@@ -962,7 +914,7 @@ type groupAggregate struct {
 	b     *builder
 	n     *plan.Node
 	st    *NodeStats
-	f     float64
+	r     cost.Rates
 	child iterator
 	off   int
 
@@ -978,7 +930,7 @@ func (b *builder) buildGroupAggregate(n *plan.Node) (iterator, schema, error) {
 		return nil, nil, err
 	}
 	g := &groupAggregate{
-		b: b, n: n, st: b.statsFor(n), f: b.factor(n),
+		b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n),
 		child: child,
 		off:   childSch.offset(query.ColumnRef{Relation: n.Relation, Column: n.IndexColumn}),
 	}
@@ -988,7 +940,6 @@ func (b *builder) buildGroupAggregate(n *plan.Node) (iterator, schema, error) {
 func (g *groupAggregate) open() error { return g.child.open() }
 
 func (g *groupAggregate) next() (row, bool, error) {
-	p := g.b.e.params
 	if !g.built {
 		g.groups = make(map[int64]int64)
 		for {
@@ -1000,7 +951,7 @@ func (g *groupAggregate) next() (row, bool, error) {
 				break
 			}
 			g.st.InTuples++
-			if err := g.b.m.charge((p.CPUOperatorCost + p.HashQualCost) * g.f); err != nil {
+			if err := g.b.m.charge(g.r.Group); err != nil {
 				return nil, false, err
 			}
 			g.groups[r[g.off]]++
@@ -1019,7 +970,7 @@ func (g *groupAggregate) next() (row, bool, error) {
 	}
 	k := g.order[g.pos]
 	g.pos++
-	if err := g.b.m.charge(p.CPUTupleCost * g.f); err != nil {
+	if err := g.b.m.charge(g.r.Out); err != nil {
 		return nil, false, err
 	}
 	g.st.Out++
@@ -1106,17 +1057,11 @@ func filterBatch(st *NodeStats, ws *wslot, preds []scanPred, base, nrows int, ro
 func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
 	tbl := v.e.db.Table(n.Relation)
-	rel := v.e.q.Catalog.MustRelation(n.Relation)
-	rpp := int(v.e.q.Catalog.PageSize / rel.TupleWidth)
-	if rpp < 1 {
-		rpp = 1
-	}
-	f := v.vb.factor(n)
-	pr := v.e.params
+	r := v.e.coster.Rates(n)
 	cols := columns(tbl, v.vb.shapes[n].sch)
 	preds := v.e.scanPreds(n.Preds, tbl)
-	cRow := v.m.class((pr.CPUTupleCost + float64(len(preds))*pr.CPUOperatorCost) * f)
-	cPage := v.m.class(pr.SeqPageCost * f)
+	cRow := v.m.class(r.Row)
+	cPage := v.m.class(r.Page)
 	slot := v.newSlot()
 	return v.parallelFor(tbl.NumRows(), func(w *vecWorker, lo, hi int) error {
 		st := w.st(id)
@@ -1125,7 +1070,7 @@ func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 			e := min(s+v.batch, hi)
 			nrows := e - s
 			w.ev[cRow] += int64(nrows)
-			w.ev[cPage] += int64(pageBreaks(s, e, rpp))
+			w.ev[cPage] += int64(pageBreaks(s, e, r.PageRows))
 			st.InTuples += int64(nrows)
 			b := &ws.b
 			for c := range cols {
@@ -1152,16 +1097,11 @@ func (v *vecEngine) streamSeqScan(n *plan.Node, sink vecSink) error {
 func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
 	tbl := v.e.db.Table(n.Relation)
-	f := v.vb.factor(n)
-	pr := v.e.params
+	r := v.e.coster.Rates(n)
 	cols := columns(tbl, v.vb.shapes[n].sch)
 	driving, resid, _ := v.e.splitDriving(n, v.e.scanPreds(n.Preds, tbl))
 	order := tbl.Index(n.IndexColumn).Order()
-	perPage := pr.RandomPageCost
-	if idx := v.e.q.Catalog.Index(n.Relation, n.IndexColumn); idx != nil && idx.Clustered {
-		perPage = pr.SeqPageCost
-	}
-	if err := v.m.lump(math.Log2(float64(len(order))+1)*pr.CPUIndexTupleCost*f, 1); err != nil {
+	if err := v.m.lump(r.Descent, 1); err != nil {
 		return err
 	}
 	drv := driving.col
@@ -1170,7 +1110,7 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	if driving.negated {
 		rlo, rhi = boundary, len(order)
 	}
-	cRow := v.m.class((pr.CPUIndexTupleCost + perPage + float64(len(resid))*pr.CPUOperatorCost + pr.CPUTupleCost) * f)
+	cRow := v.m.class(r.Fetch)
 	width := len(cols)
 	slot := v.newSlot()
 	return v.parallelFor(rhi-rlo, func(w *vecWorker, lo, hi int) error {
@@ -1375,11 +1315,7 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 	left, right := v.vb.shapes[n.Left], v.vb.shapes[n.Right]
 	joins, _ := v.vb.predSplit(n.Preds)
 	keys := v.vb.bindJoinKeys(joins, left.sch, right.sch)
-	f := v.vb.factor(n)
-	pr := v.e.params
-	ps := float64(v.e.q.Catalog.PageSize)
-	leftPageRows := ps / (8 * float64(left.full))
-	rightPageRows := ps / (8 * float64(right.full))
+	r := v.e.coster.Rates(n)
 
 	rw := len(right.sch)
 	rkey := keys[0].rightOff
@@ -1404,7 +1340,7 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 		bslot := v.newSlot()
 		var pmu sync.Mutex
 		var parts []*hashPart
-		cBuild := v.m.class((pr.CPUOperatorCost + pr.CPUTupleCost) * f)
+		cBuild := v.m.class(r.Build)
 		collector := vecSink{
 			emit: func(w *vecWorker, b *vbatch) error {
 				part := sharedPart[hashPart](w, bslot, &pmu, &parts)
@@ -1449,12 +1385,12 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 		jt = newJoinTable(mat[rkey])
 
 		// Grace-join spill charge, as the Volcano open.
-		if float64(built)*8*float64(right.full) > pr.WorkMemBytes {
-			pages := math.Ceil(float64(built) / rightPageRows)
+		if r.OverWorkMem(built, right.full) {
+			pages := math.Ceil(float64(built) / r.SpillPageRows(right.full))
 			if pages < 1 {
 				pages = 1
 			}
-			if err := v.m.lump(pr.SpillPageCost*f, int64(pages)); err != nil {
+			if err := v.m.lump(r.SpillPage, int64(pages)); err != nil {
 				return err
 			}
 			spilled = true
@@ -1475,16 +1411,16 @@ func (v *vecEngine) streamHashJoin(n *plan.Node, sink vecSink) error {
 	ow := lw + len(rOut)
 	lkey := keys[0].leftOff
 	resid := keys[1:]
-	cIn := v.m.class(pr.HashQualCost * f)
-	cCmp := v.m.class(pr.CPUOperatorCost * f)
-	cMatch := v.m.class(pr.CPUTupleCost * f)
+	cIn := v.m.class(r.Probe)
+	cCmp := v.m.class(r.Cmp)
+	cMatch := v.m.class(r.Out)
 	cSpill := -1
 	if spilled {
 		// The Volcano probe charges a spill page every spillEvery-th
 		// input tuple: the class counts inputs and prices one page per
 		// spillEvery of them, whatever order the batches arrive in.
-		cSpill = v.m.class(pr.SpillPageCost * f)
-		v.m.cls[cSpill].div = int64(leftPageRows + 1)
+		cSpill = v.m.class(r.SpillPage)
+		v.m.cls[cSpill].div = int64(r.SpillPageRows(left.full) + 1)
 	}
 	probe := vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
@@ -1546,12 +1482,11 @@ func (v *vecEngine) streamIndexNL(n *plan.Node, sink vecSink) error {
 	parts := v.vb.bindIndexNL(n, v.vb.shapes[n.Left].sch, tbl)
 	keys, keyCols, filters := parts.keys, parts.keyCols, parts.filters
 	probeIdx := tbl.Index(n.IndexColumn)
-	f := v.vb.factor(n)
-	pr := v.e.params
-	cDescent := v.m.class(math.Log2(float64(tbl.NumRows())+1) * pr.CPUIndexTupleCost * f)
-	cEntry := v.m.class((pr.CPUIndexTupleCost + parts.perMatch) * f)
-	cCmp := v.m.class(pr.CPUOperatorCost * f)
-	cOut := v.m.class(pr.CPUTupleCost * f)
+	r := v.e.coster.Rates(n)
+	cDescent := v.m.class(r.Descent)
+	cEntry := v.m.class(r.Match)
+	cCmp := v.m.class(r.Cmp)
+	cOut := v.m.class(r.Out)
 	lw := len(parts.outOff)
 	ow := lw + len(parts.outIn)
 	oslot := v.newSlot()
@@ -1638,18 +1573,16 @@ func (v *vecEngine) streamAntiJoin(n *plan.Node, sink vecSink) error {
 		}
 		v.reuse.store(key, &reuseEntry{state: innerSet})
 	}
-	f := v.vb.factor(n)
-	pr := v.e.params
+	r := v.e.coster.Rates(n)
 	// Build-phase charge for hashing the inner relation (Volcano open).
-	buildRate := (pr.CPUOperatorCost + pr.CPUTupleCost) * f
 	if reused != nil {
-		v.tally.hit(buildRate * float64(tbl.NumRows()))
+		v.tally.hit(r.Build * float64(tbl.NumRows()))
 	}
-	if err := v.m.lump(buildRate, int64(tbl.NumRows())); err != nil {
+	if err := v.m.lump(r.Build, int64(tbl.NumRows())); err != nil {
 		return err
 	}
-	cIn := v.m.class(pr.HashQualCost * f)
-	cOut := v.m.class(pr.CPUTupleCost * f)
+	cIn := v.m.class(r.Probe)
+	cOut := v.m.class(r.Out)
 	pred := n.Preds[0]
 	aslot := v.newSlot()
 	tr := vecSink{
@@ -1697,7 +1630,7 @@ type rowPart struct {
 // sort, and sorts on key — one input of the vectorized merge join. The
 // rows are collected in worker-arrival order; sortRows removes the
 // schedule from it.
-func (v *vecEngine) sortedRows(n *plan.Node, key int, f float64) ([][]int64, error) {
+func (v *vecEngine) sortedRows(n *plan.Node, key int, r cost.Rates) ([][]int64, error) {
 	width := len(v.vb.shapes[n].sch)
 	slot := v.newSlot()
 	var mu sync.Mutex
@@ -1728,7 +1661,7 @@ func (v *vecEngine) sortedRows(n *plan.Node, key int, f float64) ([][]int64, err
 	for _, p := range parts {
 		rows = append(rows, p.rows...)
 	}
-	if err := v.chargeSortDrain(len(rows), v.vb.shapes[n].full, f); err != nil {
+	if err := v.chargeSortDrain(len(rows), v.vb.shapes[n].full, r); err != nil {
 		return nil, err
 	}
 	sortRows(rows, key)
@@ -1753,23 +1686,18 @@ func sortRows(rows [][]int64, key int) {
 }
 
 // chargeSortDrain charges the incremental sort costs drainSorted accrues
-// per arrived row (Σ log2(i+1) comparisons plus external-sort spill I/O
-// once the run outgrows work memory) as one lump, summed in row order.
-// width is the input's unpruned schema width, which the spill I/O prices.
-func (v *vecEngine) chargeSortDrain(nrows, width int, f float64) error {
-	pr := v.e.params
-	rowBytes := 8 * float64(width)
-	pageRows := float64(v.e.q.Catalog.PageSize) / rowBytes
+// per arrived row (cost.Rates.SortRow: Σ log2(i+1) comparisons plus
+// external-sort spill I/O once the run outgrows work memory) as one lump,
+// summed in row order. width is the input's unpruned schema width, which
+// the spill I/O prices.
+func (v *vecEngine) chargeSortDrain(nrows, width int, r cost.Rates) error {
 	var sum float64
 	for i := 1; i <= nrows; i++ {
-		nf := float64(i)
-		sum += math.Log2(nf+1) * pr.SortCmpCost
-		if bytes := nf * rowBytes; bytes > pr.WorkMemBytes {
-			passes := math.Ceil(math.Log2(bytes/pr.WorkMemBytes)) + 1
-			sum += passes * pr.SpillPageCost / pageRows
-		}
+		cmp, spill := r.SortRow(i, width)
+		sum += cmp
+		sum += spill
 	}
-	return v.m.lump(sum*f, 1)
+	return v.m.lump(sum, 1)
 }
 
 // streamMergeJoin is the vectorized sort-merge join: both inputs
@@ -1782,8 +1710,7 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 	left, right := v.vb.shapes[n.Left], v.vb.shapes[n.Right]
 	joins, _ := v.vb.predSplit(n.Preds)
 	keys := v.vb.bindJoinKeys(joins, left.sch, right.sch)
-	f := v.vb.factor(n)
-	pr := v.e.params
+	r := v.e.coster.Rates(n)
 	lk, rk := keys[0].leftOff, keys[0].rightOff
 
 	// Reuse: both materialized, sorted inputs are cached as one
@@ -1799,14 +1726,14 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 	} else {
 		sortStart := len(v.m.cls)
 		var err error
-		if lrows, err = v.sortedRows(n.Left, lk, f); err != nil {
+		if lrows, err = v.sortedRows(n.Left, lk, r); err != nil {
 			return err
 		}
-		if rrows, err = v.sortedRows(n.Right, rk, f); err != nil {
+		if rrows, err = v.sortedRows(n.Right, rk, r); err != nil {
 			return err
 		}
-		lspill := float64(len(lrows))*8*float64(left.full) > pr.WorkMemBytes
-		rspill := float64(len(rrows))*8*float64(right.full) > pr.WorkMemBytes
+		lspill := r.OverWorkMem(len(lrows), left.full)
+		rspill := r.OverWorkMem(len(rrows), right.full)
 		if v.reuse != nil && !lspill && !rspill {
 			v.reuse.store(key, &reuseEntry{
 				window: slices.Clone(v.m.cls[sortStart:]),
@@ -1819,8 +1746,8 @@ func (v *vecEngine) streamMergeJoin(n *plan.Node, sink vecSink) error {
 	lw := len(lOut)
 	ow := lw + len(rOut)
 	oslot := v.newSlot()
-	cCmp := v.m.class(pr.CPUOperatorCost * f)
-	cMatch := v.m.class(pr.CPUTupleCost * f)
+	cCmp := v.m.class(r.Cmp)
+	cMatch := v.m.class(r.Out)
 	return v.serial(sink, func(sw *vecWorker) error {
 		st := sw.st(id)
 		ws := sw.slot(oslot, ow)
@@ -1916,12 +1843,11 @@ type aggPart struct {
 // merged at the barrier, then a single output row [count].
 func (v *vecEngine) streamAggregate(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
-	f := v.vb.factor(n)
-	pr := v.e.params
+	r := v.e.coster.Rates(n)
 	slot := v.newSlot()
 	var mu sync.Mutex
 	var parts []*aggPart
-	cIn := v.m.class(pr.CPUOperatorCost * f)
+	cIn := v.m.class(r.Cmp)
 	collector := vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
 			nl := b.live()
@@ -1940,7 +1866,7 @@ func (v *vecEngine) streamAggregate(n *plan.Node, sink vecSink) error {
 	for _, p := range parts {
 		count += p.count
 	}
-	if err := v.m.lump(pr.CPUTupleCost*f, 1); err != nil {
+	if err := v.m.lump(r.Out, 1); err != nil {
 		return err
 	}
 	v.stats[n].Out = 1
@@ -1960,13 +1886,12 @@ type groupPart struct {
 func (v *vecEngine) streamGroupAggregate(n *plan.Node, sink vecSink) error {
 	id := v.idx[n]
 	off := v.vb.shapes[n.Left].sch.offset(query.ColumnRef{Relation: n.Relation, Column: n.IndexColumn})
-	f := v.vb.factor(n)
-	pr := v.e.params
+	r := v.e.coster.Rates(n)
 	slot := v.newSlot()
 	var mu sync.Mutex
 	var parts []*groupPart
-	cIn := v.m.class((pr.CPUOperatorCost + pr.HashQualCost) * f)
-	cOut := v.m.class(pr.CPUTupleCost * f)
+	cIn := v.m.class(r.Group)
+	cOut := v.m.class(r.Out)
 	collector := vecSink{
 		emit: func(w *vecWorker, b *vbatch) error {
 			nl := b.live()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/plan"
 	"repro/internal/trace"
 )
 
@@ -46,9 +45,6 @@ type Options struct {
 	// SpillPred is the predicate whose node the spilled execution
 	// drives (meaningful only when Spill is set).
 	SpillPred int
-	// Perturb, when non-nil, scales each node's charges (bounded
-	// modeling error, §3.4). Must return values in [1/(1+δ), 1+δ].
-	Perturb func(*plan.Node) float64
 	// Trace, when non-nil, receives engine-level spans: a spill span
 	// when the pipeline is broken for a spilled execution, and a
 	// budget-abort span at the moment the cost meter trips. nil (the
@@ -85,8 +81,7 @@ type Options struct {
 	// sets) cached by earlier executions of the same bouquet run, and
 	// contribute its own completed state back. Budget accounting is
 	// unchanged — reused subtrees are lump-charged their full model cost
-	// — so step outcomes match a no-reuse run; see reuse.go. Ignored
-	// when Perturb is set (perturbed charges would poison the cache).
+	// — so step outcomes match a no-reuse run; see reuse.go.
 	Reuse *ReuseCache
 }
 

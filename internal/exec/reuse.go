@@ -26,10 +26,9 @@ package exec
 // What is cacheable: fully-completed, read-only materialized state —
 // hash-join build tables, merge-join sorted inputs, anti-join inner
 // sets. What is never cached: partial or in-flight state (a build the
-// budget interrupted), spill-tainted state (a build or sort that
+// budget interrupted) and spill-tainted state (a build or sort that
 // overflowed work memory and charged spill I/O — its charge profile is
-// entangled with the probe phase), and anything produced under a
-// perturbed (§3.4) cost model. State completed *before* a later budget
+// entangled with the probe phase). State completed *before* a later budget
 // abort is salvaged: the entry is stored the moment the build finishes,
 // so an execution that aborts during its probe phase still seeds the
 // next step's hit.

@@ -236,30 +236,6 @@ func TestReuseSpillTaintedStateNeverCached(t *testing.T) {
 	}
 }
 
-// TestReusePerturbedRunsBypassCache: §3.4 perturbed executions neither
-// consult nor populate the cache (their charges would poison it).
-func TestReusePerturbedRunsBypassCache(t *testing.T) {
-	fx := newFixture(t)
-	p := fx.plans["hj"]
-	for cfg, base := range engineConfigs() {
-		cache := NewReuseCache()
-		fx.eng.MustRun(p, withReuse(base, cache)) // legitimate warm entries
-		warmed := cache.Len()
-		if warmed == 0 {
-			t.Fatalf("%s: warm run cached nothing", cfg)
-		}
-		opts := withReuse(base, cache)
-		opts.Perturb = func(*plan.Node) float64 { return 1.05 }
-		res := fx.eng.MustRun(p, opts)
-		if res.ReuseHits != 0 {
-			t.Fatalf("%s: perturbed run took %d cache hits", cfg, res.ReuseHits)
-		}
-		if cache.Len() != warmed {
-			t.Fatalf("%s: perturbed run mutated the cache (%d -> %d entries)", cfg, warmed, cache.Len())
-		}
-	}
-}
-
 // TestReuseAntiJoinInnerSet: the NOT EXISTS inner set depends only on the
 // base relation, is shared across both engines under one key, and its
 // open-time charge is levied identically whether built or reused.

@@ -66,8 +66,8 @@ type vecSink struct {
 }
 
 // class is one charge site's pricing: each of its n events costs rate model
-// units (perturbation factor folded in), or, with div > 1, each div events
-// do — the spilled hash probe's one page per spillEvery inputs.
+// units — one of the node's cost.Rates — or, with div > 1, each div events
+// do: the spilled hash probe's one page per spillEvery inputs.
 type class struct {
 	rate float64
 	div  int64
@@ -260,7 +260,7 @@ type vecEngine struct {
 	e       *Engine
 	collect func(row []int64) // Options.Collect
 	m       countMeter
-	vb      *builder // shapes, predicate-binding and perturbation helpers only
+	vb      *builder // shapes and predicate-binding helpers only
 	stats   map[*plan.Node]*NodeStats
 	idx     map[*plan.Node]int
 	nodes   []*plan.Node
@@ -275,8 +275,8 @@ type vecEngine struct {
 	// stop is raised by the first worker whose check trips: the run aborts.
 	stop atomic.Bool
 
-	// reuse is the operator-state cache (nil unless Options.Reuse is set
-	// and Perturb is not); tally counts this execution's hits. Both are
+	// reuse is the operator-state cache (nil unless Options.Reuse is
+	// set); tally counts this execution's hits. Both are
 	// touched only between pipelines, on the composing goroutine.
 	reuse *ReuseCache
 	tally reuseTally
@@ -554,14 +554,12 @@ func (e *Engine) runVectorized(driven *plan.Node, opts Options, budget float64) 
 		e:       e,
 		collect: opts.Collect,
 		m:       countMeter{budget: budget},
-		vb:      &builder{e: e, shapes: e.shapes(driven, opts.Collect != nil), perturb: opts.Perturb},
+		vb:      &builder{e: e, shapes: e.shapes(driven, opts.Collect != nil)},
 		stats:   make(map[*plan.Node]*NodeStats),
 		idx:     make(map[*plan.Node]int),
 		batch:   opts.BatchSize,
 		workers: opts.Parallelism,
-	}
-	if opts.Perturb == nil {
-		v.reuse = opts.Reuse
+		reuse:   opts.Reuse,
 	}
 	if err := v.validate(driven); err != nil {
 		return Result{}, err

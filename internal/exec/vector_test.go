@@ -120,25 +120,6 @@ func TestVectorizedMatchesVolcanoOnFixturePlans(t *testing.T) {
 	}
 }
 
-// TestVectorizedPerturbedChargeParity pins that the δ-perturbed charger
-// (§3.4) scales batch charges exactly like per-tuple charges.
-func TestVectorizedPerturbedChargeParity(t *testing.T) {
-	fx := newFixture(t)
-	perturb := func(n *plan.Node) float64 {
-		if n.Op == plan.OpSeqScan {
-			return 1.37
-		}
-		return 0.81
-	}
-	for name, p := range fx.plans {
-		vol := runCollected(t, fx.eng, p, Options{Perturb: perturb})
-		vec := runCollected(t, fx.eng, p, Options{
-			Vectorized: true, BatchSize: 256, Parallelism: 4, Perturb: perturb,
-		})
-		assertParity(t, name, vol, vec)
-	}
-}
-
 // TestVectorizedOptionsValidation is the regression test for the Run-entry
 // validation: non-positive batch sizes or worker counts — and batch
 // options without Vectorized — must error, not panic or silently fall
