@@ -6,7 +6,7 @@ BIN := bin
 # headroom for run-to-run variation, not for new untested code).
 COVER_FLOOR := 78.0
 
-.PHONY: build test vet race race-generators race-serving determinism-exec fuzz lint lint-timing fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
+.PHONY: verdict build test vet race race-generators race-serving determinism-exec fuzz lint lint-timing fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
 
 build:
 	$(GO) build ./...
@@ -173,6 +173,12 @@ corpus-bless:
 corpus-stats:
 	$(GO) run ./cmd/bouquet corpus stats -dir $(CORPUS_DIR)
 
+# verdict evaluates the ten Table-2 spaces (both drivers, NAT, SEER) and
+# fails when any of the paper's headline claims does not hold — the
+# scorecard `bouquet verdict` prints, as a gate (~11 s on 2 vCPUs).
+verdict:
+	$(GO) run ./cmd/bouquet verdict
+
 # ci mirrors the CI workflow's main job exactly — .github/workflows/ci.yml
 # invokes this target, so local `make ci` and CI cannot diverge.
-ci: fmt-check vet build test race race-generators race-serving determinism-exec lint bench-compile-smoke bench-exec-smoke corpus-smoke
+ci: fmt-check vet build test race race-generators race-serving determinism-exec lint bench-compile-smoke bench-exec-smoke corpus-smoke verdict

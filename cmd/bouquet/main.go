@@ -215,9 +215,13 @@ func run(cmd string, pos []string, res int, lambda float64, workers int, seed in
 		}
 		print("fig17", report.Figure17(evals))
 		print("fig18", report.Figure18(evals))
-		print("verdict", report.Verdict(evals))
+		verdict := report.Verdict(evals)
+		print("verdict", verdict)
 		if cmd == "all" {
 			return runRemaining(res, workers, seed)
+		}
+		if failed := report.Failed(verdict); cmd == "verdict" && len(failed) > 0 {
+			return fmt.Errorf("verdict: %d of %d claims do not hold: %s", len(failed), len(verdict.Rows), strings.Join(failed, "; "))
 		}
 		return nil
 

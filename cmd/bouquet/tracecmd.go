@@ -54,7 +54,8 @@ func traceCmd(name string, res int, lambda float64, workers int, qaFlag string, 
 
 // traceConcrete runs the HQ8a runtime workload on the execution engine
 // with tracing enabled: the exec spans carry real per-operator tuple
-// counters, and spill/budget-abort spans come from the engine itself.
+// counters; the spill/budget-abort spans come from the run driver, as on
+// simulated runs.
 func traceConcrete(optimized, nodes bool, seed int64) error {
 	rw, err := workload.HQ8a(seed)
 	if err != nil {

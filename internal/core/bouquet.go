@@ -16,8 +16,8 @@
 // heuristic, and uses spilled partial executions to maximise selectivity
 // learning per unit of exploration budget.
 //
-// One run-time driver (driver.go) executes both algorithms over a stepper,
-// of which there are two: budgeted executions simulated on the optimizer's
+// One run-time driver (driver.go) decides every step of both algorithms and
+// records its control spans; a stepper only executes, and there are two: budgeted executions simulated on the optimizer's
 // cost surfaces (what the paper's grid metrics are computed from), and
 // plans run on the internal/exec engine over real rows (Table 3's
 // validation).

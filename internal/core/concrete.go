@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/cost"
@@ -64,9 +63,8 @@ type ConcreteRunner struct {
 	Engine *exec.Engine
 	// Trace, when non-nil, receives structured spans for the run: contour
 	// entries, exec spans carrying the engine's real per-operator tuple
-	// counters, spill and budget-abort spans (emitted by the engine
-	// itself), and discovered-selectivity learn spans. nil disables
-	// recording entirely.
+	// counters, the driver's spill and budget-abort spans, and
+	// discovered-selectivity learn spans. nil disables recording entirely.
 	Trace *trace.Recorder
 	// Parallelism, when non-zero, runs every execution step on the
 	// vectorized morsel-parallel engine with that many workers (batch
@@ -100,13 +98,19 @@ func (r *ConcreteRunner) Run(ctx context.Context, optimized bool) (ConcreteExecu
 	if r.Reuse {
 		s.cache = exec.NewReuseCache()
 	}
-	if !optimized {
-		err := r.B.runBasic(ctx, s, r.Trace, nil)
-		return s.out, err
+	var done bool
+	var err error
+	if optimized {
+		st := r.B.newRunState(nil)
+		done, err = r.B.runOptimized(ctx, s, r.Trace, st)
+		s.out.Learned = st.qrun
+	} else {
+		done, err = r.B.runBasic(ctx, s, r.Trace, nil)
 	}
-	st := r.B.newRunState(nil)
-	err := r.B.runOptimized(ctx, s, r.Trace, st)
-	s.out.Learned = st.qrun
+	if done {
+		// The finishing step's driven node is the plan root.
+		s.out.Completed, s.out.ResultRows = true, s.out.Steps[len(s.out.Steps)-1].Rows
+	}
 	return s.out, err
 }
 
@@ -131,16 +135,18 @@ type engineStepper struct {
 	out   ConcreteExecution
 }
 
-// run executes plan pid under budget — the whole plan when pred < 0, else
-// spilled at pred to learn dim from state st — and folds the step into the
-// run: the step list, the cost/wall/reuse totals, and the exec trace span
-// carrying the engine's per-operator counters in plan walk order.
-func (s *engineStepper) run(contour, pid, pred, dim int, budget cost.Cost, st *runState) (bound float64, completed, finished bool, err error) {
+func (s *engineStepper) generic(c Contour, pid int) (Step, error) {
+	step, _, err := s.spill(c, pid, -1, -1, nil)
+	return step, err
+}
+
+// spill executes plan pid under c's budget — spilled at pred to learn dim
+// from state st, or the whole plan when pred < 0 — and folds the step into
+// the run: the step list, the cost/wall/reuse totals, and the exec trace
+// span carrying the engine's per-operator counters in plan walk order.
+func (s *engineStepper) spill(c Contour, pid, pred, dim int, st *runState) (Step, float64, error) {
 	r, p := s.r, s.r.B.Diagram.Plan(pid)
-	opts := exec.Options{Budget: budget, Spill: pred >= 0, SpillPred: pred, Reuse: s.cache}
-	if r.Trace.Enabled() {
-		opts.Trace, opts.TraceContour, opts.TracePlan = r.Trace, contour, pid
-	}
+	opts := exec.Options{Budget: c.Budget, Spill: pred >= 0, SpillPred: pred, Reuse: s.cache}
 	if r.Parallelism != 0 {
 		opts.Vectorized, opts.BatchSize, opts.Parallelism = true, exec.DefaultBatchSize, r.Parallelism
 	}
@@ -148,19 +154,14 @@ func (s *engineStepper) run(contour, pid, pred, dim int, budget cost.Cost, st *r
 	res, err := r.Engine.Run(p, opts)
 	wall := time.Since(t0)
 	if err != nil {
-		return 0, false, false, fmt.Errorf("core: contour %d plan %d: %w", contour, pid, err)
+		return Step{}, 0, fmt.Errorf("core: contour %d plan %d: %w", c.K, pid, err)
 	}
-	// A whole plan that completes is the query result. So is a completed
-	// spill whose error node is the plan root: the "spilled" subtree was
-	// the whole plan, so the result is already in hand.
-	completed, finished = res.Completed, res.Completed
+	completed, bound := res.Completed, 0.0
 	if pred >= 0 {
-		node := spillNode(p, pred)
-		bound, completed = r.learnFromStats(node, pred, st, res)
-		finished = completed && node == p
+		bound, completed = r.learnFromStats(spillNode(p, pred), pred, st, res)
 	}
 	step := ConcreteStep{
-		Step: Step{Contour: contour, PlanID: pid, Dim: dim, Budget: budget, Spent: res.CostUsed, Completed: completed},
+		Step: Step{Contour: c.K, PlanID: pid, Dim: dim, Budget: c.Budget, Spent: res.CostUsed, Completed: completed},
 		Wall: wall, Rows: res.RowsOut, ReuseHits: res.ReuseHits, Salvaged: res.SalvagedCost,
 	}
 	s.out.Steps = append(s.out.Steps, step)
@@ -168,48 +169,18 @@ func (s *engineStepper) run(contour, pid, pred, dim int, budget cost.Cost, st *r
 	s.out.Wall += wall
 	s.out.ReuseHits += step.ReuseHits
 	s.out.SalvagedCost += step.Salvaged
-	if finished {
-		s.out.Completed, s.out.ResultRows = true, res.RowsOut
-	}
 	if r.Trace.Enabled() {
 		r.Trace.Record(trace.Span{
-			Kind: trace.KindExec, Contour: contour, PlanID: pid, Dim: dim, Pred: pred,
-			Budget: trace.SafeCost(budget.F()), Spent: trace.SafeCost(step.Spent.F()),
+			Kind: trace.KindExec, Contour: c.K, PlanID: pid, Dim: dim, Pred: pred,
+			Budget: trace.SafeCost(c.Budget.F()), Spent: trace.SafeCost(step.Spent.F()),
 			Rows: step.Rows, Completed: completed, WallNanos: wall.Nanoseconds(),
 			Batches: res.Batches, Workers: res.Workers,
 			ReuseHits: step.ReuseHits, SalvagedCost: trace.SafeCost(step.Salvaged.F()),
 			Nodes: res.TraceNodes(p),
 		})
 	}
-	return bound, completed, finished, nil
+	return step.Step, bound, nil
 }
-
-func (s *engineStepper) generic(c Contour, pid int) (bool, error) {
-	_, completed, _, err := s.run(c.K, pid, -1, -1, c.Budget, nil)
-	return completed, err
-}
-
-func (s *engineStepper) spill(c Contour, pid, pred, dim int, st *runState) (float64, bool, bool, error) {
-	return s.run(c.K, pid, pred, dim, c.Budget, st)
-}
-
-// terminal runs, with no ground truth to consult, the last contour's first
-// plan under the basic algorithm and its cheapest plan by estimate at q_run
-// under the optimized one.
-func (s *engineStepper) terminal(st *runState) error {
-	b := s.r.B
-	last := b.Contours[len(b.Contours)-1]
-	pid := last.PlanIDs[0]
-	if st != nil {
-		pid = b.cheapest(last.PlanIDs, b.Space.Sels(st.qrun))
-	}
-	_, _, _, err := s.run(len(b.Contours)+1, pid, -1, -1, cost.Cost(math.Inf(1)), nil)
-	return err
-}
-
-// nearWhenLearned is true: the engine stepper keeps preferring the contour's
-// covering plan near q_run after the last dimension is learned.
-func (s *engineStepper) nearWhenLearned() bool { return true }
 
 // learnFromStats derives the running selectivity lower bound for predID
 // from a spilled execution's tuple counters (§5.2):

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -149,5 +150,37 @@ func TestConcreteTerminalReuseDifferential(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("terminal-path runs took no reuse hits")
+	}
+}
+
+// TestSimulatedTerminalPick: past the terminus the simulated drivers end on
+// the step the engine runs there, picked without ground truth — the last
+// contour's first plan under the basic algorithm, one of its plans (the
+// cheapest by estimate at q_run) under the optimized one — run unbudgeted.
+// The ground-truth pick, the bouquet plan cheapest at q_a, bounds what that
+// step is charged from below.
+func TestSimulatedTerminalPick(t *testing.T) {
+	b, _, _ := truncatedSpaceFixture(t, 42)
+	qa := b.Space.Terminus().Clone()
+	for d := range qa {
+		qa[d] *= 5 // the realized selectivities
+	}
+	sels := b.Space.Sels(qa)
+	truth := cost.Cost(math.Inf(1))
+	for _, pid := range b.PlanIDs {
+		truth = min(truth, b.execCost(b.Diagram.Plan(pid), sels))
+	}
+	last := b.Contours[len(b.Contours)-1]
+	for name, e := range map[string]Execution{"basic": b.RunBasic(qa), "optimized": b.RunOptimized(qa)} {
+		st := e.Steps[len(e.Steps)-1]
+		if !e.Completed || !st.Completed || st.Contour != len(b.Contours)+1 || !math.IsInf(st.Budget.F(), 1) || !slices.Contains(last.PlanIDs, st.PlanID) {
+			t.Fatalf("%s: completed %v, last step %+v, want an unbudgeted last-contour plan past contour %d", name, e.Completed, st, len(b.Contours))
+		}
+		if name == "basic" && st.PlanID != last.PlanIDs[0] {
+			t.Fatalf("basic terminal ran plan %d, want the last contour's first plan %d", st.PlanID, last.PlanIDs[0])
+		}
+		if st.Spent < truth {
+			t.Fatalf("%s terminal charged %v, below the ground-truth pick's %v", name, st.Spent, truth)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -70,33 +71,23 @@ func (e Execution) String() string {
 	return sb.String()
 }
 
-// stepper is the substrate a bouquet run executes on: the Fig. 7 / Fig. 13
-// policy in this file decides what runs next, a stepper runs it, folds the
-// step into its own execution record and trace, and reports the outcome.
-// surfaceStepper prices executions on the optimizer's cost surface (the
-// grid metrics, Figs. 14–17), engineStepper runs them on exec.Engine over
-// real rows (Table 3); the two numbers thus describe one algorithm.
-//
-// Where the hand-written loops this replaced had drifted apart, the
-// difference is a stepper answer (nearWhenLearned, spill's finished, the
-// plan terminal picks), not a silent reconciliation; see ROADMAP item 2.
+// stepper is the substrate a bouquet run executes on. The Fig. 7 / Fig. 13
+// policy in this file decides what runs next and records the control spans
+// (spill before a spilled step, budget-abort after one that did not
+// complete); a stepper only executes: it runs the step, folds it into its
+// own execution record, records the step's exec span with its own node
+// stats, and returns the step. surfaceStepper prices executions on the
+// optimizer's cost surface (the grid metrics, Figs. 14–17), engineStepper
+// runs them on exec.Engine over real rows (Table 3); the two numbers thus
+// describe one algorithm.
 type stepper interface {
-	// generic executes plan pid cost-limited under c's budget and reports
-	// whether it completed, which finishes the query.
-	generic(c Contour, pid int) (completed bool, err error)
+	// generic executes plan pid cost-limited under c's budget.
+	generic(c Contour, pid int) (Step, error)
 	// spill executes, under c's budget, the subtree of plan pid rooted at
-	// the node applying pred, to learn dimension dim (§5.3). bound is the
-	// selectivity lower bound established — the true value when exact, i.e.
-	// the subtree completed; finished, that it already was the query result.
-	spill(c Contour, pid, pred, dim int, st *runState) (bound float64, exact, finished bool, err error)
-	// terminal finishes the query with one unbudgeted execution beyond the
-	// last contour (q_a past the terminus, or every plan failed under a
-	// divergent actual model). st is nil under the basic algorithm.
-	terminal(st *runState) error
-	// nearWhenLearned answers which survivor runs once every dimension is
-	// learned: the contour's covering plan near q_run first (true), or
-	// the cheapest by estimate outright (false).
-	nearWhenLearned() bool
+	// the node applying pred, to learn dimension dim from state st (§5.3).
+	// bound is the selectivity lower bound established: the true value
+	// when the step completed.
+	spill(c Contour, pid, pred, dim int, st *runState) (step Step, bound float64, err error)
 }
 
 // must unwraps a run whose context is never cancelled, so that an error can
@@ -111,8 +102,9 @@ func must[E any](e E, err error) E {
 // runBasic is the basic bouquet algorithm (Fig. 7) over s: contour by
 // contour, execute each contour plan under the contour budget until one
 // completes. A seed known to be a component-wise underestimate of q_a (§8)
-// skips the contours below it; nil starts at IC1.
-func (b *Bouquet) runBasic(ctx context.Context, s stepper, rec *trace.Recorder, seed ess.Point) error {
+// skips the contours below it; nil starts at IC1. It reports whether the
+// query finished.
+func (b *Bouquet) runBasic(ctx context.Context, s stepper, rec *trace.Recorder, seed ess.Point) (bool, error) {
 	start := 0
 	if seed != nil {
 		floor := b.optCostAtFloor(seed)
@@ -128,32 +120,53 @@ func (b *Bouquet) runBasic(ctx context.Context, s stepper, rec *trace.Recorder, 
 			// budgeted executions, and a server deadline must not
 			// wait out all of them.
 			if err := ctx.Err(); err != nil {
-				return err
+				return false, err
 			}
-			if done, err := s.generic(c, pid); done || err != nil {
-				return err
+			if done, err := b.generic(s, rec, c, pid); done || err != nil {
+				return done, err
 			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.terminal(nil)
+	return b.terminal(ctx, s, rec, b.Contours[len(b.Contours)-1].PlanIDs[0])
 }
 
 // runOptimized is the optimized bouquet algorithm (Fig. 13) over s from run
 // state st: q_run tracking, AxisPlans plan selection, spill-driven
-// selectivity learning, pincer elimination and early contour change.
-func (b *Bouquet) runOptimized(ctx context.Context, s stepper, rec *trace.Recorder, st *runState) error {
+// selectivity learning, pincer elimination and early contour change. It
+// reports whether the query finished.
+func (b *Bouquet) runOptimized(ctx context.Context, s stepper, rec *trace.Recorder, st *runState) (bool, error) {
 	for _, c := range b.Contours {
 		if done, err := b.runContour(ctx, s, rec, c, st); done || err != nil {
-			return err
+			return done, err
 		}
 	}
+	last := b.Contours[len(b.Contours)-1]
+	return b.terminal(ctx, s, rec, b.cheapest(last.PlanIDs, b.Space.Sels(st.qrun)))
+}
+
+// terminal finishes the query with one unbudgeted execution of pid beyond
+// the last contour: q_a lies past the terminus, or every plan failed under
+// a divergent actual model. The choice of pid is the caller's, from what a
+// run knows without ground truth: the last contour's first plan under the
+// basic algorithm, its cheapest plan by estimate at q_run under the
+// optimized one.
+func (b *Bouquet) terminal(ctx context.Context, s stepper, rec *trace.Recorder, pid int) (bool, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return false, err
 	}
-	return s.terminal(st)
+	return b.generic(s, rec, Contour{K: len(b.Contours) + 1, Budget: cost.Cost(math.Inf(1))}, pid)
+}
+
+// generic executes plan pid on s under c's budget, records the budget-abort
+// span if it did not complete, and reports whether it completed, which
+// finishes the query.
+func (b *Bouquet) generic(s stepper, rec *trace.Recorder, c Contour, pid int) (bool, error) {
+	step, err := s.generic(c, pid)
+	if err != nil {
+		return false, err
+	}
+	recordAbort(rec, step, -1)
+	return step.Completed, nil
 }
 
 // runContour processes one contour of the optimized algorithm and reports
@@ -202,10 +215,13 @@ func (b *Bouquet) runContour(ctx context.Context, s stepper, rec *trace.Recorder
 			cand := pickCandidate(cands)
 			spilled[cand.planID] = true
 			dim := b.Query.DimOf(cand.learnID)
-			bound, exact, finished, err := s.spill(c, cand.planID, cand.learnID, dim, st)
+			recordSpill(rec, c, cand.planID, dim, cand.learnID)
+			step, bound, err := s.spill(c, cand.planID, cand.learnID, dim, st)
 			if err != nil {
 				return false, err
 			}
+			recordAbort(rec, step, cand.learnID)
+			exact := step.Completed
 			// Only ever raising q_run keeps the first-quadrant
 			// invariant (§5.2).
 			if bound > st.qrun[dim] {
@@ -219,7 +235,9 @@ func (b *Bouquet) runContour(ctx context.Context, s stepper, rec *trace.Recorder
 				drop(cand.planID)
 			}
 			recordLearn(rec, c.K, cand.planID, dim, cand.learnID, st.qrun[dim], exact)
-			if finished {
+			// A completed spill whose node is the plan root ran the
+			// whole plan: the query result is already in hand.
+			if p := b.Diagram.Plan(cand.planID); exact && spillNode(p, cand.learnID) == p {
 				return true, nil
 			}
 			continue
@@ -229,12 +247,14 @@ func (b *Bouquet) runContour(ctx context.Context, s stepper, rec *trace.Recorder
 		// generically, cost-limited (Fig. 7 semantics for this one
 		// plan). Prefer the plan covering q_run's contour region —
 		// the one the coverage guarantee speaks for if q_a is near
-		// q_run — falling back to the cheapest at q_run.
+		// q_run — falling back to the cheapest at q_run. Once every
+		// dimension is learned q_run is q_a, and the cheapest by
+		// estimate runs outright.
 		pid, ok := b.contourPlanNear(c, b.Space.Coord(b.Space.FloorFlat(st.qrun)))
-		if !ok || !slices.Contains(remaining, pid) || (st.allLearned() && !s.nearWhenLearned()) {
+		if !ok || !slices.Contains(remaining, pid) || st.allLearned() {
 			pid = b.cheapest(remaining, qrunSels)
 		}
-		if done, err := s.generic(c, pid); done || err != nil {
+		if done, err := b.generic(s, rec, c, pid); done || err != nil {
 			return done, err
 		}
 		drop(pid)

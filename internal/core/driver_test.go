@@ -8,11 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/ess"
 	"repro/internal/exec"
 	"repro/internal/optimizer"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -22,9 +24,9 @@ import (
 
 // call is one execution the policy asked the scripted stepper for.
 type call struct {
-	kind     string // "generic", "spill" or "terminal"
-	contour  int
-	pid, dim int
+	kind           string // "generic" or "spill"
+	contour        int
+	pid, dim, pred int
 }
 
 // scriptedStepper answers the policy from a script and records what it was
@@ -34,7 +36,7 @@ type scriptedStepper struct {
 	// onGeneric and onSpill script the answers; nil means "fails, nothing
 	// learned".
 	onGeneric func(c Contour, pid int) bool
-	onSpill   func(c Contour, pid, dim int, st *runState) (bound float64, exact, finished bool)
+	onSpill   func(c Contour, pid, pred, dim int, st *runState) (bound float64, exact bool)
 	err       error // returned by every execution when set
 	// cancel, when set, is called once cancelAfter executions were asked for.
 	cancelAfter int
@@ -48,32 +50,21 @@ func (s *scriptedStepper) log(c call) {
 	}
 }
 
-func (s *scriptedStepper) generic(c Contour, pid int) (bool, error) {
-	s.log(call{"generic", c.K, pid, -1})
-	return s.onGeneric != nil && s.onGeneric(c, pid), s.err
+func (s *scriptedStepper) generic(c Contour, pid int) (Step, error) {
+	s.log(call{"generic", c.K, pid, -1, -1})
+	done := s.onGeneric != nil && s.onGeneric(c, pid)
+	return Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Completed: done}, s.err
 }
 
-func (s *scriptedStepper) spill(c Contour, pid, pred, dim int, st *runState) (float64, bool, bool, error) {
-	s.log(call{"spill", c.K, pid, dim})
-	if s.onSpill == nil {
-		return 0, false, false, s.err
+func (s *scriptedStepper) spill(c Contour, pid, pred, dim int, st *runState) (Step, float64, error) {
+	s.log(call{"spill", c.K, pid, dim, pred})
+	var bound float64
+	var exact bool
+	if s.onSpill != nil {
+		bound, exact = s.onSpill(c, pid, pred, dim, st)
 	}
-	bound, exact, finished := s.onSpill(c, pid, dim, st)
-	return bound, exact, finished, s.err
+	return Step{Contour: c.K, PlanID: pid, Dim: dim, Budget: c.Budget, Completed: exact}, bound, s.err
 }
-
-func (s *scriptedStepper) terminal(st *runState) error {
-	dim := -1
-	if st != nil {
-		dim = len(st.qrun) // marks "optimized" in the call log
-	}
-	s.log(call{"terminal", 0, -1, dim})
-	return s.err
-}
-
-// nearWhenLearned: the one substrate disagreement left is pinned per
-// substrate (corpus baselines, pinnedConcreteRuns), not scripted here.
-func (s *scriptedStepper) nearWhenLearned() bool { return false }
 
 func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 	b, _ := compileFor(t, query2D(t), 12, CompileOptions{Lambda: 0.2})
@@ -117,6 +108,7 @@ func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 		t.Fatalf("fixture lacks an early-change (%v) or a pincer (%v) start location", earlyStart, pincerStart)
 	}
 	last := func(s *scriptedStepper) call { return s.calls[len(s.calls)-1] }
+	lastContour := b.Contours[len(b.Contours)-1]
 
 	for _, tc := range []struct {
 		name   string
@@ -149,7 +141,7 @@ func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 			qrun: earlyStart,
 			check: func(t *testing.T, s *scriptedStepper, st *runState, err error) {
 				for _, c := range s.calls {
-					if c.kind != "terminal" && c.contour <= earlyContour.K {
+					if c.contour <= earlyContour.K {
 						t.Fatalf("executed %+v on a contour q_run had already crossed (%d)", c, earlyContour.K)
 					}
 				}
@@ -157,8 +149,8 @@ func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 		},
 		{
 			name: "exact spill retires its dimension",
-			script: scriptedStepper{onSpill: func(c Contour, pid, dim int, st *runState) (float64, bool, bool) {
-				return st.qrun[dim], dim == 0, false
+			script: scriptedStepper{onSpill: func(c Contour, pid, pred, dim int, st *runState) (float64, bool) {
+				return st.qrun[dim], dim == 0
 			}},
 			check: func(t *testing.T, s *scriptedStepper, st *runState, err error) {
 				spills := 0
@@ -193,21 +185,12 @@ func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 			},
 		},
 		{
-			name: "root spill finishes when the stepper says so",
-			script: scriptedStepper{onSpill: func(c Contour, pid, dim int, st *runState) (float64, bool, bool) {
-				return st.qrun[dim], true, c.K == 2
-			}},
-			check: func(t *testing.T, s *scriptedStepper, st *runState, err error) {
-				if l := last(s); l.kind != "spill" || l.contour != 2 {
-					t.Fatalf("run went on past the finishing spill: %v", s.calls)
-				}
-			},
-		},
-		{
 			name: "exhausted contours end in the terminal step",
+			// Nothing is learned, so q_run is the origin throughout.
 			check: func(t *testing.T, s *scriptedStepper, st *runState, err error) {
-				if l := last(s); l.kind != "terminal" || l.dim != 2 {
-					t.Fatalf("last call %+v, want the optimized terminal step", l)
+				want := call{"generic", len(b.Contours) + 1, b.cheapest(lastContour.PlanIDs, b.Space.Sels(b.Space.Origin())), -1, -1}
+				if l := last(s); l != want {
+					t.Fatalf("last call %+v, want the optimized terminal step %+v", l, want)
 				}
 			},
 		},
@@ -218,10 +201,10 @@ func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 				var want []call
 				for _, c := range b.Contours {
 					for _, pid := range c.PlanIDs {
-						want = append(want, call{"generic", c.K, pid, -1})
+						want = append(want, call{"generic", c.K, pid, -1, -1})
 					}
 				}
-				want = append(want, call{"terminal", 0, -1, -1})
+				want = append(want, call{"generic", len(b.Contours) + 1, lastContour.PlanIDs[0], -1, -1})
 				if !slices.Equal(s.calls, want) {
 					t.Fatalf("calls %v, want %v", s.calls, want)
 				}
@@ -232,8 +215,8 @@ func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 			// Both dimensions are learned at the origin, which leaves
 			// only generic executions.
 			script: scriptedStepper{
-				onSpill: func(c Contour, pid, dim int, st *runState) (float64, bool, bool) {
-					return st.qrun[dim], true, false
+				onSpill: func(c Contour, pid, pred, dim int, st *runState) (float64, bool) {
+					return st.qrun[dim], true
 				},
 				onGeneric: func(c Contour, pid int) bool { return c.K == 3 },
 			},
@@ -269,15 +252,44 @@ func TestDriverPolicyOnScriptedStepper(t *testing.T) {
 			s.cancel = cancel
 			var err error
 			if tc.basic {
-				err = b.runBasic(ctx, &s, nil, nil)
+				_, err = b.runBasic(ctx, &s, nil, nil)
 			} else {
-				err = b.runOptimized(ctx, &s, nil, st)
+				_, err = b.runOptimized(ctx, &s, nil, st)
 			}
 			if err != nil && tc.script.cancelAfter == 0 && tc.script.err == nil {
 				t.Fatal(err)
 			}
 			tc.check(t, &s, st, err)
 		})
+	}
+}
+
+// TestDriverRootSpillFinishes: a completed spill whose node is the plan root
+// ran the whole plan, so the driver ends the run there — and only there. On
+// a two-relation query whose error-prone join is every plan's root, every
+// scripted spill completes: the run learns the selection first (the deeper
+// node), then ends at the first spill of the join.
+func TestDriverRootSpillFinishes(t *testing.T) {
+	cat := catalog.TPCHLike(0.1)
+	q := query.NewBuilder("root-spill", cat).
+		Relation("part").Relation("lineitem").
+		SelectionPred("part", "p_retailprice", 0.1, true).
+		JoinPred("part", "p_partkey", "lineitem", "l_partkey", query.PKFKSel(cat, "part"), true).
+		MustBuild()
+	b, _ := compileFor(t, q, 12, CompileOptions{Lambda: 0.2})
+	s := scriptedStepper{onSpill: func(c Contour, pid, pred, dim int, st *runState) (float64, bool) {
+		return st.qrun[dim], true
+	}}
+	done, err := b.runOptimized(context.Background(), &s, nil, b.newRunState(nil))
+	if err != nil || !done {
+		t.Fatalf("done %v err %v, want a finished run", done, err)
+	}
+	for i, c := range s.calls {
+		p := b.Diagram.Plan(c.pid)
+		root := c.kind == "spill" && spillNode(p, c.pred) == p
+		if root != (i == len(s.calls)-1) {
+			t.Fatalf("call %d of %v: root spill %v, want one exactly at the end", i, s.calls, root)
+		}
 	}
 }
 

@@ -47,7 +47,8 @@ func (b *Bouquet) RunBasicTraced(ctx context.Context, qa, seed ess.Point, rec *t
 		return Execution{}, err
 	}
 	s := b.onSurface(qa, rec)
-	err := b.runBasic(ctx, s, rec, seed)
+	done, err := b.runBasic(ctx, s, rec, seed)
+	s.e.Completed = done
 	return s.e, err
 }
 
@@ -72,7 +73,8 @@ func (b *Bouquet) RunOptimizedTraced(ctx context.Context, qa, seed ess.Point, re
 			st.learned[d] = true
 		}
 	}
-	err := b.runOptimized(ctx, s, rec, st)
+	done, err := b.runOptimized(ctx, s, rec, st)
+	s.e.Completed = done
 	return s.e, err
 }
 
@@ -135,50 +137,25 @@ func (s *surfaceStepper) record(st Step, driven *plan.Node, pred int, start time
 	s.b.recordStep(s.rec, st, driven, pred, s.t.sels, start)
 }
 
-func (s *surfaceStepper) generic(c Contour, pid int) (bool, error) {
+func (s *surfaceStepper) generic(c Contour, pid int) (Step, error) {
 	t0 := stepClock(s.rec)
 	p := s.b.Diagram.Plan(pid)
 	st := Step{Contour: c.K, PlanID: pid, Dim: -1, Budget: c.Budget, Spent: c.Budget}
 	if full := s.b.execCost(p, s.t.sels); full <= c.Budget {
-		st.Spent, st.Completed, s.e.Completed = full, true, true
+		st.Spent, st.Completed = full, true
 	}
 	s.record(st, p, -1, t0)
-	return st.Completed, nil
+	return st, nil
 }
 
-// spill never reports finished: a completed spill at the plan root learns
-// its dimension and the plan is then paid for a second time generically.
-func (s *surfaceStepper) spill(c Contour, pid, pred, dim int, _ *runState) (float64, bool, bool, error) {
+func (s *surfaceStepper) spill(c Contour, pid, pred, dim int, _ *runState) (Step, float64, error) {
 	t0 := stepClock(s.rec)
-	if s.rec.Enabled() {
-		// The pipeline breaks above pred's node (the engine emits this
-		// span itself on concrete runs).
-		s.rec.Record(trace.Span{Kind: trace.KindSpill, Contour: c.K, PlanID: pid, Dim: dim, Pred: pred, Budget: trace.SafeCost(c.Budget.F())})
-	}
 	sub := spillNode(s.b.Diagram.Plan(pid), pred)
 	spent, bound, exact := s.b.simulateSpill(sub, dim, s.t, c.Budget)
-	s.record(Step{Contour: c.K, PlanID: pid, Dim: dim, Budget: c.Budget, Spent: spent, Completed: exact}, sub, pred, t0)
-	return bound, exact, false, nil
+	st := Step{Contour: c.K, PlanID: pid, Dim: dim, Budget: c.Budget, Spent: spent, Completed: exact}
+	s.record(st, sub, pred, t0)
+	return st, bound, nil
 }
-
-// terminal runs the bouquet plan that is cheapest at q_a under the actual
-// model — a choice only ground truth affords.
-func (s *surfaceStepper) terminal(*runState) error {
-	best, bestCost := -1, cost.Cost(math.Inf(1))
-	for _, pid := range s.b.PlanIDs {
-		if c := s.b.execCost(s.b.Diagram.Plan(pid), s.t.sels); c < bestCost {
-			best, bestCost = pid, c
-		}
-	}
-	_, err := s.generic(Contour{K: len(s.b.Contours) + 1, Budget: cost.Cost(math.Inf(1))}, best)
-	return err
-}
-
-// nearWhenLearned is false: with q_run == q_a the contour plans' estimated
-// costs are exactly computable, so the cheapest by estimate is executed.
-// Under a perfect cost model it completes; with a divergent actual model it
-// may still fail within budget, and is then eliminated and the next tried.
-func (s *surfaceStepper) nearWhenLearned() bool { return false }
 
 // simulateSpill models a budgeted spilled execution of the subtree under
 // ground truth t, learning dimension dim: if the subtree's full cost fits

@@ -80,7 +80,7 @@ func recordContour(rec *trace.Recorder, c Contour) {
 // recordStep emits the exec span for one abstract step that executed driven:
 // the whole plan s.PlanID for a generic step (pred -1), or for a spilled
 // step the subtree applying pred — the predicate it learned — with
-// everything downstream starved. A jettisoned step adds a budget-abort span.
+// everything downstream starved.
 func (b *Bouquet) recordStep(rec *trace.Recorder, s Step, driven *plan.Node, pred int, sels cost.Selectivities, start time.Time) {
 	if !rec.Enabled() {
 		return
@@ -96,12 +96,32 @@ func (b *Bouquet) recordStep(rec *trace.Recorder, s Step, driven *plan.Node, pre
 		sp.Rows = int64(rows.F())
 	}
 	rec.Record(sp)
-	if !s.Completed {
-		rec.Record(trace.Span{
-			Kind: trace.KindBudgetAbort, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: pred,
-			Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
-		})
+}
+
+// recordSpill emits the span marking the pipeline broken above pred's node
+// of plan pid for a spilled step on contour c learning dim (§5.3); the
+// driver records it before the step runs.
+func recordSpill(rec *trace.Recorder, c Contour, pid, dim, pred int) {
+	if !rec.Enabled() {
+		return
 	}
+	rec.Record(trace.Span{
+		Kind: trace.KindSpill, Contour: c.K, PlanID: pid, Dim: dim, Pred: pred,
+		Budget: trace.SafeCost(c.Budget.F()),
+	})
+}
+
+// recordAbort emits the budget-abort span for step s, spilled at pred (-1
+// for a generic step), when the budget cut it short; the driver records it
+// after the step's exec span, which carries the step's rows and counters.
+func recordAbort(rec *trace.Recorder, s Step, pred int) {
+	if !rec.Enabled() || s.Completed {
+		return
+	}
+	rec.Record(trace.Span{
+		Kind: trace.KindBudgetAbort, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: pred,
+		Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
+	})
 }
 
 // recordLearn emits the discovered-selectivity span: q_run moved along dim

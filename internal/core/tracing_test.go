@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,33 +42,18 @@ func TestRunBasicTracedSpans(t *testing.T) {
 		t.Fatalf("compile span = %+v, want %d contours / |B|=%d", spans[0], len(b.Contours), len(b.PlanIDs))
 	}
 
-	var execs, contours, aborts []trace.Span
+	contours := 0
 	for _, s := range spans {
-		switch s.Kind {
-		case trace.KindExec:
-			execs = append(execs, s)
-		case trace.KindContour:
-			contours = append(contours, s)
-		case trace.KindBudgetAbort:
-			aborts = append(aborts, s)
+		if s.Kind == trace.KindContour {
+			contours++
 		}
 	}
-	if len(execs) != len(e.Steps) {
-		t.Fatalf("%d exec spans for %d steps", len(execs), len(e.Steps))
-	}
-	if len(contours) == 0 {
+	if contours == 0 {
 		t.Fatal("no contour spans")
 	}
 	// Every exec span mirrors its step and carries per-node stats.
-	jettisoned := 0
+	execs := stepSpans(t, "basic", spans, e.Steps)
 	for i, s := range execs {
-		st := e.Steps[i]
-		if s.Contour != st.Contour || s.PlanID != st.PlanID || s.Completed != st.Completed {
-			t.Fatalf("exec span %d = %+v does not mirror step %+v", i, s, st)
-		}
-		if s.Spent != trace.SafeCost(st.Spent.F()) {
-			t.Fatalf("exec span %d spent %g, step spent %g", i, s.Spent, st.Spent.F())
-		}
 		if len(s.Nodes) == 0 {
 			t.Fatalf("exec span %d has no node stats", i)
 		}
@@ -79,12 +65,6 @@ func TestRunBasicTracedSpans(t *testing.T) {
 				t.Fatalf("exec span %d live node without cost: %+v", i, n)
 			}
 		}
-		if !st.Completed {
-			jettisoned++
-		}
-	}
-	if len(aborts) != jettisoned {
-		t.Fatalf("%d budget-abort spans for %d jettisoned steps", len(aborts), jettisoned)
 	}
 	last := execs[len(execs)-1]
 	if !last.Completed || last.Rows <= 0 {
@@ -105,26 +85,15 @@ func TestRunOptimizedTracedSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var execs, spills, learns []trace.Span
+	var learns []trace.Span
 	for _, s := range rec.Spans() {
-		switch s.Kind {
-		case trace.KindExec:
-			execs = append(execs, s)
-		case trace.KindSpill:
-			spills = append(spills, s)
-		case trace.KindLearn:
+		if s.Kind == trace.KindLearn {
 			learns = append(learns, s)
 		}
 	}
-	if len(execs) != len(e.Steps) {
-		t.Fatalf("%d exec spans for %d steps", len(execs), len(e.Steps))
-	}
 	spillSteps := 0
-	for i, s := range execs {
+	for i, s := range stepSpans(t, "optimized", rec.Spans(), e.Steps) {
 		st := e.Steps[i]
-		if s.Dim != st.Dim || s.PlanID != st.PlanID {
-			t.Fatalf("exec span %d = %+v does not mirror step %+v", i, s, st)
-		}
 		if len(s.Nodes) == 0 {
 			t.Fatalf("exec span %d has no node stats", i)
 		}
@@ -147,9 +116,6 @@ func TestRunOptimizedTracedSpans(t *testing.T) {
 	}
 	if spillSteps == 0 {
 		t.Skip("run produced no spilled steps at this location")
-	}
-	if len(spills) != spillSteps {
-		t.Fatalf("%d spill spans for %d spilled steps", len(spills), spillSteps)
 	}
 	if len(learns) != spillSteps {
 		t.Fatalf("%d learn spans for %d spilled steps", len(learns), spillSteps)
@@ -175,61 +141,105 @@ func liveNodes(s trace.Span) int {
 	return n
 }
 
+// stepSpans checks the step protocol over one run's spans: per step the
+// driver's spill span (a spilled step), the stepper's exec span mirroring
+// the step, then the driver's budget-abort span (a step the budget cut
+// short) carrying the step's Spent — in that order, with only compile,
+// contour and learn spans around them. It returns the exec spans in step
+// order.
+func stepSpans(t *testing.T, label string, spans []trace.Span, steps []Step) []trace.Span {
+	t.Helper()
+	next := func(i int) trace.Span {
+		t.Helper()
+		for len(spans) > 0 && (spans[0].Kind == trace.KindContour || spans[0].Kind == trace.KindLearn || spans[0].Kind == trace.KindCompile) {
+			spans = spans[1:]
+		}
+		if len(spans) == 0 {
+			t.Fatalf("%s: spans end before step %d", label, i)
+		}
+		s := spans[0]
+		spans = spans[1:]
+		return s
+	}
+	var execs []trace.Span
+	for i, st := range steps {
+		if st.Dim >= 0 {
+			sp := next(i)
+			if sp.Kind != trace.KindSpill || sp.Contour != st.Contour || sp.PlanID != st.PlanID || sp.Dim != st.Dim || sp.Pred < 0 || sp.Budget != trace.SafeCost(st.Budget.F()) {
+				t.Fatalf("%s: step %d %+v opens with %+v, want its spill span", label, i, st, sp)
+			}
+		}
+		ex := next(i)
+		if ex.Kind != trace.KindExec || ex.Contour != st.Contour || ex.PlanID != st.PlanID || ex.Dim != st.Dim || ex.Completed != st.Completed ||
+			ex.Budget != trace.SafeCost(st.Budget.F()) || ex.Spent != trace.SafeCost(st.Spent.F()) {
+			t.Fatalf("%s: exec span %+v does not mirror step %d %+v", label, ex, i, st)
+		}
+		execs = append(execs, ex)
+		if st.Completed {
+			continue
+		}
+		ab := next(i)
+		if ab.Kind != trace.KindBudgetAbort || ab.Contour != st.Contour || ab.PlanID != st.PlanID || ab.Dim != st.Dim || ab.Pred != ex.Pred ||
+			ab.Budget != ex.Budget || ab.Spent != ex.Spent {
+			t.Fatalf("%s: step %d exec span %+v closes with %+v, want its budget-abort span", label, i, ex, ab)
+		}
+	}
+	for _, s := range spans {
+		if s.Kind != trace.KindContour && s.Kind != trace.KindLearn {
+			t.Fatalf("%s: %s span after the last step", label, s.Kind)
+		}
+	}
+	return execs
+}
+
+// TestConcreteTracedSpans pins the step protocol (stepSpans) on the engine,
+// both algorithms, Volcano and vectorized. The exec spans carry the
+// engine's real counters, and one Spent runs through step, exec span and
+// budget-abort span — on Volcano the crossing charge, past the budget; on
+// the vectorized engine the budget itself.
 func TestConcreteTracedSpans(t *testing.T) {
 	_, r, _ := concreteFixture(t, 42)
-	for _, workers := range []int{0, 8} {
-		r.Parallelism = workers
-		r.Trace = trace.New(512)
-		out := r.RunOptimized()
-		if !out.Completed {
-			t.Fatal("run did not complete")
-		}
-		var execs, aborts []trace.Span
-		for _, s := range r.Trace.Spans() {
-			switch s.Kind {
-			case trace.KindExec:
-				execs = append(execs, s)
-			case trace.KindBudgetAbort:
-				aborts = append(aborts, s)
+	for _, optimized := range []bool{false, true} {
+		for _, workers := range []int{0, 8} {
+			label := fmt.Sprintf("optimized=%v w%d", optimized, workers)
+			r.Parallelism = workers
+			r.Trace = trace.New(512)
+			out, err := r.Run(context.Background(), optimized)
+			if err != nil || !out.Completed {
+				t.Fatalf("%s: err %v completed %v", label, err, out.Completed)
 			}
-		}
-		if len(execs) != len(out.Steps) {
-			t.Fatalf("%d exec spans for %d steps", len(execs), len(out.Steps))
-		}
-		for i, s := range execs {
-			st := out.Steps[i]
-			if s.Rows != st.Rows || s.WallNanos != st.Wall.Nanoseconds() || s.Spent != trace.SafeCost(st.Spent.F()) {
-				t.Fatalf("exec span %d = %+v does not mirror concrete step %+v", i, s, st)
+			steps := make([]Step, len(out.Steps))
+			for i, st := range out.Steps {
+				steps[i] = st.Step
 			}
-			if len(s.Nodes) == 0 {
-				t.Fatalf("exec span %d has no node stats", i)
-			}
-			// Concrete spans carry *real* engine counters: the driven node's
-			// output must appear among the live nodes.
-			found := false
-			for _, n := range s.Nodes {
-				if !n.Starved && n.Out == st.Rows {
-					found = true
+			aborts := 0
+			for i, ex := range stepSpans(t, label, r.Trace.Spans(), steps) {
+				st := out.Steps[i]
+				if ex.Rows != st.Rows || ex.WallNanos != st.Wall.Nanoseconds() || (workers > 0 && ex.Workers != workers) {
+					t.Fatalf("%s: exec span %+v does not mirror concrete step %d %+v", label, ex, i, st)
+				}
+				// The driven node's real output must appear among the live
+				// nodes.
+				found := false
+				for _, n := range ex.Nodes {
+					if !n.Starved && n.Out == st.Rows {
+						found = true
+					}
+				}
+				if !found {
+					t.Fatalf("%s: exec span %d nodes %+v do not account for %d output rows", label, i, ex.Nodes, st.Rows)
+				}
+				if st.Completed {
+					continue
+				}
+				aborts++
+				if vectorized := workers > 0; vectorized != (st.Spent == st.Budget) || st.Spent < st.Budget {
+					t.Fatalf("%s: aborted step %d spent %v of budget %v", label, i, st.Spent, st.Budget)
 				}
 			}
-			if !found {
-				t.Fatalf("exec span %d nodes %+v do not account for %d output rows", i, s.Nodes, st.Rows)
+			if aborts == 0 {
+				t.Fatalf("%s: no step was cut short; the fixture no longer exercises aborts", label)
 			}
-			// One Spent: the engine's budget-abort span, the exec span and
-			// the step report the same charge for a step the budget cut
-			// short — on the vectorized engine, the budget itself.
-			if !st.Completed {
-				if len(aborts) == 0 || aborts[0].Spent != st.Spent.F() || aborts[0].Rows != st.Rows {
-					t.Fatalf("w%d step %d spent %v rows %d, abort spans left: %+v", workers, i, st.Spent, st.Rows, aborts)
-				}
-				aborts = aborts[1:]
-				if workers > 0 && st.Spent != st.Budget {
-					t.Fatalf("w%d aborted step %d spent %v of budget %v", workers, i, st.Spent, st.Budget)
-				}
-			}
-		}
-		if len(aborts) != 0 {
-			t.Fatalf("w%d: %d budget-abort spans without an aborted step", workers, len(aborts))
 		}
 	}
 }
@@ -312,5 +322,11 @@ func TestTracingDisabledAllocParity(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { recordContour(nil, b.Contours[0]) }); got > 0 {
 		t.Errorf("recordContour(nil) allocates %.1f/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		recordSpill(nil, b.Contours[0], s.PlanID, 0, 0)
+		recordAbort(nil, s, -1)
+	}); got > 0 {
+		t.Errorf("recordSpill/recordAbort(nil) allocate %.1f/op, want 0", got)
 	}
 }

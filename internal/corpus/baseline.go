@@ -104,35 +104,44 @@ func modelFor(name string) (cost.Model, error) {
 	}
 }
 
-// Compute compiles spec through the real front door — sqlparse over the
-// generated catalog, ESS discretization, the DP optimizer, core.Compile —
-// and records the golden baseline.
-func Compute(spec Spec) (Baseline, error) {
+// compile takes spec through the real front door — sqlparse over the
+// generated catalog, ESS discretization, the DP optimizer, core.Compile.
+func compile(spec Spec) (*core.Bouquet, error) {
 	q, err := sqlparse.Parse(spec.ID, spec.Catalog, spec.SQL)
 	if err != nil {
-		return Baseline{}, fmt.Errorf("corpus: %s: parse: %w", spec.ID, err)
+		return nil, fmt.Errorf("corpus: %s: parse: %w", spec.ID, err)
 	}
 	if q.Dims() != spec.Dims {
-		return Baseline{}, fmt.Errorf("corpus: %s: parsed %d error dims, spec has %d", spec.ID, q.Dims(), spec.Dims)
+		return nil, fmt.Errorf("corpus: %s: parsed %d error dims, spec has %d", spec.ID, q.Dims(), spec.Dims)
 	}
 	model, err := modelFor(spec.Model)
 	if err != nil {
-		return Baseline{}, err
+		return nil, err
 	}
 	space, err := ess.NewSpace(q, []int{spec.Res})
 	if err != nil {
-		return Baseline{}, fmt.Errorf("corpus: %s: space: %w", spec.ID, err)
+		return nil, fmt.Errorf("corpus: %s: space: %w", spec.ID, err)
 	}
 	opt := optimizer.New(cost.NewCoster(q, model))
 	b, err := core.Compile(opt, space, core.CompileOptions{Lambda: anorexic.DefaultLambda, Workers: 1})
 	if err != nil {
-		return Baseline{}, fmt.Errorf("corpus: %s: compile: %w", spec.ID, err)
+		return nil, fmt.Errorf("corpus: %s: compile: %w", spec.ID, err)
 	}
+	return b, nil
+}
+
+// Compute compiles spec (see compile) and records the golden baseline.
+func Compute(spec Spec) (Baseline, error) {
+	b, err := compile(spec)
+	if err != nil {
+		return Baseline{}, err
+	}
+	space := b.Space
 
 	cmin, cmax := b.Diagram.CostBounds()
 	base := Baseline{
 		ID:             spec.ID,
-		Geometry:       q.JoinGraphShape(),
+		Geometry:       b.Query.JoinGraphShape(),
 		Dims:           spec.Dims,
 		Model:          spec.Model,
 		Res:            spec.Res,

@@ -31,6 +31,10 @@ const (
 	// ClassPlanShape: some contour's plan-fingerprint set changed, or the
 	// POSP/bouquet cardinalities moved.
 	ClassPlanShape DriftClass = "plan-shape"
+	// ClassRunProfile: a sampled run's driver step profile (steps, execs,
+	// aborts, spills, learns) or the number of sampled runs changed, with
+	// the compiled plan sets intact — the run-time policy moved.
+	ClassRunProfile DriftClass = "run-profile"
 	// ClassMSORegression: the MSO bound worsened (plan sets intact).
 	ClassMSORegression DriftClass = "mso-regression"
 	// ClassMSOImprovement: the MSO bound improved (plan sets intact).
@@ -109,6 +113,9 @@ func diffOne(g, c Baseline) (Drift, bool) {
 	if d := diffPlanShape(g, c); d != "" {
 		return Drift{ID: g.ID, Class: ClassPlanShape, Detail: d}, true
 	}
+	if d := diffRunProfile(g, c); d != "" {
+		return Drift{ID: g.ID, Class: ClassRunProfile, Detail: d}, true
+	}
 	if !floats.EqWithin(g.MSO, c.MSO, relTol, 0) {
 		class := ClassMSORegression
 		verb := "worsened"
@@ -159,6 +166,12 @@ func diffPlanShape(g, c Baseline) string {
 				g.Contours[i].K, abbrevSet(gp), abbrevSet(cp))
 		}
 	}
+	return ""
+}
+
+// diffRunProfile reports the first sampled-run step-profile divergence, or
+// "".
+func diffRunProfile(g, c Baseline) string {
 	for i := range g.Runs {
 		if i >= len(c.Runs) {
 			return fmt.Sprintf("run count changed: golden %d, now %d", len(g.Runs), len(c.Runs))

@@ -64,6 +64,29 @@ func TestDiffClassifiesPlanShape(t *testing.T) {
 	}
 }
 
+// TestDiffClassifiesRunProfile: a sampled run taking one step fewer is
+// run-time policy drift, not a plan-shape change, and it outranks the MSO
+// and cost changes that come with it.
+func TestDiffClassifiesRunProfile(t *testing.T) {
+	base := sampleBaselines(t, 3)
+	cand := perturb(t, base, 1, func(b *Baseline) {
+		b.Runs[0].Steps--
+		b.Runs[0].Execs--
+		b.Runs[0].TotalCost *= 0.9
+		b.MSO *= 1.5
+	})
+	d := expectClass(t, base, cand, base[1].ID, ClassRunProfile)
+	if !strings.Contains(d.Detail, "step profile") {
+		t.Errorf("detail should name the step profile: %q", d.Detail)
+	}
+
+	cand = perturb(t, base, 1, func(b *Baseline) {
+		b.Runs[0].Steps--
+		b.Contours[0].Plans[0] = "perturbed"
+	})
+	expectClass(t, base, cand, base[1].ID, ClassPlanShape)
+}
+
 func TestDiffClassifiesCostOnly(t *testing.T) {
 	base := sampleBaselines(t, 3)
 	cand := perturb(t, base, 2, func(b *Baseline) {

@@ -341,8 +341,8 @@ func splitsPreds(op plan.Op) bool {
 // PriceSpec prices a prepared candidate from its children's summaries,
 // without a plan.Node: the optimizer prices every candidate this way and
 // builds nodes only for winners. A merge join reads its inputs' Sort. It
-// ignores the coster's perturbation (which keys on node fingerprints);
-// callers check Perturbed first and price a real node with PriceStep.
+// ignores the coster's perturbation (which keys on node fingerprints), so
+// optimizer.New refuses a perturbed coster.
 // Panics if the operator is not priced by the model. Allocation-freedom is
 // pinned by TestPriceSpecAllocFree.
 func (c *Coster) PriceSpec(s *Spec, left, right Summary, sels Selectivities) Summary {
@@ -351,8 +351,7 @@ func (c *Coster) PriceSpec(s *Spec, left, right Summary, sels Selectivities) Sum
 }
 
 // Perturbed reports whether the coster applies per-node cost perturbation
-// (WithPerturbation), in which case node-free pricing via PriceSpec would
-// diverge from PriceStep.
+// (WithPerturbation), which node-free pricing via PriceSpec cannot honour.
 func (c *Coster) Perturbed() bool { return c.perturb != nil }
 
 // Detail returns per-node cost annotations in post-order (children before

@@ -39,4 +39,11 @@
 // workloads; EXECUTION.md at the
 // repository root documents the batch layout, the morsel scheduler, and
 // the budget metering in detail.
+//
+// The engine records no trace spans, and Options has no Trace,
+// TraceContour or TracePlan field. A Result reports what a run did —
+// verdict, spend, counters, batches, workers — and Result.TraceNodes
+// renders its counters as a span payload; the bouquet run driver in
+// internal/core records the spill, exec and budget-abort spans around each
+// step, in that order, for engine and simulated runs alike.
 package exec

@@ -112,8 +112,9 @@ func bindingsSignature(q *query.Query, bindings map[int]int64) string {
 // Budget) and its counters are those at the crossing. The vectorized
 // engine commits work in epochs (see vector.go): its CostUsed is exactly
 // Budget, and its counters are those of the last barrier that fit,
-// identical at every worker count. Run panics only on internal
-// schema-bookkeeping corruption — an engine bug, never a caller error.
+// identical at every worker count. Run records no trace spans; its caller
+// reads the Result. Run panics only on internal schema-bookkeeping
+// corruption — an engine bug, never a caller error.
 func (e *Engine) Run(root *plan.Node, opts Options) (Result, error) {
 	if err := opts.validate(); err != nil {
 		return Result{}, err
@@ -127,13 +128,6 @@ func (e *Engine) Run(root *plan.Node, opts Options) (Result, error) {
 		if driven = findPredNode(root, opts.SpillPred); driven == nil {
 			return Result{}, fmt.Errorf("exec: plan does not apply predicate %d", opts.SpillPred)
 		}
-		if opts.Trace.Enabled() {
-			opts.Trace.Record(trace.Span{
-				Kind: trace.KindSpill, Contour: opts.TraceContour, PlanID: opts.TracePlan,
-				Dim: -1, Pred: opts.SpillPred, Budget: trace.SafeCost(budget),
-				Workers: opts.Parallelism,
-			})
-		}
 	}
 
 	run := (*Engine).runVolcano
@@ -146,15 +140,6 @@ func (e *Engine) Run(root *plan.Node, opts Options) (Result, error) {
 	}
 	res.RowsOut = res.Stats[driven].Out
 	res.Completed = err == nil
-	if err != nil && opts.Trace.Enabled() {
-		// The budget ran out: surface the abort with the engine's spend
-		// (see above) and the rows counted so far.
-		opts.Trace.Record(trace.Span{
-			Kind: trace.KindBudgetAbort, Contour: opts.TraceContour, PlanID: opts.TracePlan,
-			Dim: -1, Pred: -1, Budget: trace.SafeCost(budget), Spent: res.CostUsed.F(), Rows: res.RowsOut,
-			Batches: res.Batches, Workers: res.Workers,
-		})
-	}
 	return res, nil
 }
 

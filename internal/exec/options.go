@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/trace"
 )
 
 // DefaultBatchSize is the column-batch row count the vectorized engine
@@ -45,15 +44,6 @@ type Options struct {
 	// SpillPred is the predicate whose node the spilled execution
 	// drives (meaningful only when Spill is set).
 	SpillPred int
-	// Trace, when non-nil, receives engine-level spans: a spill span
-	// when the pipeline is broken for a spilled execution, and a
-	// budget-abort span at the moment the cost meter trips. nil (the
-	// default) disables recording entirely.
-	Trace *trace.Recorder
-	// TraceContour and TracePlan label the emitted spans with the run
-	// driver's step context (0/-1 when unknown).
-	TraceContour int
-	TracePlan    int
 
 	// Vectorized selects the batch-at-a-time morsel-parallel engine
 	// instead of the tuple-at-a-time Volcano interpreter. Both engines

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/plan"
-	"repro/internal/trace"
 )
 
 // vopts is the vectorized-run option set the parity tests use.
@@ -183,9 +182,8 @@ func TestVectorizedWorkersExceedMorselCount(t *testing.T) {
 // TestVectorizedAbortAtBatchBoundary is the count meter's analogue of
 // TestAbortExactlyAtBudgetExhaustion: a budget of exactly the full cost
 // completes, while one ULP less fails the last commit — the run is charged
-// exactly its budget (result, and the single budget-abort span), and its
-// counters are those of the last barrier that fit, never more than the
-// full run's.
+// exactly its budget, and its counters are those of the last barrier that
+// fit, never more than the full run's.
 func TestVectorizedAbortAtBatchBoundary(t *testing.T) {
 	fx := newFixture(t)
 	for name, p := range fx.plans {
@@ -201,9 +199,7 @@ func TestVectorizedAbortAtBatchBoundary(t *testing.T) {
 			t.Errorf("%s: exact-budget run lost rows: %d vs %d", name, exact.RowsOut, full.RowsOut)
 		}
 
-		rec := trace.New(16)
 		o.Budget = cost.Cost(math.Nextafter(full.CostUsed.F(), 0))
-		o.Trace, o.TraceContour, o.TracePlan = rec, 3, 7
 		partial := fx.eng.MustRun(p, o)
 		if partial.Completed {
 			t.Errorf("%s: completed under a budget one ULP below full cost", name)
@@ -221,34 +217,14 @@ func TestVectorizedAbortAtBatchBoundary(t *testing.T) {
 				t.Errorf("%s/%v: aborted counters %+v exceed the full run's %+v", name, node.Op, *st, *fst)
 			}
 		}
-		o.Trace = nil
 		for _, workers := range []int{1, 8} {
 			o.Parallelism = workers
 			if d := outcomeDiff(partial, fx.eng.MustRun(p, o)); d != "" {
 				t.Errorf("%s: w%d re-run of the aborted step differs: %s", name, workers, d)
 			}
 		}
-		aborts := 0
-		for _, s := range rec.Spans() {
-			if s.Kind != trace.KindBudgetAbort {
-				continue
-			}
-			aborts++
-			if s.Contour != 3 || s.PlanID != 7 {
-				t.Errorf("%s: abort span carries context %d/%d, want 3/7", name, s.Contour, s.PlanID)
-			}
-			if s.Spent != s.Budget || s.Spent != o.Budget.F() {
-				t.Errorf("%s: abort span spent %g, budget %g, want both %g", name, s.Spent, s.Budget, o.Budget)
-			}
-			if s.Rows != partial.RowsOut {
-				t.Errorf("%s: abort span rows %d, result %d", name, s.Rows, partial.RowsOut)
-			}
-			if s.Batches <= 0 || s.Workers != 1 {
-				t.Errorf("%s: abort span batches/workers = %d/%d, want >0/1", name, s.Batches, s.Workers)
-			}
-		}
-		if aborts != 1 {
-			t.Errorf("%s: %d budget-abort spans, want 1", name, aborts)
+		if partial.Batches <= 0 || partial.Workers != 1 {
+			t.Errorf("%s: aborted run batches/workers = %d/%d, want >0/1", name, partial.Batches, partial.Workers)
 		}
 	}
 }
@@ -285,15 +261,14 @@ func TestVectorizedBudgetAbortsUnderParallelism(t *testing.T) {
 
 // TestVectorizedSpillStarvesDownstream mirrors the Volcano spill contract
 // on the batch engine: only the driven subtree runs, downstream operators
-// surface as Starved, the spill span carries the worker count, and the
-// driven subtree's counters match a Volcano spill of the same plan.
+// surface as Starved, and the driven subtree's counters match a Volcano
+// spill of the same plan.
 func TestVectorizedSpillStarvesDownstream(t *testing.T) {
 	fx := newFixture(t)
 	p := fx.plans["hj"] // HJ( HJ(lineitem, part{0}) {1}, orders ) {2}
 	vol := runCollected(t, fx.eng, p, Options{Spill: true, SpillPred: 1})
-	rec := trace.New(16)
 	o := vopts(4)
-	o.Spill, o.SpillPred, o.Trace = true, 1, rec
+	o.Spill, o.SpillPred = true, 1
 	vec := runCollected(t, fx.eng, p, o)
 	assertParity(t, "spill-hj", vol, vec)
 
@@ -315,17 +290,8 @@ func TestVectorizedSpillStarvesDownstream(t *testing.T) {
 	if starved != 2 || live != 3 {
 		t.Fatalf("starved/live = %d/%d, want 2/3", starved, live)
 	}
-	spills := 0
-	for _, s := range rec.Spans() {
-		if s.Kind == trace.KindSpill {
-			spills++
-			if s.Pred != 1 || s.Workers != 4 {
-				t.Fatalf("spill span pred/workers = %d/%d, want 1/4", s.Pred, s.Workers)
-			}
-		}
-	}
-	if spills != 1 {
-		t.Fatalf("%d spill spans, want 1", spills)
+	if vec.res.Workers != 4 {
+		t.Fatalf("spilled run reports %d workers, want 4", vec.res.Workers)
 	}
 }
 

@@ -231,15 +231,15 @@ func TestDifferentialRandomModels(t *testing.T) {
 	}
 }
 
-// TestDifferentialPerturbedCoster checks the comparison through
-// WithPerturbation, which prices per-node factors keyed on fingerprints —
-// exercising the fast path's guarantee that real nodes reach the model.
-func TestDifferentialPerturbedCoster(t *testing.T) {
+// TestNewRejectsPerturbedCoster: the DP prices candidates without plan
+// nodes, so a perturbation keyed on node fingerprints would be silently
+// ignored; New refuses the coster instead.
+func TestNewRejectsPerturbedCoster(t *testing.T) {
 	w := workload.EQ2D(6)
-	c := cost.NewCoster(w.Query, w.Model).WithPerturbation(0.3, 99)
-	opt := New(c)
-	for _, flat := range diffLocations(w.Space.NumPoints()) {
-		sels := w.Space.Sels(w.Space.PointAt(flat))
-		assertIdentical(t, fmt.Sprintf("perturbed@%d", flat), opt, sels)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a perturbed coster")
+		}
+	}()
+	New(cost.NewCoster(w.Query, w.Model).WithPerturbation(0.3, 99))
 }

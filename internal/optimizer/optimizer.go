@@ -81,11 +81,6 @@ type Optimizer struct {
 	// interning serializes additions to the candidates' node tables.
 	interning sync.Mutex
 
-	// perturbed is set when the coster perturbs per-node costs, which key
-	// on node fingerprints: every candidate is then materialized (through
-	// the same interner) and priced as a node with PriceStep.
-	perturbed bool
-
 	calls atomic.Int64
 }
 
@@ -262,21 +257,27 @@ func (s *nodeSlots) place(h uint64, n *plan.Node) {
 
 // New builds an optimizer for coster's query, precomputing the
 // selectivity-independent DP skeleton. It panics if the query has more
-// than 64 relations (bitmask representation).
+// than 64 relations (bitmask representation), or if coster is perturbed
+// (Coster.WithPerturbation): the DP prices candidates without plan nodes,
+// which a perturbation keyed on node fingerprints cannot see. §3.4's δ runs
+// perturb only the costs a bouquet is charged (core's SetActualCoster),
+// never the optimizer's.
 func New(coster *cost.Coster) *Optimizer {
 	q := coster.Query()
 	rels := q.Relations()
 	if len(rels) > 64 {
 		panic("optimizer: too many relations")
 	}
+	if coster.Perturbed() {
+		panic("optimizer: perturbed coster")
+	}
 	o := &Optimizer{
-		q:         q,
-		coster:    coster,
-		rels:      rels,
-		relBit:    make(map[string]int, len(rels)),
-		adj:       make([]uint64, len(rels)),
-		selPred:   make([][]int, len(rels)),
-		perturbed: coster.Perturbed(),
+		q:       q,
+		coster:  coster,
+		rels:    rels,
+		relBit:  make(map[string]int, len(rels)),
+		adj:     make([]uint64, len(rels)),
+		selPred: make([][]int, len(rels)),
 	}
 	for i, r := range rels {
 		o.relBit[r] = i
@@ -549,10 +550,6 @@ func (o *Optimizer) price(memo []memoEntry, e *memoEntry, sels cost.Selectivitie
 		if e.c.binary() {
 			right = memo[e.sp.right].sum
 		}
-	}
-	if o.perturbed {
-		e.sum = o.coster.PriceStep(o.node(memo, e), left, right, sels)
-		return
 	}
 	e.sum = o.coster.PriceSpec(&e.c.spec, left, right, sels)
 }

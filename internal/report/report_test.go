@@ -284,4 +284,15 @@ func TestVerdict(t *testing.T) {
 			t.Fatalf("guarantee verdict failed: %v", row)
 		}
 	}
+	// Failed names exactly the rows that do not hold.
+	tbl.Rows[1][len(tbl.Rows[1])-1] = "false"
+	var want []string
+	for _, row := range tbl.Rows {
+		if row[len(row)-1] != "true" {
+			want = append(want, row[0])
+		}
+	}
+	if got := Failed(tbl); len(got) == 0 || strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("Failed = %q, want %q", got, want)
+	}
 }

@@ -143,3 +143,15 @@ func Verdict(evals []*Eval) *Table {
 
 	return t
 }
+
+// Failed returns the claims of a Verdict table that do not hold, in row
+// order; nil means the reproduction passes its scorecard.
+func Failed(verdict *Table) []string {
+	var out []string
+	for _, row := range verdict.Rows {
+		if row[len(row)-1] != "true" {
+			out = append(out, row[0])
+		}
+	}
+	return out
+}

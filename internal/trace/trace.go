@@ -20,12 +20,13 @@ const (
 	// spilled, budgeted or terminal. Completed=false means the whole
 	// budget was spent and the intermediate results jettisoned.
 	KindExec
-	// KindSpill marks the engine breaking the pipeline above a chosen
-	// predicate's node, starving downstream operators (§5.3). Emitted by
-	// internal/exec before the spilled subtree runs.
+	// KindSpill marks a spilled execution breaking the pipeline above a
+	// chosen predicate's node, starving downstream operators (§5.3).
+	// Recorded by the run driver before the spilled step's exec span.
 	KindSpill
 	// KindBudgetAbort marks an execution aborting at budget exhaustion.
-	// Emitted by internal/exec at the moment the meter trips.
+	// Recorded by the run driver after the aborted step's exec span, with
+	// the step's Spent.
 	KindBudgetAbort
 	// KindLearn is a discovered-selectivity update: q_run moved along Dim
 	// to Sel (Completed=true when the value is exact, §5.2).
