@@ -6,7 +6,7 @@ BIN := bin
 # headroom for run-to-run variation, not for new untested code).
 COVER_FLOOR := 78.0
 
-.PHONY: verdict build test vet race race-generators race-serving determinism-exec fuzz lint lint-timing fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-smoke corpus-bless corpus-stats
+.PHONY: verdict build test vet race race-generators race-serving determinism-exec fuzz lint lint-timing fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-bless corpus-stats
 
 build:
 	$(GO) build ./...
@@ -138,12 +138,6 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# CORPUS_SAMPLE is the query count for the corpus-smoke gate inside
-# `make ci` (analogous to COVER_FLOOR: a documented knob, overridable as
-# `make corpus-smoke CORPUS_SAMPLE=100`). The full 500-query check runs in
-# CI's dedicated corpus job and via `make corpus-check`.
-CORPUS_SAMPLE := 40
-
 # CORPUS_DIR holds the golden plan-regression baselines (manifest + JSON
 # shards); see internal/corpus and docs/ARCHITECTURE.md.
 CORPUS_DIR := testdata/corpus
@@ -151,16 +145,12 @@ CORPUS_DIR := testdata/corpus
 # corpus-check regenerates every corpus query from the manifest seed and
 # semantically diffs the result against the golden baselines, failing with
 # classified drift lines (`<shard>: <id>: [<class>] <detail>`). The report
-# also lands in $(BIN)/corpus_diff.txt, which CI uploads on failure.
+# also lands in $(BIN)/corpus_diff.txt, which CI uploads on failure. All
+# 500 queries take about a second on 2 vCPUs, so `make ci` runs the full
+# check, not a sample.
 corpus-check:
 	@mkdir -p $(BIN)
 	$(GO) run ./cmd/bouquet corpus check -dir $(CORPUS_DIR) -out $(BIN)/corpus_diff.txt
-
-# corpus-smoke is the `make ci` variant: an evenly-spaced CORPUS_SAMPLE
-# subset, seconds instead of the full sweep.
-corpus-smoke:
-	@mkdir -p $(BIN)
-	$(GO) run ./cmd/bouquet corpus check -dir $(CORPUS_DIR) -sample $(CORPUS_SAMPLE) -out $(BIN)/corpus_diff.txt
 
 # corpus-bless regenerates the golden baselines in place after an
 # intentional behavioral change. Review the resulting shard diff before
@@ -181,4 +171,4 @@ verdict:
 
 # ci mirrors the CI workflow's main job exactly — .github/workflows/ci.yml
 # invokes this target, so local `make ci` and CI cannot diverge.
-ci: fmt-check vet build test race race-generators race-serving determinism-exec lint bench-compile-smoke bench-exec-smoke corpus-smoke verdict
+ci: fmt-check vet build test race race-generators race-serving determinism-exec lint bench-compile-smoke bench-exec-smoke corpus-check verdict

@@ -2,9 +2,10 @@ package catalog
 
 import "testing"
 
-// TestAccessorsAllocFree pins the accessors the allocation-free cost
-// kernel (cost.Price, PriceStep, PriceSpec) calls across the package
-// boundary: MustRelation, Index, Pages, and Column must not allocate.
+// TestAccessorsAllocFree pins the accessors the cost package calls across
+// the package boundary: MustRelation, Index and Pages, which
+// cost.NewCoster's relation table reads once per relation, and Column,
+// which the node path calls for a group aggregate. None may allocate.
 // Index concatenates its map key; the key does not escape, so it stays
 // in the runtime's 32-byte stack buffer — this test is the tripwire if
 // a benchmark catalog ever grows relation.column names past that.

@@ -39,7 +39,7 @@ func TestFirstQuadrantInvariant(t *testing.T) {
 		sub := spillNode(p, learnID)
 		budget := tr.opt.Scale(cost.Ratio(0.1 + 3*rng.Float64()))
 
-		_, bound, _ := b.simulateSpill(sub, dim, tr, budget)
+		_, bound, _ := b.simulateSpill(sub, dim, tr, budget, b.execCost(sub, tr.sels))
 		st.qrun[dim] = math.Max(st.qrun[dim], bound)
 		for d := range st.qrun {
 			if st.qrun[d] > qa[d]*(1+1e-9) {
@@ -73,7 +73,7 @@ func TestSpillMonotoneInBudget(t *testing.T) {
 	sub := spillNode(p, learnID)
 
 	frontier := func(budget cost.Cost) float64 {
-		_, bound, _ := b.simulateSpill(sub, dim, tr, budget)
+		_, bound, _ := b.simulateSpill(sub, dim, tr, budget, b.execCost(sub, tr.sels))
 		return bound
 	}
 	f := func(aSeed, bSeed float64) bool {

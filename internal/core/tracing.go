@@ -12,60 +12,6 @@ import (
 // behind rec.Enabled(), so a nil recorder costs the drivers' hot loops
 // nothing — core's alloc parity test pins it.
 
-// modelNodeStats derives per-operator stats for a simulated execution from
-// the cost model: each node of the driven subtree carries its realized
-// output cardinality and cumulative subtree cost at sels — faithful by
-// construction, since the simulation *is* the cost surface. Nodes of full
-// outside driven (a spilled execution's starved downstream, §5.3) are
-// marked Starved. Nodes appear in full's depth-first walk order. The
-// second result is driven's own output cardinality. One walk of full
-// prices driven and emits the stats: children are priced before their
-// parent, into slots claimed on the way down.
-func (b *Bouquet) modelNodeStats(full, driven *plan.Node, sels cost.Selectivities, completed bool) ([]trace.NodeStat, cost.Card) {
-	w := nodeStatWalk{coster: b.execCoster(), sels: sels, driven: driven, completed: completed}
-	w.out = make([]trace.NodeStat, 0, full.NumNodes())
-	w.visit(full, false)
-	return w.out, w.rows
-}
-
-// nodeStatWalk is modelNodeStats' state: a method on it, not a closure over
-// plan.Node.Walk, so that a step's stats allocate their slice and no more.
-type nodeStatWalk struct {
-	coster    *cost.Coster
-	sels      cost.Selectivities
-	driven    *plan.Node
-	completed bool
-	out       []trace.NodeStat
-	rows      cost.Card // driven's output cardinality
-}
-
-// visit appends n's subtree in pre-order and returns n's summary; live says
-// an ancestor of n is the driven node. Outside the driven subtree nothing
-// is priced and the summary is zero.
-func (w *nodeStatWalk) visit(n *plan.Node, live bool) cost.Summary {
-	live = live || n == w.driven
-	i := len(w.out)
-	w.out = append(w.out, trace.NodeStat{Op: n.Op.String(), Relation: n.Relation, Starved: !live})
-	var left, right cost.Summary
-	if n.Left != nil {
-		left = w.visit(n.Left, live)
-	}
-	if n.Right != nil {
-		right = w.visit(n.Right, live)
-	}
-	if !live {
-		return cost.Summary{}
-	}
-	sum := w.coster.PriceStep(n, left, right, w.sels)
-	w.out[i].Out = int64(sum.Rows.F())
-	w.out[i].EstCost = trace.SafeCost(sum.Cost.F())
-	w.out[i].Done = w.completed
-	if n == w.driven {
-		w.rows = sum.Rows
-	}
-	return sum
-}
-
 // recordContour emits the span marking the run entering contour c.
 func recordContour(rec *trace.Recorder, c Contour) {
 	if !rec.Enabled() {
@@ -80,22 +26,52 @@ func recordContour(rec *trace.Recorder, c Contour) {
 // recordStep emits the exec span for one abstract step that executed driven:
 // the whole plan s.PlanID for a generic step (pred -1), or for a spilled
 // step the subtree applying pred — the predicate it learned — with
-// everything downstream starved.
-func (b *Bouquet) recordStep(rec *trace.Recorder, s Step, driven *plan.Node, pred int, sels cost.Selectivities, start time.Time) {
+// everything downstream starved (§5.3). sums are driven's node summaries in
+// post-order, as the step priced them (Coster.PriceInto): each live node
+// carries its realized output cardinality and cumulative subtree cost —
+// faithful by construction, since the simulation *is* the cost surface.
+// Nodes appear in the plan's depth-first walk order; the stats allocate
+// their slice and no more.
+func (b *Bouquet) recordStep(rec *trace.Recorder, s Step, driven *plan.Node, pred int, sums []cost.Summary, start time.Time) {
 	if !rec.Enabled() {
 		return
 	}
 	wall := time.Since(start).Nanoseconds() // the step's, not its stats'
-	nodes, rows := b.modelNodeStats(b.Diagram.Plan(s.PlanID), driven, sels, s.Completed)
+	full := b.Diagram.Plan(s.PlanID)
+	nodes, _ := appendNodeStats(make([]trace.NodeStat, 0, full.NumNodes()), full, driven, sums, s.Completed, false)
 	sp := trace.Span{
 		Kind: trace.KindExec, Contour: s.Contour, PlanID: s.PlanID, Dim: s.Dim, Pred: pred,
 		Budget: trace.SafeCost(s.Budget.F()), Spent: trace.SafeCost(s.Spent.F()),
 		Completed: s.Completed, WallNanos: wall, Nodes: nodes,
 	}
 	if s.Completed {
-		sp.Rows = int64(rows.F())
+		sp.Rows = int64(sums[len(sums)-1].Rows.F())
 	}
 	rec.Record(sp)
+}
+
+// appendNodeStats appends the stats of n's subtree to out in pre-order. The
+// live nodes — driven and its descendants, live says an ancestor of n is
+// driven — take their stats from sums, driven's post-order summaries,
+// consuming them from the front; the others are starved. It returns out and
+// the summaries left.
+func appendNodeStats(out []trace.NodeStat, n, driven *plan.Node, sums []cost.Summary, done, live bool) ([]trace.NodeStat, []cost.Summary) {
+	live = live || n == driven
+	i := len(out)
+	out = append(out, trace.NodeStat{Op: n.Op.String(), Relation: n.Relation, Starved: !live})
+	if n.Left != nil {
+		out, sums = appendNodeStats(out, n.Left, driven, sums, done, live)
+	}
+	if n.Right != nil {
+		out, sums = appendNodeStats(out, n.Right, driven, sums, done, live)
+	}
+	if live {
+		out[i].Out = int64(sums[0].Rows.F())
+		out[i].EstCost = trace.SafeCost(sums[0].Cost.F())
+		out[i].Done = done
+		sums = sums[1:]
+	}
+	return out, sums
 }
 
 // recordSpill emits the span marking the pipeline broken above pred's node

@@ -244,15 +244,13 @@ func TestConcreteTracedSpans(t *testing.T) {
 	}
 }
 
-// TestModelNodeStatsOneWalk checks the one-walk stats against the definition
-// they replaced — price driven with Coster.Detail, look each node of the full
-// plan up by pointer — for every plan of the bouquet, driven whole and driven
-// at every proper subtree (a spilled step's shape), completed and not; and
-// pins a step's stats at their slice: at most 2 allocations.
-func TestModelNodeStatsOneWalk(t *testing.T) {
-	b, qa := tracedFixture(t, nil)
-	sels := b.Space.Sels(qa)
-	byDetail := func(full, driven *plan.Node, completed bool) ([]trace.NodeStat, cost.Card) {
+// TestExecSpanNodeStats checks the node stats of every simulated exec span
+// against their definition — price the driven (sub)plan with Coster.Detail,
+// look each node of the full plan up by pointer — for both drivers over a
+// grid of q_a; and pins a step's stats at their one []NodeStat allocation.
+func TestExecSpanNodeStats(t *testing.T) {
+	b, _ := tracedFixture(t, nil)
+	byDetail := func(sels cost.Selectivities, full, driven *plan.Node, completed bool) ([]trace.NodeStat, int64) {
 		det := b.execCoster().Detail(driven, sels)
 		byNode := make(map[*plan.Node]cost.NodeCost, len(det))
 		for _, nc := range det {
@@ -270,21 +268,81 @@ func TestModelNodeStatsOneWalk(t *testing.T) {
 			}
 			out = append(out, ns)
 		})
-		return out, det[len(det)-1].Rows
+		var rows int64
+		if completed {
+			rows = int64(det[len(det)-1].Rows.F())
+		}
+		return out, rows
 	}
-	for _, pid := range b.PlanIDs {
-		full := b.Diagram.Plan(pid)
-		full.Walk(func(driven *plan.Node) {
-			for _, completed := range []bool{true, false} {
-				got, rows := b.modelNodeStats(full, driven, sels, completed)
-				want, wantRows := byDetail(full, driven, completed)
-				if !reflect.DeepEqual(got, want) || rows != wantRows {
-					t.Fatalf("plan %d driven at %s completed=%t:\n got %+v rows %v\nwant %+v rows %v", pid, driven.Op, completed, got, rows, want, wantRows)
+	ctx := context.Background()
+	spans, spilled := 0, 0
+	for _, fx := range []float64{0.02, 0.15, 0.5, 1} {
+		for _, fy := range []float64{0.03, 0.3, 0.7, 1} {
+			qa := b.Space.Terminus().Clone()
+			qa[0] *= fx
+			qa[1] *= fy
+			sels := b.Space.Sels(qa)
+			for _, optimized := range []bool{false, true} {
+				rec := trace.New(1024)
+				run := b.RunBasicTraced
+				if optimized {
+					run = b.RunOptimizedTraced
+				}
+				if _, err := run(ctx, qa, nil, rec); err != nil {
+					t.Fatal(err)
+				}
+				for _, sp := range rec.Spans() {
+					if sp.Kind != trace.KindExec {
+						continue
+					}
+					full := b.Diagram.Plan(sp.PlanID)
+					driven := full
+					if sp.Pred >= 0 {
+						driven = spillNode(full, sp.Pred)
+						spilled++
+					}
+					want, wantRows := byDetail(sels, full, driven, sp.Completed)
+					if !reflect.DeepEqual(sp.Nodes, want) || sp.Rows != wantRows {
+						t.Fatalf("q_a %v optimized=%t exec span %+v:\n got %+v rows %d\nwant %+v rows %d", qa, optimized, sp, sp.Nodes, sp.Rows, want, wantRows)
+					}
+					spans++
 				}
 			}
-		})
-		if got := testing.AllocsPerRun(100, func() { b.modelNodeStats(full, full, sels, true) }); got > 2 {
-			t.Errorf("modelNodeStats(plan %d) allocates %.0f/step, want <= 2", pid, got)
+		}
+	}
+	if spilled == 0 {
+		t.Fatalf("none of %d exec spans is a spilled step's; the grid no longer exercises starved nodes", spans)
+	}
+
+	qa := b.Space.Terminus().Clone()
+	s := &surfaceStepper{b: b, t: b.truthAt(qa), rec: trace.New(16)}
+	for _, pid := range b.PlanIDs {
+		p := b.Diagram.Plan(pid)
+		s.price(p)
+		st := Step{Contour: 1, PlanID: pid, Dim: -1, Completed: true}
+		if got := testing.AllocsPerRun(100, func() { b.recordStep(s.rec, st, p, -1, s.sums, stepClock(s.rec)) }); got > 1 {
+			t.Errorf("recordStep(plan %d) allocates %.0f/step, want <= 1: its []NodeStat", pid, got)
+		}
+	}
+}
+
+// TestSimulatedRunAllocs pins what a simulated run allocates on the tracing
+// fixture, untraced, at locations across the space: the stepper's pricing
+// buffer is part of the stepper, so pricing every step once for its node
+// stats costs the run no allocation.
+func TestSimulatedRunAllocs(t *testing.T) {
+	b, _ := tracedFixture(t, nil)
+	const maxBasic, maxOptimized = 10, 185
+	for _, f := range []float64{0.01, 0.1, 0.4, 0.8, 1} {
+		qa := b.Space.Terminus().Clone()
+		for d := range qa {
+			qa[d] *= f
+		}
+		if got := testing.AllocsPerRun(20, func() { b.RunBasic(qa) }); got > maxBasic {
+			t.Errorf("RunBasic(%v) allocates %.0f/run, want <= %d", qa, got, maxBasic)
+		}
+		if got := testing.AllocsPerRun(20, func() { b.RunOptimized(qa) }); got > maxOptimized {
+			t.Errorf("RunOptimized(%v) allocates %.0f/run, want <= %d", qa, got, maxOptimized)
 		}
 	}
 }
@@ -316,8 +374,8 @@ func TestTracingDisabledAllocParity(t *testing.T) {
 
 	// The span helpers themselves must be free with a nil recorder.
 	s := Step{Contour: 1, PlanID: b.PlanIDs[0], Dim: -1, Budget: b.Contours[0].Budget}
-	sels := b.Space.Sels(qa)
-	if got := testing.AllocsPerRun(100, func() { b.recordStep(nil, s, b.Diagram.Plan(s.PlanID), -1, sels, stepClock(nil)) }); got > 0 {
+	sums := b.Coster.PriceInto(b.Diagram.Plan(s.PlanID), b.Space.Sels(qa), nil)
+	if got := testing.AllocsPerRun(100, func() { b.recordStep(nil, s, b.Diagram.Plan(s.PlanID), -1, sums, stepClock(nil)) }); got > 0 {
 		t.Errorf("recordStep(nil) allocates %.1f/op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { recordContour(nil, b.Contours[0]) }); got > 0 {

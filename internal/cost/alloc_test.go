@@ -91,3 +91,34 @@ func TestPricePlanAllocFree(t *testing.T) {
 		t.Errorf("PricePlan allocates %.0f/call, want 0", got)
 	}
 }
+
+// TestPriceIntoAllocFree: PriceInto's summaries are Detail's, node by node
+// in post-order, its last is Price's bit for bit, under the plain and the
+// perturbed coster; with a warm buffer it allocates nothing.
+func TestPriceIntoAllocFree(t *testing.T) {
+	fx := newFixture(t, Postgres())
+	sels := DefaultSels(fx.q)
+	var buf []Summary
+	for _, c := range []*Coster{fx.coster, fx.coster.WithPerturbation(0.3, 7)} {
+		for i, p := range fx.plans {
+			buf = c.PriceInto(p, sels, buf)
+			det := c.Detail(p, sels)
+			if len(buf) != len(det) {
+				t.Fatalf("plan %d: PriceInto gave %d summaries for %d nodes", i, len(buf), len(det))
+			}
+			for j, nc := range det {
+				if got := buf[j]; got.Rows != nc.Rows || got.Width != nc.Width || got.Cost != nc.TotalCost {
+					t.Errorf("plan %d node %d (%s): PriceInto %+v, Detail %+v", i, j, nc.Node.Op, got, nc)
+				}
+			}
+			if got, want := buf[len(buf)-1], c.Price(p, sels); got != want {
+				t.Errorf("plan %d (perturbed %t): PriceInto root %+v, Price %+v", i, c.Perturbed(), got, want)
+			}
+		}
+	}
+	for i, p := range fx.plans {
+		if got := testing.AllocsPerRun(50, func() { buf = fx.coster.PriceInto(p, sels, buf) }); got > 0 {
+			t.Errorf("PriceInto(plan %d) allocates %.0f/call with a warm buffer, want 0", i, got)
+		}
+	}
+}

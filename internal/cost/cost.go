@@ -19,8 +19,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -163,6 +165,10 @@ type Coster struct {
 	// rates are the node-independent prices (modelRates): price and
 	// Rates read them alike.
 	rates Rates
+	// rels is the query's relation table (newRelTable): what pricing a
+	// node needs of its relation, resolved from the catalog once, so
+	// that terms does no catalog lookup per node.
+	rels []relInfo
 
 	// perturb, when non-nil, multiplies each node's SelfCost by a
 	// node-specific factor; used to model bounded cost-model errors
@@ -170,9 +176,64 @@ type Coster struct {
 	perturb func(n *plan.Node) float64
 }
 
-// NewCoster returns a Coster for q under model.
+// NewCoster returns a Coster for q under model. It resolves q's relations
+// and their indexes from q.Catalog now: relations or indexes added to the
+// catalog afterwards are not seen. Panics if q names a relation its
+// catalog lacks.
 func NewCoster(q *query.Query, model Model) *Coster {
-	return &Coster{q: q, model: model, rates: modelRates(model.P)}
+	return &Coster{q: q, model: model, rates: modelRates(model.P), rels: newRelTable(q, &model.P)}
+}
+
+// relInfo is what pricing needs of one relation of the query, beyond the
+// plan node: its statistics and the index terms that do not depend on the
+// operator.
+type relInfo struct {
+	name string
+	rel  *catalog.Relation
+	// card, width and pages are the relation's cardinality, tuple width
+	// and heap pages as float64.
+	card, width, pages float64
+	// descent is one index descent's cost, log2(card+1)·CPUIndexTupleCost.
+	descent float64
+	// clustered lists the columns whose index is clustered.
+	clustered []string
+}
+
+// newRelTable resolves every relation of q from its catalog, in FROM-list
+// order.
+func newRelTable(q *query.Query, p *Params) []relInfo {
+	names := q.Relations()
+	rels := make([]relInfo, len(names))
+	for i, name := range names {
+		r := q.Catalog.MustRelation(name)
+		card := float64(r.Card)
+		ri := relInfo{
+			name:    name,
+			rel:     r,
+			card:    card,
+			width:   float64(r.TupleWidth),
+			pages:   float64(r.Pages(q.Catalog.PageSize)),
+			descent: math.Log2(card+1) * p.CPUIndexTupleCost,
+		}
+		for _, col := range r.Columns {
+			if idx := q.Catalog.Index(name, col.Name); idx != nil && idx.Clustered {
+				ri.clustered = append(ri.clustered, col.Name)
+			}
+		}
+		rels[i] = ri
+	}
+	return rels
+}
+
+// relation returns the table entry of the named relation. Panics on a
+// relation outside the query.
+func (c *Coster) relation(name string) *relInfo {
+	for i := range c.rels {
+		if c.rels[i].name == name {
+			return &c.rels[i]
+		}
+	}
+	panic(fmt.Sprintf("cost: relation %s is not in query %s", name, c.q.Name))
 }
 
 // Query returns the query this Coster prices plans for.
@@ -232,6 +293,30 @@ func (c *Coster) Price(root *plan.Node, sels Selectivities) Summary {
 		right = c.Price(root.Right, sels)
 	}
 	return c.PriceStep(root, left, right, sels)
+}
+
+// PriceInto prices root as Price does, bit for bit, and returns every
+// node's summary in post-order (children before parents; the root last),
+// appended to buf[:0]. A caller that keeps the returned slice and passes it
+// back as buf reuses it: once it has grown to the largest plan priced,
+// PriceInto allocates nothing, as pinned by TestPriceIntoAllocFree.
+func (c *Coster) PriceInto(root *plan.Node, sels Selectivities, buf []Summary) []Summary {
+	buf = buf[:0]
+	c.priceInto(root, sels, &buf)
+	return buf
+}
+
+func (c *Coster) priceInto(n *plan.Node, sels Selectivities, out *[]Summary) Summary {
+	var left, right Summary
+	if n.Left != nil {
+		left = c.priceInto(n.Left, sels, out)
+	}
+	if n.Right != nil {
+		right = c.priceInto(n.Right, sels, out)
+	}
+	sum := c.PriceStep(n, left, right, sels)
+	*out = append(*out, sum)
+	return sum
 }
 
 // PriceStep prices the single operator n given the already-priced
@@ -495,13 +580,14 @@ func (c *Coster) priceStep(pp *PreparedPlan, i int, sels Selectivities) Summary 
 
 // terms fills rel with the selectivity-independent terms of an operator
 // that reads a relation, all but its identity and its predicate split
-// (split's job). Panics on an operator the model does not price.
+// (split's job), from the coster's relation table. Panics on an operator
+// the model does not price.
 func (c *Coster) terms(rel *relTerms, op plan.Op, relation, indexColumn string, preds []int) {
 	p := &c.model.P
 	switch op {
 	case plan.OpGroupAggregate:
 		rel.card = math.Inf(1)
-		if col := c.q.Catalog.MustRelation(relation).Column(indexColumn); col != nil {
+		if col := c.relation(relation).rel.Column(indexColumn); col != nil {
 			rel.card = float64(col.DistinctCount)
 		}
 		return
@@ -510,20 +596,18 @@ func (c *Coster) terms(rel *relTerms, op plan.Op, relation, indexColumn string, 
 		panic(fmt.Sprintf("cost: unknown operator %v", op))
 	}
 
-	r := c.q.Catalog.MustRelation(relation)
-	rel.card = float64(r.Card)
-	rel.width = float64(r.TupleWidth)
+	r := c.relation(relation)
+	rel.card = r.card
+	rel.width = r.width
 	switch op {
 	case plan.OpSeqScan:
-		pages := float64(r.Pages(c.q.Catalog.PageSize))
-		rel.fixed = pages*p.SeqPageCost +
+		rel.fixed = r.pages*p.SeqPageCost +
 			rel.card*p.CPUTupleCost +
 			rel.card*float64(len(preds))*p.CPUOperatorCost
 
 	case plan.OpIndexScan, plan.OpIndexNLJoin:
-		idx := c.q.Catalog.Index(relation, indexColumn)
-		rel.clustered = idx != nil && idx.Clustered
-		rel.descent = math.Log2(rel.card+1) * p.CPUIndexTupleCost
+		rel.clustered = slices.Contains(r.clustered, indexColumn)
+		rel.descent = r.descent
 		page := p.RandomPageCost
 		if rel.clustered {
 			page = p.SeqPageCost

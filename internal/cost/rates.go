@@ -51,14 +51,15 @@ func modelRates(p Params) Rates {
 }
 
 // Rates returns the prices n's executor charges; its index terms are the
-// ones Prepare resolves. Panics if n names a relation the catalog lacks.
+// ones Prepare resolves. Panics if n names a relation outside the coster's
+// query.
 func (c *Coster) Rates(n *plan.Node) Rates {
 	p, r := &c.model.P, c.rates
 	r.pageSize = float64(c.q.Catalog.PageSize)
 	switch n.Op {
 	case plan.OpSeqScan:
 		r.Row, r.Page = p.CPUTupleCost+float64(len(n.Preds))*p.CPUOperatorCost, p.SeqPageCost
-		r.PageRows = max(1, int(c.q.Catalog.PageSize/c.q.Catalog.MustRelation(n.Relation).TupleWidth))
+		r.PageRows = max(1, int(c.q.Catalog.PageSize/c.relation(n.Relation).rel.TupleWidth))
 	case plan.OpIndexScan, plan.OpIndexNLJoin:
 		var rel relTerms
 		c.terms(&rel, n.Op, n.Relation, n.IndexColumn, n.Preds)

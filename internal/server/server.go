@@ -457,7 +457,8 @@ type runRequest struct {
 	// Optimized selects the Fig. 13 driver (default: basic, Fig. 7).
 	Optimized bool `json:"optimized"`
 	// Seed, when non-empty, starts from a guaranteed-underestimate
-	// location (§8).
+	// location (§8), one value in (0,1] per dimension. Rejected on
+	// concrete runs, which learn from the data and start at IC1.
 	Seed []float64 `json:"seed,omitempty"`
 	// Trace requests a structured execution trace: the run records
 	// contour/exec/spill/abort/learn spans with per-node operator stats,
@@ -530,6 +531,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Concrete {
+		if len(req.Seed) > 0 {
+			jsonError(w, http.StatusBadRequest, "seed applies to simulated runs only")
+			return
+		}
 		s.handleRunConcrete(r.Context(), w, req, b)
 		return
 	}
@@ -547,8 +552,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var seed ess.Point
 	if len(req.Seed) > 0 {
-		if len(req.Seed) != b.Space.Dims() {
-			jsonError(w, http.StatusBadRequest, "seed needs %d values", b.Space.Dims())
+		if err := b.Space.Check(req.Seed); err != nil {
+			jsonError(w, http.StatusBadRequest, "seed: %v", err)
 			return
 		}
 		seed = req.Seed

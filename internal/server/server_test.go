@@ -150,6 +150,38 @@ func TestRunWithSeed(t *testing.T) {
 	}
 }
 
+// TestRunSeedValidation: a seed is checked as qa is — one value in (0,1]
+// per dimension — and rejected on a concrete run, which ignores it.
+func TestRunSeedValidation(t *testing.T) {
+	srv := newTestServer(t)
+	sum := compileOne(t, srv, apiEQ2D, 12)
+	qa := []float64{0.2, 3e-6}
+	cases := []struct {
+		name     string
+		seed     []float64
+		concrete bool
+		status   int
+	}{
+		{"valid", []float64{0.1, 1.5e-6}, false, http.StatusOK},
+		{"above one", []float64{5, 5}, false, http.StatusBadRequest},
+		{"huge", []float64{1e300, 1e300}, false, http.StatusBadRequest},
+		{"zero", []float64{0, 0}, false, http.StatusBadRequest},
+		{"negative", []float64{-1, -1}, false, http.StatusBadRequest},
+		{"one value short", []float64{0.1}, false, http.StatusBadRequest},
+		{"concrete", []float64{0.1, 1.5e-6}, true, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, optimized := range []bool{false, true} {
+				req := runRequest{ID: sum.ID, QA: qa, Seed: tc.seed, Optimized: optimized, Concrete: tc.concrete}
+				if resp, raw := postJSON(t, srv.URL+"/run", req); resp.StatusCode != tc.status {
+					t.Fatalf("optimized=%t: status %d, want %d: %v", optimized, resp.StatusCode, tc.status, raw)
+				}
+			}
+		})
+	}
+}
+
 func TestListAndGet(t *testing.T) {
 	srv := newTestServer(t)
 	sum := compileOne(t, srv, apiEQ2D, 10)

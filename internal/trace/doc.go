@@ -6,10 +6,14 @@
 // run-time actually did. A Recorder captures that as an ordered sequence
 // of fixed-shape Spans: contour entries, budgeted plan executions (with
 // per-operator counters), spilled executions, budget aborts, and
-// discovered-selectivity updates. The run drivers in internal/core and
-// both execution engines in internal/exec emit spans when (and only
-// when) a Recorder is supplied; vectorized executions additionally
-// stamp exec spans with the batch count and morsel worker count.
+// discovered-selectivity updates. Only the run drivers in internal/core
+// emit spans, and only when a Recorder is supplied: the driver records the
+// contour, spill, budget-abort and learn spans, and each stepper the exec
+// span of the step it ran. The simulated stepper's node stats come from
+// the step's own pricing walk; the concrete stepper's from the engine's
+// per-operator counters, and on the vectorized engine it also stamps the
+// exec span with the batch count and morsel worker count. The engines in
+// internal/exec record nothing.
 //
 // Design constraints, in order:
 //
