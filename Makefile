@@ -115,7 +115,7 @@ bench-exec:
 	$(GO) build -o $(BIN)/benchjson ./cmd/benchjson
 	@cat bench/exec_seed.txt bench/bouquet_seed.txt > $(BIN)/exec_baseline.txt
 	$(BIN)/benchjson -baseline $(BIN)/exec_baseline.txt -o BENCH_exec.json \
-		-note "executor and bouquet-run benchmarks; ns_per_op/bytes/allocs are best-of-N" < $(BIN)/bench_exec.txt
+		-note "executor and bouquet-run benchmarks at GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}; ns_per_op/bytes/allocs are best-of-N" < $(BIN)/bench_exec.txt
 	@echo "wrote BENCH_exec.json"
 
 # bench-exec-smoke is the CI variant: single short iterations on both

@@ -149,7 +149,7 @@ func antiConcrete(t testing.TB) (*query.Query, *data.Database, *exec.Engine) {
 func TestAntiJoinExecutionCorrect(t *testing.T) {
 	_, db, eng := antiConcrete(t)
 	// Brute force: orders whose o_cust appears in no blocked row.
-	blocked := map[int64]bool{}
+	blocked := map[int32]bool{}
 	for _, v := range db.Table("blocked").Column("b_cust") {
 		blocked[v] = true
 	}

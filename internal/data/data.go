@@ -11,6 +11,12 @@
 // by TestLazyColumnsMatchEager), so a database holds only the columns its
 // runs touch.
 //
+// Every column is an int32 vector, 4 B per row: every value the generator
+// makes — a row id, a foreign key below its referenced cardinality, an int
+// below its domain — fits, and Generate rejects a relation or a column
+// that would not (see Check). Readers widen a value to int64 where they
+// read it.
+//
 // Row ids are not data: a key column is its row ids 0…n-1, and its index
 // the identity permutation, so neither is stored per table. Every key
 // column, and every key column's index, aliases one process-wide,
@@ -26,6 +32,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -45,9 +52,10 @@ type Spec struct {
 	// selectivity MatchFrac/|PK| instead of the clean 1/|PK|, which is
 	// how run-time workloads position q_a inside a join dimension.
 	MatchFrac map[string]float64
-	// Domain, per column, overrides the value domain size (defaults to
-	// the column's DistinctCount). Plain-int columns draw uniformly
-	// from [0, domain).
+	// Domain, per plain-int column, overrides the value domain size
+	// (defaults to the column's DistinctCount): the column draws
+	// uniformly from [0, domain), and SelectionBound prices it over that
+	// range. At most math.MaxInt32 (Check).
 	Domain map[string]int64
 	// Skew, per column, draws values Zipf-distributed with the given
 	// exponent s > 1 instead of uniformly (value 0 most frequent).
@@ -81,7 +89,7 @@ type Table struct {
 
 	colIdx  map[string]int
 	n       int
-	cols    []atomic.Pointer[[]int64] // by column ordinal; nil until first read
+	cols    []atomic.Pointer[[]int32] // by column ordinal; nil until first read
 	indexes []atomic.Pointer[Index]   // by column ordinal; nil until first use
 
 	// mu guards building a column or index and the generator below: the
@@ -101,13 +109,13 @@ func (t *Table) NumRows() int { return t.n }
 // Value returns the value of column col at row r. Panics on an unknown
 // column.
 func (t *Table) Value(r int, col string) int64 {
-	return t.Column(col)[r]
+	return int64(t.Column(col)[r])
 }
 
 // Column returns the full column vector (shared; do not mutate),
 // generating it on first read (see Table for the concurrency rule). Panics
 // on an unknown column.
-func (t *Table) Column(col string) []int64 {
+func (t *Table) Column(col string) []int32 {
 	return t.column(t.ordinal(col))
 }
 
@@ -119,7 +127,7 @@ func (t *Table) ordinal(col string) int {
 	return i
 }
 
-func (t *Table) column(i int) []int64 {
+func (t *Table) column(i int) []int32 {
 	if p := t.cols[i].Load(); p != nil {
 		return *p
 	}
@@ -152,7 +160,7 @@ func (t *Table) Index(col string) *Index {
 	}
 	var ix *Index
 	if t.Rel.Columns[i].Type == catalog.TypeKey {
-		_, ids := rowIDs(t.n)
+		ids := rowIDs(t.n)
 		ix = &Index{order: ids[:t.n:t.n], starts: ids}
 	} else {
 		ix = newIndex(vals)
@@ -164,8 +172,8 @@ func (t *Table) Index(col string) *Index {
 // Index is a column's secondary index: the row ids ordered by (value, row
 // id), and where each value's run starts in that order. One structure
 // answers both range scans and equality probes in 4 B per row plus 4 B
-// per value slot (12 B on the sparse path, which also keeps the value):
-// at most 12 B/row on the dense path (pinned by TestIndexBytesPerRow),
+// per value slot (8 B on the sparse path, which also keeps the value): at
+// most 12 B/row on either path (pinned by TestIndexBytesPerRow),
 // where a Go map of row-id slices took ~88. A key column's index costs
 // nothing per row: Table.Index aliases the shared row-id vector.
 //
@@ -182,14 +190,14 @@ type Index struct {
 	// lo+i. Sparse path: slot i holds vals[i].
 	starts []int32
 	lo     int64
-	vals   []int64 // sorted distinct values; nil on the dense path
+	vals   []int32 // sorted distinct values; nil on the dense path
 }
 
 // denseSpanPerRow bounds the dense path's value span per row, and with it
 // the starts slice at 2×4 B per row.
 const denseSpanPerRow = 2
 
-func newIndex(vals []int64) *Index {
+func newIndex(vals []int32) *Index {
 	n := len(vals)
 	ix := &Index{order: make([]int32, n)}
 	if n == 0 {
@@ -200,23 +208,21 @@ func newIndex(vals []int64) *Index {
 	for _, v := range vals[1:] {
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	// Unsigned difference: exact for any lo ≤ hi, including spans that
-	// overflow int64.
-	if span := uint64(hi) - uint64(lo); span < denseSpanPerRow*uint64(n) {
+	if span := uint64(int64(hi) - int64(lo)); span < denseSpanPerRow*uint64(n) {
 		// Counting sort. starts[i+1] counts value lo+i; the prefix sum
 		// turns starts[i] into the first offset of value lo+i; scattering
 		// rows in ascending id order (stable) advances each starts[i] to
 		// its run's end, so shifting right by one restores the starts.
-		ix.lo = lo
+		ix.lo = int64(lo)
 		starts := make([]int32, span+2)
 		for _, v := range vals {
-			starts[v-lo+1]++
+			starts[int64(v)-ix.lo+1]++
 		}
 		for i := 1; i < len(starts); i++ {
 			starts[i] += starts[i-1]
 		}
 		for r, v := range vals {
-			s := &starts[v-lo]
+			s := &starts[int64(v)-ix.lo]
 			ix.order[*s] = int32(r)
 			*s++
 		}
@@ -259,8 +265,11 @@ func (ix *Index) Rows(v int64) []int32 {
 		}
 		i = int(off)
 	} else {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return nil
+		}
 		var ok bool
-		if i, ok = slices.BinarySearch(ix.vals, v); !ok {
+		if i, ok = slices.BinarySearch(ix.vals, int32(v)); !ok {
 			return nil
 		}
 	}
@@ -271,7 +280,7 @@ func (ix *Index) Rows(v int64) []int32 {
 func (t *Table) CountLess(col string, bound int64) int64 {
 	var n int64
 	for _, v := range t.Column(col) {
-		if v < bound {
+		if int64(v) < bound {
 			n++
 		}
 	}
@@ -301,22 +310,61 @@ func (db *Database) Table(name string) *Table {
 // first read (see Table). A relation whose table is live in the process
 // under the same spec and seed gets that table, with whatever columns and
 // indexes it already holds (see store).
+//
+// Panics, before it makes any table, on what Check rejects, and on an
+// unknown relation.
 func Generate(cat *catalog.Catalog, rels []string, specs map[string]Spec, seed int64) *Database {
-	db := &Database{Cat: cat, tables: make(map[string]*Table)}
-	var list []*catalog.Relation
-	if len(rels) == 0 {
-		list = cat.Relations()
-	} else {
-		for _, name := range rels {
-			list = append(list, cat.MustRelation(name))
-		}
+	list := relations(cat, rels)
+	if err := check(list, specs); err != nil {
+		panic(err)
 	}
+	db := &Database{Cat: cat, tables: make(map[string]*Table, len(list))}
 	for _, rel := range list {
 		// Per-relation seed derived stably from the global seed and
 		// relation name so adding relations never reshuffles others.
 		db.tables[rel.Name] = table(rel, specs[rel.Name], seed^int64(stableHash(rel.Name)))
 	}
 	return db
+}
+
+// Check reports why Generate would reject the relations rels of cat (every
+// relation, if rels is empty) under specs, or nil if it would not. Columns
+// are int32 vectors, so it rejects a relation of more than math.MaxInt32
+// rows, whose row ids would wrap, and a non-key column whose domain — a
+// foreign key's referenced cardinality, an int column's DistinctCount or
+// its Spec.Domain override — exceeds math.MaxInt32, whose values would
+// not fit. Panics on an unknown relation.
+func Check(cat *catalog.Catalog, rels []string, specs map[string]Spec) error {
+	return check(relations(cat, rels), specs)
+}
+
+func relations(cat *catalog.Catalog, rels []string) []*catalog.Relation {
+	if len(rels) == 0 {
+		return cat.Relations()
+	}
+	list := make([]*catalog.Relation, len(rels))
+	for i, name := range rels {
+		list[i] = cat.MustRelation(name)
+	}
+	return list
+}
+
+func check(list []*catalog.Relation, specs map[string]Spec) error {
+	for _, rel := range list {
+		if rel.Card > math.MaxInt32 {
+			return fmt.Errorf("data: relation %s has %d rows, more than int32 row ids hold (%d)", rel.Name, rel.Card, math.MaxInt32)
+		}
+		for i := range rel.Columns {
+			col := &rel.Columns[i]
+			if col.Type == catalog.TypeKey {
+				continue
+			}
+			if d := domain(col, specs[rel.Name]); d > math.MaxInt32 {
+				return fmt.Errorf("data: column %s.%s draws from a domain of %d values, more than an int32 column holds (%d)", rel.Name, col.Name, d, math.MaxInt32)
+			}
+		}
+	}
+	return nil
 }
 
 // tableKey names a table: the relation it instantiates (by pointer, so
@@ -369,7 +417,7 @@ func newTable(rel *catalog.Relation, spec Spec, seed int64) *Table {
 		Rel:     rel,
 		colIdx:  make(map[string]int, len(rel.Columns)),
 		n:       int(rel.Card),
-		cols:    make([]atomic.Pointer[[]int64], len(rel.Columns)),
+		cols:    make([]atomic.Pointer[[]int32], len(rel.Columns)),
 		indexes: make([]atomic.Pointer[Index], len(rel.Columns)),
 		// The table owns its spec: a caller's later edit to its maps
 		// must not change a table other databases share.
@@ -416,11 +464,10 @@ func stableHash(s string) uint32 {
 // non-key column past the stream's position is left ungenerated, the
 // generator is released: a later read of a column it skipped replays from
 // the seed.
-func (t *Table) generate(ci int) []int64 {
+func (t *Table) generate(ci int) []int32 {
 	cols := t.Rel.Columns
 	if cols[ci].Type == catalog.TypeKey {
-		ids, _ := rowIDs(t.n)
-		return ids
+		return rowIDs(t.n)[:t.n:t.n]
 	}
 	if t.rng == nil || ci < t.next {
 		t.rng, t.next = rand.New(rand.NewSource(t.seed)), 0
@@ -428,7 +475,7 @@ func (t *Table) generate(ci int) []int64 {
 	for ; t.next < ci; t.next++ {
 		t.draw(t.next, nil)
 	}
-	vals := make([]int64, t.n)
+	vals := make([]int32, t.n)
 	t.draw(ci, vals)
 	t.next = ci + 1
 	for i := t.next; i < len(cols); i++ {
@@ -440,80 +487,79 @@ func (t *Table) generate(ci int) []int64 {
 	return vals
 }
 
-// rowIDs returns the row ids 0…n-1 as int64 and 0…n as int32, aliasing
-// one process-wide identity vector with capacity clipped, so an append by
-// any caller reallocates instead of writing into it. The vector is
-// read-only, grows geometrically under the mutex and never shrinks; a
-// prefix handed out before a growth stays valid because its values never
-// change. It retains under 24 B per row of the largest key table the
-// process has generated.
-func rowIDs(n int) ([]int64, []int32) {
+// rowIDs returns the row ids 0…n, aliasing one process-wide identity
+// vector with capacity clipped, so an append by any caller reallocates
+// instead of writing into it. A key column is its first n entries and a
+// key index's run starts all n+1. The vector is read-only, grows
+// geometrically under the mutex and never shrinks; a prefix handed out
+// before a growth stays valid because its values never change. It retains
+// under 8 B per row of the largest key table the process has generated.
+// n is at most math.MaxInt32 (Check).
+func rowIDs(n int) []int32 {
 	sharedIDs.Lock()
 	defer sharedIDs.Unlock()
-	if n >= len(sharedIDs.i32) {
-		m := max(n, 2*len(sharedIDs.i64))
-		i64, i32 := make([]int64, m), make([]int32, m+1)
-		for i := range i64 {
-			i64[i], i32[i] = int64(i), int32(i)
+	if n >= len(sharedIDs.ids) {
+		m := min(max(n, 2*(len(sharedIDs.ids)-1)), math.MaxInt32)
+		ids := make([]int32, m+1)
+		for i := range ids {
+			ids[i] = int32(i)
 		}
-		i32[m] = int32(m)
-		sharedIDs.i64, sharedIDs.i32 = i64, i32
+		sharedIDs.ids = ids
 	}
-	return sharedIDs.i64[:n:n], sharedIDs.i32[: n+1 : n+1]
+	return sharedIDs.ids[: n+1 : n+1]
 }
 
-// sharedIDs is the identity vector rowIDs hands out: i64 holds 0…m-1 and
-// i32 holds 0…m. It is process-wide rather than per database because it is
-// the same for every table: one copy serves every key column.
+// sharedIDs is the identity vector rowIDs hands out, holding 0…m. It is
+// process-wide rather than per database because it is the same for every
+// table: one copy serves every key column and every key index.
 var sharedIDs struct {
 	sync.Mutex
-	i64 []int64
-	i32 []int32
+	ids []int32
+}
+
+// domain returns the size of the value range a column draws from: an int
+// column's Spec.Domain override if it has one, otherwise its
+// DistinctCount — a foreign key's referenced cardinality — and at least 1.
+// The generator draws from [0, domain), SelectionBound assumes that range,
+// and Check rejects a domain past int32.
+func domain(col *catalog.Column, spec Spec) int64 {
+	d := col.DistinctCount
+	if o, ok := spec.Domain[col.Name]; ok && col.Type == catalog.TypeInt {
+		d = o
+	}
+	return max(d, 1)
 }
 
 // draw makes column ci's draws from the stream, storing them in vals, or
 // discarding them when vals is nil. Key columns draw nothing.
-func (t *Table) draw(ci int, vals []int64) {
+func (t *Table) draw(ci int, vals []int32) {
 	col, spec, rng := &t.Rel.Columns[ci], t.spec, t.rng
 	switch col.Type {
 	case catalog.TypeForeignKey:
 		// Referenced keys are dense 0..refCard-1 by the TypeKey
 		// construction, so a draw in that range references a real key.
-		refCard := col.DistinctCount
-		if refCard < 1 {
-			refCard = 1
-		}
 		match := 1.0
 		if spec.MatchFrac != nil {
 			if f, ok := spec.MatchFrac[col.Name]; ok {
 				match = f
 			}
 		}
-		draw := drawerFor(spec, col.Name, refCard, rng)
+		draw := drawerFor(spec, col.Name, domain(col, spec), rng)
 		for i := 0; i < t.n; i++ {
-			v := int64(-1) // dangling: matches nothing
+			v := int32(-1) // dangling: matches nothing
 			if match >= 1.0 || rng.Float64() < match {
-				v = draw()
+				v = int32(draw())
 			}
 			if vals != nil {
 				vals[i] = v
 			}
 		}
 	case catalog.TypeInt:
-		domain := col.DistinctCount
-		if spec.Domain != nil {
-			if d, ok := spec.Domain[col.Name]; ok {
-				domain = d
-			}
-		}
-		if domain < 1 {
-			domain = 1
-		}
-		draw := drawerFor(spec, col.Name, domain, rng)
+		draw := drawerFor(spec, col.Name, domain(col, spec), rng)
 		for i := 0; i < t.n; i++ {
 			v := draw()
 			if vals != nil {
-				vals[i] = v
+				vals[i] = int32(v)
 			}
 		}
 	}
@@ -543,11 +589,7 @@ func (db *Database) SelectionBound(relName, col string, target float64) (bound i
 	if c == nil {
 		panic(fmt.Sprintf("data: no column %s.%s", relName, col))
 	}
-	domain := c.DistinctCount
-	if domain < 1 {
-		domain = 1
-	}
-	bound = int64(target * float64(domain))
+	bound = int64(target * float64(domain(c, t.spec)))
 	if bound < 1 {
 		bound = 1
 	}
@@ -567,7 +609,7 @@ func (db *Database) JoinSelectivity(lrel, lcol, rrel, rcol string) float64 {
 	ix := l.Index(lcol)
 	var matches int64
 	for _, v := range r.Column(rcol) {
-		matches += int64(len(ix.Rows(v)))
+		matches += int64(len(ix.Rows(int64(v))))
 	}
 	return float64(matches) / (float64(l.NumRows()) * float64(r.NumRows()))
 }

@@ -40,7 +40,7 @@ func TestKeyColumnsDense(t *testing.T) {
 	db := Generate(smallCatalog(), nil, nil, 1)
 	vals := db.Table("pk").Column("id")
 	for i, v := range vals {
-		if v != int64(i) {
+		if v != int32(i) {
 			t.Fatalf("key column not dense at %d: %d", i, v)
 		}
 	}
@@ -149,7 +149,7 @@ func TestSelectionBound(t *testing.T) {
 	// Realized matches an independent count.
 	var n int64
 	for _, v := range db.Table("fk").Column("w") {
-		if v < bound {
+		if int64(v) < bound {
 			n++
 		}
 	}

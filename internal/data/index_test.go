@@ -12,7 +12,7 @@ import (
 
 // oracleOrder is the index's order as a plain stable sort of the row ids
 // by value computes it.
-func oracleOrder(vals []int64) []int32 {
+func oracleOrder(vals []int32) []int32 {
 	ids := make([]int32, len(vals))
 	for i := range ids {
 		ids[i] = int32(i)
@@ -23,10 +23,10 @@ func oracleOrder(vals []int64) []int32 {
 
 // oracleRows is the value → ascending row ids map a hash index over the
 // column holds.
-func oracleRows(vals []int64) map[int64][]int32 {
+func oracleRows(vals []int32) map[int64][]int32 {
 	h := make(map[int64][]int32, len(vals))
 	for i, v := range vals {
-		h[v] = append(h[v], int32(i))
+		h[int64(v)] = append(h[int64(v)], int32(i))
 	}
 	return h
 }
@@ -34,7 +34,7 @@ func oracleRows(vals []int64) map[int64][]int32 {
 // checkAgainstOracle builds the index of vals and compares it with the
 // oracles: the same order, the same rows for every present value, and no
 // rows below the minimum, inside any gap or above the maximum.
-func checkAgainstOracle(t *testing.T, name string, vals []int64) *Index {
+func checkAgainstOracle(t *testing.T, name string, vals []int32) *Index {
 	t.Helper()
 	ix := newIndex(vals)
 	if !slices.Equal(ix.Order(), oracleOrder(vals)) {
@@ -86,12 +86,12 @@ func TestIndexMatchesOracle(t *testing.T) {
 		{name: "dangling", specs: map[string]Spec{
 			"fk": {MatchFrac: map[string]float64{"ref": 0.3}},
 		}},
-		// A 2^40 domain forces the sparse path; the skewed column gives
+		// A 2^30 domain forces the sparse path; the skewed column gives
 		// it long runs of equal values, where only the row-id tie-break
 		// keeps the comparison sort stable.
 		{name: "sparse", specs: map[string]Spec{
-			"pk": {Domain: map[string]int64{"v": 1 << 40}},
-			"fk": {Domain: map[string]int64{"w": 1 << 40}, Skew: map[string]float64{"w": 1.2}},
+			"pk": {Domain: map[string]int64{"v": 1 << 30}},
+			"fk": {Domain: map[string]int64{"w": 1 << 30}, Skew: map[string]float64{"w": 1.2}},
 		}, sparse: map[string]bool{"v": true, "w": true}},
 	}
 	for _, c := range cases {
@@ -120,14 +120,14 @@ func TestIndexMatchesOracle(t *testing.T) {
 		}
 	}
 
-	// Values at the ends of int64, whose span overflows a signed
+	// Values at the ends of int32, whose span overflows an int32
 	// subtraction.
-	checkAgainstOracle(t, "extremes", []int64{math.MaxInt64, math.MinInt64, 0, math.MaxInt64, -1})
-	checkAgainstOracle(t, "near-max", []int64{math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64})
+	checkAgainstOracle(t, "extremes", []int32{math.MaxInt32, math.MinInt32, 0, math.MaxInt32, -1})
+	checkAgainstOracle(t, "near-max", []int32{math.MaxInt32, math.MaxInt32 - 1, math.MaxInt32})
 }
 
 // indexFixture returns a 1 000-row table whose key column takes the dense
-// path and whose "v" column, over a 2^40 domain, takes the sparse path.
+// path and whose "v" column, over a 2^30 domain, takes the sparse path.
 func indexFixture() *Table {
 	c := catalog.NewCatalog()
 	c.AddRelation(&catalog.Relation{
@@ -137,7 +137,7 @@ func indexFixture() *Table {
 			{Name: "v", Type: catalog.TypeInt, DistinctCount: 1000},
 		},
 	})
-	return Generate(c, nil, map[string]Spec{"t": {Domain: map[string]int64{"v": 1 << 40}}}, 1).Table("t")
+	return Generate(c, nil, map[string]Spec{"t": {Domain: map[string]int64{"v": 1 << 30}}}, 1).Table("t")
 }
 
 func TestIndexRowsAllocFree(t *testing.T) {

@@ -16,7 +16,8 @@ import (
 
 // eagerColumns is the oracle: every column of rel drawn up front, in
 // catalog order, from one stream seeded as Generate seeds the relation —
-// the generator as it was before columns became lazy.
+// the generator as it was before columns became lazy, and before they
+// became int32 (compare through widen).
 func eagerColumns(rel *catalog.Relation, spec data.Spec, seed int64) [][]int64 {
 	h := uint32(2166136261)
 	for i := 0; i < len(rel.Name); i++ {
@@ -70,6 +71,15 @@ func eagerColumns(rel *catalog.Relation, spec data.Spec, seed int64) [][]int64 {
 		cols[ci] = vals
 	}
 	return cols
+}
+
+// widen returns col's values as int64, for comparison with the oracle.
+func widen(col []int32) []int64 {
+	out := make([]int64, len(col))
+	for i, v := range col {
+		out[i] = int64(v)
+	}
+	return out
 }
 
 func drawerFor(spec data.Spec, col string, domain int64, rng *rand.Rand) func() int64 {
@@ -206,14 +216,14 @@ func TestLazyColumnsMatchEager(t *testing.T) {
 					want := eagerColumns(rel, c.specs[name], seed)
 					tbl := db.Table(name)
 					for _, i := range orders[oname](len(rel.Columns), r) {
-						got := tbl.Column(rel.Columns[i].Name)
+						got := widen(tbl.Column(rel.Columns[i].Name))
 						if !slices.Equal(got, want[i]) || len(got) != int(rel.Card) {
 							t.Fatalf("%s.%s differs from the eager oracle", name, rel.Columns[i].Name)
 						}
 					}
 					// A second read returns the stored column.
 					for i, col := range rel.Columns {
-						if !slices.Equal(tbl.Column(col.Name), want[i]) {
+						if !slices.Equal(widen(tbl.Column(col.Name)), want[i]) {
 							t.Fatalf("%s.%s changed on re-read", name, col.Name)
 						}
 					}
@@ -240,7 +250,7 @@ func TestConcurrentFirstReadsMatchEager(t *testing.T) {
 		}
 		type read struct {
 			tbl  *data.Table
-			cols [][]int64
+			cols [][]int32
 			ixs  []*data.Index
 		}
 		reads := make([][]read, goroutines)
@@ -254,7 +264,7 @@ func TestConcurrentFirstReadsMatchEager(t *testing.T) {
 				for _, name := range c.rels {
 					tbl := db.Table(name)
 					n := len(tbl.Rel.Columns)
-					rd := read{tbl: tbl, cols: make([][]int64, n), ixs: make([]*data.Index, n)}
+					rd := read{tbl: tbl, cols: make([][]int32, n), ixs: make([]*data.Index, n)}
 					// Each of 2n reads is a column or an index, in
 					// this goroutine's own order.
 					for _, k := range r.Perm(2 * n) {
@@ -287,7 +297,7 @@ func TestConcurrentFirstReadsMatchEager(t *testing.T) {
 				}
 			}
 			for i, col := range rel.Columns {
-				if !slices.Equal(first.cols[i], want[i]) {
+				if !slices.Equal(widen(first.cols[i]), want[i]) {
 					t.Fatalf("%s: %s.%s differs from the eager oracle", c.name, name, col.Name)
 				}
 				checkIndex(t, c.name+": "+name+"."+col.Name, first.ixs[i], want[i])

@@ -86,7 +86,7 @@ func TestRowIDsConcurrentGrowth(t *testing.T) {
 				tbl := keyTable(n)
 				col, ix := tbl.Column("id"), tbl.Index("id")
 				for i, v := range col {
-					if v != int64(i) || ix.Order()[i] != int32(i) {
+					if v != int32(i) || ix.Order()[i] != int32(i) {
 						errs <- fmt.Errorf("n=%d: row %d reads %d / %d", n, i, v, ix.Order()[i])
 						return
 					}

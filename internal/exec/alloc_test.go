@@ -45,9 +45,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 
 func TestFilterBatchAllocFree(t *testing.T) {
 	const n = 1024
-	col := make([]int64, n)
+	col := make([]int32, n)
 	for i := range col {
-		col[i] = int64(i)
+		col[i] = int32(i)
 	}
 	preds := []scanPred{{id: 0, col: col, bound: n / 2}}
 	rows := make([]int32, n)
@@ -64,6 +64,54 @@ func TestFilterBatchAllocFree(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { filterBatch(st, ws, preds, 0, n, rows) }); got > 0 {
 		t.Errorf("filterBatch over gathered rows allocates %.0f/batch warm, want 0", got)
+	}
+}
+
+// TestScanGatherAllocFree pins the scans' gather: widening a batch's live
+// rows into the slot's owned buffers allocates nothing, whether the batch
+// is a heap range or index-ordered rows, filtered or not, and the dense
+// batch holds exactly the live rows' values.
+func TestScanGatherAllocFree(t *testing.T) {
+	const n = 1024
+	cols := [][]int32{make([]int32, 2*n), make([]int32, 2*n)}
+	for i := range cols[0] {
+		cols[0][i], cols[1][i] = int32(i), int32(-i)
+	}
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(2*n - 1 - i)
+	}
+	sel := []int32{0, 5, n - 1}
+	ws := &wslot{}
+	ws.b.cols = make([][]int64, len(cols))
+	ws.owned(len(cols), n)
+	cases := []struct {
+		name        string
+		base, nrows int
+		rows, sel   []int32
+		want        func(k int) int32 // the table row of live row k
+		live        int
+	}{
+		{"heap", n, n, nil, nil, func(k int) int32 { return int32(n + k) }, n},
+		// Not a multiple of widen's unrolling.
+		{"heap/tail", 3, 13, nil, nil, func(k int) int32 { return int32(3 + k) }, 13},
+		{"heap/sel", n, n, nil, sel, func(k int) int32 { return int32(n) + sel[k] }, len(sel)},
+		{"index", 0, n, rows, nil, func(k int) int32 { return rows[k] }, n},
+		{"index/sel", 0, n, rows, sel, func(k int) int32 { return rows[sel[k]] }, len(sel)},
+	}
+	for _, c := range cases {
+		b := gather(ws, cols, c.base, c.nrows, c.rows, c.sel)
+		if b.n != c.live || b.sel != nil {
+			t.Fatalf("%s: batch of %d rows, sel %v; want %d dense", c.name, b.n, b.sel, c.live)
+		}
+		for k := 0; k < b.n; k++ {
+			if r := c.want(k); b.cols[0][k] != int64(r) || b.cols[1][k] != -int64(r) {
+				t.Fatalf("%s: live row %d reads %d/%d, want row %d", c.name, k, b.cols[0][k], b.cols[1][k], r)
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() { gather(ws, cols, c.base, c.nrows, c.rows, c.sel) }); got > 0 {
+			t.Errorf("%s: gather allocates %.0f/batch warm, want 0", c.name, got)
+		}
 	}
 }
 

@@ -380,9 +380,10 @@ func (e *Engine) relSchema(relName string) schema {
 }
 
 // columns resolves sch's columns to table's vectors, once, when an
-// operator is built.
-func columns(tbl *data.Table, sch schema) [][]int64 {
-	cols := make([][]int64, len(sch))
+// operator is built. The vectors are int32; readers widen each value they
+// read.
+func columns(tbl *data.Table, sch schema) [][]int32 {
+	cols := make([][]int32, len(sch))
 	for i, c := range sch {
 		cols[i] = tbl.Column(c.Column)
 	}

@@ -588,7 +588,7 @@ func TestAntiJoinOperatorLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked := map[int64]bool{}
+	blocked := map[int32]bool{}
 	for _, v := range db.Table("blk").Column("b_c") {
 		blocked[v] = true
 	}

@@ -55,7 +55,7 @@ func keysAreIdentity(fx *fixture) error {
 					rel.Name, col.Name, len(vals), len(ix.Order()), tbl.NumRows())
 			}
 			for i, v := range vals {
-				if rows := ix.Rows(int64(i)); v != int64(i) || ix.Order()[i] != int32(i) ||
+				if rows := ix.Rows(int64(i)); v != int32(i) || ix.Order()[i] != int32(i) ||
 					len(rows) != 1 || rows[0] != int32(i) {
 					return fmt.Errorf("%s.%s: row %d reads %d, order %d, Rows %v",
 						rel.Name, col.Name, i, v, ix.Order()[i], rows)

@@ -30,9 +30,10 @@ import (
 // last committed barrier — at every worker count.
 
 // vbatch is one column batch: width-many int64 vectors of n rows plus an
-// optional selection vector listing the live row indices. Scan batches
-// alias the base table's column storage; transform outputs own their
-// buffers. A batch is only valid for the duration of the sink call it is
+// optional selection vector listing the live row indices. No batch aliases
+// table storage: the scans widen their live rows from the table's int32
+// vectors into worker-owned buffers (gather), and transforms fill their
+// own. A batch is only valid for the duration of the sink call it is
 // passed to — workers reuse the backing arrays for the next batch.
 type vbatch struct {
 	cols [][]int64

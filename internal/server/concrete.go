@@ -31,9 +31,9 @@ import (
 
 // DefaultEngineCacheSize bounds the concrete-run engine cache. An entry
 // retains its engine's selection bindings and, through its database, the
-// tables of the bouquet's relations: 8 B per row per non-key column any
-// run has read (columns are generated on first read), plus 4–16 B per row
-// for every non-key column index any run has built. The data package holds
+// tables of the bouquet's relations: 4 B per row per non-key column any
+// run has read (columns are int32 vectors, generated on first read), plus
+// 4–12 B per row for every non-key column index any run has built. The data package holds
 // one table per (relation, spec, seed), so an entry over the same catalog
 // and seed as another entry retains only its bindings. Key columns and
 // their indexes cost nothing per table: they alias the data package's
@@ -87,6 +87,11 @@ func (c *engineCache) getOrBuild(key string, build func() (*exec.Engine, error))
 // engine for bouquet id at the given data seed.
 func (s *Server) engineFor(id string, b *core.Bouquet, seed int64) (*exec.Engine, error) {
 	return s.engines.getOrBuild(fmt.Sprintf("%s#%d", id, seed), func() (*exec.Engine, error) {
+		// A catalog the data package cannot represent answers an error,
+		// not Generate's panic.
+		if err := data.Check(s.cat, b.Query.Relations(), nil); err != nil {
+			return nil, err
+		}
 		db := data.Generate(s.cat, b.Query.Relations(), nil, seed)
 		// Bind every selection predicate to the constant realizing its
 		// declared selectivity on the generated (uniform) column.
@@ -112,9 +117,11 @@ func (s *Server) engineFor(id string, b *core.Bouquet, seed int64) (*exec.Engine
 // real generated rows. The actual selectivities are whatever the data
 // realizes — the runner discovers them from tuple counters, so the
 // request's qa field is ignored. ctx is checked between executions: a
-// cancelled request answers 503 like a simulated one. A worker count the
-// engine refuses (outside 0 … exec.MaxParallelism) answers 400, any other
-// engine error 500.
+// cancelled request answers 503 like a simulated one. An engine that
+// cannot be built — a catalog data.Check rejects, whose tables would not
+// fit int32 columns — answers 422. A worker count the engine refuses
+// (outside 0 … exec.MaxParallelism) answers 400, any other engine error
+// 500.
 func (s *Server) handleRunConcrete(ctx context.Context, w http.ResponseWriter, req runRequest, b *core.Bouquet) {
 	workers := s.cfg.ExecWorkers
 	if req.Parallelism != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/plan"
 )
@@ -143,6 +145,40 @@ func TestRunConcreteValidation(t *testing.T) {
 	resp, _ = postJSON(t, srv.URL+"/run", runRequest{ID: sum.ID, QA: []float64{0.05, 2e-6}, Parallelism: &two})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("simulated run with parallelism status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRunConcreteUngenerableCatalog checks that a concrete /run over a
+// catalog whose tables int32 columns cannot hold answers 422, not a
+// recovered panic, and that the server checks before it generates.
+func TestRunConcreteUngenerableCatalog(t *testing.T) {
+	wide := catalog.TPCHLike(0.01)
+	wide.MustRelation("part").Column("p_retailprice").DistinctCount = math.MaxInt32 + 1
+	cases := []struct {
+		name string
+		cat  *catalog.Catalog
+		want int
+	}{
+		{"fits", catalog.TPCHLike(0.01), http.StatusOK},
+		{"rows past int32", catalog.TPCHLike(400), http.StatusUnprocessableEntity},
+		{"domain past int32", wide, http.StatusUnprocessableEntity},
+	}
+	rels := []string{"part", "lineitem", "orders"} // apiEQ2D's
+	for _, c := range cases {
+		// Were the check missing, the run would generate billions of rows.
+		if err := data.Check(c.cat, rels, nil); (err == nil) != (c.want == http.StatusOK) {
+			t.Fatalf("%s: data.Check = %v", c.name, err)
+		}
+		srv := httptest.NewServer(NewWithConfig(c.cat, Config{}).Handler())
+		sum := compileOne(t, srv, apiEQ2D, 6)
+		resp, raw := postJSON(t, srv.URL+"/run", runRequest{ID: sum.ID, Concrete: true})
+		srv.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: concrete run status %d (%s), want %d", c.name, resp.StatusCode, raw["error"], c.want)
+		}
+		if c.want != http.StatusOK && !strings.Contains(string(raw["error"]), "building execution engine: data:") {
+			t.Errorf("%s: error %s does not name the data check", c.name, raw["error"])
+		}
 	}
 }
 
