@@ -6,7 +6,7 @@ BIN := bin
 # headroom for run-to-run variation, not for new untested code).
 COVER_FLOOR := 78.0
 
-.PHONY: verdict build test vet race race-generators race-serving determinism-exec fuzz lint lint-timing fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-bless corpus-stats
+.PHONY: verdict examples build test vet race race-generators race-serving determinism-exec fuzz lint lint-timing fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-bless corpus-stats
 
 build:
 	$(GO) build ./...
@@ -169,6 +169,17 @@ corpus-stats:
 verdict:
 	$(GO) run ./cmd/bouquet verdict
 
+# examples builds every program under examples/ and runs each one, failing
+# on the first non-zero exit. The examples drive the library's public API
+# (compile, Bouquet.Run on both substrates) and exit non-zero on any error
+# it returns; all six take well under a second.
+examples:
+	@mkdir -p $(BIN)/examples
+	$(GO) build -o $(BIN)/examples/ ./examples/...
+	@for ex in $(BIN)/examples/*; do \
+		echo "run $$ex"; $$ex > /dev/null || { echo "$$ex exited non-zero"; exit 1; }; \
+	done
+
 # ci mirrors the CI workflow's main job exactly — .github/workflows/ci.yml
 # invokes this target, so local `make ci` and CI cannot diverge.
-ci: fmt-check vet build test race race-generators race-serving determinism-exec lint bench-compile-smoke bench-exec-smoke corpus-check verdict
+ci: fmt-check vet build examples test race race-generators race-serving determinism-exec lint bench-compile-smoke bench-exec-smoke corpus-check verdict

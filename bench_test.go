@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -268,10 +269,12 @@ func BenchmarkTable3_Execution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner := &core.ConcreteRunner{B: bq, Engine: eng}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := runner.RunBasic()
+		out, err := bq.Run(context.Background(), core.Run{Engine: eng})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !out.Completed {
 			b.Fatal("bouquet run did not complete")
 		}

@@ -35,18 +35,11 @@ func traceCmd(name string, res int, lambda float64, workers int, qaFlag string, 
 		return err
 	}
 	rec := trace.Acquire()
-	driver := "basic"
-	var e core.Execution
-	if optimized {
-		driver = "optimized"
-		e, err = b.RunOptimizedTraced(context.Background(), qa, nil, rec)
-	} else {
-		e, err = b.RunBasicTraced(context.Background(), qa, nil, rec)
-	}
+	e, err := b.Run(context.Background(), core.Run{Optimized: optimized, QA: qa, Trace: rec})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("traced %s run of %s at q_a=%v\n  %s\n\n", driver, name, qa, e)
+	fmt.Printf("traced %s run of %s at q_a=%v\n  %s\n\n", driverName(optimized), name, qa, e)
 	renderTrace(rec, nodes)
 	rec.Release()
 	return nil
@@ -70,19 +63,22 @@ func traceConcrete(optimized, nodes bool, seed int64) error {
 	if err != nil {
 		return err
 	}
-	r := &core.ConcreteRunner{B: b, Engine: eng, Trace: trace.Acquire()}
-	driver := "basic"
-	var out core.ConcreteExecution
-	if optimized {
-		driver = "optimized"
-		out = r.RunOptimized()
-	} else {
-		out = r.RunBasic()
+	rec := trace.Acquire()
+	out, err := b.Run(context.Background(), core.Run{Optimized: optimized, Trace: rec, Engine: eng})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("traced concrete %s run of HQ8a (seed %d):\n%s\n", driver, seed, out.Explain())
-	renderTrace(r.Trace, nodes)
-	r.Trace.Release()
+	fmt.Printf("traced concrete %s run of HQ8a (seed %d):\n%s\n", driverName(optimized), seed, out.Explain())
+	renderTrace(rec, nodes)
+	rec.Release()
 	return nil
+}
+
+func driverName(optimized bool) string {
+	if optimized {
+		return "optimized"
+	}
+	return "basic"
 }
 
 // parseQA resolves the -qa flag against w's space, defaulting to the

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -78,8 +79,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runner := &core.ConcreteRunner{B: bouquet, Engine: eng}
-	out := runner.RunOptimized()
+	out, err := bouquet.Run(context.Background(), core.Run{Optimized: true, Engine: eng})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\noptimized bouquet execution (discovered q_run=%v):\n%s", out.Learned, out.Explain())
 
 	oracle := opt.Optimize(rw.Space.Sels(rw.Actual))

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -106,8 +107,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runner := &core.ConcreteRunner{B: rb, Engine: eng}
-	out := runner.RunOptimized()
+	out, err := rb.Run(context.Background(), core.Run{Optimized: true, Engine: eng})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nconcrete NOT EXISTS run: %d surviving orders discovered (learned pass fraction %v)\n%s",
 		out.ResultRows, out.Learned, out.Explain())
 }

@@ -198,8 +198,7 @@ func TestAntiJoinConcreteBouquet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &ConcreteRunner{B: b, Engine: eng}
-	out := runner.RunBasic()
+	out := runOn(t, b, Run{Engine: eng})
 	if !out.Completed {
 		t.Fatal("concrete anti bouquet failed")
 	}
@@ -208,7 +207,7 @@ func TestAntiJoinConcreteBouquet(t *testing.T) {
 	if direct.RowsOut != out.ResultRows {
 		t.Fatalf("rows %d vs direct %d", out.ResultRows, direct.RowsOut)
 	}
-	oo := runner.RunOptimized()
+	oo := runOn(t, b, Run{Optimized: true, Engine: eng})
 	if !oo.Completed || oo.ResultRows != out.ResultRows {
 		t.Fatalf("optimized concrete anti: completed=%v rows=%d want %d", oo.Completed, oo.ResultRows, out.ResultRows)
 	}

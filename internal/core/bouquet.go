@@ -17,10 +17,11 @@
 // learning per unit of exploration budget.
 //
 // One run-time driver (driver.go) decides every step of both algorithms and
-// records its control spans; a stepper only executes, and there are two: budgeted executions simulated on the optimizer's
-// cost surfaces (what the paper's grid metrics are computed from), and
-// plans run on the internal/exec engine over real rows (Table 3's
-// validation).
+// records its control spans; a stepper only executes, and there are two:
+// budgeted executions simulated on the optimizer's cost surfaces (what the
+// paper's grid metrics are computed from), and plans run on the
+// internal/exec engine over real rows (Table 3's validation). Bouquet.Run
+// (run.go) is the one entry point to both, and returns one Execution.
 package core
 
 import (

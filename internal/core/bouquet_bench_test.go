@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -96,7 +97,7 @@ func newBouquetBenchFixture(b *testing.B) *bouquetBenchFixture {
 		// several aborting steps before completion. If a cost-model or
 		// optimizer change flattens the ladder, fail loudly rather than
 		// silently benchmarking a one-step run.
-		out := (&ConcreteRunner{B: bq, Engine: eng}).RunBasic()
+		out := must(bq.Run(context.Background(), Run{Engine: eng}))
 		if !out.Completed || len(out.Steps) < 4 {
 			panic("bouquet bench fixture degenerated: want a completed run of >=4 steps")
 		}
@@ -114,8 +115,7 @@ func benchBouquetRun(b *testing.B, workers int, reuse bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := ConcreteRunner{B: fx.b, Engine: fx.eng, Parallelism: workers, Reuse: reuse}
-		out := r.RunBasic()
+		out := runOn(b, fx.b, Run{Engine: fx.eng, Parallelism: workers, Reuse: reuse})
 		if !out.Completed {
 			b.Fatal("bouquet run did not complete")
 		}

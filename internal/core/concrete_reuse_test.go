@@ -24,7 +24,7 @@ import (
 
 // assertReuseEquivalent compares a Reuse-off run against a Reuse-on run
 // of the same configuration; volcano selects that engine's cost contract.
-func assertReuseEquivalent(t *testing.T, label string, off, on ConcreteExecution, volcano bool) {
+func assertReuseEquivalent(t *testing.T, label string, off, on Execution, volcano bool) {
 	t.Helper()
 	if off.ReuseHits != 0 || off.SalvagedCost != 0 {
 		t.Fatalf("%s: reuse-off run reported hits=%d salvaged=%g", label, off.ReuseHits, off.SalvagedCost)
@@ -42,7 +42,7 @@ func assertReuseEquivalent(t *testing.T, label string, off, on ConcreteExecution
 		a, b := off.Steps[i], on.Steps[i]
 		if a.Contour != b.Contour || a.PlanID != b.PlanID || a.Dim != b.Dim ||
 			a.Budget != b.Budget || a.Completed != b.Completed {
-			t.Fatalf("%s: step %d diverged: off %+v vs on %+v", label, i, a.Step, b.Step)
+			t.Fatalf("%s: step %d diverged: off %+v vs on %+v", label, i, a, b)
 		}
 		if a.Rows != b.Rows {
 			t.Fatalf("%s: step %d rows %d with reuse, %d without", label, i, b.Rows, a.Rows)
@@ -70,14 +70,8 @@ func assertReuseEquivalent(t *testing.T, label string, off, on ConcreteExecution
 // off and on, asserts equivalence, and returns the reuse run's hit count.
 func runReusePair(t *testing.T, label string, b *Bouquet, eng *exec.Engine, optimized bool, workers int) int {
 	t.Helper()
-	off := ConcreteRunner{B: b, Engine: eng, Parallelism: workers}
-	on := ConcreteRunner{B: b, Engine: eng, Parallelism: workers, Reuse: true}
-	var offOut, onOut ConcreteExecution
-	if optimized {
-		offOut, onOut = off.RunOptimized(), on.RunOptimized()
-	} else {
-		offOut, onOut = off.RunBasic(), on.RunBasic()
-	}
+	offOut := runOn(t, b, Run{Optimized: optimized, Engine: eng, Parallelism: workers})
+	onOut := runOn(t, b, Run{Optimized: optimized, Engine: eng, Parallelism: workers, Reuse: true})
 	assertReuseEquivalent(t, label, offOut, onOut, workers == 0)
 	return onOut.ReuseHits
 }
@@ -87,12 +81,12 @@ func runReusePair(t *testing.T, label string, b *Bouquet, eng *exec.Engine, opti
 // and 8, asserting protocol equivalence — and that the reuse runs
 // actually salvage state (the whole point).
 func TestConcreteReuseDifferentialHQ8a(t *testing.T) {
-	_, r, _ := concreteFixture(t, 42)
+	_, b, eng, _ := concreteFixture(t, 42)
 	hits := 0
 	for _, workers := range []int{0, 1, 8} {
 		for _, optimized := range []bool{false, true} {
 			label := fmt.Sprintf("HQ8a/opt=%v/w%d", optimized, workers)
-			hits += runReusePair(t, label, r.B, r.Engine, optimized, workers)
+			hits += runReusePair(t, label, b, eng, optimized, workers)
 		}
 	}
 	if hits == 0 {

@@ -93,13 +93,7 @@ func TestConcreteTerminalBeyondESS(t *testing.T) {
 		for _, reuse := range []bool{false, true} {
 			for _, optimized := range []bool{false, true} {
 				label := fmt.Sprintf("opt=%v/w%d/reuse=%v", optimized, workers, reuse)
-				r := ConcreteRunner{B: b, Engine: eng, Parallelism: workers, Reuse: reuse}
-				var out ConcreteExecution
-				if optimized {
-					out = r.RunOptimized()
-				} else {
-					out = r.RunBasic()
-				}
+				out := runOn(t, b, Run{Optimized: optimized, Engine: eng, Parallelism: workers, Reuse: reuse})
 				if !out.Completed {
 					t.Fatalf("%s: truncated-space run did not complete", label)
 				}

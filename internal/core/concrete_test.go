@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-func concreteFixture(t testing.TB, seed int64) (*workload.RuntimeWorkload, *ConcreteRunner, *optimizer.Optimizer) {
+// concreteFixture compiles HQ8a's bouquet and builds the engine its runs
+// execute on, over the data seed plants.
+func concreteFixture(t testing.TB, seed int64) (*workload.RuntimeWorkload, *Bouquet, *exec.Engine, *optimizer.Optimizer) {
 	t.Helper()
 	rw, err := workload.HQ8a(seed)
 	if err != nil {
@@ -25,13 +28,30 @@ func concreteFixture(t testing.TB, seed int64) (*workload.RuntimeWorkload, *Conc
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rw, &ConcreteRunner{B: b, Engine: eng}, opt
+	return rw, b, eng, opt
 }
 
-func oracleRows(t testing.TB, rw *workload.RuntimeWorkload, r *ConcreteRunner, opt *optimizer.Optimizer) (int64, cost.Cost) {
+// runOn runs r on b with a background context; it fails t on an error.
+func runOn(t testing.TB, b *Bouquet, r Run) Execution {
+	t.Helper()
+	e, err := b.Run(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// repeatable returns s without what may differ between two equivalent
+// runs: the wall clock and the reuse cache's figures.
+func repeatable(s Step) Step {
+	s.Wall, s.ReuseHits, s.Salvaged = 0, 0, 0
+	return s
+}
+
+func oracleRows(t testing.TB, rw *workload.RuntimeWorkload, eng *exec.Engine, opt *optimizer.Optimizer) (int64, cost.Cost) {
 	t.Helper()
 	res := opt.Optimize(rw.Space.Sels(rw.Actual))
-	run := r.Engine.MustRun(res.Plan, exec.Options{})
+	run := eng.MustRun(res.Plan, exec.Options{})
 	if !run.Completed {
 		t.Fatal("oracle run failed")
 	}
@@ -39,10 +59,10 @@ func oracleRows(t testing.TB, rw *workload.RuntimeWorkload, r *ConcreteRunner, o
 }
 
 func TestConcreteBasicCorrectAndBounded(t *testing.T) {
-	rw, r, opt := concreteFixture(t, 42)
-	wantRows, oracleCost := oracleRows(t, rw, r, opt)
+	rw, b, eng, opt := concreteFixture(t, 42)
+	wantRows, oracleCost := oracleRows(t, rw, eng, opt)
 
-	out := r.RunBasic()
+	out := runOn(t, b, Run{Engine: eng})
 	if !out.Completed {
 		t.Fatal("basic bouquet did not complete")
 	}
@@ -52,7 +72,7 @@ func TestConcreteBasicCorrectAndBounded(t *testing.T) {
 	subopt := out.TotalCost.Over(oracleCost).F()
 	// The engine charges realized cardinalities, so allow modest slack
 	// over the analytic Eq. 8 bound.
-	if bound := r.B.BoundMSO().F() * 1.5; subopt > bound {
+	if bound := b.BoundMSO().F() * 1.5; subopt > bound {
 		t.Fatalf("concrete sub-optimality %g exceeds slack bound %g", subopt, bound)
 	}
 	if subopt < 1 {
@@ -61,24 +81,24 @@ func TestConcreteBasicCorrectAndBounded(t *testing.T) {
 }
 
 func TestConcreteOptimizedCorrect(t *testing.T) {
-	rw, r, opt := concreteFixture(t, 42)
-	wantRows, oracleCost := oracleRows(t, rw, r, opt)
+	rw, b, eng, opt := concreteFixture(t, 42)
+	wantRows, oracleCost := oracleRows(t, rw, eng, opt)
 
-	out := r.RunOptimized()
+	out := runOn(t, b, Run{Optimized: true, Engine: eng})
 	if !out.Completed {
 		t.Fatal("optimized bouquet did not complete")
 	}
 	if out.ResultRows != wantRows {
 		t.Fatalf("rows = %d, oracle %d", out.ResultRows, wantRows)
 	}
-	if subopt := out.TotalCost.Over(oracleCost); subopt > r.B.BoundMSO()*3 {
+	if subopt := out.TotalCost.Over(oracleCost); subopt > b.BoundMSO()*3 {
 		t.Fatalf("optimized concrete sub-optimality %g unreasonable", subopt)
 	}
 }
 
 func TestConcreteLearnsActualSelectivities(t *testing.T) {
-	rw, r, _ := concreteFixture(t, 42)
-	out := r.RunOptimized()
+	rw, b, eng, _ := concreteFixture(t, 42)
+	out := runOn(t, b, Run{Optimized: true, Engine: eng})
 	if out.Learned == nil {
 		t.Fatal("no learned state returned")
 	}
@@ -96,19 +116,19 @@ func TestConcreteLearnsActualSelectivities(t *testing.T) {
 }
 
 func TestConcreteRepeatability(t *testing.T) {
-	_, r, _ := concreteFixture(t, 42)
-	a := r.RunBasic()
-	b := r.RunBasic()
+	_, bq, eng, _ := concreteFixture(t, 42)
+	a := runOn(t, bq, Run{Engine: eng})
+	b := runOn(t, bq, Run{Engine: eng})
 	if a.NumExecs() != b.NumExecs() || a.TotalCost != b.TotalCost || a.ResultRows != b.ResultRows {
 		t.Fatal("concrete basic runs differ across invocations")
 	}
 	for i := range a.Steps {
-		if a.Steps[i].Step != b.Steps[i].Step || a.Steps[i].Rows != b.Steps[i].Rows {
+		if repeatable(a.Steps[i]) != repeatable(b.Steps[i]) {
 			t.Fatalf("step %d differs", i)
 		}
 	}
-	ao := r.RunOptimized()
-	bo := r.RunOptimized()
+	ao := runOn(t, bq, Run{Optimized: true, Engine: eng})
+	bo := runOn(t, bq, Run{Optimized: true, Engine: eng})
 	if ao.NumExecs() != bo.NumExecs() || ao.TotalCost != bo.TotalCost {
 		t.Fatal("concrete optimized runs differ across invocations")
 	}
@@ -117,13 +137,13 @@ func TestConcreteRepeatability(t *testing.T) {
 func TestConcreteBeatsNativeWorstCase(t *testing.T) {
 	// The headline run-time claim (Table 3): the bouquet's actual cost
 	// beats the native optimizer's at its erroneous estimate.
-	rw, r, opt := concreteFixture(t, 42)
+	rw, b, eng, opt := concreteFixture(t, 42)
 	natPlan := opt.Optimize(rw.Space.Sels(rw.Estimate()))
-	nat := r.Engine.MustRun(natPlan.Plan, exec.Options{})
+	nat := eng.MustRun(natPlan.Plan, exec.Options{})
 	if !nat.Completed {
 		t.Fatal("native run failed")
 	}
-	basic := r.RunBasic()
+	basic := runOn(t, b, Run{Engine: eng})
 	if basic.TotalCost >= nat.CostUsed {
 		t.Fatalf("bouquet (%g) did not beat the native choice (%g)", basic.TotalCost, nat.CostUsed)
 	}
@@ -133,20 +153,20 @@ func TestConcreteAcrossSeeds(t *testing.T) {
 	// Different data instantiations (different realized q_a) must all
 	// complete with matching result cardinalities.
 	for _, seed := range []int64{1, 7, 99} {
-		rw, r, opt := concreteFixture(t, seed)
-		wantRows, _ := oracleRows(t, rw, r, opt)
-		if out := r.RunBasic(); !out.Completed || out.ResultRows != wantRows {
+		rw, b, eng, opt := concreteFixture(t, seed)
+		wantRows, _ := oracleRows(t, rw, eng, opt)
+		if out := runOn(t, b, Run{Engine: eng}); !out.Completed || out.ResultRows != wantRows {
 			t.Errorf("seed %d basic: completed=%v rows=%d want %d", seed, out.Completed, out.ResultRows, wantRows)
 		}
-		if out := r.RunOptimized(); !out.Completed || out.ResultRows != wantRows {
+		if out := runOn(t, b, Run{Optimized: true, Engine: eng}); !out.Completed || out.ResultRows != wantRows {
 			t.Errorf("seed %d optimized: completed=%v rows=%d want %d", seed, out.Completed, out.ResultRows, wantRows)
 		}
 	}
 }
 
 func TestConcreteStepBudgets(t *testing.T) {
-	_, r, _ := concreteFixture(t, 42)
-	for _, out := range []ConcreteExecution{r.RunBasic(), r.RunOptimized()} {
+	_, b, eng, _ := concreteFixture(t, 42)
+	for _, out := range []Execution{runOn(t, b, Run{Engine: eng}), runOn(t, b, Run{Optimized: true, Engine: eng})} {
 		var total cost.Cost
 		for i, s := range out.Steps {
 			// The engine may overshoot by one charge quantum.
@@ -183,10 +203,9 @@ func TestConcrete3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &ConcreteRunner{B: b, Engine: eng}
-	wantRows, oracleCost := oracleRows(t, rw, r, opt)
+	wantRows, oracleCost := oracleRows(t, rw, eng, opt)
 
-	basic := r.RunBasic()
+	basic := runOn(t, b, Run{Engine: eng})
 	if !basic.Completed || basic.ResultRows != wantRows {
 		t.Fatalf("3-D basic: completed=%v rows=%d want %d", basic.Completed, basic.ResultRows, wantRows)
 	}
@@ -194,7 +213,7 @@ func TestConcrete3D(t *testing.T) {
 		t.Fatalf("3-D basic sub-optimality %g beyond slack bound", subopt)
 	}
 
-	optim := r.RunOptimized()
+	optim := runOn(t, b, Run{Optimized: true, Engine: eng})
 	if !optim.Completed || optim.ResultRows != wantRows {
 		t.Fatalf("3-D optimized: completed=%v rows=%d want %d", optim.Completed, optim.ResultRows, wantRows)
 	}
@@ -215,18 +234,17 @@ func TestConcrete3D(t *testing.T) {
 // its last tuple, so against Volcano the total is only bound-checked
 // (TestConcreteWorkerCountInvariance pins it exactly across worker counts).
 func TestConcreteParallelismMatchesVolcano(t *testing.T) {
-	rw, r, opt := concreteFixture(t, 42)
-	wantRows, oracleCost := oracleRows(t, rw, r, opt)
+	rw, b, eng, opt := concreteFixture(t, 42)
+	wantRows, oracleCost := oracleRows(t, rw, eng, opt)
 	for _, workers := range []int{1, 8} {
-		rp := &ConcreteRunner{B: r.B, Engine: r.Engine, Parallelism: workers}
-		basic := rp.RunBasic()
+		basic := runOn(t, b, Run{Engine: eng, Parallelism: workers})
 		if !basic.Completed || basic.ResultRows != wantRows {
 			t.Fatalf("w%d basic: completed=%v rows=%d want %d", workers, basic.Completed, basic.ResultRows, wantRows)
 		}
-		if subopt := basic.TotalCost.Over(oracleCost).F(); subopt > r.B.BoundMSO().F()*1.5 {
+		if subopt := basic.TotalCost.Over(oracleCost).F(); subopt > b.BoundMSO().F()*1.5 {
 			t.Fatalf("w%d basic sub-optimality %g beyond slack bound", workers, subopt)
 		}
-		optim := rp.RunOptimized()
+		optim := runOn(t, b, Run{Optimized: true, Engine: eng, Parallelism: workers})
 		if !optim.Completed || optim.ResultRows != wantRows {
 			t.Fatalf("w%d optimized: completed=%v rows=%d want %d", workers, optim.Completed, optim.ResultRows, wantRows)
 		}
@@ -245,10 +263,9 @@ func TestConcreteParallelismMatchesVolcano(t *testing.T) {
 // databases without recompilation, always matching the oracle's rows.
 func TestDistributionShiftRobustness(t *testing.T) {
 	// Compile once against the first instance.
-	rw0, r0, opt := concreteFixture(t, 42)
-	bouquet := r0.B
-	wantRows0, _ := oracleRows(t, rw0, r0, opt)
-	if out := r0.RunBasic(); out.ResultRows != wantRows0 {
+	rw0, bouquet, eng0, opt := concreteFixture(t, 42)
+	wantRows0, _ := oracleRows(t, rw0, eng0, opt)
+	if out := runOn(t, bouquet, Run{Engine: eng0}); out.ResultRows != wantRows0 {
 		t.Fatalf("baseline rows %d, want %d", out.ResultRows, wantRows0)
 	}
 
@@ -266,8 +283,7 @@ func TestDistributionShiftRobustness(t *testing.T) {
 		// Reuse the original compiled bouquet — only the engine (data)
 		// changes. The queries are structurally identical, so plan
 		// trees remain executable; the realized q_a moved.
-		r := &ConcreteRunner{B: bouquet, Engine: eng}
-		out := r.RunBasic()
+		out := runOn(t, bouquet, Run{Engine: eng})
 		if !out.Completed {
 			t.Fatalf("seed %d: bouquet did not complete after distribution shift", seed)
 		}

@@ -44,33 +44,25 @@ func TestBasicRunCancelsBetweenContourSteps(t *testing.T) {
 	// executions before completion.
 	b, _ := compileFor(t, query2D(t), 12, CompileOptions{Lambda: -1})
 	qa := ess.Point{0.9, 0.9}
-	_, r, _ := concreteFixture(t, 42)
+	_, rb, eng, _ := concreteFixture(t, 42)
 
 	for _, row := range []struct {
 		name string
-		run  func(ctx context.Context) (steps []Step, completed bool, err error)
+		b    *Bouquet
+		r    Run
 	}{
-		{"simulated", func(ctx context.Context) ([]Step, bool, error) {
-			e, err := b.RunBasicTraced(ctx, qa, nil, nil)
-			return e.Steps, e.Completed, err
-		}},
-		{"concrete", func(ctx context.Context) ([]Step, bool, error) {
-			e, err := r.Run(ctx, false)
-			steps := make([]Step, len(e.Steps))
-			for i, s := range e.Steps {
-				steps[i] = s.Step
-			}
-			return steps, e.Completed, err
-		}},
+		{"simulated", b, Run{QA: qa}},
+		{"concrete", rb, Run{Engine: eng}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			full, completed, err := row.run(context.Background())
+			e, err := row.b.Run(context.Background(), row.r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !completed {
+			if !e.Completed {
 				t.Fatal("uncancelled run did not complete")
 			}
+			full := e.Steps
 
 			// Find the first step that shares its contour with its
 			// predecessor: aborting exactly before it proves the
@@ -89,18 +81,19 @@ func TestBasicRunCancelsBetweenContourSteps(t *testing.T) {
 			// The basic driver polls ctx exactly once per step, so an
 			// allowance of cut polls aborts the run exactly before
 			// step cut.
-			partial, completed, err := row.run(&stepLimitedCtx{allowance: int64(cut)})
+			pe, err := row.b.Run(&stepLimitedCtx{allowance: int64(cut)}, row.r)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run returned err %v, want context.Canceled", err)
 			}
-			if completed {
+			partial := pe.Steps
+			if pe.Completed {
 				t.Fatal("cancelled run reported completion")
 			}
 			if len(partial) != cut {
 				t.Fatalf("cancelled run performed %d steps, want %d", len(partial), cut)
 			}
 			for i := range partial {
-				if partial[i] != full[i] {
+				if repeatable(partial[i]) != repeatable(full[i]) {
 					t.Fatalf("partial step %d = %+v diverges from full trace %+v", i, partial[i], full[i])
 				}
 			}
@@ -123,7 +116,8 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 	b, _ := compileFor(t, query2D(t), 12, CompileOptions{Lambda: -1})
 	qa := ess.Point{0.9, 0.9}
 
-	full, err := b.RunOptimizedTraced(context.Background(), qa, nil, nil)
+	run := Run{Optimized: true, QA: qa}
+	full, err := b.Run(context.Background(), run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +126,7 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 	}
 	fullPolls := func() int64 {
 		probe := &stepLimitedCtx{allowance: 1 << 30}
-		if _, err := b.RunOptimizedTraced(probe, qa, nil, nil); err != nil {
+		if _, err := b.Run(probe, run); err != nil {
 			t.Fatal(err)
 		}
 		return probe.polls.Load()
@@ -149,7 +143,7 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 	// Cancel part-way through: the run must abort with the partial
 	// trace, strictly before finishing.
 	ctx := &stepLimitedCtx{allowance: fullPolls / 2}
-	partial, err := b.RunOptimizedTraced(ctx, qa, nil, nil)
+	partial, err := b.Run(ctx, run)
 	if err != context.Canceled {
 		t.Fatalf("cancelled run returned err %v, want context.Canceled", err)
 	}
@@ -165,19 +159,23 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 // executions at all on either driver, on either substrate.
 func TestRunContextCancelledUpFront(t *testing.T) {
 	b, _ := compileFor(t, query1D(t), 10, CompileOptions{Lambda: 0.2})
+	_, rb, eng, _ := concreteFixture(t, 42)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	qa := ess.Point{0.5}
-	if e, err := b.RunBasicTraced(ctx, qa, nil, nil); err == nil || len(e.Steps) != 0 {
-		t.Fatalf("basic: err=%v steps=%d, want immediate abort", err, len(e.Steps))
-	}
-	if e, err := b.RunOptimizedTraced(ctx, qa, nil, nil); err == nil || len(e.Steps) != 0 {
-		t.Fatalf("optimized: err=%v steps=%d, want immediate abort", err, len(e.Steps))
-	}
-	_, r, _ := concreteFixture(t, 42)
-	for _, optimized := range []bool{false, true} {
-		if e, err := r.Run(ctx, optimized); err == nil || len(e.Steps) != 0 {
-			t.Fatalf("concrete optimized=%v: err=%v steps=%d, want immediate abort", optimized, err, len(e.Steps))
+	for _, substrate := range []struct {
+		name string
+		b    *Bouquet
+		r    Run
+	}{
+		{"surface", b, Run{QA: ess.Point{0.5}}},
+		{"engine", rb, Run{Engine: eng}},
+	} {
+		for _, optimized := range []bool{false, true} {
+			r := substrate.r
+			r.Optimized = optimized
+			if e, err := substrate.b.Run(ctx, r); err == nil || len(e.Steps) != 0 {
+				t.Fatalf("%s optimized=%v: err=%v steps=%d, want immediate abort", substrate.name, optimized, err, len(e.Steps))
+			}
 		}
 	}
 }

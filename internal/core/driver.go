@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/ess"
@@ -31,24 +32,52 @@ type Step struct {
 	// Completed reports whether the driven (sub)plan ran to completion
 	// within the budget.
 	Completed bool
+
+	// The fields below are measured on the engine and zero on the surface.
+
+	// Wall is the wall-clock duration of the execution.
+	Wall time.Duration
+	// Rows is the number of rows the driven node produced.
+	Rows int64
+	// ReuseHits counts operator-state reuse-cache hits this execution
+	// took (always 0 when the run's cache is disabled).
+	ReuseHits int
+	// Salvaged is the model cost those hits charged without re-executing
+	// the work — included in Spent, saved on the wall clock.
+	Salvaged cost.Cost
 }
 
-// Execution is the outcome of one bouquet run at one query location.
+// Execution is the outcome of one bouquet run, on either substrate.
 type Execution struct {
 	// Steps is the full execution sequence, in order.
 	Steps []Step
 	// TotalCost is the summed cost of all steps (exploration overheads
 	// included), i.e. c_b(q_a) of §2.
 	TotalCost cost.Cost
-	// OptCost is the oracle cost c_oa(q_a), the SubOpt denominator.
+	// OptCost is the oracle cost c_oa(q_a), the SubOpt denominator. It is
+	// defined on the surface only: an engine run never consults ground
+	// truth and leaves it 0, so SubOpt means nothing there.
 	OptCost cost.Cost
 	// Completed reports whether the query finished (always true for
-	// in-space locations; kept for harness assertions).
+	// in-space locations on the surface; kept for harness assertions).
 	Completed bool
+	// Wall is the summed wall-clock time of the steps (0 on the surface).
+	Wall time.Duration
+	// ResultRows is the final result cardinality (0 on the surface).
+	ResultRows int64
+	// Learned is q_run at the end of an optimized run, per ESS dimension:
+	// what the run discovered of q_a. nil for a basic run.
+	Learned []float64
+	// ReuseHits and SalvagedCost total the per-step reuse figures: how
+	// many operator states were served from the run's cache and how much
+	// charged model cost they covered. TotalCost is unaffected — the
+	// budget meter charges reused subtrees in full.
+	ReuseHits    int
+	SalvagedCost cost.Cost
 }
 
 // SubOpt returns SubOpt(*, q_a) = TotalCost / OptCost (Eq. 1 adapted to
-// the bouquet per §2).
+// the bouquet per §2), on the surface only.
 func (e Execution) SubOpt() float64 { return e.TotalCost.Over(e.OptCost).F() }
 
 // NumExecs returns the number of plan executions (partial + final).
@@ -69,6 +98,26 @@ func (e Execution) String() string {
 	}
 	fmt.Fprintf(&sb, " cost=%.4g subopt=%.2f", e.TotalCost.F(), e.SubOpt())
 	return sb.String()
+}
+
+// Explain renders the execution one step a line, with the engine's rows
+// and wall clock, for reports.
+func (e Execution) Explain() string {
+	s := ""
+	for _, st := range e.Steps {
+		mark := "partial"
+		if st.Completed {
+			mark = "done"
+		}
+		kind := "generic"
+		if st.Dim >= 0 {
+			kind = fmt.Sprintf("spill(dim %d)", st.Dim)
+		}
+		s += fmt.Sprintf("IC%-2d plan %-3d %-12s budget %10.4g spent %10.4g rows %8d wall %8s [%s]\n",
+			st.Contour, st.PlanID, kind, st.Budget, st.Spent, st.Rows, st.Wall.Round(time.Microsecond), mark)
+	}
+	s += fmt.Sprintf("total cost %.4g wall %s execs %d rows %d\n", e.TotalCost, e.Wall.Round(time.Millisecond), e.NumExecs(), e.ResultRows)
+	return s
 }
 
 // stepper is the substrate a bouquet run executes on. The Fig. 7 / Fig. 13
@@ -165,7 +214,7 @@ func (b *Bouquet) generic(s stepper, rec *trace.Recorder, c Contour, pid int) (b
 	if err != nil {
 		return false, err
 	}
-	recordAbort(rec, step, -1)
+	recordAbort(rec, &step, -1)
 	return step.Completed, nil
 }
 
@@ -220,7 +269,7 @@ func (b *Bouquet) runContour(ctx context.Context, s stepper, rec *trace.Recorder
 			if err != nil {
 				return false, err
 			}
-			recordAbort(rec, step, cand.learnID)
+			recordAbort(rec, &step, cand.learnID)
 			exact := step.Completed
 			// Only ever raising q_run keeps the first-quadrant
 			// invariant (§5.2).

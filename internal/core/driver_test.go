@@ -332,11 +332,17 @@ var pinnedConcreteRuns = []struct {
 	{"HQ5a", true, "1:0:0:0 2:15:2:0 2:1:0:0 3:5:0:1 3:15:2:0 4:15:2:0 4:6:1:0 5:16:2:1 5:6:1:0 6:9:1:1 6:9:-1:1", 18108.239414568616, 19123.231460249553},
 }
 
-// pinnedRunners builds a Volcano, reuse-off runner for every workload
-// pinnedConcreteRuns names.
-func pinnedRunners(t *testing.T) map[string]*ConcreteRunner {
+// pinnedTarget is a compiled bouquet and the engine its runs execute on.
+type pinnedTarget struct {
+	b   *Bouquet
+	eng *exec.Engine
+}
+
+// pinnedTargets builds the target of every workload pinnedConcreteRuns
+// names.
+func pinnedTargets(t *testing.T) map[string]pinnedTarget {
 	t.Helper()
-	runners := map[string]*ConcreteRunner{}
+	targets := map[string]pinnedTarget{}
 	for _, w := range workload.AllAt(0.004, 3) {
 		q := w.Query
 		eng, err := exec.NewEngine(q, data.Generate(q.Catalog, q.Relations(), nil, 1234), w.Model, nil)
@@ -347,9 +353,10 @@ func pinnedRunners(t *testing.T) map[string]*ConcreteRunner {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runners[w.Name] = &ConcreteRunner{B: b, Engine: eng}
+		targets[w.Name] = pinnedTarget{b, eng}
 	}
-	_, runners["HQ8a"], _ = concreteFixture(t, 42)
+	_, hq8a, eng8a, _ := concreteFixture(t, 42)
+	targets["HQ8a"] = pinnedTarget{hq8a, eng8a}
 	rw, err := workload.HQ5a(42)
 	if err != nil {
 		t.Fatal(err)
@@ -362,17 +369,15 @@ func pinnedRunners(t *testing.T) map[string]*ConcreteRunner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runners["HQ5a"] = &ConcreteRunner{B: b, Engine: eng}
-	return runners
+	targets["HQ5a"] = pinnedTarget{b, eng}
+	return targets
 }
 
 func TestConcreteStepSequencesPinned(t *testing.T) {
-	runners := pinnedRunners(t)
+	targets := pinnedTargets(t)
 	for _, want := range pinnedConcreteRuns {
-		out, err := runners[want.workload].Run(context.Background(), want.optimized)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pt := targets[want.workload]
+		out := runOn(t, pt.b, Run{Optimized: want.optimized, Engine: pt.eng})
 		var steps []string
 		for _, s := range out.Steps {
 			completed := 0
@@ -387,12 +392,7 @@ func TestConcreteStepSequencesPinned(t *testing.T) {
 		if out.TotalCost.F() != want.totalCost {
 			t.Errorf("%s optimized=%v: total cost %.17g, want %.17g", want.workload, want.optimized, out.TotalCost.F(), want.totalCost)
 		}
-		r := *runners[want.workload]
-		r.Parallelism = 1
-		vout, err := r.Run(context.Background(), want.optimized)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vout := runOn(t, pt.b, Run{Optimized: want.optimized, Engine: pt.eng, Parallelism: 1})
 		if vout.TotalCost.F() != want.vecTotal {
 			t.Errorf("%s optimized=%v: vectorized total cost %.17g, want %.17g", want.workload, want.optimized, vout.TotalCost.F(), want.vecTotal)
 		}
@@ -405,29 +405,23 @@ func TestConcreteStepSequencesPinned(t *testing.T) {
 // bit — step sequence, per-step rows and spend, total cost, learned q_run
 // — at eight workers and with the reuse cache on.
 func TestConcreteWorkerCountInvariance(t *testing.T) {
-	runners := pinnedRunners(t)
+	targets := pinnedTargets(t)
 	for _, pin := range pinnedConcreteRuns {
-		r := *runners[pin.workload]
-		r.Parallelism = 1
-		want, err := r.Run(context.Background(), pin.optimized)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pt := targets[pin.workload]
+		r := Run{Optimized: pin.optimized, Engine: pt.eng, Parallelism: 1}
+		want := runOn(t, pt.b, r)
 		for _, workers := range []int{1, 8} {
 			for _, reuse := range []bool{false, true} {
 				r.Parallelism, r.Reuse = workers, reuse
-				got, err := r.Run(context.Background(), pin.optimized)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := runOn(t, pt.b, r)
 				label := fmt.Sprintf("%s optimized=%v w%d reuse=%v", pin.workload, pin.optimized, workers, reuse)
 				if len(got.Steps) != len(want.Steps) {
 					t.Fatalf("%s: %d steps, w1 took %d", label, len(got.Steps), len(want.Steps))
 				}
 				for i := range want.Steps {
 					a, b := want.Steps[i], got.Steps[i]
-					if a.Step != b.Step || a.Rows != b.Rows {
-						t.Fatalf("%s: step %d is %+v rows %d, w1 had %+v rows %d", label, i, b.Step, b.Rows, a.Step, a.Rows)
+					if repeatable(a) != repeatable(b) {
+						t.Fatalf("%s: step %d is %+v, w1 had %+v", label, i, b, a)
 					}
 					if !a.Completed && a.Spent != a.Budget {
 						t.Fatalf("%s: aborted step %d spent %v of budget %v", label, i, a.Spent, a.Budget)

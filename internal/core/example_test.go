@@ -45,10 +45,10 @@ func Example() {
 	// completed: true, within guarantee: true
 }
 
-// ExampleBouquet_RunOptimizedTraced shows the §8 seeded start: when an
-// estimate is known to be an underestimate, the run skips the contours
-// below it without losing the guarantee.
-func ExampleBouquet_RunOptimizedTraced() {
+// ExampleBouquet_Run shows the §8 seeded start: when an estimate is known
+// to be an underestimate, the run skips the contours below it without
+// losing the guarantee.
+func ExampleBouquet_Run() {
 	cat := catalog.TPCHLike(0.1)
 	q := query.NewBuilder("seeded", cat).
 		Relation("part").Relation("lineitem").
@@ -62,7 +62,7 @@ func ExampleBouquet_RunOptimizedTraced() {
 	qa := ess.Point{0.3}
 	plain := bouquet.RunOptimized(qa)
 	// Seeded at a guaranteed underestimate; no trace recorder.
-	seeded, _ := bouquet.RunOptimizedTraced(context.Background(), qa, ess.Point{0.15}, nil)
+	seeded, _ := bouquet.Run(context.Background(), core.Run{Optimized: true, QA: qa, Seed: ess.Point{0.15}})
 	fmt.Printf("seeded run is no worse: %v\n", seeded.TotalCost <= plain.TotalCost)
 	// Output:
 	// seeded run is no worse: true

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -18,20 +17,12 @@ import (
 
 func seededBasic(t *testing.T, b *Bouquet, qa, seed ess.Point) Execution {
 	t.Helper()
-	e, err := b.RunBasicTraced(context.Background(), qa, seed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return runOn(t, b, Run{QA: qa, Seed: seed})
 }
 
 func seededOptimized(t *testing.T, b *Bouquet, qa, seed ess.Point) Execution {
 	t.Helper()
-	e, err := b.RunOptimizedTraced(context.Background(), qa, seed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return runOn(t, b, Run{Optimized: true, QA: qa, Seed: seed})
 }
 
 func TestSeededBasicSkipsLowContours(t *testing.T) {
@@ -164,8 +155,7 @@ func TestNegatedPredicateExecutionCorrect(t *testing.T) {
 
 func TestNegatedConcreteBouquetDiscovers(t *testing.T) {
 	b, eng, db, _ := negatedFixture(t)
-	runner := &ConcreteRunner{B: b, Engine: eng}
-	out := runner.RunBasic()
+	out := runOn(t, b, Run{Engine: eng})
 	if !out.Completed {
 		t.Fatal("concrete run over negated predicate failed")
 	}

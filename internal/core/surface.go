@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"time"
 
@@ -10,73 +9,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/trace"
 )
-
-// RunBasic simulates the basic bouquet algorithm (Fig. 7) at the actual
-// location qa: RunBasicTraced with a background context, no seed and no
-// recorder. It panics on an error: a q_a that Space.Check rejects, or a
-// driver bug.
-func (b *Bouquet) RunBasic(qa ess.Point) Execution {
-	return must(b.RunBasicTraced(context.Background(), qa, nil, nil))
-}
-
-// RunOptimized simulates the optimized bouquet algorithm (Fig. 13) at the
-// actual location qa: RunOptimizedTraced with a background context, no seed,
-// no recorder. It panics on an error: a q_a that Space.Check rejects, or a
-// driver bug.
-func (b *Bouquet) RunOptimized(qa ess.Point) Execution {
-	return must(b.RunOptimizedTraced(context.Background(), qa, nil, nil))
-}
-
-// RunBasicTraced simulates the basic algorithm at qa: contour by contour,
-// each contour plan under the contour budget until one completes. A plan
-// "completes" iff its full cost at q_a is within the budget; otherwise the
-// whole budget is spent and the intermediate results jettisoned.
-//
-// seed, when non-nil, is a location known to be a component-wise
-// *underestimate* of q_a (§8): the run skips the contours below it instead
-// of starting at IC1. The MSO guarantee holds for any valid (dominated)
-// seed; one that overestimates q_a voids it, as the paper cautions. ctx is
-// checked between contour steps, and the partial Execution so far is
-// returned alongside its error when it expires mid-run. rec, when non-nil,
-// receives a contour span per isocost step entered, an exec span per
-// (possibly partial) plan execution with the cost model's realized per-node
-// cardinalities, and a budget-abort span per jettisoned step. A q_a that
-// Space.Check rejects is returned as its error before anything runs.
-func (b *Bouquet) RunBasicTraced(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
-	if err := b.Space.Check(qa); err != nil {
-		return Execution{}, err
-	}
-	s := b.onSurface(qa, rec)
-	done, err := b.runBasic(ctx, s, rec, seed)
-	s.e.Completed = done
-	return s.e, err
-}
-
-// RunOptimizedTraced simulates the optimized algorithm at qa, with q_run
-// tracking, AxisPlans plan selection, spill-driven selectivity learning,
-// and early contour change. seed, ctx and rec are as for RunBasicTraced —
-// q_run starts at the seed rather than the origin, so low contours are
-// skipped by the early-change test — and rec additionally receives spill
-// and discovered-selectivity learn spans. A q_a that Space.Check rejects is
-// returned as its error before anything runs.
-func (b *Bouquet) RunOptimizedTraced(ctx context.Context, qa, seed ess.Point, rec *trace.Recorder) (Execution, error) {
-	if err := b.Space.Check(qa); err != nil {
-		return Execution{}, err
-	}
-	s := b.onSurface(qa, rec)
-	st := b.newRunState(seed)
-	for d := range st.qrun {
-		if qa[d] <= st.qrun[d] {
-			// q_a at (or below) the start on this axis: nothing
-			// left to discover there.
-			st.qrun[d] = qa[d]
-			st.learned[d] = true
-		}
-	}
-	done, err := b.runOptimized(ctx, s, rec, st)
-	s.e.Completed = done
-	return s.e, err
-}
 
 // truth captures the simulated ground truth of one query instance: the
 // full selectivity assignment at the actual location q_a.
@@ -147,8 +79,8 @@ func (s *surfaceStepper) price(driven *plan.Node) cost.Cost {
 // record folds one simulated execution of driven — plan st.PlanID, or the
 // subtree of it applying pred for a spilled step — into the run; price
 // has just priced driven.
-func (s *surfaceStepper) record(st Step, driven *plan.Node, pred int, start time.Time) {
-	s.e.Steps = append(s.e.Steps, st)
+func (s *surfaceStepper) record(st *Step, driven *plan.Node, pred int, start time.Time) {
+	s.e.Steps = append(s.e.Steps, *st)
 	s.e.TotalCost += st.Spent
 	s.b.recordStep(s.rec, st, driven, pred, s.sums, start)
 }
@@ -160,7 +92,7 @@ func (s *surfaceStepper) generic(c Contour, pid int) (Step, error) {
 	if full := s.price(p); full <= c.Budget {
 		st.Spent, st.Completed = full, true
 	}
-	s.record(st, p, -1, t0)
+	s.record(&st, p, -1, t0)
 	return st, nil
 }
 
@@ -169,7 +101,7 @@ func (s *surfaceStepper) spill(c Contour, pid, pred, dim int, _ *runState) (Step
 	sub := spillNode(s.b.Diagram.Plan(pid), pred)
 	spent, bound, exact := s.b.simulateSpill(sub, dim, s.t, c.Budget, s.price(sub))
 	st := Step{Contour: c.K, PlanID: pid, Dim: dim, Budget: c.Budget, Spent: spent, Completed: exact}
-	s.record(st, sub, pred, t0)
+	s.record(&st, sub, pred, t0)
 	return st, bound, nil
 }
 

@@ -32,7 +32,7 @@ func recordContour(rec *trace.Recorder, c Contour) {
 // faithful by construction, since the simulation *is* the cost surface.
 // Nodes appear in the plan's depth-first walk order; the stats allocate
 // their slice and no more.
-func (b *Bouquet) recordStep(rec *trace.Recorder, s Step, driven *plan.Node, pred int, sums []cost.Summary, start time.Time) {
+func (b *Bouquet) recordStep(rec *trace.Recorder, s *Step, driven *plan.Node, pred int, sums []cost.Summary, start time.Time) {
 	if !rec.Enabled() {
 		return
 	}
@@ -90,7 +90,7 @@ func recordSpill(rec *trace.Recorder, c Contour, pid, dim, pred int) {
 // recordAbort emits the budget-abort span for step s, spilled at pred (-1
 // for a generic step), when the budget cut it short; the driver records it
 // after the step's exec span, which carries the step's rows and counters.
-func recordAbort(rec *trace.Recorder, s Step, pred int) {
+func recordAbort(rec *trace.Recorder, s *Step, pred int) {
 	if !rec.Enabled() || s.Completed {
 		return
 	}

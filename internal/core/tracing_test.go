@@ -24,10 +24,10 @@ func tracedFixture(t *testing.T, rec *trace.Recorder) (*Bouquet, ess.Point) {
 	return b, qa
 }
 
-func TestRunBasicTracedSpans(t *testing.T) {
+func TestRunBasicSpans(t *testing.T) {
 	rec := trace.New(512)
 	b, qa := tracedFixture(t, rec)
-	e, err := b.RunBasicTraced(context.Background(), qa, nil, rec)
+	e, err := b.Run(context.Background(), Run{QA: qa, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestRunBasicTracedSpans(t *testing.T) {
 	}
 }
 
-func TestRunOptimizedTracedSpans(t *testing.T) {
+func TestRunOptimizedSpans(t *testing.T) {
 	rec := trace.New(512)
 	b, qa := tracedFixture(t, nil)
-	e, err := b.RunOptimizedTraced(context.Background(), qa, nil, rec)
+	e, err := b.Run(context.Background(), Run{Optimized: true, QA: qa, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,22 +198,17 @@ func stepSpans(t *testing.T, label string, spans []trace.Span, steps []Step) []t
 // budget-abort span — on Volcano the crossing charge, past the budget; on
 // the vectorized engine the budget itself.
 func TestConcreteTracedSpans(t *testing.T) {
-	_, r, _ := concreteFixture(t, 42)
+	_, b, eng, _ := concreteFixture(t, 42)
 	for _, optimized := range []bool{false, true} {
 		for _, workers := range []int{0, 8} {
 			label := fmt.Sprintf("optimized=%v w%d", optimized, workers)
-			r.Parallelism = workers
-			r.Trace = trace.New(512)
-			out, err := r.Run(context.Background(), optimized)
+			rec := trace.New(512)
+			out, err := b.Run(context.Background(), Run{Optimized: optimized, Trace: rec, Engine: eng, Parallelism: workers})
 			if err != nil || !out.Completed {
 				t.Fatalf("%s: err %v completed %v", label, err, out.Completed)
 			}
-			steps := make([]Step, len(out.Steps))
-			for i, st := range out.Steps {
-				steps[i] = st.Step
-			}
 			aborts := 0
-			for i, ex := range stepSpans(t, label, r.Trace.Spans(), steps) {
+			for i, ex := range stepSpans(t, label, rec.Spans(), out.Steps) {
 				st := out.Steps[i]
 				if ex.Rows != st.Rows || ex.WallNanos != st.Wall.Nanoseconds() || (workers > 0 && ex.Workers != workers) {
 					t.Fatalf("%s: exec span %+v does not mirror concrete step %d %+v", label, ex, i, st)
@@ -284,11 +279,7 @@ func TestExecSpanNodeStats(t *testing.T) {
 			sels := b.Space.Sels(qa)
 			for _, optimized := range []bool{false, true} {
 				rec := trace.New(1024)
-				run := b.RunBasicTraced
-				if optimized {
-					run = b.RunOptimizedTraced
-				}
-				if _, err := run(ctx, qa, nil, rec); err != nil {
+				if _, err := b.Run(ctx, Run{Optimized: optimized, QA: qa, Trace: rec}); err != nil {
 					t.Fatal(err)
 				}
 				for _, sp := range rec.Spans() {
@@ -320,7 +311,7 @@ func TestExecSpanNodeStats(t *testing.T) {
 		p := b.Diagram.Plan(pid)
 		s.price(p)
 		st := Step{Contour: 1, PlanID: pid, Dim: -1, Completed: true}
-		if got := testing.AllocsPerRun(100, func() { b.recordStep(s.rec, st, p, -1, s.sums, stepClock(s.rec)) }); got > 1 {
+		if got := testing.AllocsPerRun(100, func() { b.recordStep(s.rec, &st, p, -1, s.sums, stepClock(s.rec)) }); got > 1 {
 			t.Errorf("recordStep(plan %d) allocates %.0f/step, want <= 1: its []NodeStat", pid, got)
 		}
 	}
@@ -349,33 +340,30 @@ func TestSimulatedRunAllocs(t *testing.T) {
 
 // TestTracingDisabledAllocParity pins the acceptance criterion that
 // disabled tracing adds zero allocations to the run drivers' hot loops:
-// the traced entry points with a nil recorder must allocate exactly what
-// the untraced ones do (they share the same code path, and every span
+// Run with a nil recorder must allocate exactly what the untraced
+// conveniences do (they share the same code path, and every span
 // construction is guarded behind Enabled()).
 func TestTracingDisabledAllocParity(t *testing.T) {
 	b, qa := tracedFixture(t, nil)
 	ctx := context.Background()
 
-	base := testing.AllocsPerRun(10, func() { b.RunBasic(qa) })
-	traced := testing.AllocsPerRun(10, func() {
-		b.RunBasicTraced(ctx, qa, nil, nil) //bouquet:allow errflow: Background never expires
-	})
-	if traced > base {
-		t.Errorf("RunBasicTraced(nil) allocates %.0f/run, untraced %.0f", traced, base)
-	}
-
-	base = testing.AllocsPerRun(10, func() { b.RunOptimized(qa) })
-	traced = testing.AllocsPerRun(10, func() {
-		b.RunOptimizedTraced(ctx, qa, nil, nil) //bouquet:allow errflow: Background never expires
-	})
-	if traced > base {
-		t.Errorf("RunOptimizedTraced(nil) allocates %.0f/run, untraced %.0f", traced, base)
+	for _, optimized := range []bool{false, true} {
+		base := testing.AllocsPerRun(10, func() { b.RunBasic(qa) })
+		if optimized {
+			base = testing.AllocsPerRun(10, func() { b.RunOptimized(qa) })
+		}
+		traced := testing.AllocsPerRun(10, func() {
+			b.Run(ctx, Run{Optimized: optimized, QA: qa}) //bouquet:allow errflow: Background never expires
+		})
+		if traced > base {
+			t.Errorf("Run(optimized=%v, nil recorder) allocates %.0f/run, untraced %.0f", optimized, traced, base)
+		}
 	}
 
 	// The span helpers themselves must be free with a nil recorder.
 	s := Step{Contour: 1, PlanID: b.PlanIDs[0], Dim: -1, Budget: b.Contours[0].Budget}
 	sums := b.Coster.PriceInto(b.Diagram.Plan(s.PlanID), b.Space.Sels(qa), nil)
-	if got := testing.AllocsPerRun(100, func() { b.recordStep(nil, s, b.Diagram.Plan(s.PlanID), -1, sums, stepClock(nil)) }); got > 0 {
+	if got := testing.AllocsPerRun(100, func() { b.recordStep(nil, &s, b.Diagram.Plan(s.PlanID), -1, sums, stepClock(nil)) }); got > 0 {
 		t.Errorf("recordStep(nil) allocates %.1f/op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { recordContour(nil, b.Contours[0]) }); got > 0 {
@@ -383,7 +371,7 @@ func TestTracingDisabledAllocParity(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		recordSpill(nil, b.Contours[0], s.PlanID, 0, 0)
-		recordAbort(nil, s, -1)
+		recordAbort(nil, &s, -1)
 	}); got > 0 {
 		t.Errorf("recordSpill/recordAbort(nil) allocate %.1f/op, want 0", got)
 	}

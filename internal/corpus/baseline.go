@@ -173,13 +173,7 @@ func Compute(spec Spec) (Baseline, error) {
 	rec := trace.Acquire()
 	for _, qa := range points {
 		for _, driver := range []string{"basic", "optimized"} {
-			var e core.Execution
-			var rerr error
-			if driver == "basic" {
-				e, rerr = b.RunBasicTraced(context.Background(), qa, nil, rec)
-			} else {
-				e, rerr = b.RunOptimizedTraced(context.Background(), qa, nil, rec)
-			}
+			e, rerr := b.Run(context.Background(), core.Run{Optimized: driver == "optimized", QA: qa, Trace: rec})
 			if rerr != nil {
 				return Baseline{}, fmt.Errorf("corpus: %s: %s run: %w", spec.ID, driver, rerr)
 			}

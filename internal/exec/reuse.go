@@ -43,7 +43,7 @@ import (
 
 // ReuseCache is a per-run cache of completed operator state, keyed by the
 // producing subtree's memoized plan fingerprint plus the engine's binding
-// signature. Create one per bouquet run (core.ConcreteRunner does) and
+// signature. Create one per bouquet run (core.Bouquet.Run does) and
 // pass it to every execution of that run via Options.Reuse.
 //
 // Entries are only ever read after insertion (first store wins), and the

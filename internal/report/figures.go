@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -137,15 +138,19 @@ func Table3(seed int64) (*Table, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	runner := &core.ConcreteRunner{B: bq, Engine: eng}
-
 	optPlan := opt.Optimize(rw.Space.Sels(rw.Actual))
 	optRun := timeRun(eng, optPlan, exec.Options{})
 	natPlan := opt.Optimize(rw.Space.Sels(rw.Estimate()))
 	natRun := timeRun(eng, natPlan, exec.Options{})
 
-	basic := runner.RunBasic()
-	optim := runner.RunOptimized()
+	basic, err := bq.Run(context.Background(), core.Run{Engine: eng})
+	if err != nil {
+		return nil, nil, err
+	}
+	optim, err := bq.Run(context.Background(), core.Run{Optimized: true, Engine: eng})
+	if err != nil {
+		return nil, nil, err
+	}
 
 	breakdown := &Table{
 		Caption: fmt.Sprintf("Table 3: Bouquet execution for 2D_H_Q8a (q_a=%v, q_e=%v)", rw.Actual, rw.Estimate()),
@@ -197,7 +202,7 @@ func timeRun(eng *exec.Engine, res optimizer.Result, opts exec.Options) runTimin
 	return runTiming{cost: r.CostUsed, wall: time.Since(t0), rows: r.RowsOut}
 }
 
-func contourSlice(e core.ConcreteExecution, k int) (n int, spent cost.Cost, wall time.Duration) {
+func contourSlice(e core.Execution, k int) (n int, spent cost.Cost, wall time.Duration) {
 	for _, s := range e.Steps {
 		if s.Contour == k {
 			n++

@@ -8,15 +8,18 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/trace"
 )
 
 // newConcreteServer serves a small catalog so concrete runs generate
@@ -123,28 +126,148 @@ func TestRunConcreteTraceRetained(t *testing.T) {
 }
 
 func TestRunConcreteValidation(t *testing.T) {
-	srv := newConcreteServer(t, Config{})
+	s := NewWithConfig(catalog.TPCHLike(0.01), Config{})
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
 	sum := compileOne(t, srv, apiEQ2D, 12)
 
-	neg := -1
-	resp, _ := postJSON(t, srv.URL+"/run", runRequest{ID: sum.ID, Concrete: true, Parallelism: &neg})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative parallelism status %d, want 400", resp.StatusCode)
+	neg, huge, two := -1, exec.MaxParallelism+1, 2
+	qa := []float64{0.05, 2e-6}
+	for _, c := range []struct {
+		name string
+		req  runRequest
+	}{
+		{"negative parallelism", runRequest{ID: sum.ID, Concrete: true, Parallelism: &neg}},
+		// The engine's shared upper bound stops a hostile worker count
+		// before it becomes that many goroutines.
+		{"parallelism past the bound", runRequest{ID: sum.ID, Concrete: true, Parallelism: &huge}},
+		// A concrete run learns q_a from the data and starts at IC1.
+		{"concrete run with qa", runRequest{ID: sum.ID, Concrete: true, QA: qa}},
+		{"concrete run with seed", runRequest{ID: sum.ID, Concrete: true, Seed: qa}},
+		// A simulated run generates no data and runs no engine.
+		{"simulated run with parallelism", runRequest{ID: sum.ID, QA: qa, Parallelism: &two}},
+		{"simulated run with dataSeed", runRequest{ID: sum.ID, QA: qa, DataSeed: 7}},
+	} {
+		if resp, raw := postJSON(t, srv.URL+"/run", c.req); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", c.name, resp.StatusCode, raw["error"])
+		}
 	}
-
-	// The engine's shared upper bound stops a hostile worker count before
-	// it becomes that many goroutines.
-	huge := exec.MaxParallelism + 1
-	resp, _ = postJSON(t, srv.URL+"/run", runRequest{ID: sum.ID, Concrete: true, Parallelism: &huge})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("parallelism %d status %d, want 400", huge, resp.StatusCode)
+	// Each 400 is answered before an engine is built, so none of them
+	// paid for generating the bouquet's tables.
+	s.engines.mu.Lock()
+	built := len(s.engines.entries)
+	s.engines.mu.Unlock()
+	if built != 0 {
+		t.Fatalf("%d engines built for requests answered 400, want 0", built)
 	}
+}
 
-	// parallelism is meaningless on a simulated run.
-	two := 2
-	resp, _ = postJSON(t, srv.URL+"/run", runRequest{ID: sum.ID, QA: []float64{0.05, 2e-6}, Parallelism: &two})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("simulated run with parallelism status %d, want 400", resp.StatusCode)
+// runMetrics is what one /run feeds the bouquetd_* run series.
+type runMetrics struct {
+	runs, steps, subOpts, reuseHits, traced int64
+	cost, optCost, subOpt, salvaged         float64
+}
+
+func (m *serverMetrics) runSnapshot() runMetrics {
+	m.runSubOpt.mu.Lock()
+	subOpts := m.runSubOpt.set("").count
+	m.runSubOpt.mu.Unlock()
+	return runMetrics{
+		runs: m.runsTotal.Value(), steps: m.runSteps.Value(), subOpts: subOpts,
+		reuseHits: m.reuseHits.Value(), traced: m.tracedRuns.Value(),
+		cost: m.lastRunCost.Value(), optCost: m.lastRunOptCost.Value(),
+		subOpt: m.lastRunSubOpt.Value(), salvaged: m.lastSalvagedCost.Value(),
+	}
+}
+
+// TestRunAnswersWhatBouquetRunReturns holds the one /run path to the
+// in-process Bouquet.Run it serves, on both substrates: every response
+// field is the Execution's (a concrete run's optCost and subOpt stay 0),
+// and every request feeds the run metrics its substrate feeds — a
+// simulated run its SubOpt, a concrete one its reuse figures and never a
+// SubOpt.
+func TestRunAnswersWhatBouquetRunReturns(t *testing.T) {
+	s := NewWithConfig(catalog.TPCHLike(0.01), Config{})
+	h := s.Handler()
+	id := handlerCompile(t, h, apiEQ2D, 12)
+	b, _ := s.lookup(id)
+	qa := []float64{0.05, 2e-6}
+	zero, two, yes := 0, 2, true
+	for _, c := range []struct {
+		name string
+		req  runRequest
+	}{
+		{"simulated basic", runRequest{ID: id, QA: qa}},
+		{"simulated optimized", runRequest{ID: id, QA: qa, Optimized: true}},
+		{"simulated traced", runRequest{ID: id, QA: qa, Optimized: true, Trace: true}},
+		{"concrete w0", runRequest{ID: id, Concrete: true, Parallelism: &zero}},
+		{"concrete w2 optimized", runRequest{ID: id, Concrete: true, Optimized: true, Parallelism: &two}},
+		{"concrete w2 reuse traced", runRequest{ID: id, Concrete: true, Parallelism: &two, Reuse: &yes, Trace: true}},
+	} {
+		before := s.metrics.runSnapshot()
+		rec := serve(h, "POST", "/run", c.req)
+		var got runResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s): %v", c.name, rec.Code, rec.Body, err)
+		}
+		if (got.RunID != "") != c.req.Trace {
+			t.Errorf("%s: runId %q for trace=%v", c.name, got.RunID, c.req.Trace)
+		}
+		got.RunID = ""
+
+		run := core.Run{Optimized: c.req.Optimized}
+		if c.req.Concrete {
+			eng, err := s.engineFor(id, b, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.Engine, run.Parallelism = eng, *c.req.Parallelism
+			run.Reuse = c.req.Reuse != nil && *c.req.Reuse
+		} else {
+			run.QA = qa
+		}
+		e, err := b.Run(context.Background(), run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runResponse{
+			TotalCost: e.TotalCost.F(), Execs: e.NumExecs(),
+			Concrete: c.req.Concrete, ResultRows: e.ResultRows, Workers: run.Parallelism,
+			Reuse: run.Reuse, ReuseHits: e.ReuseHits, SalvagedCost: e.SalvagedCost.F(),
+		}
+		if !c.req.Concrete {
+			want.OptCost, want.SubOpt = e.OptCost.F(), e.SubOpt()
+		}
+		for _, st := range e.Steps {
+			want.Steps = append(want.Steps, runStep{
+				Contour: st.Contour, Plan: st.PlanID, Dim: st.Dim,
+				Budget: trace.SafeCost(st.Budget.F()), Spent: st.Spent.F(), Completed: st.Completed,
+			})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: /run answered\n%+v\nBouquet.Run returns\n%+v", c.name, got, want)
+		}
+		if c.req.Concrete && (got.OptCost != 0 || got.SubOpt != 0) {
+			t.Errorf("%s: concrete run answered optCost %g subOpt %g, want 0", c.name, got.OptCost, got.SubOpt)
+		}
+
+		wantM := before
+		wantM.runs++
+		wantM.steps += int64(e.NumExecs())
+		wantM.cost = e.TotalCost.F()
+		if c.req.Trace {
+			wantM.traced++
+		}
+		if c.req.Concrete {
+			wantM.reuseHits += int64(e.ReuseHits)
+			wantM.salvaged = e.SalvagedCost.F()
+		} else {
+			wantM.subOpts++
+			wantM.optCost, wantM.subOpt = e.OptCost.F(), e.SubOpt()
+		}
+		if gotM := s.metrics.runSnapshot(); gotM != wantM {
+			t.Errorf("%s: run metrics %+v, want %+v", c.name, gotM, wantM)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -168,15 +169,23 @@ func newServerMetrics() *serverMetrics {
 	}
 }
 
-// observeRun records one bouquet run's telemetry: its cost, the paper's
-// SubOpt robustness metric, and the number of contour steps it took.
-func (m *serverMetrics) observeRun(totalCost, optCost, subOpt float64, steps int) {
+// observeRun records one bouquet run's telemetry: its cost, the number of
+// contour steps it took, and the paper's SubOpt robustness metric for a
+// simulated run or the reuse figures for a concrete one.
+func (m *serverMetrics) observeRun(e core.Execution, concrete bool) {
 	m.runsTotal.Add(1)
-	m.runSteps.Add(int64(steps))
-	m.lastRunCost.Set(totalCost)
-	m.lastRunOptCost.Set(optCost)
-	m.lastRunSubOpt.Set(subOpt)
-	m.runSubOpt.Observe("", subOpt)
+	m.runSteps.Add(int64(e.NumExecs()))
+	m.lastRunCost.Set(e.TotalCost.F())
+	if concrete {
+		// A concrete run never consults ground truth, so there is no
+		// SubOpt to observe; it feeds the reuse series instead.
+		m.reuseHits.Add(int64(e.ReuseHits))
+		m.lastSalvagedCost.Set(e.SalvagedCost.F())
+		return
+	}
+	m.lastRunOptCost.Set(e.OptCost.F())
+	m.lastRunSubOpt.Set(e.SubOpt())
+	m.runSubOpt.Observe("", e.SubOpt())
 }
 
 // observeTrace folds one traced run into its aggregate, the

@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/ess"
+	"repro/internal/exec"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/trace"
@@ -467,12 +468,12 @@ type runRequest struct {
 	Trace bool `json:"trace,omitempty"`
 	// Concrete executes the run on real generated rows instead of
 	// simulating it on the cost surfaces: the actual selectivities come
-	// from the data (qa is ignored), and the response carries resultRows
+	// from the data (qa is rejected), and the response carries resultRows
 	// and the worker count used. See concrete.go.
 	Concrete bool `json:"concrete,omitempty"`
 	// DataSeed seeds the deterministic data generation for concrete
 	// runs (0 means seed 1). Each (bouquet, seed) pair's engine is
-	// cached across requests.
+	// cached across requests. Rejected on simulated runs.
 	DataSeed int64 `json:"dataSeed,omitempty"`
 	// Parallelism overrides the server's -exec-workers default for a
 	// concrete run: 0 selects the tuple-at-a-time Volcano engine, n > 0
@@ -519,6 +520,13 @@ type runResponse struct {
 	SalvagedCost float64 `json:"salvagedCost,omitempty"`
 }
 
+// handleRun executes a /run request through core's one run entry point:
+// simulated on the cost surfaces at qa, or with "concrete": true on real
+// generated rows (see concrete.go). A field that does not apply to the
+// request's substrate, a qa or seed that Space.Check rejects, or a worker
+// count outside 0 … exec.MaxParallelism answers 400 before any data is
+// generated. ctx is checked between executions: a cancelled request
+// answers 503.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
 	if status, err := decodeJSON(r, &req); err != nil {
@@ -530,57 +538,44 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, "no bouquet %q", req.ID)
 		return
 	}
-	if req.Concrete {
-		if len(req.Seed) > 0 {
-			jsonError(w, http.StatusBadRequest, "seed applies to simulated runs only")
-			return
-		}
-		s.handleRunConcrete(r.Context(), w, req, b)
-		return
-	}
-	if req.Parallelism != nil {
-		jsonError(w, http.StatusBadRequest, "parallelism applies to concrete runs only")
-		return
-	}
-	if req.Reuse != nil {
-		jsonError(w, http.StatusBadRequest, "reuse applies to concrete runs only")
-		return
-	}
-	if err := b.Space.Check(req.QA); err != nil {
-		jsonError(w, http.StatusBadRequest, "qa: %v", err)
-		return
-	}
-	var seed ess.Point
-	if len(req.Seed) > 0 {
-		if err := b.Space.Check(req.Seed); err != nil {
-			jsonError(w, http.StatusBadRequest, "seed: %v", err)
-			return
-		}
-		seed = req.Seed
-	}
-
-	var rec *trace.Recorder
-	if req.Trace {
-		rec = trace.Acquire()
-	}
-	var e core.Execution
-	var err error
-	if req.Optimized {
-		e, err = b.RunOptimizedTraced(r.Context(), req.QA, seed, rec)
-	} else {
-		e, err = b.RunBasicTraced(r.Context(), req.QA, seed, rec)
-	}
+	run, err := s.runFor(req, b)
 	if err != nil {
-		s.metrics.timeouts.Add(1)
-		jsonError(w, http.StatusServiceUnavailable, "run abandoned: %v", err)
+		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.metrics.observeRun(e.TotalCost.F(), e.OptCost.F(), e.SubOpt(), e.NumExecs())
+	if req.Concrete {
+		if run.Engine, err = s.engineFor(req.ID, b, req.DataSeed); err != nil {
+			jsonError(w, http.StatusUnprocessableEntity, "building execution engine: %v", err)
+			return
+		}
+	}
+	if req.Trace {
+		run.Trace = trace.Acquire()
+	}
+	e, err := b.Run(r.Context(), run)
+	if err != nil {
+		if r.Context().Err() != nil {
+			s.metrics.timeouts.Add(1)
+			jsonError(w, http.StatusServiceUnavailable, "run abandoned: %v", err)
+			return
+		}
+		jsonError(w, http.StatusInternalServerError, "run failed: %v", err)
+		return
+	}
+	s.metrics.observeRun(e, req.Concrete)
 	out := runResponse{
-		TotalCost: e.TotalCost.F(),
-		OptCost:   e.OptCost.F(),
-		SubOpt:    e.SubOpt(),
-		Execs:     e.NumExecs(),
+		TotalCost:    e.TotalCost.F(),
+		Execs:        e.NumExecs(),
+		Concrete:     req.Concrete,
+		ResultRows:   e.ResultRows,
+		Workers:      run.Parallelism,
+		Reuse:        run.Reuse,
+		ReuseHits:    e.ReuseHits,
+		SalvagedCost: e.SalvagedCost.F(),
+	}
+	if !req.Concrete {
+		// A concrete run never consults ground truth: no SubOpt.
+		out.OptCost, out.SubOpt = e.OptCost.F(), e.SubOpt()
 	}
 	for _, st := range e.Steps {
 		out.Steps = append(out.Steps, runStep{
@@ -591,10 +586,56 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			Budget: trace.SafeCost(st.Budget.F()), Spent: st.Spent.F(), Completed: st.Completed,
 		})
 	}
-	if rec.Enabled() {
-		out.RunID = s.retainTrace(req.ID, rec)
+	if run.Trace.Enabled() {
+		out.RunID = s.retainTrace(req.ID, run.Trace)
 	}
 	writeJSON(w, out)
+}
+
+// runFor builds the core.Run a /run request asks for, short of a concrete
+// run's engine, or the reason it is a bad request. The server's
+// -exec-workers and -exec-reuse defaults fill a concrete run's unset
+// fields.
+func (s *Server) runFor(req runRequest, b *core.Bouquet) (core.Run, error) {
+	run := core.Run{Optimized: req.Optimized}
+	if !req.Concrete {
+		switch {
+		case req.Parallelism != nil:
+			return run, errors.New("parallelism applies to concrete runs only")
+		case req.Reuse != nil:
+			return run, errors.New("reuse applies to concrete runs only")
+		case req.DataSeed != 0:
+			return run, errors.New("dataSeed applies to concrete runs only")
+		}
+		if err := b.Space.Check(req.QA); err != nil {
+			return run, fmt.Errorf("qa: %w", err)
+		}
+		if len(req.Seed) > 0 {
+			if err := b.Space.Check(req.Seed); err != nil {
+				return run, fmt.Errorf("seed: %w", err)
+			}
+			run.Seed = req.Seed
+		}
+		run.QA = req.QA
+		return run, nil
+	}
+	switch {
+	case len(req.QA) > 0:
+		return run, errors.New("qa applies to simulated runs only: a concrete run learns it from the data")
+	case len(req.Seed) > 0:
+		return run, errors.New("seed applies to simulated runs only")
+	}
+	run.Parallelism, run.Reuse = s.cfg.ExecWorkers, s.cfg.ExecReuse
+	if req.Parallelism != nil {
+		run.Parallelism = *req.Parallelism
+	}
+	if req.Reuse != nil {
+		run.Reuse = *req.Reuse
+	}
+	if run.Parallelism < 0 || run.Parallelism > exec.MaxParallelism {
+		return run, fmt.Errorf("parallelism %d: outside 0..%d", run.Parallelism, exec.MaxParallelism)
+	}
+	return run, nil
 }
 
 // retainTrace ends a traced run that returned without error: it snapshots

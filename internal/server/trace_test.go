@@ -235,13 +235,7 @@ func TestConcurrentTracedRunsKeepTheirOwnSpans(t *testing.T) {
 			}
 
 			own := trace.New(512)
-			var err error
-			if optimized {
-				_, err = b.RunOptimizedTraced(context.Background(), qa, nil, own)
-			} else {
-				_, err = b.RunBasicTraced(context.Background(), qa, nil, own)
-			}
-			if err != nil {
+			if _, err := b.Run(context.Background(), core.Run{Optimized: optimized, QA: qa, Trace: own}); err != nil {
 				t.Error(err)
 			}
 			if want := zeroWall(t, own.Spans()); own.Dropped() > 0 || !reflect.DeepEqual(got, want) {
@@ -275,8 +269,7 @@ func TestTracedConcreteRunRecyclesItsRecorderAfterTheJoin(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 8} {
 		own := trace.New(0)
-		runner := &core.ConcreteRunner{B: b, Engine: eng, Trace: own, Parallelism: workers, Reuse: s.cfg.ExecReuse}
-		if _, err := runner.Run(context.Background(), false); err != nil {
+		if _, err := b.Run(context.Background(), core.Run{Trace: own, Engine: eng, Parallelism: workers, Reuse: s.cfg.ExecReuse}); err != nil {
 			t.Fatal(err)
 		}
 		want := kinds(own.Spans())
