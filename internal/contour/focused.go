@@ -81,6 +81,7 @@ func FocusedContext(ctx context.Context, opt *optimizer.Optimizer, space *ess.Sp
 	}
 	g.out = posp.NewDiagram(space)
 	g.replay(0)
+	g.out.Compact()
 	return g.out, FocusStats{OptimizerCalls: g.calls, GridPoints: n}, nil
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/anorexic"
@@ -91,8 +90,9 @@ type Contour struct {
 	// PlanIDs is the contour's plan set B_K after reduction (diagram
 	// plan IDs, ascending). Its length is the contour density n_K.
 	PlanIDs []int
-	// AssignAt maps each contour location to its covering reduced plan.
-	AssignAt map[int]int
+	// PlanAt is each contour location's covering reduced plan, parallel
+	// to Flats.
+	PlanAt []int
 }
 
 // Density returns n_K.
@@ -120,9 +120,9 @@ type Bouquet struct {
 	// sets, ascending diagram IDs.
 	PlanIDs []int
 
-	// nearCache memoizes contour-nearest lookups for the optimized
-	// driver's AxisPlans routine (safe for concurrent metric sweeps).
-	nearCache sync.Map
+	// near memoizes contour-nearest lookups for the optimized driver's
+	// AxisPlans routine (safe for concurrent metric sweeps).
+	near nearMemo
 
 	// actual, when non-nil, prices *actual* execution outcomes while
 	// b.Coster keeps pricing the run-time's decisions: the paper's
@@ -232,6 +232,7 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 
 	union := map[int]bool{}
 	prepared := make([]*cost.PreparedPlan, d.NumPlans())
+	b.Contours = make([]Contour, 0, len(raw))
 	for _, rc := range raw {
 		// Cooperative cancellation between contour steps: the anorexic
 		// reduction prices a full cost matrix per contour, so this is
@@ -244,14 +245,10 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 			RawBudget: rc.Budget,
 			Budget:    rc.Budget.Scale(inflate),
 			Flats:     rc.Flats,
-			AssignAt:  make(map[int]int, len(rc.Flats)),
 		}
 		if lambda < 0 || len(rc.Flats) == 0 {
 			// POSP configuration: keep every contour plan.
-			cc.PlanIDs = rc.PlanIDs
-			for i, f := range rc.Flats {
-				cc.AssignAt[f] = rc.PlanAt[i]
-			}
+			cc.PlanIDs, cc.PlanAt = rc.PlanIDs, rc.PlanAt
 		} else {
 			pos, optCosts, m := contourCostMatrix(b.Coster, d, space, prepared, rc.PlanIDs, rc.Flats)
 			red, err := anorexic.Reduce(pos, optCosts, rc.PlanIDs, m, lambda)
@@ -259,8 +256,10 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 				return nil, fmt.Errorf("core: contour %d: %w", rc.K, err)
 			}
 			cc.PlanIDs = red.Retained
-			for li, pid := range red.AssignAt {
-				cc.AssignAt[rc.Flats[li]] = pid
+			// The reduction answers in contour positions.
+			cc.PlanAt = make([]int, len(pos))
+			for li := range cc.PlanAt {
+				cc.PlanAt[li] = red.AssignAt[li]
 			}
 		}
 		for _, pid := range cc.PlanIDs {
@@ -268,6 +267,7 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 		}
 		b.Contours = append(b.Contours, cc)
 	}
+	b.PlanIDs = make([]int, 0, len(union))
 	for pid := range union {
 		b.PlanIDs = append(b.PlanIDs, pid)
 	}
@@ -415,11 +415,11 @@ func (b *Bouquet) Validate() error {
 			planSet[pid] = true
 			union[pid] = true
 		}
-		for _, f := range c.Flats {
-			pid, ok := c.AssignAt[f]
-			if !ok {
-				return fmt.Errorf("core: contour %d location %d unassigned", c.K, f)
-			}
+		if len(c.PlanAt) != len(c.Flats) {
+			return fmt.Errorf("core: contour %d assigns %d of its %d locations", c.K, len(c.PlanAt), len(c.Flats))
+		}
+		for i, f := range c.Flats {
+			pid := c.PlanAt[i]
 			if !planSet[pid] {
 				return fmt.Errorf("core: contour %d location %d assigned to non-contour plan %d", c.K, f, pid)
 			}

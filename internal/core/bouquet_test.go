@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -79,11 +81,10 @@ func TestCompileStructure(t *testing.T) {
 		if len(c.Flats) > 0 && c.Density() == 0 {
 			t.Fatalf("IC%d has locations but no plans", c.K)
 		}
-		for _, f := range c.Flats {
-			pid, ok := c.AssignAt[f]
-			if !ok {
-				t.Fatalf("IC%d location %d unassigned", c.K, f)
-			}
+		if len(c.PlanAt) != len(c.Flats) {
+			t.Fatalf("IC%d assigns %d of its %d locations", c.K, len(c.PlanAt), len(c.Flats))
+		}
+		for _, pid := range c.PlanAt {
 			found := false
 			for _, id := range c.PlanIDs {
 				if id == pid {
@@ -267,6 +268,36 @@ func TestRepeatability(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentOptimizedRunsShareTheMemo: optimized runs from several
+// goroutines on one bouquet, which share its contour-nearest memo, give
+// the very steps a lone serial sweep gives on a bouquet of its own.
+func TestConcurrentOptimizedRunsShareTheMemo(t *testing.T) {
+	serial, _ := compileFor(t, query2D(t), 12, CompileOptions{Lambda: 0.2})
+	shared, _ := compileFor(t, query2D(t), 12, CompileOptions{Lambda: 0.2})
+	n := serial.Space.NumPoints()
+	want := make([]Execution, n)
+	for f := range want {
+		want[f] = serial.RunOptimized(serial.Space.PointAt(f))
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range n {
+				f := (i + w*n/workers) % n
+				got := shared.RunOptimized(shared.Space.PointAt(f))
+				if !slices.Equal(got.Steps, want[f].Steps) {
+					t.Errorf("location %d: steps %v under concurrent runs, %v alone", f, got, want[f])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBasicStepsAreWellFormed(t *testing.T) {

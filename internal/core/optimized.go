@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/ess"
@@ -110,12 +111,12 @@ func (b *Bouquet) contourPlanNear(c Contour, coord []int) (int, bool) {
 		return 0, false
 	}
 	key := uint64(c.K)<<40 | uint64(b.Space.Flat(coord))
-	if v, ok := b.nearCache.Load(key); ok {
-		return v.(int), true
+	if pid, ok := b.near.load(key); ok {
+		return pid, true
 	}
 	space := b.Space
-	best, bestDist := -1, math.MaxInt64
-	for _, f := range c.Flats {
+	best, bestDist := -1, math.MaxInt64 // best indexes Flats
+	for i, f := range c.Flats {
 		fc := space.Coord(f)
 		dist := 0
 		for d := range fc {
@@ -125,13 +126,38 @@ func (b *Bouquet) contourPlanNear(c Contour, coord []int) (int, bool) {
 				dist += coord[d] - fc[d]
 			}
 		}
-		if dist < bestDist || (dist == bestDist && f < best) {
-			best, bestDist = f, dist
+		if dist < bestDist || (dist == bestDist && f < c.Flats[best]) {
+			best, bestDist = i, dist
 		}
 	}
-	pid := c.AssignAt[best]
-	b.nearCache.Store(key, pid)
+	pid := c.PlanAt[best]
+	b.near.store(key, pid)
 	return pid, true
+}
+
+// nearMemo is the bouquet's contourPlanNear memo, keyed by contour step
+// and grid location. It lives as long as the bouquet and grows with the
+// locations optimized runs visit, so keys and plan IDs are stored
+// unboxed; runs on one bouquet share it, under a lock readers share.
+type nearMemo struct {
+	mu sync.RWMutex
+	m  map[uint64]int
+}
+
+func (n *nearMemo) load(key uint64) (int, bool) {
+	n.mu.RLock()
+	pid, ok := n.m[key]
+	n.mu.RUnlock()
+	return pid, ok
+}
+
+func (n *nearMemo) store(key uint64, pid int) {
+	n.mu.Lock()
+	if n.m == nil {
+		n.m = make(map[uint64]int)
+	}
+	n.m[key] = pid
+	n.mu.Unlock()
 }
 
 // learnablePred returns the error-prone predicate of p that a spilled

@@ -76,10 +76,10 @@ func (b *Bouquet) Save(w io.Writer) error {
 			Flats:   append([]int{}, c.Flats...),
 			PlanIDs: append([]int{}, c.PlanIDs...),
 		}
-		for _, f := range c.Flats {
-			cj.AssignFlats = append(cj.AssignFlats, f)
-			cj.AssignPlans = append(cj.AssignPlans, c.AssignAt[f])
-		}
+		// The wire keeps the assignment as two parallel arrays,
+		// AssignFlats repeating Flats; empty ones encode as null.
+		cj.AssignFlats = append(cj.AssignFlats, c.Flats...)
+		cj.AssignPlans = append(cj.AssignPlans, c.PlanAt...)
 		out.Contours = append(out.Contours, cj)
 	}
 	enc := json.NewEncoder(w)
@@ -137,10 +137,13 @@ func Load(r io.Reader, coster *cost.Coster) (*Bouquet, error) {
 		}
 		c := Contour{
 			K: cj.K, RawBudget: cost.Cost(cj.RawBudget), Budget: cost.Cost(cj.Budget),
-			Flats:    cj.Flats,
-			PlanIDs:  cj.PlanIDs,
-			AssignAt: make(map[int]int, len(cj.AssignFlats)),
+			Flats:   cj.Flats,
+			PlanIDs: cj.PlanIDs,
 		}
+		// The assignment arrays may list locations in any order (Save
+		// writes Flats' order); the lookup is dropped once PlanAt is
+		// laid out parallel to Flats.
+		assigned := make(map[int]int, len(cj.AssignFlats))
 		for i, f := range cj.AssignFlats {
 			if f < 0 || f >= n {
 				return nil, fmt.Errorf("core: contour %d references location %d of %d", cj.K, f, n)
@@ -149,7 +152,15 @@ func Load(r io.Reader, coster *cost.Coster) (*Bouquet, error) {
 			if pid < 0 || pid >= diagram.NumPlans() {
 				return nil, fmt.Errorf("core: contour %d references plan %d of %d", cj.K, pid, diagram.NumPlans())
 			}
-			c.AssignAt[f] = pid
+			assigned[f] = pid
+		}
+		c.PlanAt = make([]int, len(c.Flats))
+		for i, f := range c.Flats {
+			pid, ok := assigned[f]
+			if !ok {
+				return nil, fmt.Errorf("core: contour %d location %d unassigned", cj.K, f)
+			}
+			c.PlanAt[i] = pid
 		}
 		for _, pid := range c.PlanIDs {
 			if pid < 0 || pid >= diagram.NumPlans() {

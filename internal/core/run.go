@@ -63,8 +63,9 @@ func (b *Bouquet) Run(ctx context.Context, r Run) (Execution, error) {
 	}
 	var s stepper
 	var e *Execution
+	var ss *surfaceStepper
 	if r.Engine == nil {
-		ss := b.onSurface(r.QA, r.Trace)
+		ss = b.onSurface(r.QA, r.Trace)
 		s, e = ss, &ss.e
 	} else {
 		es := &engineStepper{b: b, r: r}
@@ -89,6 +90,9 @@ func (b *Bouquet) Run(ctx context.Context, r Run) (Execution, error) {
 		e.Learned = st.qrun
 	} else {
 		done, err = b.runBasic(ctx, s, r.Trace, r.Seed)
+	}
+	if ss != nil {
+		e.Steps = ss.takeSteps()
 	}
 	if done {
 		// The finishing step's driven node is the plan root.

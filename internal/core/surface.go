@@ -53,7 +53,11 @@ type surfaceStepper struct {
 	b   *Bouquet
 	t   truth
 	rec *trace.Recorder
-	e   Execution
+	// e is the run's record but for its steps, which collect in steps:
+	// in stepBuf until a run outgrows it. takeSteps hands them out.
+	e       Execution
+	steps   []Step
+	stepBuf [16]Step
 	// sums are the last driven (sub)plan's node summaries at the truth
 	// selectivities, in post-order (price); the exec span's node stats
 	// read them. They live in buf until a plan outgrows it, and are
@@ -65,8 +69,20 @@ type surfaceStepper struct {
 func (b *Bouquet) onSurface(qa ess.Point, rec *trace.Recorder) *surfaceStepper {
 	t := b.truthAt(qa)
 	s := &surfaceStepper{b: b, t: t, rec: rec, e: Execution{OptCost: t.opt}}
-	s.sums = s.buf[:0]
+	s.steps, s.sums = s.stepBuf[:0], s.buf[:0]
 	return s
+}
+
+// takeSteps returns the run's steps in one exact-size allocation (nil for
+// none), so an Execution a caller keeps holds no spare capacity and no
+// reference to the stepper.
+func (s *surfaceStepper) takeSteps() []Step {
+	if len(s.steps) == 0 {
+		return nil
+	}
+	out := make([]Step, len(s.steps))
+	copy(out, s.steps)
+	return out
 }
 
 // price prices driven once at the truth selectivities, filling s.sums, and
@@ -80,7 +96,7 @@ func (s *surfaceStepper) price(driven *plan.Node) cost.Cost {
 // subtree of it applying pred for a spilled step — into the run; price
 // has just priced driven.
 func (s *surfaceStepper) record(st *Step, driven *plan.Node, pred int, start time.Time) {
-	s.e.Steps = append(s.e.Steps, *st)
+	s.steps = append(s.steps, *st)
 	s.e.TotalCost += st.Spent
 	s.b.recordStep(s.rec, st, driven, pred, s.sums, start)
 }

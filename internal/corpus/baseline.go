@@ -104,9 +104,10 @@ func modelFor(name string) (cost.Model, error) {
 	}
 }
 
-// compile takes spec through the real front door — sqlparse over the
-// generated catalog, ESS discretization, the DP optimizer, core.Compile.
-func compile(spec Spec) (*core.Bouquet, error) {
+// Compile takes spec through the real front door — sqlparse over the
+// generated catalog, ESS discretization, the DP optimizer, core.Compile —
+// and returns the bouquet; the optimizer is not kept.
+func Compile(spec Spec) (*core.Bouquet, error) {
 	q, err := sqlparse.Parse(spec.ID, spec.Catalog, spec.SQL)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %s: parse: %w", spec.ID, err)
@@ -130,9 +131,9 @@ func compile(spec Spec) (*core.Bouquet, error) {
 	return b, nil
 }
 
-// Compute compiles spec (see compile) and records the golden baseline.
+// Compute compiles spec (see Compile) and records the golden baseline.
 func Compute(spec Spec) (Baseline, error) {
-	b, err := compile(spec)
+	b, err := Compile(spec)
 	if err != nil {
 		return Baseline{}, err
 	}

@@ -8,7 +8,7 @@ import "testing"
 // within budget, and its result is the query's — the run takes that one
 // step instead of paying for the plan a second time generically.
 func TestRootSpillEndsSurfaceRun(t *testing.T) {
-	b, err := compile(GenerateSpec(testSeed, 487))
+	b, err := Compile(GenerateSpec(testSeed, 487))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,18 @@
 // (internal/core) switches between.
 //
 // Plans are immutable after construction. Identity is structural: two plans
-// with the same fingerprint are the same plan, which is how POSP plan
-// diagrams count distinct plans.
+// with the same fingerprint are the same plan.
 //
 // Nodes may be shared. The optimizer hash-conses the nodes it builds, so
 // within one optimizer equal subplans are one pointer, and one node can sit
-// in many plans of a diagram or bouquet. Within one tree every node is
-// distinct (its subtrees cover disjoint relations), so a map keyed by
-// *Node is sound only for state about one tree — per execution or per
-// Detail walk, as internal/exec and internal/cost keep theirs. State that
-// outlives a tree or spans plans keys on Fingerprint, as the exec reuse
-// cache does.
+// in many plans of a diagram or bouquet; that is why a POSP plan diagram,
+// filled by one optimizer or from one snapshot, numbers its plans by
+// pointer. Within one tree every node is distinct (its subtrees cover
+// disjoint relations), so a map keyed by *Node is sound only for state
+// about one tree — per execution or per Detail walk, as internal/exec and
+// internal/cost keep theirs — or for plans of one interner. State that
+// outlives a tree or spans plans of any origin keys on Fingerprint, as the
+// exec reuse cache does.
 package plan
 
 import (
@@ -112,7 +113,9 @@ type Node struct {
 	// fp memoizes Fingerprint. Nodes are immutable after construction, so
 	// the canonical string is computed at most a handful of times even
 	// under concurrent access; the atomic makes the lazy fill race-free
-	// (recomputation is idempotent).
+	// (recomputation is idempotent). Compiling never fills it
+	// (AppendFingerprint does not): a compiled plan carries a string only
+	// once something keys on it, such as an engine run's reuse cache.
 	fp atomic.Pointer[string]
 }
 
@@ -235,61 +238,61 @@ func (n *Node) PredDepth(id int) (depth int, ok bool) {
 
 // Fingerprint returns a canonical string uniquely identifying the plan's
 // structure. Plans compare equal iff their fingerprints are equal. The
-// string is memoized on first use (plans are immutable), so repeated
-// identity checks — optimizer tie-breaks, diagram interning, perturbed
-// costing — do not rebuild it.
+// string is memoized on the node on first use (plans are immutable), so
+// repeated keying — an engine run's reuse-cache keys, perturbed costing —
+// does not rebuild it. A caller that only compares, and must not leave a
+// string on the node, uses AppendFingerprint.
 func (n *Node) Fingerprint() string {
 	if p := n.fp.Load(); p != nil {
 		return *p
 	}
-	var sb strings.Builder
-	n.fingerprint(&sb)
-	// The memo outlives the builder: keep an exact-size copy, not the
-	// builder's doubled buffer.
-	s := strings.Clone(sb.String())
+	var buf [128]byte
+	s := string(n.AppendFingerprint(buf[:0]))
 	n.fp.Store(&s)
 	return s
 }
 
-func (n *Node) fingerprint(sb *strings.Builder) {
+// AppendFingerprint appends the plan's fingerprint to b and returns the
+// extended buffer, memoizing nothing on the node: the optimizer's
+// exact-cost tie-break keeps its strings on the optimizer, and a
+// snapshot's duplicate check in scratch. A subtree whose fingerprint is
+// already memoized is pasted from the memo.
+func (n *Node) AppendFingerprint(b []byte) []byte {
 	if p := n.fp.Load(); p != nil {
-		// A memoized subtree (e.g. a shared scan leaf) pastes its
-		// canonical form directly.
-		sb.WriteString(*p)
-		return
+		return append(b, *p...)
 	}
-	sb.WriteString(n.Op.String())
+	b = append(b, n.Op.String()...)
 	if n.Relation != "" {
-		sb.WriteByte('[')
-		sb.WriteString(n.Relation)
+		b = append(b, '[')
+		b = append(b, n.Relation...)
 		if n.IndexColumn != "" {
-			sb.WriteByte('.')
-			sb.WriteString(n.IndexColumn)
+			b = append(b, '.')
+			b = append(b, n.IndexColumn...)
 		}
-		sb.WriteByte(']')
+		b = append(b, ']')
 	}
 	if len(n.Preds) > 0 {
-		sb.WriteByte('{')
+		b = append(b, '{')
 		for i, p := range n.Preds {
 			if i > 0 {
-				sb.WriteByte(',')
+				b = append(b, ',')
 			}
-			var num [20]byte
-			sb.Write(strconv.AppendInt(num[:0], int64(p), 10))
+			b = strconv.AppendInt(b, int64(p), 10)
 		}
-		sb.WriteByte('}')
+		b = append(b, '}')
 	}
 	if n.Left != nil || n.Right != nil {
-		sb.WriteByte('(')
+		b = append(b, '(')
 		if n.Left != nil {
-			n.Left.fingerprint(sb)
+			b = n.Left.AppendFingerprint(b)
 		}
 		if n.Right != nil {
-			sb.WriteByte(',')
-			n.Right.fingerprint(sb)
+			b = append(b, ',')
+			b = n.Right.AppendFingerprint(b)
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 	}
+	return b
 }
 
 // String renders a compact one-line form, e.g. "HJ(NL(IdxScan[part],lineitem),SeqScan[orders])".

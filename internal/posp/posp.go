@@ -26,6 +26,12 @@ import (
 // Diagram is a (possibly sparse) plan diagram: for each ESS grid location,
 // the optimal plan and its cost. Locations never optimized (skipped by the
 // contour-focused generator) have PlanID -1 and NaN cost.
+//
+// Plans are told apart by pointer. One optimizer's plans are interned, so
+// equal plans are one pointer, and a snapshot's plans are distinct; a
+// diagram is filled from one of the two. A finished diagram holds only the
+// per-location IDs and costs and the plans themselves: the numbering index
+// exists while the diagram is being filled, and Compact drops it.
 type Diagram struct {
 	space *ess.Space
 
@@ -33,13 +39,16 @@ type Diagram struct {
 	cost   []cost.Cost // optimal cost per flat index; NaN = not optimized
 
 	plans []*plan.Node
-	// byNode numbers plans by pointer: one optimizer's plans are interned,
-	// so this is the whole lookup for them. byFP numbers them by
-	// structure, for a new pointer — a plan built elsewhere (a snapshot,
-	// a test) or by another optimizer. last remembers the latest lookup:
-	// neighbouring locations mostly share their plan.
+	// fill numbers plans while the diagram is being filled; nil once
+	// Compact has dropped it.
+	fill *numbering
+}
+
+// numbering maps each plan pointer seen so far to its diagram ID. last
+// remembers the latest lookup: neighbouring locations mostly share their
+// plan.
+type numbering struct {
 	byNode map[*plan.Node]int
-	byFP   map[string]int
 	last   *plan.Node
 	lastID int
 }
@@ -51,8 +60,6 @@ func NewDiagram(space *ess.Space) *Diagram {
 		space:  space,
 		planID: make([]int, n),
 		cost:   make([]cost.Cost, n),
-		byNode: make(map[*plan.Node]int),
-		byFP:   make(map[string]int),
 	}
 	for i := range d.planID {
 		d.planID[i] = -1
@@ -74,24 +81,33 @@ func (d *Diagram) Set(flat int, p *plan.Node, c cost.Cost) int {
 }
 
 // registerPlan returns p's diagram ID, assigning the next one to a plan
-// not seen before. Only a pointer not seen before is fingerprinted.
+// not seen before. The first call after Compact rebuilds the index from
+// the diagram's plans.
 func (d *Diagram) registerPlan(p *plan.Node) int {
-	if p == d.last {
-		return d.lastID
-	}
-	id, ok := d.byNode[p]
-	if !ok {
-		fp := p.Fingerprint()
-		if id, ok = d.byFP[fp]; !ok {
-			id = len(d.plans)
-			d.plans = append(d.plans, p)
-			d.byFP[fp] = id
+	if d.fill == nil {
+		d.fill = &numbering{byNode: make(map[*plan.Node]int, len(d.plans)), lastID: -1}
+		for id, q := range d.plans {
+			d.fill.byNode[q] = id
 		}
-		d.byNode[p] = id
 	}
-	d.last, d.lastID = p, id
+	f := d.fill
+	if p == f.last {
+		return f.lastID
+	}
+	id, ok := f.byNode[p]
+	if !ok {
+		id = len(d.plans)
+		d.plans = append(d.plans, p)
+		f.byNode[p] = id
+	}
+	f.last, f.lastID = p, id
 	return id
 }
+
+// Compact ends the filling of the diagram by dropping the numbering index
+// Set keeps. Generate, FromSnapshot and contour.FocusedContext return
+// compacted diagrams. A later Set still works; it rebuilds the index.
+func (d *Diagram) Compact() { d.fill = nil }
 
 // PlanID returns the diagram plan ID at flat, or -1 if not optimized.
 func (d *Diagram) PlanID(flat int) int { return d.planID[flat] }
@@ -180,6 +196,7 @@ func GenerateContext(ctx context.Context, opt *optimizer.Optimizer, space *ess.S
 			d.Set(batch[i], res.Plan, res.Cost)
 		}
 	}
+	d.Compact()
 	return d, nil
 }
 
@@ -194,9 +211,8 @@ const maxGrain = 16
 // atomic cursor over runs of locations, each worker fills one selectivity
 // buffer in place, and results land directly in the pre-sized slice — no
 // channels, no per-item sends, no map assembly on the hot compile path.
-// Each worker also fingerprints the plan it found (memoized on the
-// interned node, so only a new plan costs anything), keeping that work off
-// the caller's serial Diagram.Set merge.
+// The caller's serial Diagram.Set merge numbers the plans by pointer, so
+// nothing is fingerprinted.
 func OptimizeAll(opt *optimizer.Optimizer, space *ess.Space, flats []int, workers int) []optimizer.Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -217,7 +233,6 @@ func OptimizeAll(opt *optimizer.Optimizer, space *ess.Space, flats []int, worker
 			for i := lo; i < min(lo+grain, len(flats)); i++ {
 				sels = space.SelsAt(sels, flats[i])
 				results[i] = opt.Optimize(sels)
-				results[i].Plan.Fingerprint()
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package posp
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -250,6 +251,22 @@ func TestFromSnapshotValidation(t *testing.T) {
 	dup.Plans = append(append([]*plan.Node{}, good.Plans...), good.Plans[0])
 	if _, err := FromSnapshot(space, dup); err == nil {
 		t.Error("duplicate plan list accepted")
+	}
+
+	// A decoded artifact never repeats a pointer: its duplicate is a
+	// structurally equal copy.
+	raw, err := json.Marshal(good.Plans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := new(plan.Node)
+	if err := json.Unmarshal(raw, twin); err != nil {
+		t.Fatal(err)
+	}
+	decodedDup := good
+	decodedDup.Plans = append(append([]*plan.Node{}, good.Plans...), twin)
+	if _, err := FromSnapshot(space, decodedDup); err == nil {
+		t.Error("structurally duplicate plan list accepted")
 	}
 }
 

@@ -38,28 +38,37 @@ func (d *Diagram) Snapshot() Snapshot {
 }
 
 // FromSnapshot rebuilds a diagram over space. It validates shape and plan
-// references.
+// references, and rejects a plan list that holds one plan twice, as one
+// pointer or as two structurally equal ones.
 func FromSnapshot(space *ess.Space, s Snapshot) (*Diagram, error) {
 	n := space.NumPoints()
 	if len(s.PlanIDs) != n || len(s.Costs) != n {
 		return nil, fmt.Errorf("posp: snapshot covers %d locations, space has %d", len(s.PlanIDs), n)
 	}
-	for _, p := range s.Plans {
+	// The fingerprints are built in scratch, not memoized: the set goes
+	// when the check is done, and the plans stay in the diagram.
+	seen := make(map[string]int, len(s.Plans))
+	var buf []byte
+	for i, p := range s.Plans {
 		if p == nil {
 			return nil, fmt.Errorf("posp: snapshot contains nil plan")
 		}
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("posp: snapshot plan invalid: %w", err)
 		}
+		buf = p.AppendFingerprint(buf[:0])
+		if j, ok := seen[string(buf)]; ok {
+			return nil, fmt.Errorf("posp: snapshot plans %d and %d are duplicates", j, i)
+		}
+		seen[string(buf)] = i
 	}
 	d := NewDiagram(space)
 	// Pre-register plans so snapshot IDs are preserved regardless of the
 	// order locations were originally filled (the focused generator
-	// interns plans in recursion order, not flat order).
-	for i, p := range s.Plans {
-		if got := d.registerPlan(p); got != i {
-			return nil, fmt.Errorf("posp: snapshot plans %d and %d are duplicates", got, i)
-		}
+	// interns plans in recursion order, not flat order). The plans are
+	// distinct, so each gets the next ID.
+	for _, p := range s.Plans {
+		d.registerPlan(p)
 	}
 	for i, pid := range s.PlanIDs {
 		if pid < 0 {
@@ -73,5 +82,6 @@ func FromSnapshot(space *ess.Space, s Snapshot) (*Diagram, error) {
 		}
 		d.Set(i, s.Plans[pid], cost.Cost(s.Costs[i]))
 	}
+	d.Compact()
 	return d, nil
 }

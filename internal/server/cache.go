@@ -14,7 +14,12 @@ import (
 )
 
 // cacheEntry is one cached compile outcome: the registry id the bouquet
-// was published under and the bouquet itself.
+// was published under and the bouquet itself. The bouquet is all an entry
+// keeps of its compile: the optimizer that built it goes once
+// core.Compile returns, and the bouquet holds what its runs read — the
+// diagram's plan IDs, costs and plans (no plan index, no fingerprint
+// strings), the contours' budgets, plan sets and per-location plans, and a
+// contour-nearest memo that grows with the optimized runs it serves.
 type cacheEntry struct {
 	id string
 	b  *core.Bouquet
