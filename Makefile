@@ -28,13 +28,14 @@ race:
 race-generators:
 	$(GO) test -race -cpu 1,2,8 ./internal/contour ./internal/posp
 
-# race-serving runs the traced serving path — the recorder pool, the span
-# fold and the handlers that share them — and the data package, whose
-# row-id vector and table store are process-wide state that concurrent
-# runs read and grow, under the race detector at one, two and eight Ps,
-# never from the test cache: a recorder handed to the next run too early,
-# or a column published before it is drawn, only shows when runs really
-# overlap.
+# race-serving runs the traced serving path — the recorder pool, the
+# ring's segments that concurrent writers make and publish on first
+# write, the span fold and the handlers that share them — and the data
+# package, whose row-id vector and table store are process-wide state that
+# concurrent runs read and grow, under the race detector at one, two and
+# eight Ps, never from the test cache: a recorder handed to the next run
+# too early, a segment two writers both publish, or a column published
+# before it is drawn, only shows when runs really overlap.
 race-serving:
 	$(GO) test -race -count=1 -cpu 1,2,8 ./internal/trace ./internal/metrics ./internal/server ./internal/data
 

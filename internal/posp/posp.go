@@ -35,7 +35,7 @@ import (
 type Diagram struct {
 	space *ess.Space
 
-	planID []int       // per flat index; -1 = not optimized
+	planID []int32     // per flat index; -1 = not optimized
 	cost   []cost.Cost // optimal cost per flat index; NaN = not optimized
 
 	plans []*plan.Node
@@ -58,7 +58,7 @@ func NewDiagram(space *ess.Space) *Diagram {
 	n := space.NumPoints()
 	d := &Diagram{
 		space:  space,
-		planID: make([]int, n),
+		planID: make([]int32, n),
 		cost:   make([]cost.Cost, n),
 	}
 	for i := range d.planID {
@@ -75,7 +75,7 @@ func (d *Diagram) Space() *ess.Space { return d.space }
 // returning the plan's diagram ID (assigning a new one for unseen plans).
 func (d *Diagram) Set(flat int, p *plan.Node, c cost.Cost) int {
 	id := d.registerPlan(p)
-	d.planID[flat] = id
+	d.planID[flat] = int32(id)
 	d.cost[flat] = c
 	return id
 }
@@ -110,7 +110,7 @@ func (d *Diagram) registerPlan(p *plan.Node) int {
 func (d *Diagram) Compact() { d.fill = nil }
 
 // PlanID returns the diagram plan ID at flat, or -1 if not optimized.
-func (d *Diagram) PlanID(flat int) int { return d.planID[flat] }
+func (d *Diagram) PlanID(flat int) int { return int(d.planID[flat]) }
 
 // Cost returns the optimal cost at flat (NaN if not optimized).
 func (d *Diagram) Cost(flat int) cost.Cost { return d.cost[flat] }

@@ -25,13 +25,14 @@ type Snapshot struct {
 // Snapshot captures the diagram.
 func (d *Diagram) Snapshot() Snapshot {
 	s := Snapshot{
-		PlanIDs: append([]int{}, d.planID...),
+		PlanIDs: make([]int, len(d.planID)),
 		Costs:   make([]float64, len(d.cost)),
 		Plans:   append([]*plan.Node{}, d.plans...),
 	}
-	for i, c := range d.cost {
-		if d.planID[i] >= 0 {
-			s.Costs[i] = c.F()
+	for i, id := range d.planID {
+		s.PlanIDs[i] = int(id)
+		if id >= 0 {
+			s.Costs[i] = d.cost[i].F()
 		}
 	}
 	return s

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -286,28 +285,29 @@ func TestTracedConcreteRunRecyclesItsRecorderAfterTheJoin(t *testing.T) {
 	}
 }
 
-// TestTracedRunAllocBound pins what "trace":true costs the allocator: a
-// traced simulated /run through Handler() stays under 64 KiB an op once the
-// pool holds a ring (building one each run took 650 KB). The median of
-// single-op readings is the steady state: a run that finds the pool emptied
-// by a collection — or by -race, which drops a quarter of all Puts — pays
-// for a ring once and stands out of it.
+// TestTracedRunAllocBound pins what "trace":true costs the allocator: every
+// traced simulated /run through Handler() allocates under 64 KiB. A ring
+// is made segment by segment as the run writes it, so even a run that
+// finds the pool empty — after a collection, or under -race, which drops
+// a quarter of all Puts — pays for the few segments it writes, not for a
+// whole ring (a preallocated ring cost such a run 650 KB).
 func TestTracedRunAllocBound(t *testing.T) {
 	run := simRun(t, true)
 	for i := 0; i < 8; i++ {
 		run()
 	}
 	var m runtime.MemStats
-	per := make([]uint64, 33)
-	for i := range per {
+	const runs = 200
+	worst := uint64(0)
+	for i := 0; i < runs; i++ {
 		runtime.ReadMemStats(&m)
 		before := m.TotalAlloc
 		run()
 		runtime.ReadMemStats(&m)
-		per[i] = m.TotalAlloc - before
+		worst = max(worst, m.TotalAlloc-before)
 	}
-	sort.Slice(per, func(i, j int) bool { return per[i] < per[j] })
-	if median := per[len(per)/2]; median >= 64<<10 {
-		t.Errorf("traced simulated /run allocates %d B/op (median of %d), want < %d", median, len(per), 64<<10)
+	t.Logf("largest of %d traced runs: %d B", runs, worst)
+	if worst >= 64<<10 {
+		t.Errorf("a traced simulated /run allocated %d B, want every run < %d", worst, 64<<10)
 	}
 }

@@ -159,23 +159,33 @@ func SafeCost(c float64) float64 {
 // DefaultCapacity is the ring size New selects for capacity <= 0 and the
 // size of every pooled ring: roomy enough for every step of a deep bouquet
 // run (contours × ρ × a few spans per step; a served run emits about 30).
-// A ring this size is 608 KiB that the collector has to scan, because a
-// Span holds a slice — which is why runs take theirs from Acquire and do
-// not build one each.
+// The ring is not allocated up front: its slots come in segments of segLen
+// spans, each made on its first write, so a run holds the segments it
+// wrote — one 4.75 KiB segment for a served run — and a full ring 608 KiB.
 const DefaultCapacity = 4096
+
+// segLen is the number of spans in one segment of a ring (a power of two).
+const segLen = 32
+
+// segment is the unit in which a ring's slots are allocated.
+type segment [segLen]Span
 
 // Recorder collects spans into a lock-free ring buffer. The zero state
 // for callers is a nil *Recorder, which disables tracing entirely; every
 // method is nil-safe.
+//
+// Slot i lives at segs[i/segLen][i%segLen]. A ring smaller than segLen has
+// one segment and uses its first capacity slots.
 type Recorder struct {
-	buf  []Span
+	segs []atomic.Pointer[segment]
 	mask uint64
 	pos  atomic.Uint64
 }
 
 // New builds a Recorder retaining the last capacity spans (rounded up to
-// a power of two; capacity <= 0 selects DefaultCapacity). It zeroes the
-// whole ring; code that traces run after run uses Acquire.
+// a power of two; capacity <= 0 selects DefaultCapacity). Its segments are
+// made as the ring fills; code that traces run after run uses Acquire,
+// whose recorders keep theirs.
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -184,7 +194,7 @@ func New(capacity int) *Recorder {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Recorder{buf: make([]Span, n), mask: uint64(n - 1)}
+	return &Recorder{segs: make([]atomic.Pointer[segment], (n+segLen-1)/segLen), mask: uint64(n - 1)}
 }
 
 // pool holds empty DefaultCapacity recorders between runs.
@@ -195,15 +205,21 @@ var pool = sync.Pool{New: func() any { return New(0) }}
 // calls Release.
 func Acquire() *Recorder { return pool.Get().(*Recorder) }
 
+// capacity returns the number of spans r retains.
+func (r *Recorder) capacity() int { return int(r.mask + 1) }
+
 // Reset empties r for another run: Seq restarts at 0 and Dropped at 0.
 // It clears the slots the last run wrote and no others, so it costs what
-// that run recorded, not what the ring could hold. Nothing may be
-// recording into r.
+// that run recorded, not what the ring could hold; the segments stay, so
+// a run no longer than the last records without allocating. Nothing may
+// be recording into r.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	clear(r.buf[:r.Len()])
+	for i, n := 0, r.Len(); i < n; i += segLen {
+		clear(r.segs[i/segLen].Load()[:min(n-i, segLen)])
+	}
 	r.pos.Store(0)
 }
 
@@ -219,7 +235,7 @@ func (r *Recorder) Release() {
 		return
 	}
 	r.Reset()
-	if len(r.buf) == DefaultCapacity {
+	if r.capacity() == DefaultCapacity {
 		pool.Put(r)
 	}
 }
@@ -231,16 +247,36 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 // Record appends one span: a single atomic claims the next slot, the
 // span is copied in, and its Seq is the claim order. When the ring is
-// full the oldest span is overwritten. Safe for concurrent use; no-op
-// on a nil Recorder. Allocation-freedom is pinned by TestRecordAllocFree.
+// full the oldest span is overwritten. Safe for concurrent use, and takes
+// no lock; no-op on a nil Recorder. It allocates only on the first write
+// to a segment (see claim); allocation-freedom otherwise is pinned by
+// TestRecordAllocFree. claim is split out so that Record stays small
+// enough to inline, and a span is copied once, into its slot.
 func (r *Recorder) Record(s Span) {
 	if r == nil {
 		return
 	}
-	seq := r.pos.Add(1) - 1
-	s.Seq = seq
+	slot := r.claim(&s)
 	//bouquet:allow atomicmix: the overwrite-oldest ring tolerates torn slot writes by contract; Spans documents that a snapshot taken mid-run may see partially written spans
-	r.buf[seq&r.mask] = s
+	*slot = s
+}
+
+// claim takes the next sequence number for s and returns the slot s goes
+// into. On a segment's first write it makes the segment and publishes it
+// with a compare-and-swap; a writer that loses that race drops its own
+// segment and writes into the winner's.
+func (r *Recorder) claim(s *Span) *Span {
+	s.Seq = r.pos.Add(1) - 1
+	i := s.Seq & r.mask
+	p := &r.segs[i/segLen]
+	seg := p.Load()
+	if seg == nil {
+		seg = new(segment)
+		if !p.CompareAndSwap(nil, seg) {
+			seg = p.Load()
+		}
+	}
+	return &seg[i%segLen]
 }
 
 // Len returns the number of retained spans (at most the ring capacity).
@@ -249,8 +285,8 @@ func (r *Recorder) Len() int {
 		return 0
 	}
 	n := r.pos.Load()
-	if n > uint64(len(r.buf)) {
-		return len(r.buf)
+	if n > uint64(r.capacity()) {
+		return r.capacity()
 	}
 	return int(n)
 }
@@ -261,17 +297,18 @@ func (r *Recorder) Dropped() uint64 {
 		return 0
 	}
 	n := r.pos.Load()
-	if n <= uint64(len(r.buf)) {
+	if n <= uint64(r.capacity()) {
 		return 0
 	}
-	return n - uint64(len(r.buf))
+	return n - uint64(r.capacity())
 }
 
 // Spans snapshots the retained spans in record order (oldest first). The
 // result is a copy: it shares no slot with the ring, so it stays as it is
 // when r is Reset or Released and the ring serves another run. Intended
 // for use after the traced run completes; see the package comment for
-// mid-run caveats. Returns nil on a nil Recorder.
+// mid-run caveats (a slot whose segment is not yet published reads as a
+// zero Span). Returns nil on a nil Recorder.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
@@ -280,15 +317,14 @@ func (r *Recorder) Spans() []Span {
 	if n == 0 {
 		return nil
 	}
-	if n <= uint64(len(r.buf)) {
-		out := make([]Span, n)
-		copy(out, r.buf[:n])
-		return out
+	// Oldest first: from slot n-len, wrapping to slot 0 past the end.
+	out := make([]Span, min(n, uint64(r.capacity())))
+	first := n - uint64(len(out))
+	for i := range out {
+		slot := (first + uint64(i)) & r.mask
+		if seg := r.segs[slot/segLen].Load(); seg != nil {
+			out[i] = seg[slot%segLen]
+		}
 	}
-	// Wrapped: the oldest retained span sits at the write cursor.
-	out := make([]Span, len(r.buf))
-	head := n & r.mask
-	copy(out, r.buf[head:])
-	copy(out[uint64(len(r.buf))-head:], r.buf[:head])
 	return out
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -60,11 +62,11 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 
 func TestCapacityRoundsUpToPowerOfTwo(t *testing.T) {
 	r := New(5)
-	if len(r.buf) != 8 {
-		t.Fatalf("capacity 5 rounded to %d, want 8", len(r.buf))
+	if r.capacity() != 8 {
+		t.Fatalf("capacity 5 rounded to %d, want 8", r.capacity())
 	}
-	if d := New(0); len(d.buf) != DefaultCapacity {
-		t.Fatalf("default capacity %d, want %d", len(d.buf), DefaultCapacity)
+	if d := New(0); d.capacity() != DefaultCapacity {
+		t.Fatalf("default capacity %d, want %d", d.capacity(), DefaultCapacity)
 	}
 }
 
@@ -157,8 +159,8 @@ func TestReleaseKeepsOddSizesOutOfThePool(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		r := Acquire()
-		if len(r.buf) != DefaultCapacity {
-			t.Fatalf("Acquire returned a %d-slot ring", len(r.buf))
+		if r.capacity() != DefaultCapacity {
+			t.Fatalf("Acquire returned a %d-slot ring", r.capacity())
 		}
 		defer r.Release()
 	}
@@ -187,6 +189,149 @@ func TestConcurrentRecord(t *testing.T) {
 			t.Fatalf("duplicate seq %d", s.Seq)
 		}
 		seen[s.Seq] = true
+	}
+}
+
+// segments counts the segments r holds.
+func (r *Recorder) segments() int {
+	n := 0
+	for i := range r.segs {
+		if r.segs[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestConcurrentRecordAcrossSegments races eight writers over every
+// segment's first write, then past the wrap. Each phase checks the ring
+// holds exactly the newest spans, each once and as its writer wrote it: a
+// writer that lost a segment's publication race and wrote into its own
+// copy would leave a zero slot, and a duplicate or missing Seq.
+func TestConcurrentRecordAcrossSegments(t *testing.T) {
+	const writers = 8
+	// record has every writer record spans Pred = from, …, from+each-1.
+	record := func(r *Recorder, from, each int) {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := from; i < from+each; i++ {
+					r.Record(Span{Kind: KindExec, Dim: w, Pred: i})
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	check := func(t *testing.T, r *Recorder, total int) {
+		t.Helper()
+		keep := min(total, DefaultCapacity)
+		if r.Len() != keep || r.Dropped() != uint64(total-keep) {
+			t.Fatalf("Len/Dropped = %d/%d after %d spans, want %d/%d", r.Len(), r.Dropped(), total, keep, total-keep)
+		}
+		spans := r.Spans()
+		if len(spans) != keep {
+			t.Fatalf("snapshot has %d spans, want %d", len(spans), keep)
+		}
+		last := make([]int, writers) // each writer's last Pred seen, in Seq order
+		for i := range last {
+			last[i] = -1
+		}
+		for i, s := range spans {
+			if want := uint64(total - keep + i); s.Seq != want {
+				t.Fatalf("span %d has seq %d, want %d", i, s.Seq, want)
+			}
+			if s.Kind != KindExec || s.Dim < 0 || s.Dim >= writers || s.Pred <= last[s.Dim] {
+				t.Fatalf("span %d = %+v: not the next span of a writer (last %v)", i, s, last)
+			}
+			last[s.Dim] = s.Pred
+		}
+	}
+	for _, c := range []struct {
+		name string
+		r    *Recorder
+	}{{"new", New(0)}, {"acquired", Acquire()}} {
+		r := c.r
+		t.Run(c.name, func(t *testing.T) {
+			record(r, 0, DefaultCapacity/writers)
+			check(t, r, DefaultCapacity)
+			if got := r.segments(); got != DefaultCapacity/segLen {
+				t.Fatalf("full ring holds %d segments, want %d", got, DefaultCapacity/segLen)
+			}
+			const more = 3*segLen + 5 // per writer, past the wrap
+			record(r, DefaultCapacity/writers, more)
+			check(t, r, DefaultCapacity+writers*more)
+		})
+	}
+}
+
+// TestRecorderHoldsTheSegmentsItWrote pins the lazy ring: k spans hold
+// ⌈k/segLen⌉ segments, and once a ring holds them a run of at most k spans
+// — after Reset, or after Release and Acquire — allocates nothing.
+func TestRecorderHoldsTheSegmentsItWrote(t *testing.T) {
+	run := func(r *Recorder, k int) {
+		for i := 0; i < k; i++ {
+			r.Record(Span{Kind: KindExec, PlanID: i})
+		}
+	}
+	// fewestMallocs recycles r and times a k-span run into it, three
+	// times, and returns the fewest allocations a run made: the runtime
+	// may allocate for itself during one reading, but a ring that lost its
+	// segments allocates during every one.
+	fewestMallocs := func(r *Recorder, recycle func(), k int) uint64 {
+		var m runtime.MemStats
+		least := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			recycle()
+			runtime.ReadMemStats(&m)
+			before := m.Mallocs
+			run(r, k)
+			runtime.ReadMemStats(&m)
+			least = min(least, m.Mallocs-before)
+			if r.Len() != k {
+				t.Fatalf("recorded %d spans, want %d", r.Len(), k)
+			}
+		}
+		return least
+	}
+	for _, k := range []int{0, 1, segLen - 1, segLen, segLen + 1, 30, 100, DefaultCapacity} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			r := New(0)
+			want := (k + segLen - 1) / segLen
+			run(r, k)
+			if got := r.segments(); got != want {
+				t.Fatalf("%d spans hold %d segments, want %d", k, got, want)
+			}
+			for _, again := range []int{k, k / 2} {
+				if n := fewestMallocs(r, r.Reset, again); n != 0 {
+					t.Errorf("a %d-span run after Reset allocates %d times, want 0", again, n)
+				}
+			}
+			// A sync.Pool may drop what it is given (under -race it does
+			// so at random), so keep trying until Acquire hands r back.
+			pooled := func() {
+				for try := 0; ; try++ {
+					r.Release()
+					if Acquire() == r {
+						break
+					}
+					if try == 64 {
+						t.Fatal("Acquire never returned a released recorder")
+					}
+				}
+				if got := r.segments(); got != want {
+					t.Fatalf("recycled ring holds %d segments, want %d", got, want)
+				}
+			}
+			if n := fewestMallocs(r, pooled, k); n != 0 {
+				t.Errorf("a %d-span run after Release and Acquire allocates %d times, want 0", k, n)
+			}
+			r.Release()
+		})
 	}
 }
 
