@@ -6,11 +6,14 @@ BIN := bin
 # headroom for run-to-run variation, not for new untested code).
 COVER_FLOOR := 78.0
 
-.PHONY: verdict examples build test vet race race-generators race-serving determinism-exec fuzz lint lint-timing fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-bless corpus-stats
+.PHONY: verdict examples build test vet race race-generators race-serving determinism-exec fuzz fmt-check ci cover bench-compile bench-compile-smoke bench-exec bench-exec-smoke corpus-check corpus-bless corpus-stats
 
 build:
 	$(GO) build ./...
 
+# test runs Tier-1, which includes the repository's analyzer suite:
+# internal/analysis's TestRepoIsClean fails with one
+# "path:line:col: message [analyzer]" line per finding.
 test:
 	$(GO) test ./...
 
@@ -52,19 +55,6 @@ determinism-exec:
 # budget. Run it by hand with a longer -fuzztime to explore further.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse
-
-# lint builds the repository's own analyzer suite and runs it through the
-# go vet driver. CI invokes this same target, so local and CI findings
-# cannot diverge.
-lint:
-	$(GO) build -o $(BIN)/bouquetvet ./cmd/bouquetvet
-	$(GO) vet -vettool=$(abspath $(BIN)/bouquetvet) ./...
-
-# lint-timing prints cumulative per-analyzer wall time over the repo,
-# slowest first.
-lint-timing:
-	$(GO) build -o $(BIN)/bouquetvet ./cmd/bouquetvet
-	$(BIN)/bouquetvet -timing ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -183,4 +173,4 @@ examples:
 
 # ci mirrors the CI workflow's main job exactly — .github/workflows/ci.yml
 # invokes this target, so local `make ci` and CI cannot diverge.
-ci: fmt-check vet build examples test race race-generators race-serving determinism-exec lint bench-compile-smoke bench-exec-smoke corpus-check verdict
+ci: fmt-check vet build examples test race race-generators race-serving determinism-exec bench-compile-smoke bench-exec-smoke corpus-check verdict

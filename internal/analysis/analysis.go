@@ -1,21 +1,20 @@
 // Package analysis is a dependency-free miniature of
 // golang.org/x/tools/go/analysis: just enough framework to host the
-// repository's domain-invariant analyzers (bouquetvet) without pulling a
-// module dependency the build environment cannot fetch.
+// repository's domain-invariant analyzers without pulling a module
+// dependency the build environment cannot fetch.
 //
 // It deliberately mirrors the upstream API shape — Analyzer, Pass,
 // Diagnostic, Reportf — so the analyzers themselves read like standard
 // go/analysis code and could be ported to the real framework by changing
-// one import path. Three drivers run analyzers built on it:
+// one import path. Two drivers run analyzers built on it:
 //
-//   - the direct driver (Load + RunPackage), used by `bouquetvet ./...`
-//     and by tests, which loads packages via `go list -export` and
-//     type-checks them from source;
-//   - the unitchecker driver (RunUnitchecker), which speaks the
-//     `go vet -vettool=` JSON config protocol so bouquetvet plugs into
-//     `go vet` and the build cache;
-//   - the analysistest driver (internal/analysis/analysistest), which runs
-//     one analyzer over a fixture package and checks `// want` comments.
+//   - Load + RunPackage, which load packages via `go list -export`,
+//     type-check them from source and run the suite over each. This
+//     package's TestRepoIsClean runs the whole suite over the repository
+//     this way, as part of `go test ./...`, and fails with one
+//     "path:line:col: message [analyzer]" line per finding;
+//   - analysistest (internal/analysis/analysistest), which runs one
+//     analyzer over a fixture package and checks `// want` comments.
 //
 // # Suppression directives
 //
@@ -69,7 +68,7 @@ type Pass struct {
 
 	diags  *[]Diagnostic
 	allow  allowIndex
-	shared *Infra
+	shared *infra
 }
 
 // A Diagnostic is one reported finding.
@@ -100,7 +99,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// InTestFile reports whether pos lies in a _test.go file. The bouquetvet
+// InTestFile reports whether pos lies in a _test.go file. The
 // analyzers enforce production invariants on production files; test files
 // are exercised by the test suite itself.
 func (p *Pass) InTestFile(pos token.Pos) bool {
@@ -198,26 +197,21 @@ func NewTypesInfo() *types.Info {
 
 // RunPackage applies each analyzer to one type-checked package and returns
 // the surviving (non-suppressed) diagnostics sorted by position. The
-// analyzers share one Infra cache, so the function graph is built once per
+// analyzers share one infra cache, so the function graph is built once per
 // package no matter how many analyzers consult it.
 func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return RunPackageWithInfra(analyzers, NewInfra(fset, files, pkg, info))
-}
-
-// RunPackageWithInfra is RunPackage with a caller-supplied shared cache,
-// for drivers (-timing) that prime or reuse infrastructure explicitly.
-func RunPackageWithInfra(analyzers []*Analyzer, infra *Infra) ([]Diagnostic, error) {
-	allow, diags := buildAllowIndex(infra.fset, infra.files)
+	allow, diags := buildAllowIndex(fset, files)
+	shared := newInfra(fset, files, info)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
-			Fset:      infra.fset,
-			Files:     infra.files,
-			Pkg:       infra.pkg,
-			TypesInfo: infra.info,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
 			diags:     &diags,
 			allow:     allow,
-			shared:    infra,
+			shared:    shared,
 		}
 		if err := a.Run(pass); err != nil {
 			return diags, fmt.Errorf("%s: %w", a.Name, err)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,18 +21,18 @@ func vopts(workers int) Options {
 // multisets compare as slices regardless of emission order.
 type capture struct {
 	res  Result
-	rows []string
+	rows [][]int64
 }
 
 func runCollected(t testing.TB, eng *Engine, p *plan.Node, opts Options) capture {
 	t.Helper()
-	var rows []string
-	opts.Collect = func(r []int64) { rows = append(rows, fmt.Sprint(r)) }
+	var rows [][]int64
+	opts.Collect = func(r []int64) { rows = append(rows, slices.Clone(r)) }
 	res, err := eng.Run(p, opts)
 	if err != nil {
 		t.Fatalf("run (vectorized=%v workers=%d): %v", opts.Vectorized, opts.Parallelism, err)
 	}
-	sort.Strings(rows)
+	slices.SortFunc(rows, slices.Compare)
 	return capture{res: res, rows: rows}
 }
 
@@ -52,8 +52,8 @@ func assertParity(t *testing.T, name string, vol, vec capture) {
 		t.Fatalf("%s: result sets differ in size: vector %d vs volcano %d rows", name, len(vec.rows), len(vol.rows))
 	}
 	for i := range vol.rows {
-		if vol.rows[i] != vec.rows[i] {
-			t.Fatalf("%s: result sets differ at sorted row %d: vector %s vs volcano %s", name, i, vec.rows[i], vol.rows[i])
+		if !slices.Equal(vol.rows[i], vec.rows[i]) {
+			t.Fatalf("%s: result sets differ at sorted row %d: vector %v vs volcano %v", name, i, vec.rows[i], vol.rows[i])
 		}
 	}
 	cv, cc := vol.res.CostUsed.F(), vec.res.CostUsed.F()

@@ -7,7 +7,9 @@
 // therefore plan choice, contour assignment, and ultimately the MSO ≤ 4·ρ
 // guarantee's determinism) depend on summation order. All cost and
 // selectivity equality tests in this repository must go through this
-// package; the bouquetvet floatcmp analyzer enforces that mechanically.
+// package; the floatcmp analyzer (internal/analysis/floatcmp), which
+// internal/analysis's TestRepoIsClean runs over the repository, enforces
+// that mechanically.
 package floats
 
 import "math"

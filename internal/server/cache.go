@@ -13,9 +13,11 @@ import (
 	"repro/internal/query"
 )
 
-// cacheEntry is one cached compile outcome: the registry id the bouquet
-// was published under and the bouquet itself. The bouquet is all an entry
-// keeps of its compile: the optimizer that built it goes once
+// cacheEntry is one cached compile outcome: the id the bouquet was
+// published under and the bouquet itself. Nothing else in the server
+// holds the bouquet: the entry's eviction retires the id, and only a run
+// already in flight keeps its own reference until it finishes. The
+// bouquet is all an entry keeps of its compile: the optimizer that built it goes once
 // core.Compile returns, and the bouquet holds what its runs read — the
 // diagram's plan IDs, costs and plans (no plan index, no fingerprint
 // strings), the contours' budgets, plan sets and per-location plans, and a
@@ -35,18 +37,23 @@ type inflightCall struct {
 }
 
 // compileCache is a bounded LRU cache of compile outcomes keyed by a
-// canonical fingerprint of the compile request. It deduplicates concurrent
-// misses on the same key: the first caller computes, later callers block
-// on the in-flight result and are accounted as hits. Failed computes are
-// never inserted, so transient errors (including cancelled deadlines) do
-// not poison the cache.
+// canonical fingerprint of the compile request, and the server's one
+// store of compiled bouquets: each inserted entry gets the next id b1,
+// b2, …, and an id lookup finds it. A compile hit and an id lookup both
+// make an entry the most recently used. It deduplicates concurrent misses
+// on the same key: the first caller computes, later callers block on the
+// in-flight result and are accounted as hits. Failed computes are never
+// inserted, so transient errors (including cancelled deadlines) do not
+// poison the cache.
 type compileCache struct {
 	capacity int
 
 	mu       sync.Mutex
 	order    *list.List               // front = most recently used
 	byKey    map[string]*list.Element // key -> element holding *lruItem
+	byID     map[string]*list.Element // entry id -> the same element
 	inflight map[string]*inflightCall
+	lastID   int // ids issued so far: b1 … b<lastID>
 
 	hits, misses, evictions int64
 }
@@ -67,15 +74,17 @@ func newCompileCache(capacity int) *compileCache {
 		capacity: capacity,
 		order:    list.New(),
 		byKey:    make(map[string]*list.Element),
+		byID:     make(map[string]*list.Element),
 		inflight: make(map[string]*inflightCall),
 	}
 }
 
-// getOrCompute returns the entry for key, computing it with compute on a
-// miss. The boolean reports whether the entry was served from cache (or
-// from another request's in-flight compute). compute runs outside the
-// cache lock; at most one compute per key is in flight at a time.
-func (c *compileCache) getOrCompute(key string, compute func() (cacheEntry, error)) (cacheEntry, bool, error) {
+// getOrCompute returns the entry for key, computing its bouquet with
+// compute on a miss and publishing it under a new id. The boolean reports
+// whether the entry was served from cache (or from another request's
+// in-flight compute). compute runs outside the cache lock; at most one
+// compute per key is in flight at a time.
+func (c *compileCache) getOrCompute(key string, compute func() (*core.Bouquet, error)) (cacheEntry, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.order.MoveToFront(el)
@@ -102,22 +111,52 @@ func (c *compileCache) getOrCompute(key string, compute func() (cacheEntry, erro
 	c.misses++
 	c.mu.Unlock()
 
-	call.entry, call.err = compute()
+	b, err := compute()
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if call.err == nil {
-		c.byKey[key] = c.order.PushFront(&lruItem{key: key, entry: call.entry})
+	call.err = err
+	if err == nil {
+		c.lastID++
+		call.entry = cacheEntry{id: "b" + strconv.Itoa(c.lastID), b: b}
+		el := c.order.PushFront(&lruItem{key: key, entry: call.entry})
+		c.byKey[key], c.byID[call.entry.id] = el, el
 		for c.order.Len() > c.capacity {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.byKey, oldest.Value.(*lruItem).key)
+			oldest := c.order.Remove(c.order.Back()).(*lruItem)
+			delete(c.byKey, oldest.key)
+			delete(c.byID, oldest.entry.id)
 			c.evictions++
 		}
 	}
 	c.mu.Unlock()
 	close(call.done)
 	return call.entry, false, call.err
+}
+
+// lookup returns the bouquet published under id and makes its entry the
+// most recently used. When no entry holds id, b is nil and evicted
+// reports whether id is one the cache issued, whose entry the LRU bound
+// has since dropped.
+func (c *compileCache) lookup(id string) (b *core.Bouquet, evicted bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byID[id]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*lruItem).entry.b, false
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "b"))
+	return nil, err == nil && id == "b"+strconv.Itoa(n) && n >= 1 && n <= c.lastID
+}
+
+// entries snapshots the cached entries.
+func (c *compileCache) entries() []cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]cacheEntry, 0, c.order.Len())
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*lruItem).entry)
+	}
+	return out
 }
 
 // CacheStats is a point-in-time snapshot of the compile cache's counters.

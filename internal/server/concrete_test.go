@@ -190,7 +190,7 @@ func TestRunAnswersWhatBouquetRunReturns(t *testing.T) {
 	s := NewWithConfig(catalog.TPCHLike(0.01), Config{})
 	h := s.Handler()
 	id := handlerCompile(t, h, apiEQ2D, 12)
-	b, _ := s.lookup(id)
+	b, _ := s.cache.lookup(id)
 	qa := []float64{0.05, 2e-6}
 	zero, two, yes := 0, 2, true
 	for _, c := range []struct {
@@ -347,7 +347,7 @@ func TestRunConcreteEngineErrorReleasesEngine(t *testing.T) {
 	s, h, req := concreteHandler(t)
 	// Make the first step fail inside the engine: the first plan the basic
 	// algorithm executes gets an operator the engine does not know.
-	b, _ := s.lookup(req.ID)
+	b, _ := s.cache.lookup(req.ID)
 	first := b.Diagram.Plan(b.Contours[0].PlanIDs[0])
 	op := first.Op
 	first.Op = plan.Op(-1)

@@ -45,7 +45,7 @@ func fetchMetric(t *testing.T, base, name string) float64 {
 // checks (a) every request succeeds, (b) all compiles resolve to the same
 // bouquet id, and (c) the cache accounting is exact: one miss (the single
 // flight that compiled) and 31 hits. Run under -race this also proves the
-// registry, cache, and metrics are data-race free.
+// cache, its id index, and metrics are data-race free.
 func TestParallelCompileAndRun(t *testing.T) {
 	srv := httptest.NewServer(New(catalog.TPCHLike(0.05)).Handler())
 	defer srv.Close()
@@ -137,8 +137,8 @@ func TestParallelCompileAndRun(t *testing.T) {
 }
 
 // TestParallelDistinctCompiles drives concurrent compiles of *different*
-// queries (distinct fingerprints) to exercise the registry write path and
-// LRU under contention.
+// queries (distinct fingerprints) to exercise id publication and LRU
+// eviction under contention.
 func TestParallelDistinctCompiles(t *testing.T) {
 	srv := httptest.NewServer(NewWithConfig(catalog.TPCHLike(0.05), Config{CacheSize: 2}).Handler())
 	defer srv.Close()

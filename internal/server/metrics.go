@@ -118,8 +118,8 @@ func (s *histogramSet) observe(buckets []float64, v float64) {
 }
 
 // serverMetrics aggregates the server's operational telemetry; render
-// writes it in Prometheus text format. Cache statistics, registry size and
-// optimizer call totals are sampled at render time from their owning
+// writes it in Prometheus text format. Cache statistics (whose entry count
+// is the number of bouquets held) and optimizer call totals are sampled at render time from their owning
 // structures rather than mirrored here.
 type serverMetrics struct {
 	requests *labeledCounter // by path pattern and status code
@@ -267,10 +267,10 @@ func (h *histogram) write(w io.Writer, name, help string) {
 	}
 }
 
-// render writes every metric in Prometheus text format. cache, bouquets,
+// render writes every metric in Prometheus text format. cache,
 // optCalls and retainedTraces are sampled by the caller (the /metrics
 // handler) so the registry has no back-pointer to the server.
-func (m *serverMetrics) render(w io.Writer, cache CacheStats, bouquets int, optCalls int64, retainedTraces int) {
+func (m *serverMetrics) render(w io.Writer, cache CacheStats, optCalls int64, retainedTraces int) {
 	writeLabeledCounter(w, "bouquetd_requests_total", "HTTP requests by path pattern and status code.", m.requests)
 	m.latency.write(w, "bouquetd_request_duration_seconds", "HTTP request latency by path pattern.")
 
@@ -283,8 +283,8 @@ func (m *serverMetrics) render(w io.Writer, cache CacheStats, bouquets int, optC
 	writeHeader(w, "bouquetd_compile_cache_entries", "Current compile cache population.", "gauge")
 	fmt.Fprintf(w, "bouquetd_compile_cache_entries %d\n", cache.Entries)
 
-	writeHeader(w, "bouquetd_bouquets", "Compiled bouquets in the registry.", "gauge")
-	fmt.Fprintf(w, "bouquetd_bouquets %d\n", bouquets)
+	writeHeader(w, "bouquetd_bouquets", "Compiled bouquets the server holds: one per compile cache entry.", "gauge")
+	fmt.Fprintf(w, "bouquetd_bouquets %d\n", cache.Entries)
 	writeHeader(w, "bouquetd_optimizer_calls_total", "Process-wide optimizer Optimize() invocations (compile-time overhead, paper §6.1).", "counter")
 	fmt.Fprintf(w, "bouquetd_optimizer_calls_total %d\n", optCalls)
 	writeHeader(w, "bouquetd_compiles_total", "Fresh (non-cached) bouquet compilations.", "counter")

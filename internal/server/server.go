@@ -5,9 +5,9 @@
 //
 // The package is built to survive production traffic: compiles are
 // deduplicated through a bounded LRU cache keyed by a canonical request
-// fingerprint (with a single-flight guard against stampedes), the bouquet
-// registry is guarded by an RWMutex so reads never serialize, request
-// bodies are size-limited, panics are recovered into 500 responses, and
+// fingerprint (with a single-flight guard against stampedes) that is
+// also the one store of compiled bouquets — at most Config.CacheSize of
+// them, an evicted id answering 404 — request bodies are size-limited, panics are recovered into 500 responses, and
 // per-request context deadlines propagate into core.Compile and the run
 // drivers so an expired request returns 503 instead of wedging a worker.
 //
@@ -47,7 +47,9 @@ import (
 // sane defaults everywhere, so New(cat) remains the simple entry point.
 type Config struct {
 	// CacheSize bounds the compile cache's entry count (LRU eviction
-	// beyond it). 0 selects DefaultCacheSize; 1 is the minimum.
+	// beyond it), and so the bouquets the server holds: an evicted
+	// bouquet's id answers 404. 0 selects DefaultCacheSize; 1 is the
+	// minimum.
 	CacheSize int
 	// MaxBodyBytes caps request body sizes; oversized bodies get 413.
 	// 0 selects DefaultMaxBodyBytes; negative disables the limit.
@@ -92,15 +94,12 @@ const DefaultCacheSize = 128
 // is 0 (1 MiB — SQL text and run locations are tiny).
 const DefaultMaxBodyBytes = 1 << 20
 
-// Server holds compiled bouquets keyed by id, the compile cache, and the
-// metrics registry. It is safe for concurrent use.
+// Server holds the compile cache — the store of compiled bouquets, keyed
+// by compile request and by id — and the metrics registry. It is safe for
+// concurrent use.
 type Server struct {
 	cat *catalog.Catalog
 	cfg Config
-
-	mu       sync.RWMutex
-	bouquets map[string]*core.Bouquet
-	nextID   int
 
 	cache   *compileCache
 	metrics *serverMetrics
@@ -123,13 +122,12 @@ func NewWithConfig(cat *catalog.Catalog, cfg Config) *Server {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	return &Server{
-		cat:      cat,
-		cfg:      cfg,
-		bouquets: make(map[string]*core.Bouquet),
-		cache:    newCompileCache(cfg.CacheSize),
-		metrics:  newServerMetrics(),
-		runs:     newRunStore(cfg.RunHistory),
-		engines:  newEngineCache(DefaultEngineCacheSize),
+		cat:     cat,
+		cfg:     cfg,
+		cache:   newCompileCache(cfg.CacheSize),
+		metrics: newServerMetrics(),
+		runs:    newRunStore(cfg.RunHistory),
+		engines: newEngineCache(DefaultEngineCacheSize),
 	}
 }
 
@@ -259,16 +257,6 @@ func (s *Server) summarize(id string, b *core.Bouquet) bouquetSummary {
 	}
 }
 
-// register publishes a freshly compiled bouquet under a new id.
-func (s *Server) register(b *core.Bouquet) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	id := fmt.Sprintf("b%d", s.nextID)
-	s.bouquets[id] = b
-	return id
-}
-
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req compileRequest
 	if status, err := decodeJSON(r, &req); err != nil {
@@ -327,17 +315,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// The one-slot buffer lets the send complete even when the deadline arm
 	// wins; dropping the finished compile is the 503 contract.
 	go func() {
-		entry, hit, err := s.cache.getOrCompute(key, func() (cacheEntry, error) {
+		entry, hit, err := s.cache.getOrCompute(key, func() (*core.Bouquet, error) {
 			s.metrics.compiles.Add(1)
 			opt := optimizer.New(cost.NewCoster(q, cost.Postgres()))
-			b, err := core.Compile(opt, space, core.CompileOptions{
+			return core.Compile(opt, space, core.CompileOptions{
 				Lambda: lambda, Ratio: cost.Ratio(ratio), Focused: req.Focused,
 				Workers: s.cfg.CompileWorkers, Ctx: ctx,
 			})
-			if err != nil {
-				return cacheEntry{}, err
-			}
-			return cacheEntry{id: s.register(b), b: b}, nil
 		})
 		ch <- outcome{entry, hit, err}
 	}()
@@ -359,36 +343,28 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) lookup(id string) (*core.Bouquet, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.bouquets[id]
-	return b, ok
-}
-
-// numBouquets returns the registry population (for /metrics).
-func (s *Server) numBouquets() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.bouquets)
+// bouquet returns the bouquet published under id, or answers 404: for an
+// id the server issued whose cache entry has since been evicted, with a
+// body that says so.
+func (s *Server) bouquet(w http.ResponseWriter, id string) (*core.Bouquet, bool) {
+	b, evicted := s.cache.lookup(id)
+	switch {
+	case b != nil:
+		return b, true
+	case evicted:
+		jsonError(w, http.StatusNotFound, "bouquet %q was evicted from the compile cache; compile it again for a new id", id)
+	default:
+		jsonError(w, http.StatusNotFound, "no bouquet %q", id)
+	}
+	return nil, false
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	bs := make(map[string]*core.Bouquet, len(s.bouquets))
-	for id, b := range s.bouquets {
-		bs[id] = b
-	}
-	s.mu.RUnlock()
-
-	ids := make([]string, 0, len(bs))
-	for id := range bs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]bouquetSummary, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, s.summarize(id, bs[id]))
+	entries := s.cache.entries()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
+	out := make([]bouquetSummary, 0, len(entries))
+	for _, e := range entries {
+		out = append(out, s.summarize(e.id, e.b))
 	}
 	writeJSON(w, out)
 }
@@ -402,9 +378,8 @@ type contourInfo struct {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.lookup(r.PathValue("id"))
+	b, ok := s.bouquet(w, r.PathValue("id"))
 	if !ok {
-		jsonError(w, http.StatusNotFound, "no bouquet %q", r.PathValue("id"))
 		return
 	}
 	var contours []contourInfo
@@ -421,9 +396,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.lookup(r.PathValue("id"))
+	b, ok := s.bouquet(w, r.PathValue("id"))
 	if !ok {
-		jsonError(w, http.StatusNotFound, "no bouquet %q", r.PathValue("id"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -433,9 +407,8 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDiagram(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.lookup(r.PathValue("id"))
+	b, ok := s.bouquet(w, r.PathValue("id"))
 	if !ok {
-		jsonError(w, http.StatusNotFound, "no bouquet %q", r.PathValue("id"))
 		return
 	}
 	var budgets []cost.Cost
@@ -533,9 +506,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, status, "%v", err)
 		return
 	}
-	b, ok := s.lookup(req.ID)
+	b, ok := s.bouquet(w, req.ID)
 	if !ok {
-		jsonError(w, http.StatusNotFound, "no bouquet %q", req.ID)
 		return
 	}
 	run, err := s.runFor(req, b)
@@ -671,5 +643,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics exports the registry in Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.render(w, s.cache.stats(), s.numBouquets(), optimizer.TotalCalls(), s.runs.size())
+	s.metrics.render(w, s.cache.stats(), optimizer.TotalCalls(), s.runs.size())
 }

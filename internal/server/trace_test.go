@@ -226,7 +226,7 @@ func TestConcurrentTracedRunsKeepTheirOwnSpans(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id, optimized := ids[i%len(ids)], i/len(ids)%2 == 1
-			b, _ := s.lookup(id)
+			b, _ := s.cache.lookup(id)
 			qa := b.Space.PointAt(i * 37 % b.Space.NumPoints())
 			got, ok := tracedRun(t, h, runRequest{ID: id, QA: qa, Optimized: optimized})
 			if !ok {
@@ -254,7 +254,7 @@ func TestConcurrentTracedRunsKeepTheirOwnSpans(t *testing.T) {
 // under -race, as a race between Record and Reset).
 func TestTracedConcreteRunRecyclesItsRecorderAfterTheJoin(t *testing.T) {
 	s, h, req := concreteHandler(t)
-	b, _ := s.lookup(req.ID)
+	b, _ := s.cache.lookup(req.ID)
 	eng, err := s.engineFor(req.ID, b, 1)
 	if err != nil {
 		t.Fatal(err)
