@@ -17,6 +17,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet runs go vet's full set of checks. Its copylocks check is what stops a
+# typed atomic (atomic.Int64, atomic.Pointer[T], …) from being copied — by
+# assignment, return, argument or call — into a second location that shares
+# no atomicity with the first; the vet subset go test runs leaves copylocks
+# out, so Tier-1 alone does not catch such a copy.
 vet:
 	$(GO) vet ./...
 

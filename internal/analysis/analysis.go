@@ -66,9 +66,9 @@ type Pass struct {
 	// TypesInfo holds the type-checker's findings for Files.
 	TypesInfo *types.Info
 
-	diags  *[]Diagnostic
-	allow  allowIndex
-	shared *infra
+	diags   *[]Diagnostic
+	allow   allowIndex
+	nonTest []*ast.File
 }
 
 // A Diagnostic is one reported finding.
@@ -98,6 +98,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
+
+// NonTestFiles returns the package's non-test files.
+func (p *Pass) NonTestFiles() []*ast.File { return p.nonTest }
 
 // InTestFile reports whether pos lies in a _test.go file. The
 // analyzers enforce production invariants on production files; test files
@@ -196,12 +199,15 @@ func NewTypesInfo() *types.Info {
 }
 
 // RunPackage applies each analyzer to one type-checked package and returns
-// the surviving (non-suppressed) diagnostics sorted by position. The
-// analyzers share one infra cache, so the function graph is built once per
-// package no matter how many analyzers consult it.
+// the surviving (non-suppressed) diagnostics sorted by position.
 func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
 	allow, diags := buildAllowIndex(fset, files)
-	shared := newInfra(fset, files, info)
+	var nonTest []*ast.File
+	for _, f := range files {
+		if !strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+			nonTest = append(nonTest, f)
+		}
+	}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -211,7 +217,7 @@ func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, p
 			TypesInfo: info,
 			diags:     &diags,
 			allow:     allow,
-			shared:    shared,
+			nonTest:   nonTest,
 		}
 		if err := a.Run(pass); err != nil {
 			return diags, fmt.Errorf("%s: %w", a.Name, err)

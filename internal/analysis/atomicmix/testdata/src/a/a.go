@@ -1,170 +1,35 @@
-// Package a is the atomicmix fixture: locations accessed both through
-// sync/atomic and plainly. The positive patterns mirror real runtime
-// shapes — a trace-ring-style struct whose lock-free writer plainly
-// mutates a sibling slice, an address-passed counter read without its
-// atomic — and the clean section mirrors the sanctioned idioms (CAS
-// meters, method-only typed atomics, constructor initialization).
+// Package a is the atomicmix fixture: a counter updated through a
+// package-level sync/atomic function is reported; typed atomics, their
+// methods and a suppressed call are not.
 package a
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// --- rule A: address-passed atomic in one function, plain access in
-// another ---
+import "sync/atomic"
 
 var hits int64
 
 func bump() {
-	atomic.AddInt64(&hits, 1)
+	atomic.AddInt64(&hits, 1) // want `atomic.AddInt64 works on plain memory; hold the state in a typed atomic`
 }
 
-func report() int64 {
-	return hits // want `hits is accessed with sync/atomic elsewhere in this package; this plain access races`
-}
-
-func reset() {
-	hits = 0 // want `hits is accessed with sync/atomic elsewhere in this package; this plain access races`
-}
-
-// Same-function mixing alone is not rule A's business (publication
-// analysis cannot see goroutine boundaries inside one body).
-var local int64
-
-func selfContained() int64 {
-	local = 0
-	atomic.AddInt64(&local, 1)
-	return atomic.LoadInt64(&local)
-}
-
-// --- rule B: copying a typed atomic detaches it from the original ---
-
+// gauge holds its state in typed atomics: a plain access to n or last
+// does not compile, so there is nothing to mix.
 type gauge struct {
-	n atomic.Int64
+	n    atomic.Int64
+	last atomic.Pointer[string]
 }
 
-func snapshot(g *gauge) atomic.Int64 {
-	return g.n // want `return copies a sync/atomic value`
+func (g *gauge) add(d int64, label string) int64 {
+	g.last.Store(&label)
+	return g.n.Add(d)
 }
 
-func stash(g *gauge) {
-	c := g.n // want `assignment copies a sync/atomic value`
-	_ = c
+func (g *gauge) swapped(old, new int64) bool {
+	return g.n.CompareAndSwap(old, new)
 }
 
-// --- rule C: lock-free method plainly writing a shared sibling ---
+var legacy uint32
 
-type ring struct {
-	buf  []int
-	mask uint64
-	pos  atomic.Uint64
-}
-
-func (r *ring) record(v int) {
-	seq := r.pos.Add(1) - 1
-	r.buf[seq&r.mask] = v // want `plain write to field buf in a method that also uses sync/atomic on the receiver`
-}
-
-func (r *ring) snapshotBuf() []int {
-	out := make([]int, len(r.buf))
-	copy(out, r.buf)
-	return out
-}
-
-// A method writing a sibling nobody else reads is single-owner state.
-type counterWithScratch struct {
-	n       atomic.Int64
-	scratch int
-}
-
-func (c *counterWithScratch) add() {
-	c.n.Add(1)
-	c.scratch++ // only this method touches scratch: clean
-}
-
-// A method that takes the receiver's mutex is not lock-free: its plain
-// writes are presumed guarded, even when it also reads an atomic flag.
-type guarded struct {
-	stop atomic.Bool
-	mu   sync.Mutex
-	rows []int
-}
-
-func (g *guarded) push(v int) {
-	if g.stop.Load() {
-		return
-	}
-	g.mu.Lock()
-	g.rows = append(g.rows, v)
-	g.mu.Unlock()
-}
-
-func (g *guarded) drain() []int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := g.rows
-	g.rows = nil
-	return out
-}
-
-// The same write without the mutex is the race rule C exists for.
-type unguarded struct {
-	stop atomic.Bool
-	rows []int
-}
-
-func (u *unguarded) push(v int) {
-	if u.stop.Load() {
-		return
-	}
-	u.rows = append(u.rows, v) // want `plain write to field rows in a method that also uses sync/atomic on the receiver`
-}
-
-func (u *unguarded) drain() []int {
-	out := u.rows
-	u.rows = nil
-	return out
-}
-
-// --- clean: the CAS meter shape (atomic ops + plain READ of a
-// config sibling written only at construction) ---
-
-type meter struct {
-	budget float64
-	bits   atomic.Uint64
-}
-
-func newMeter(budget float64) *meter {
-	return &meter{budget: budget}
-}
-
-func (m *meter) add(c uint64) bool {
-	for {
-		old := m.bits.Load()
-		if m.bits.CompareAndSwap(old, old+c) {
-			return float64(old+c) <= m.budget
-		}
-	}
-}
-
-// --- suppressed ---
-
-type overwriteRing struct {
-	buf []int
-	pos atomic.Uint64
-}
-
-func (r *overwriteRing) record(v int) {
-	seq := r.pos.Add(1) - 1
-	//bouquet:allow atomicmix: overwrite-oldest ring tolerates torn reads by contract
-	r.buf[seq%uint64(len(r.buf))] = v
-}
-
-func (r *overwriteRing) len() int {
-	n := r.pos.Load()
-	if n > uint64(len(r.buf)) {
-		return len(r.buf)
-	}
-	return int(n)
+func suppressed() uint32 {
+	//bouquet:allow atomicmix: fixture for the suppression path
+	return atomic.LoadUint32(&legacy)
 }

@@ -14,6 +14,7 @@ package contour
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cost"
@@ -33,15 +34,26 @@ type Ladder struct {
 	Steps []cost.Cost
 }
 
+// maxSteps bounds a ladder's length, far above the longest ladder the
+// repository builds: at the ratio ablation's r = 1.3, the paper's ten
+// spaces need at most 52 steps (5D_H_Q7, whose costs span 6.5·10^5).
+const maxSteps = 4096
+
 // NewLadder builds the ladder for an optimal-cost range [cmin, cmax] with
 // ratio r. The first step is placed at cmin (a = Cmin satisfies
-// a/r < Cmin ≤ IC1) and steps double (by r) until covering cmax.
+// a/r < Cmin ≤ IC1) and steps double (by r) until covering cmax. A
+// ladder that would take more than maxSteps steps is an error.
 func NewLadder(cmin, cmax cost.Cost, r cost.Ratio) (Ladder, error) {
 	if !(cmin > 0) || !(cmax >= cmin) {
 		return Ladder{}, fmt.Errorf("contour: invalid cost range [%g, %g]", cmin, cmax)
 	}
 	if !(r > 1) {
 		return Ladder{}, fmt.Errorf("contour: ratio %g must exceed 1", r)
+	}
+	// The step count is known before anything is allocated: a ratio a
+	// hair above 1 would otherwise append ~10^16 steps.
+	if m := math.Ceil(math.Log(cmax.Over(cmin).F())/math.Log(r.F())) + 1; !(m <= maxSteps) {
+		return Ladder{}, fmt.Errorf("contour: ratio %g over [%g, %g] needs %g steps, more than %d", r, cmin, cmax, m, maxSteps)
 	}
 	steps := []cost.Cost{cmin}
 	for steps[len(steps)-1] < cmax {

@@ -61,6 +61,14 @@ func TestNewLadderErrors(t *testing.T) {
 	if _, err := NewLadder(1, 10, 1); err == nil {
 		t.Error("r = 1 should fail")
 	}
+	// A ratio a hair above 1 passes the r > 1 check but would append
+	// ~10^16 steps; an infinite range never ends. Both fail up front.
+	if _, err := NewLadder(1, 1e6, cost.Ratio(math.Nextafter(1, 2))); err == nil {
+		t.Error("r = 1 + 2^-52 should fail")
+	}
+	if _, err := NewLadder(1, cost.Cost(math.Inf(1)), 2); err == nil {
+		t.Error("cmax = +Inf should fail")
+	}
 }
 
 func TestLadderDegenerate(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,9 +36,12 @@ func (c *stepLimitedCtx) Err() error {
 // TestBasicRunCancelsBetweenContourSteps verifies the documented
 // cancellation granularity: a cancelled context aborts the basic driver
 // between budgeted executions *within* a contour, not merely at contour
-// boundaries — on both substrates, since both run the one loop. This is
-// the regression test for the dropped-context path ctxflow guards (the run
-// loop used to poll ctx only once per contour, and the concrete loop never).
+// boundaries — on both substrates, since both run the one loop. With
+// TestOptimizedRunCancelsMidContour, TestTerminalStepPollsContext and
+// TestRunContextCancelledUpFront it guards the context Bouquet.Run hands
+// each driver: a context.Background() in its place fails one of them (the
+// run loop used to poll ctx only once per contour, and the concrete loop
+// never).
 func TestBasicRunCancelsBetweenContourSteps(t *testing.T) {
 	// POSP configuration (no anorexic reduction) keeps contours dense,
 	// and a q_a near the terminus forces many failed budgeted
@@ -155,6 +159,51 @@ func TestOptimizedRunCancelsMidContour(t *testing.T) {
 	}
 }
 
+// TestTerminalStepPollsContext: both drivers poll the context before the
+// unbudgeted terminal step, the one execution no budget ends. Against a
+// scripted stepper on which every budgeted step fails, the poll that
+// precedes the terminal step is the terminal's own: the basic driver polls
+// once between its last budgeted step and the terminal one, the optimized
+// driver twice (its contour loop polls once more to find the last contour
+// exhausted). An allowance that cancels that poll ends the run with
+// context.Canceled after every budgeted step and before the terminal one.
+func TestTerminalStepPollsContext(t *testing.T) {
+	b, _ := compileFor(t, query2D(t), 12, CompileOptions{Lambda: 0.2})
+	for _, tc := range []struct {
+		basic bool
+		polls int64 // between the last budgeted step and the terminal one
+	}{{true, 1}, {false, 2}} {
+		run := func(ctx *stepLimitedCtx) (*scriptedStepper, error) {
+			s := &scriptedStepper{polled: ctx}
+			var err error
+			if tc.basic {
+				_, err = b.runBasic(ctx, s, nil, nil)
+			} else {
+				_, err = b.runOptimized(ctx, s, nil, b.newRunState(nil))
+			}
+			return s, err
+		}
+		full, err := run(&stepLimitedCtx{allowance: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(full.calls)
+		if full.calls[n-1].contour != len(b.Contours)+1 {
+			t.Fatalf("basic=%v: the full run's last call %+v is not the terminal step", tc.basic, full.calls[n-1])
+		}
+		if got := full.pollsAt[n-1] - full.pollsAt[n-2]; got != tc.polls {
+			t.Fatalf("basic=%v: %d polls between the last budgeted step and the terminal step, want %d", tc.basic, got, tc.polls)
+		}
+		cut, err := run(&stepLimitedCtx{allowance: full.pollsAt[n-1] - 1})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("basic=%v: run cancelled at the terminal poll returned err %v, want context.Canceled", tc.basic, err)
+		}
+		if !slices.Equal(cut.calls, full.calls[:n-1]) {
+			t.Fatalf("basic=%v: cancelled run asked for %v, want every budgeted step %v", tc.basic, cut.calls, full.calls[:n-1])
+		}
+	}
+}
+
 // TestRunContextCancelledUpFront: an already-cancelled context yields no
 // executions at all on either driver, on either substrate.
 func TestRunContextCancelledUpFront(t *testing.T) {
@@ -222,6 +271,35 @@ func TestFocusedCompileCancelsMidGeneration(t *testing.T) {
 	// of the band did not.
 	if calls := opt.Calls(); calls <= 2 || calls >= fullCalls/2 {
 		t.Fatalf("cancelled compile made %d optimizer calls, a full one %d", calls, fullCalls)
+	}
+}
+
+// TestFocusedCompileCancelsAtTheFill: the focused generator's last batch,
+// which optimizes the inside of the small cubes, polls the context too. A
+// 2×2 grid is one small cube: the generator optimizes its two diagonal
+// corners, polling first, then its two other locations, polling again.
+// With an allowance of two — Compile's entry poll and the corners' — the
+// fill's poll is the first one cancelled, and Compile returns
+// context.Canceled with the fill never optimized.
+func TestFocusedCompileCancelsAtTheFill(t *testing.T) {
+	q := query2D(t)
+	space, err := ess.NewSpace(q, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &stepLimitedCtx{allowance: 2}
+	opt := optimizer.New(cost.NewCoster(q, cost.Postgres()))
+	b, err := Compile(opt, space, CompileOptions{Lambda: 0.2, Focused: true, Ctx: ctx})
+	if !errors.Is(err, context.Canceled) || b != nil {
+		t.Fatalf("cancelled compile returned (%v, %v), want context.Canceled", b, err)
+	}
+	if got := ctx.polls.Load(); got != ctx.allowance+1 {
+		t.Fatalf("compile went on for %d polls after the cancelled one", got-ctx.allowance-1)
+	}
+	// The ladder's two corners, then the generator's: the same two
+	// locations, optimized twice.
+	if calls := opt.Calls(); calls != 4 {
+		t.Fatalf("cancelled compile made %d optimizer calls, want the 4 before the fill", calls)
 	}
 }
 

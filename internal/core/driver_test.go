@@ -41,10 +41,17 @@ type scriptedStepper struct {
 	// cancel, when set, is called once cancelAfter executions were asked for.
 	cancelAfter int
 	cancel      context.CancelFunc
+	// polled, when set, is the run's context; pollsAt records how many
+	// times the run had polled it when each execution was asked for.
+	polled  *stepLimitedCtx
+	pollsAt []int64
 }
 
 func (s *scriptedStepper) log(c call) {
 	s.calls = append(s.calls, c)
+	if s.polled != nil {
+		s.pollsAt = append(s.pollsAt, s.polled.polls.Load())
+	}
 	if s.cancel != nil && len(s.calls) == s.cancelAfter {
 		s.cancel()
 	}

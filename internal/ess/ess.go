@@ -98,28 +98,41 @@ func NewSpace(q *query.Query, res []int) (*Space, error) {
 	return NewSpaceWithDims(q, dims)
 }
 
-// NewSpaceWithDims builds a grid from fully specified dimensions.
+// maxPoints bounds a grid's location count, far above every grid the
+// repository builds (DefaultResolution's grids top out at 16 807
+// locations, 5-D at 7). A plan diagram holds about a dozen bytes per
+// location, so the bound caps one near 50 MB.
+const maxPoints = 1 << 22
+
+// NewSpaceWithDims builds a grid from fully specified dimensions. A grid
+// of more than maxPoints locations is rejected before anything is
+// allocated for it.
 func NewSpaceWithDims(q *query.Query, dims []Dim) (*Space, error) {
 	if len(dims) != q.Dims() {
 		return nil, fmt.Errorf("ess: %d dims given, query has %d error dimensions", len(dims), q.Dims())
 	}
-	s := &Space{q: q, dims: make([]Dim, len(dims)), defaults: cost.DefaultSels(q)}
-	copy(s.dims, dims)
-	for d := range s.dims {
-		dim := &s.dims[d]
+	total := 1
+	for d, dim := range dims {
 		if dim.Lo <= 0 || dim.Hi < dim.Lo || dim.Hi > 1 {
 			return nil, fmt.Errorf("ess: dimension %d bounds [%g, %g] invalid", d, dim.Lo, dim.Hi)
 		}
 		if dim.Res < 1 {
 			return nil, fmt.Errorf("ess: dimension %d resolution %d invalid", d, dim.Res)
 		}
-		dim.values = geometricGrid(dim.Lo, dim.Hi, dim.Res)
+		// total ≤ maxPoints throughout, so the product cannot overflow.
+		if dim.Res > maxPoints/total {
+			return nil, fmt.Errorf("ess: the grid's resolutions make more than %d locations", maxPoints)
+		}
+		total *= dim.Res
 	}
-	s.strides = make([]int, len(dims))
-	s.total = 1
+	s := &Space{q: q, dims: make([]Dim, len(dims)), strides: make([]int, len(dims)), total: total, defaults: cost.DefaultSels(q)}
+	copy(s.dims, dims)
+	stride := 1
 	for d := len(dims) - 1; d >= 0; d-- {
-		s.strides[d] = s.total
-		s.total *= s.dims[d].Res
+		dim := &s.dims[d]
+		dim.values = geometricGrid(dim.Lo, dim.Hi, dim.Res)
+		s.strides[d] = stride
+		stride *= dim.Res
 	}
 	return s, nil
 }

@@ -42,6 +42,20 @@ func TestNewSpaceValidation(t *testing.T) {
 	if _, err := NewSpace(q0, []int{4}); err == nil {
 		t.Error("query without error dims should fail")
 	}
+	// Grids too large to hold: one whose location count overflows int,
+	// one of 10^10 locations, one just over the bound.
+	if _, err := NewSpace(testQuery(t, 3), []int{3_000_000}); err == nil {
+		t.Error("a grid of 2.7·10^19 locations should fail")
+	}
+	if _, err := NewSpace(q, []int{100_000}); err == nil {
+		t.Error("a grid of 10^10 locations should fail")
+	}
+	if _, err := NewSpace(q, []int{2048, 2049}); err == nil {
+		t.Error("a grid of maxPoints + 2048 locations should fail")
+	}
+	if s, err := NewSpace(q, []int{2048}); err != nil || s.NumPoints() != maxPoints {
+		t.Errorf("a grid of maxPoints locations: %v", err)
+	}
 }
 
 func TestNewSpaceWithDimsValidation(t *testing.T) {

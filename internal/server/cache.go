@@ -21,7 +21,9 @@ import (
 // core.Compile returns, and the bouquet holds what its runs read — the
 // diagram's plan IDs, costs and plans (no plan index, no fingerprint
 // strings), the contours' budgets, plan sets and per-location plans, and a
-// contour-nearest memo that grows with the optimized runs it serves.
+// contour-nearest memo that grows with the optimized runs it serves, up to
+// one entry per contour and grid location: the ladder and the grid are
+// both bounded (contour.NewLadder, ess.NewSpaceWithDims).
 type cacheEntry struct {
 	id string
 	b  *core.Bouquet

@@ -92,7 +92,8 @@ func TestMetricsParseable(t *testing.T) {
 // meet and checks the request answers 503 promptly — and that the server
 // keeps serving afterwards (the abandoned compile cannot wedge it).
 func TestCompileDeadline503(t *testing.T) {
-	srv := httptest.NewServer(NewWithConfig(catalog.TPCHLike(0.05), Config{CompileTimeout: time.Nanosecond}).Handler())
+	s := NewWithConfig(catalog.TPCHLike(0.05), Config{CompileTimeout: time.Nanosecond})
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	body, _ := json.Marshal(compileRequest{SQL: apiEQ2D, Res: 8})
@@ -124,6 +125,24 @@ func TestCompileDeadline503(t *testing.T) {
 	resp.Body.Close()
 	if n := fetchMetric(t, srv.URL, "bouquetd_request_timeouts_total"); n < 1 {
 		t.Fatalf("timeouts_total = %g, want >= 1", n)
+	}
+
+	// The abandoned compile saw the request's expired deadline and
+	// stopped: once it has left the cache's in-flight set, the cache holds
+	// nothing. A compile handed a context of its own would have run to the
+	// end and been cached.
+	inflight := func() int {
+		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
+		return len(s.cache.inflight)
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.metrics.compiles.Value() == 0 || inflight() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned compile did not finish within 10 s")
+		}
+	}
+	if n := s.cache.stats().Entries; n != 0 {
+		t.Fatalf("the cache holds %d bouquets after an abandoned compile, want 0: the compile ran past its deadline", n)
 	}
 }
 

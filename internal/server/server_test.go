@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,6 +24,9 @@ const apiEQ2D = `
 	WHERE part.p_retailprice < sel(0.10)?
 	  AND part.p_partkey = lineitem.l_partkey sel(0.000005)?
 	  AND lineitem.l_orderkey = orders.o_orderkey`
+
+// apiEQ3D is apiEQ2D with its third join error-prone as well.
+const apiEQ3D = apiEQ2D + ` sel(0.0000006)?`
 
 // TestMain fails the package when goroutines outlive its tests: within
 // 5 s of the last test the count must be back at its start value. A
@@ -281,6 +285,14 @@ func TestAPIErrors(t *testing.T) {
 		{"missing sql", "/compile", compileRequest{}, http.StatusBadRequest},
 		{"parse error", "/compile", compileRequest{SQL: "SELEC"}, http.StatusBadRequest},
 		{"no dims", "/compile", compileRequest{SQL: `SELECT * FROM part WHERE part.p_retailprice < sel(0.1)`}, http.StatusBadRequest},
+		// A ratio a hair above 1 asks for a ladder of ~10^16 steps; the
+		// grids below overflow int or run to 10^10 locations. Each used
+		// to run away in the compile goroutine or end the process; the
+		// requests after them show the server still answers.
+		{"ratio just above 1", "/compile", compileRequest{SQL: apiEQ2D, Ratio: math.Nextafter(1, 2)}, http.StatusUnprocessableEntity},
+		{"focused, ratio just above 1", "/compile", compileRequest{SQL: apiEQ2D, Ratio: math.Nextafter(1, 2), Focused: true}, http.StatusUnprocessableEntity},
+		{"grid overflows int", "/compile", compileRequest{SQL: apiEQ3D, Res: 3_000_000}, http.StatusBadRequest},
+		{"grid of 10^10 locations", "/compile", compileRequest{SQL: apiEQ2D, Res: 100_000}, http.StatusBadRequest},
 		{"unknown bouquet", "/run", runRequest{ID: "nope", QA: []float64{0.1}}, http.StatusNotFound},
 	}
 	for _, tc := range cases {

@@ -257,7 +257,10 @@ func (r *Recorder) Record(s Span) {
 		return
 	}
 	slot := r.claim(&s)
-	//bouquet:allow atomicmix: the overwrite-oldest ring tolerates torn slot writes by contract; Spans documents that a snapshot taken mid-run may see partially written spans
+	// A plain write into a slot another writer may claim after the ring
+	// wraps: the overwrite-oldest ring tolerates torn slot writes by
+	// contract, and Spans documents that a snapshot taken mid-run may see
+	// partially written spans.
 	*slot = s
 }
 
