@@ -92,9 +92,10 @@ bench-compile-smoke:
 
 # bench-exec measures executor throughput — the Volcano engine against
 # the vectorized engine at 1 and 8 morsel workers on a 400k-row
-# three-way join (plus the aggregate pipeline), and the whole-bouquet
-# run with operator-state reuse on and off, the column-index build on a
-# 600k-row lineitem.l_orderkey (and, as the "key" case, the index of a
+# three-way join (plus the aggregate pipeline), a Volcano hash-join plan
+# aborted at a quarter of its cost (what every aborted bouquet step
+# pays), the whole-bouquet run with operator-state reuse on and off, the
+# column-index build on a 600k-row lineitem.l_orderkey (and, as the "key" case, the index of a
 # key column, which aliases the shared row-id vector), and generating that
 # lineitem reading two of its six columns against all six — and converts
 # the raw output into BENCH_exec.json with speedups against the checked-in
@@ -102,7 +103,7 @@ bench-compile-smoke:
 # and the generator have none).
 bench-exec:
 	@mkdir -p $(BIN)
-	$(GO) test -run '^$$' -bench 'BenchmarkExecJoin|BenchmarkExecAggregate' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecJoin|BenchmarkExecAggregate|BenchmarkBudgetedPartialExecution$$' \
 		-benchmem -count 3 -timeout 30m ./internal/exec | tee $(BIN)/bench_exec.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkBouquetRun$$' \
 		-benchmem -count 3 -timeout 30m ./internal/core | tee -a $(BIN)/bench_exec.txt
@@ -115,10 +116,11 @@ bench-exec:
 	@echo "wrote BENCH_exec.json"
 
 # bench-exec-smoke is the CI variant: single short iterations on both
-# engines plus the multi-step bouquet run, the index build and the
-# generator, so a benchmark that no longer compiles or crashes fails fast.
+# engines, the budgeted partial run, the multi-step bouquet run, the index
+# build and the generator, so a benchmark that no longer compiles or
+# crashes fails fast.
 bench-exec-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecJoinVolcano$$|BenchmarkExecJoinVector8$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecJoinVolcano$$|BenchmarkExecJoinVector8$$|BenchmarkBudgetedPartialExecution$$' \
 		-benchtime 1x -benchmem ./internal/exec
 	$(GO) test -run '^$$' -bench 'BenchmarkBouquetRun$$' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkIndex$$|BenchmarkGenerate$$' -benchtime 1x -benchmem ./internal/data

@@ -189,6 +189,13 @@ func Compile(opt *optimizer.Optimizer, space *ess.Space, opts CompileOptions) (*
 		raw = contour.IdentifySparse(d, ladder)
 	default:
 		if d == nil {
+			// Refuse a ratio whose ladder is too long on the two corner
+			// costs (PCM makes them the grid's cost bounds) before the
+			// whole grid is optimized; the ladder itself is built from
+			// the diagram below.
+			if _, err := contour.LadderForSpace(opt, space, opts.Ratio); err != nil {
+				return nil, err
+			}
 			d, err = posp.GenerateContext(ctx, opt, space, opts.Workers)
 			if err != nil {
 				return nil, err

@@ -120,6 +120,31 @@ func TestCompileOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestDenseCompileRefusesALongLadderFirst: a ratio whose ladder the
+// contour package refuses is refused by a dense compile after the two
+// corner optimizations, not after optimizing the whole grid, with the
+// error the ladder built from a generated diagram gives.
+func TestDenseCompileRefusesALongLadderFirst(t *testing.T) {
+	q := query2D(t)
+	space, err := ess.NewSpace(q, []int{32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := cost.Ratio(math.Nextafter(1, 2))
+	opt := optimizer.New(cost.NewCoster(q, cost.Postgres()))
+	b, err := Compile(opt, space, CompileOptions{Lambda: 0.2, Ratio: ratio})
+	if err == nil || b != nil {
+		t.Fatalf("dense compile at ratio %v returned (%v, %v), want a refusal", ratio, b, err)
+	}
+	if calls := opt.Calls(); calls > 2 {
+		t.Fatalf("refused dense compile made %d optimizer calls, want at most 2 of %d", calls, space.NumPoints())
+	}
+	d := posp.Generate(opt, space, 1)
+	if _, want := Compile(opt, space, CompileOptions{Lambda: 0.2, Ratio: ratio, Diagram: d}); want == nil || err.Error() != want.Error() {
+		t.Fatalf("refused dense compile says %q, the generated diagram's ladder %v", err, want)
+	}
+}
+
 func TestAnorexicReducesDensity(t *testing.T) {
 	q := query3D(t)
 	space, err := ess.NewSpace(q, []int{8})

@@ -1,11 +1,16 @@
 package exec
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/data"
+	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // TestRunLeavesNoGoroutines: every morsel worker a vectorized run forks is
@@ -140,5 +145,101 @@ func TestGatherAllocFree(t *testing.T) {
 	resid := []joinKey{{id: 1, leftOff: 0, rightOff: 0}}
 	if got := testing.AllocsPerRun(100, func() { run(resid) }); got > 0 {
 		t.Errorf("gather (residual keys) allocates %.0f/batch warm, want 0", got)
+	}
+}
+
+// volcanoTree builds p's Volcano iterator tree the way a collecting,
+// unbudgeted run does, and returns its root unopened.
+func volcanoTree(t *testing.T, eng *Engine, p *plan.Node) iterator {
+	t.Helper()
+	b := &builder{e: eng, shapes: eng.shapes(p, true), m: &meter{budget: math.Inf(1)},
+		stats: make(map[*plan.Node]*NodeStats), tally: &reuseTally{}}
+	it, _, err := b.build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it
+}
+
+// TestVolcanoRowAllocs: a Volcano operator carves its rows from slabs of
+// slabRows rows. A seq scan of N rows allocates its ⌈N/slabRows⌉ slabs
+// and nothing else; a hash build of N rows allocates those, the arena's
+// and key column's O(log N) growth and the joinTable; every row a scan
+// hands out has no spare capacity; and a 3-row scan allocates 3 rows, not
+// a whole slab.
+func TestVolcanoRowAllocs(t *testing.T) {
+	fx := newFixtureScaled(t, 8)
+	n := fx.db.Table("lineitem").NumRows()
+	// fewest builds a fresh tree over p, runs work on it, three times,
+	// and returns the fewest allocations and bytes a reading saw: the
+	// runtime may allocate for itself during one reading, but a per-row
+	// allocation shows in every one.
+	fewest := func(eng *Engine, p *plan.Node, work func(it iterator)) (mallocs, bytes uint64) {
+		var m runtime.MemStats
+		mallocs, bytes = ^uint64(0), ^uint64(0)
+		for try := 0; try < 3; try++ {
+			it := volcanoTree(t, eng, p)
+			runtime.ReadMemStats(&m)
+			m0, b0 := m.Mallocs, m.TotalAlloc
+			work(it)
+			runtime.ReadMemStats(&m)
+			mallocs, bytes = min(mallocs, m.Mallocs-m0), min(bytes, m.TotalAlloc-b0)
+		}
+		return mallocs, bytes
+	}
+	rows, spare := 0, 0
+	drain := func(it iterator) {
+		rows, spare = 0, 0
+		if err := it.open(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			r, ok, err := it.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return
+			}
+			rows++
+			if cap(r) != len(r) {
+				spare++
+			}
+		}
+	}
+	open := func(it iterator) {
+		if err := it.open(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	slabs := uint64((n + slabRows - 1) / slabRows)
+	if got, _ := fewest(fx.eng, plan.NewSeqScan("lineitem", nil), drain); got != slabs {
+		t.Errorf("a seq scan of %d rows allocates %d times, want its %d slabs", n, got, slabs)
+	}
+	if rows != n || spare != 0 {
+		t.Errorf("the scan handed out %d rows, %d with spare capacity; want %d, none", rows, spare, n)
+	}
+	build := plan.NewHashJoin(plan.NewSeqScan("orders", nil), plan.NewSeqScan("lineitem", nil), []int{2})
+	if got, _ := fewest(fx.eng, build, open); got > 2*slabs+64 {
+		t.Errorf("a hash build of %d rows allocates %d times, want at most %d", n, got, 2*slabs+64)
+	}
+
+	// A 3-row table: its scan's one slab holds its 3 rows.
+	cat := catalog.NewCatalog()
+	cat.AddRelation(&catalog.Relation{
+		Name: "tiny", Card: 3, TupleWidth: 16,
+		Columns: []catalog.Column{
+			{Name: "t_a", Type: catalog.TypeInt, DistinctCount: 10},
+			{Name: "t_b", Type: catalog.TypeInt, DistinctCount: 10},
+		},
+	})
+	q := query.NewBuilder("tiny", cat).Relation("tiny").MustBuild()
+	eng, err := NewEngine(q, data.Generate(cat, nil, nil, 1), cost.Postgres(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, bytes := fewest(eng, plan.NewSeqScan("tiny", nil), drain); got != 1 || bytes != 3*2*8 {
+		t.Errorf("a 3-row scan allocates %d times, %d bytes; want one slab of 3 rows, 48 bytes", got, bytes)
 	}
 }

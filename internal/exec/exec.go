@@ -259,8 +259,43 @@ func (m *meter) fits(c float64) bool {
 	return m.used+c <= m.budget
 }
 
-// row is an executed tuple: values aligned with a schema.
+// row is an executed tuple: values aligned with a schema. A Volcano
+// operator carves the rows it emits from its slab.
 type row []int64
+
+// slabRows is how many rows a Volcano operator's slab holds at most.
+const slabRows = 256
+
+// slab is the unused tail of one allocation a Volcano operator carves its
+// output rows from, so the operator allocates once per slab, not once per
+// tuple. A consumer that keeps rows (a merge join's sorted inputs) keeps
+// their slabs alive; the hash join copies its build rows into its arena.
+type slab []int64
+
+// row carves a row of width values. left bounds the rows the operator can
+// still emit, this one included: a fresh slab holds no more of them than
+// that, or slabRows. The row's capacity is its length, so an append to it
+// copies instead of writing into the next row.
+func (s *slab) row(width, left int) row {
+	if len(*s) < width {
+		*s = make(slab, width*min(slabRows, left))
+	}
+	r := (*s)[:width:width]
+	*s = (*s)[width:]
+	return row(r)
+}
+
+// join carves a join's output row from a left and a right input row.
+func (s *slab) join(l, r row, lOut, rOut []int) row {
+	out := s.row(len(lOut)+len(rOut), slabRows)
+	for i, o := range lOut {
+		out[i] = l[o]
+	}
+	for i, o := range rOut {
+		out[len(lOut)+i] = r[o]
+	}
+	return out
+}
 
 // schema names the columns of a row as (relation, column) pairs.
 type schema []query.ColumnRef

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -406,6 +407,9 @@ func BenchmarkIndexNLExecution(b *testing.B) {
 	}
 }
 
+// BenchmarkBudgetedPartialExecution runs the hash-join plan under a
+// quarter of its cost: the budget runs out mid-probe, which is what every
+// aborted bouquet step pays for a plan it then discards.
 func BenchmarkBudgetedPartialExecution(b *testing.B) {
 	fx := newFixture(b)
 	p := fx.plans["hj"]
@@ -611,5 +615,88 @@ func TestAntiJoinOperatorLocal(t *testing.T) {
 	spill := eng.MustRun(p, Options{Spill: true, SpillPred: 0})
 	if !spill.Completed || spill.RowsOut != want {
 		t.Fatalf("spilled anti rows = %d, want %d", spill.RowsOut, want)
+	}
+}
+
+// TestVolcanoHashJoinMatchOrder: the Volcano hash join walks its joinTable
+// chains in build order, so with duplicate build keys Collect sees each
+// probe row's matches in the order the build scan produced them. A
+// budget that runs out partway along a chain stops the join on the match
+// whose output charge crosses it, with the counters computed here from
+// the data and the rates.
+func TestVolcanoHashJoinMatchOrder(t *testing.T) {
+	cat := catalog.NewCatalog()
+	for _, rel := range []struct {
+		name string
+		card int64
+	}{{"l", 6}, {"r", 12}} {
+		cat.AddRelation(&catalog.Relation{
+			Name: rel.name, Card: rel.card, TupleWidth: 16,
+			Columns: []catalog.Column{
+				{Name: rel.name + "_k", Type: catalog.TypeInt, DistinctCount: 3},
+				{Name: rel.name + "_v", Type: catalog.TypeInt, DistinctCount: 1000},
+			},
+		})
+	}
+	db := data.Generate(cat, nil, nil, 13)
+	q := query.NewBuilder("order", cat).
+		Relation("l").Relation("r").
+		JoinPred("l", "l_k", "r", "r_k", 1.0/3, true).
+		MustBuild()
+	eng, err := NewEngine(q, db, cost.Postgres(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := plan.NewHashJoin(plan.NewSeqScan("l", nil), plan.NewSeqScan("r", nil), []int{0})
+
+	// Every probe row's matches, in build order.
+	lt, rt := db.Table("l"), db.Table("r")
+	var want [][]int64
+	chain := make([]int, lt.NumRows())
+	for i := range chain {
+		for j := 0; j < rt.NumRows(); j++ {
+			if lt.Value(i, "l_k") == rt.Value(j, "r_k") {
+				want = append(want, []int64{lt.Value(i, "l_k"), lt.Value(i, "l_v"), rt.Value(j, "r_k"), rt.Value(j, "r_v")})
+				chain[i]++
+			}
+		}
+	}
+	var got [][]int64
+	collect := func(r []int64) { got = append(got, r) }
+	if res := eng.MustRun(p, Options{Collect: collect}); !res.Completed || !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("collected %v, want %v", got, want)
+	}
+
+	// The charges up to the first probe row with three matches, then its
+	// first match and half of its second's output charge.
+	probe := slices.IndexFunc(chain, func(c int) bool { return c >= 3 })
+	if probe < 0 {
+		t.Fatalf("degenerate fixture: no chain of three in %v", chain)
+	}
+	rl, rr, rj := eng.coster.Rates(p.Left), eng.coster.Rates(p.Right), eng.coster.Rates(p)
+	scan := func(r cost.Rates, i int) float64 {
+		if i%r.PageRows == 0 {
+			return r.Row + r.Page
+		}
+		return r.Row
+	}
+	budget, matches := 0.0, int64(0)
+	for j := 0; j < rt.NumRows(); j++ {
+		budget += scan(rr, j) + rj.Build
+	}
+	for i := 0; i < probe; i++ {
+		budget += scan(rl, i) + rj.Probe + float64(chain[i])*rj.Out
+		matches += int64(chain[i])
+	}
+	budget += scan(rl, probe) + rj.Probe + 1.5*rj.Out
+	got = nil
+	res := eng.MustRun(p, Options{Budget: cost.Cost(budget), Collect: collect})
+	st := res.Stats[p]
+	if res.Completed || st.Matches != matches+2 || st.Out != matches+1 || st.InTuples != int64(probe+1) {
+		t.Fatalf("budget %g: completed %v, matches %d, out %d, in %d; want an abort at matches %d, out %d, in %d",
+			budget, res.Completed, st.Matches, st.Out, st.InTuples, matches+2, matches+1, probe+1)
+	}
+	if !slices.EqualFunc(got, want[:matches+1], slices.Equal) {
+		t.Fatalf("aborted run collected %v, want %v", got, want[:matches+1])
 	}
 }

@@ -26,6 +26,7 @@ type seqScan struct {
 	cols    [][]int32 // the output columns' table vectors
 	numRows int
 	pos     int
+	slab    slab
 }
 
 // scanPred is a bound selection predicate over a table column: "col <
@@ -100,7 +101,7 @@ func (s *seqScan) next() (row, bool, error) {
 		if !pass {
 			continue
 		}
-		out := make(row, len(s.cols))
+		out := s.slab.row(len(s.cols), s.numRows-i)
 		for c, col := range s.cols {
 			out[c] = int64(col[i])
 		}
@@ -123,12 +124,12 @@ type indexScan struct {
 	st *NodeStats
 	r  cost.Rates
 
-	driving scanPred   // predicate on the indexed column
-	resid   []scanPred // remaining predicates
-	order   []int32    // row ids sorted by the indexed column
-	cols    [][]int32  // the output columns' table vectors
-	pos     int
-	opened  bool
+	driving  scanPred   // predicate on the indexed column
+	resid    []scanPred // remaining predicates
+	order    []int32    // row ids sorted by the indexed column
+	cols     [][]int32  // the output columns' table vectors
+	pos, end int        // the rows of order still to fetch (indexRange)
+	slab     slab
 }
 
 // splitDriving separates an index scan's predicate on its index column —
@@ -142,6 +143,18 @@ func (e *Engine) splitDriving(n *plan.Node, preds []scanPred) (driving scanPred,
 		}
 	}
 	return driving, resid, found
+}
+
+// indexRange returns the span [lo, hi) of an index order whose rows pass
+// its driving predicate: a prefix for "col < bound", a suffix for the
+// negated "col ≥ bound".
+func indexRange(driving scanPred, order []int32) (lo, hi int) {
+	drv := driving.col
+	boundary := sort.Search(len(order), func(i int) bool { return int64(drv[order[i]]) >= driving.bound })
+	if driving.negated {
+		return boundary, len(order)
+	}
+	return 0, boundary
 }
 
 func (b *builder) buildIndexScan(n *plan.Node) (iterator, schema, error) {
@@ -158,27 +171,13 @@ func (b *builder) buildIndexScan(n *plan.Node) (iterator, schema, error) {
 }
 
 func (s *indexScan) open() error {
-	s.opened = true
-	if s.driving.negated {
-		// "col ≥ bound": matches are the suffix of the sorted order;
-		// position at the first qualifying entry.
-		drv := s.driving.col
-		s.pos = sort.Search(len(s.order), func(i int) bool {
-			return int64(drv[s.order[i]]) >= s.driving.bound
-		})
-	}
+	s.pos, s.end = indexRange(s.driving, s.order)
 	return s.b.m.charge(s.r.Descent)
 }
 
 func (s *indexScan) next() (row, bool, error) {
-	drv := s.driving.col
-	for s.pos < len(s.order) {
+	for s.pos < s.end {
 		rid := s.order[s.pos]
-		if !s.driving.negated && int64(drv[rid]) >= s.driving.bound {
-			// Sorted order: no further matches for "col < bound".
-			s.pos = len(s.order)
-			break
-		}
 		s.pos++
 		s.st.InTuples++
 		s.st.PassBy[s.driving.id]++
@@ -196,7 +195,7 @@ func (s *indexScan) next() (row, bool, error) {
 		if !pass {
 			continue
 		}
-		out := make(row, len(s.cols))
+		out := s.slab.row(len(s.cols), s.end-s.pos+1)
 		for c, col := range s.cols {
 			out[c] = int64(col[rid])
 		}
@@ -255,6 +254,7 @@ type indexNL struct {
 	cur     row     // current outer row
 	matches []int32 // inner matches of cur not yet emitted
 	mi      int
+	slab    slab
 }
 
 // indexNLParts is what both engines' index nested-loops joins bind at
@@ -348,12 +348,13 @@ func (j *indexNL) next() (row, bool, error) {
 			if err := j.b.m.charge(j.r.Out); err != nil {
 				return nil, false, err
 			}
-			out := make(row, 0, len(j.outOff)+len(j.outIn))
-			for _, o := range j.outOff {
-				out = append(out, j.cur[o])
+			lw := len(j.outOff)
+			out := j.slab.row(lw+len(j.outIn), slabRows)
+			for c, o := range j.outOff {
+				out[c] = j.cur[o]
 			}
-			for _, col := range j.outIn {
-				out = append(out, int64(col[rid]))
+			for c, col := range j.outIn {
+				out[lw+c] = int64(col[rid])
 			}
 			j.st.Out++
 			return out, true, nil
@@ -382,6 +383,10 @@ func (j *indexNL) close() { j.outer.close() }
 // ---------------------------------------------------------------------------
 // Hash join
 
+// hashJoin builds the vectorized engine's joinTable over its build keys
+// and keeps the build rows, len(rightSch) values each, in one flat
+// arena. A probe walks its key's chain, which runs in build order, so a
+// probe row's matches come out in the order the build side produced them.
 type hashJoin struct {
 	b  *builder
 	n  *plan.Node
@@ -393,14 +398,14 @@ type hashJoin struct {
 	rightFull    int   // the unpruned build width the spill threshold prices
 	lOut, rOut   []int // input offsets of the output's left and right columns
 	keys         []joinKey
-	table        map[int64][]row
-	builtRows    int64
+	rows         []int64    // the build rows, row i at rows[i*len(rightSch):]
+	jt           *joinTable // the index over the build rows' first key
 	spillCharged bool
 	leftPageRows float64
 
-	cur     row
-	matches []row
-	mi      int
+	cur  row
+	mi   int32 // the next build row on cur's chain, -1 when none is left
+	slab slab
 }
 
 func (b *builder) buildHashJoin(n *plan.Node) (iterator, schema, error) {
@@ -420,24 +425,13 @@ func (b *builder) buildHashJoin(n *plan.Node) (iterator, schema, error) {
 		b: b, n: n, st: b.statsFor(n), r: b.e.coster.Rates(n),
 		left: left, right: right, rightSch: rightSch, rightFull: b.shapes[n.Right].full,
 		keys: b.bindJoinKeys(joins, leftSch, rightSch),
+		mi:   -1,
 	}
 	out := b.shapes[n].sch
 	j.lOut, j.rOut = split(out, leftSch, rightSch)
 	// Spill accounting pages the unpruned schemas.
 	j.leftPageRows = j.r.SpillPageRows(b.shapes[n.Left].full)
 	return j, out, nil
-}
-
-// joinRow builds a join's output row from a left and a right input row.
-func joinRow(l, r row, lOut, rOut []int) row {
-	out := make(row, 0, len(lOut)+len(rOut))
-	for _, o := range lOut {
-		out = append(out, l[o])
-	}
-	for _, o := range rOut {
-		out = append(out, r[o])
-	}
-	return out
 }
 
 func (j *hashJoin) open() error {
@@ -448,12 +442,13 @@ func (j *hashJoin) open() error {
 	// charges) is one contiguous charge window. A cache hit installs the
 	// finished table and lump-charges the window's cost; a completed,
 	// unspilled build stores its table for later executions.
+	rkey := j.keys[0].rightOff
 	key := ""
 	if j.b.reuse != nil {
-		key = reuseKey("hj", j.keys[0].rightOff, -1, j.b.e.bindSig, j.n.Right.Fingerprint(), j.rightSch)
+		key = reuseKey("hj", rkey, -1, j.b.e.bindSig, j.n.Right.Fingerprint(), j.rightSch)
 		if e := j.b.reuse.lookup(key); e != nil && j.b.m.fits(windowPrice(e.window)) {
 			st := e.state.(*hjBuildState)
-			j.table, j.builtRows = st.table, st.builtRows
+			j.rows, j.jt = st.rows, st.jt
 			graftStats(j.b.stats, e.stats, j.n.Right)
 			j.b.tally.hit(windowPrice(e.window))
 			return j.b.m.charge(windowPrice(e.window))
@@ -463,8 +458,8 @@ func (j *hashJoin) open() error {
 	if err := j.right.open(); err != nil {
 		return err
 	}
-	// Build phase: drain the right child.
-	j.table = make(map[int64][]row)
+	// Build phase: drain the right child into the arena.
+	var keys []int64
 	for {
 		r, ok, err := j.right.next()
 		if err != nil {
@@ -476,13 +471,14 @@ func (j *hashJoin) open() error {
 		if err := j.b.m.charge(j.r.Build); err != nil {
 			return err
 		}
-		j.table[r[j.keys[0].rightOff]] = append(j.table[r[j.keys[0].rightOff]], r)
-		j.builtRows++
+		keys = append(keys, r[rkey])
+		j.rows = append(j.rows, r...)
 	}
+	j.jt = newJoinTable(keys)
 	// Grace-join spill: if the build side exceeds work memory, charge
 	// the write+read of both inputs' pages (right now, left during the probe).
-	if j.r.OverWorkMem(int(j.builtRows), j.rightFull) {
-		pages := math.Ceil(float64(j.builtRows) / j.r.SpillPageRows(j.rightFull))
+	if j.r.OverWorkMem(len(keys), j.rightFull) {
+		pages := math.Ceil(float64(len(keys)) / j.r.SpillPageRows(j.rightFull))
 		if pages < 1 {
 			pages = 1
 		}
@@ -495,7 +491,7 @@ func (j *hashJoin) open() error {
 		j.b.reuse.store(key, &reuseEntry{
 			window: lumpWindow(j.b.m.used - buildStart),
 			stats:  snapshotStats(j.b.stats, j.n.Right),
-			state:  &hjBuildState{table: j.table, builtRows: j.builtRows},
+			state:  &hjBuildState{rows: j.rows, jt: j.jt},
 		})
 	}
 	return nil
@@ -503,9 +499,10 @@ func (j *hashJoin) open() error {
 
 func (j *hashJoin) next() (row, bool, error) {
 	for {
-		for j.mi < len(j.matches) {
-			m := j.matches[j.mi]
-			j.mi++
+		for j.mi >= 0 {
+			w := len(j.rightSch)
+			m := j.rows[int(j.mi)*w : int(j.mi+1)*w]
+			j.mi = j.jt.next[j.mi]
 			ok := true
 			for _, k := range j.keys[1:] {
 				if err := j.b.m.charge(j.r.Cmp); err != nil {
@@ -524,7 +521,7 @@ func (j *hashJoin) next() (row, bool, error) {
 				return nil, false, err
 			}
 			j.st.Out++
-			return joinRow(j.cur, m, j.lOut, j.rOut), true, nil
+			return j.slab.join(j.cur, m, j.lOut, j.rOut), true, nil
 		}
 		r, ok, err := j.left.next()
 		if err != nil || !ok {
@@ -543,8 +540,7 @@ func (j *hashJoin) next() (row, bool, error) {
 			return nil, false, err
 		}
 		j.cur = r
-		j.matches = j.table[r[j.keys[0].leftOff]]
-		j.mi = 0
+		j.mi = j.jt.lookup(r[j.keys[0].leftOff])
 	}
 }
 
@@ -575,6 +571,7 @@ type mergeJoin struct {
 	group   []row // right rows sharing the current key
 	gi      int
 	curLeft row
+	slab    slab
 }
 
 func (b *builder) buildMergeJoin(n *plan.Node) (iterator, schema, error) {
@@ -692,7 +689,7 @@ func (j *mergeJoin) next() (row, bool, error) {
 				return nil, false, err
 			}
 			j.st.Out++
-			return joinRow(j.curLeft, m, j.lOut, j.rOut), true, nil
+			return j.slab.join(j.curLeft, m, j.lOut, j.rOut), true, nil
 		}
 
 		// Advance: if the current left row's key equals the group's
@@ -922,6 +919,7 @@ type groupAggregate struct {
 	groups map[int64]int64
 	order  []int64
 	pos    int
+	slab   slab
 }
 
 func (b *builder) buildGroupAggregate(n *plan.Node) (iterator, schema, error) {
@@ -974,7 +972,9 @@ func (g *groupAggregate) next() (row, bool, error) {
 		return nil, false, err
 	}
 	g.st.Out++
-	return row{k, g.groups[k]}, true, nil
+	out := g.slab.row(2, len(g.order)-g.pos+1)
+	out[0], out[1] = k, g.groups[k]
+	return out, true, nil
 }
 
 func (g *groupAggregate) close() { g.child.close() }
@@ -1159,12 +1159,7 @@ func (v *vecEngine) streamIndexScan(n *plan.Node, sink vecSink) error {
 	if err := v.m.lump(r.Descent, 1); err != nil {
 		return err
 	}
-	drv := driving.col
-	boundary := sort.Search(len(order), func(i int) bool { return int64(drv[order[i]]) >= driving.bound })
-	rlo, rhi := 0, boundary
-	if driving.negated {
-		rlo, rhi = boundary, len(order)
-	}
+	rlo, rhi := indexRange(driving, order)
 	cRow := v.m.class(r.Fetch)
 	width := len(cols)
 	slot := v.newSlot()
@@ -1233,13 +1228,13 @@ type hashPart struct {
 	n    int
 }
 
-// joinTable is a flat open-addressing hash index over the build side's
-// merged key column: heads[slot] holds the first build row whose key
-// hashes to the slot (-1 when empty), and next chains further rows with
-// the same key. Probing costs two or three array loads instead of a
-// runtime map lookup, which is where a vectorized probe spends most of
-// its time otherwise. The table is sized to stay at most half full, so
-// linear probing always terminates at an empty slot.
+// joinTable is a flat open-addressing hash index over a hash join's build
+// keys, the one both engines build: heads[slot] holds the first build row
+// whose key hashes to the slot (-1 when empty), and next chains further
+// rows with the same key. Probing costs two or three array loads instead
+// of a runtime map lookup, which is where a probe spends most of its time
+// otherwise. The table is sized to stay at most half full, so linear
+// probing always terminates at an empty slot.
 type joinTable struct {
 	mask  uint64
 	heads []int32
@@ -1256,9 +1251,11 @@ func mix64(x int64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// newJoinTable indexes keys (the build side's key column, borrowed, not
-// copied). Duplicate keys chain newest-first; the probe only cares
-// about the multiset of matches.
+// newJoinTable indexes keys (the build rows' key values, borrowed, not
+// copied). Rows are inserted back to front, each at the head of its
+// chain, so every chain runs in build order: the Volcano probe emits
+// matches in that order, as a tuple-at-a-time hash join does, while the
+// vectorized probe needs only the multiset of matches.
 func newJoinTable(keys []int64) *joinTable {
 	size := 1
 	for size < 2*len(keys)+1 {
@@ -1273,7 +1270,8 @@ func newJoinTable(keys []int64) *joinTable {
 	for i := range t.heads {
 		t.heads[i] = -1
 	}
-	for i, k := range keys {
+	for i := len(keys) - 1; i >= 0; i-- {
+		k := keys[i]
 		h := mix64(k) & t.mask
 		for {
 			head := t.heads[h]

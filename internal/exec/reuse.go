@@ -83,7 +83,7 @@ type reuseEntry struct {
 	stats []NodeStats
 	// state is the engine-specific materialized state. All variants are
 	// read-only after construction and safe to share across executions:
-	//   *hjBuildState   Volcano hash-join build table
+	//   *hjBuildState   Volcano hash-join build arena + joinTable
 	//   *mjSortState    Volcano merge-join sorted inputs (both sides)
 	//   *vecHJState     vectorized hash-join merged build + joinTable
 	//   *vecMJState     vectorized merge-join sorted inputs (both sides)
@@ -102,10 +102,12 @@ func windowPrice(window []class) float64 {
 	return m.price(nil)
 }
 
-// hjBuildState is a Volcano hash join's completed build phase.
+// hjBuildState is a Volcano hash join's completed build phase: the build
+// rows in one flat arena and the joinTable over their first key, whose
+// chains run in build order.
 type hjBuildState struct {
-	table     map[int64][]row
-	builtRows int64
+	rows []int64
+	jt   *joinTable
 }
 
 // mjSortState is a Volcano merge join's materialized, sorted inputs.
