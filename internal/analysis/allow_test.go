@@ -103,8 +103,7 @@ func f() {
 }
 
 // TestRunPackageEmitsAllowFormatDiagnostics checks the framework check is
-// surfaced through the normal driver path, interleaved and sorted with
-// analyzer findings.
+// surfaced through the normal driver path, beside analyzer findings.
 func TestRunPackageEmitsAllowFormatDiagnostics(t *testing.T) {
 	src := `package p
 
@@ -117,7 +116,7 @@ func f() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunPackage(nil, fset, []*ast.File{f}, nil, nil)
+	diags, err := RunPackage(nil, &LoadedPackage{Fset: fset, Files: []*ast.File{f}})
 	if err != nil {
 		t.Fatal(err)
 	}

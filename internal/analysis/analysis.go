@@ -4,17 +4,16 @@
 // dependency the build environment cannot fetch.
 //
 // It deliberately mirrors the upstream API shape — Analyzer, Pass,
-// Diagnostic, Reportf — so the analyzers themselves read like standard
-// go/analysis code and could be ported to the real framework by changing
-// one import path. Two drivers run analyzers built on it:
-//
-//   - Load + RunPackage, which load packages via `go list -export`,
-//     type-check them from source and run the suite over each. This
-//     package's TestRepoIsClean runs the whole suite over the repository
-//     this way, as part of `go test ./...`, and fails with one
-//     "path:line:col: message [analyzer]" line per finding;
-//   - analysistest (internal/analysis/analysistest), which runs one
-//     analyzer over a fixture package and checks `// want` comments.
+// Diagnostic, Reportf — so the analyzers read like standard go/analysis
+// code. The analyzers are this package's own files, one per invariant,
+// each a named function listed once in suite. There is one driver:
+// Load resolves packages via `go list -export` and type-checks them from
+// source, and RunPackage runs analyzers over each. This package's
+// TestRepoIsClean runs the whole suite over the repository that way, as
+// part of `go test ./...`, and fails with one
+// "path:line:col: message [analyzer]" line per finding; the fixtures
+// under testdata/<analyzer>/<case>/ go through the same two calls, and
+// their `// want` comments are checked one to one.
 //
 // # Suppression directives
 //
@@ -36,7 +35,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -45,11 +43,21 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //bouquet:allow directives. It must be a valid identifier.
 	Name string
-	// Doc is the analyzer's documentation: a one-line summary, a blank
-	// line, then details.
-	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
+}
+
+// suite is the repository's analyzer suite, one analyzer per invariant the
+// bouquet guarantees rest on, in name order. Each analyzer's file says
+// what it checks and why.
+var suite = []*Analyzer{
+	{Name: "atomicmix", Run: atomicmix},
+	{Name: "errflow", Run: errflow},
+	{Name: "floatcmp", Run: floatcmp},
+	{Name: "maporder", Run: maporder},
+	{Name: "panicdoc", Run: panicdoc},
+	{Name: "pkgdoc", Run: pkgdoc},
+	{Name: "printless", Run: printless},
 }
 
 // A Pass provides one analyzer with the material for one package and
@@ -59,16 +67,17 @@ type Pass struct {
 	Analyzer *Analyzer
 	// Fset maps positions for Files.
 	Fset *token.FileSet
-	// Files is the package's parsed syntax (comments included).
+	// Files is the package's parsed syntax (comments included). The
+	// loader reads only a package's GoFiles, so no _test.go file is
+	// among them.
 	Files []*ast.File
 	// Pkg is the type-checked package.
 	Pkg *types.Package
 	// TypesInfo holds the type-checker's findings for Files.
 	TypesInfo *types.Info
 
-	diags   *[]Diagnostic
-	allow   allowIndex
-	nonTest []*ast.File
+	diags *[]Diagnostic
+	allow allowIndex
 }
 
 // A Diagnostic is one reported finding.
@@ -97,16 +106,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// NonTestFiles returns the package's non-test files.
-func (p *Pass) NonTestFiles() []*ast.File { return p.nonTest }
-
-// InTestFile reports whether pos lies in a _test.go file. The
-// analyzers enforce production invariants on production files; test files
-// are exercised by the test suite itself.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // allowKey identifies one suppressed (analyzer, file, line) triple.
@@ -184,57 +183,24 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diag
 	return ai, malformed
 }
 
-// NewTypesInfo returns a types.Info with every map the analyzers consult
-// allocated.
-func NewTypesInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-}
-
 // RunPackage applies each analyzer to one type-checked package and returns
-// the surviving (non-suppressed) diagnostics sorted by position.
-func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	allow, diags := buildAllowIndex(fset, files)
-	var nonTest []*ast.File
-	for _, f := range files {
-		if !strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
-			nonTest = append(nonTest, f)
-		}
-	}
+// the surviving (non-suppressed) diagnostics, malformed directives
+// included, in no particular order.
+func RunPackage(analyzers []*Analyzer, p *LoadedPackage) ([]Diagnostic, error) {
+	allow, diags := buildAllowIndex(p.Fset, p.Files)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
+			Fset:      p.Fset,
+			Files:     p.Files,
+			Pkg:       p.Pkg,
+			TypesInfo: p.Info,
 			diags:     &diags,
 			allow:     allow,
-			nonTest:   nonTest,
 		}
 		if err := a.Run(pass); err != nil {
 			return diags, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
-	})
 	return diags, nil
 }

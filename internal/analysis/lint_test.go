@@ -1,62 +1,36 @@
-package analysis_test
+package analysis
 
 import (
 	"cmp"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
-	"repro/internal/analysis/atomicmix"
-	"repro/internal/analysis/errflow"
-	"repro/internal/analysis/floatcmp"
-	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/panicdoc"
-	"repro/internal/analysis/pkgdoc"
-	"repro/internal/analysis/printless"
 )
-
-// suite is the repository's analyzer suite, one analyzer per invariant the
-// bouquet guarantees rest on, in name order. It lives here, in an external
-// test package, because only this package may import both the framework
-// and the analyzers built on it.
-var suite = []*analysis.Analyzer{
-	atomicmix.Analyzer,
-	errflow.Analyzer,
-	floatcmp.Analyzer,
-	maporder.Analyzer,
-	panicdoc.Analyzer,
-	pkgdoc.Analyzer,
-	printless.Analyzer,
-}
 
 // lint loads every package under dir and runs the suite over each. It
 // returns one "path:line:col: message [analyzer]" line per finding, path
 // relative to dir, sorted by position.
 func lint(t *testing.T, dir string) []string {
 	t.Helper()
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go command not available")
-	}
-	pkgs, err := analysis.Load(dir, []string{"./..."})
+	requireGo(t)
+	pkgs, err := Load(dir, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []analysis.Diagnostic
+	var all []Diagnostic
 	for _, p := range pkgs {
-		diags, err := analysis.RunPackage(suite, p.Fset, p.Files, p.Pkg, p.Info)
+		diags, err := RunPackage(suite, p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.PkgPath, err)
 		}
 		all = append(all, diags...)
 	}
-	slices.SortFunc(all, func(a, b analysis.Diagnostic) int {
+	slices.SortFunc(all, func(a, b Diagnostic) int {
 		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
 			cmp.Compare(a.Pos.Column, b.Pos.Column), cmp.Compare(a.Analyzer, b.Analyzer))
 	})
@@ -75,9 +49,152 @@ func lint(t *testing.T, dir string) []string {
 // "path:line:col: message [analyzer]" line, which the CI problem matcher
 // turns into an annotation on that file.
 func TestRepoIsClean(t *testing.T) {
-	_, file, _, _ := runtime.Caller(0)
-	for _, line := range lint(t, filepath.Join(filepath.Dir(file), "..", "..")) {
+	for _, line := range lint(t, repoRoot(t)) {
 		t.Error(line)
+	}
+}
+
+// fixtures lists every fixture package under testdata/ as
+// <analyzer>/<case>. A fixture is checked against the analyzer it is
+// filed under: every line that should produce a finding carries a
+// trailing comment of the form
+//
+//	x == y // want `regexp` ...
+//
+// with one quoted or backquoted regular expression per expected finding
+// on that line, and a case with no want comment must lint clean.
+var fixtures = []string{
+	"atomicmix/a",
+	"errflow/a",
+	"floatcmp/a",
+	"maporder/a",
+	"panicdoc/a",
+	"pkgdoc/a",
+	// A substantive doc.go comment, split across a dedicated file while
+	// the code files carry none, passes clean.
+	"pkgdoc/good",
+	"pkgdoc/stub",
+	"pkgdoc/wrongprefix",
+	"printless/a",
+	// The path-based exemption: the fixture's import path ends in
+	// "report", so even direct fmt.Println calls produce no findings.
+	"printless/report",
+}
+
+// TestFixtures loads every fixture in one Load, the way TestRepoIsClean
+// loads the repository, runs each through RunPackage with its own
+// analyzer, and pairs the findings with the fixture's want comments one
+// to one: a finding with no matching want, or a want with no matching
+// finding, fails the test.
+func TestFixtures(t *testing.T) {
+	requireGo(t)
+	patterns := make([]string, len(fixtures))
+	for i, f := range fixtures {
+		patterns[i] = "./testdata/" + f
+	}
+	pkgs, err := Load(".", patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := map[string]*LoadedPackage{}
+	for _, p := range pkgs {
+		byPath[p.PkgPath] = p
+	}
+	covered := map[string]bool{}
+	for _, f := range fixtures {
+		t.Run(f, func(t *testing.T) {
+			name, _, _ := strings.Cut(f, "/")
+			i := slices.IndexFunc(suite, func(a *Analyzer) bool { return a.Name == name })
+			if i < 0 {
+				t.Fatalf("no analyzer %q in the suite", name)
+			}
+			covered[name] = true
+			p := byPath["repro/internal/analysis/testdata/"+f]
+			if p == nil {
+				t.Fatalf("fixture not loaded")
+			}
+			diags, err := RunPackage(suite[i:i+1], p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchWants(t, diags, collectWants(t, p))
+		})
+	}
+	for _, a := range suite {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s has no fixture", a.Name)
+		}
+	}
+}
+
+// want is one expected finding.
+type want struct {
+	file    string
+	line    int
+	re      *regexp.Regexp
+	matched bool
+}
+
+// wantRE splits a want comment into quoted expectation strings.
+var wantRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
+
+// collectWants parses the `// want ...` comments of a fixture package.
+func collectWants(t *testing.T, p *LoadedPackage) []*want {
+	t.Helper()
+	var wants []*want
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text, ok := strings.CutPrefix(c.Text, "// want ")
+				if !ok {
+					continue
+				}
+				pos := p.Fset.Position(c.Pos())
+				specs := wantRE.FindAllString(text, -1)
+				if len(specs) == 0 {
+					t.Errorf("%s: malformed want comment %q", pos, c.Text)
+					continue
+				}
+				for _, spec := range specs {
+					pattern := spec[1 : len(spec)-1]
+					if spec[0] == '"' {
+						unquoted, err := strconv.Unquote(spec)
+						if err != nil {
+							t.Errorf("%s: bad want string %q: %v", pos, spec, err)
+							continue
+						}
+						pattern = unquoted
+					}
+					re, err := regexp.Compile(pattern)
+					if err != nil {
+						t.Errorf("%s: bad want pattern %q: %v", pos, pattern, err)
+						continue
+					}
+					wants = append(wants, &want{file: pos.Filename, line: pos.Line, re: re})
+				}
+			}
+		}
+	}
+	return wants
+}
+
+// matchWants pairs findings with expectations one to one.
+func matchWants(t *testing.T, diags []Diagnostic, wants []*want) {
+	t.Helper()
+	for _, d := range diags {
+		i := slices.IndexFunc(wants, func(w *want) bool {
+			return !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message)
+		})
+		if i < 0 {
+			t.Errorf("unexpected finding: %s", d)
+			continue
+		}
+		wants[i].matched = true
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: expected a finding matching %q, got none", w.file, w.line, w.re)
+		}
 	}
 }
 
@@ -114,6 +231,60 @@ func suppressed(x float64) bool {
 `))
 	if len(got) != 1 || !strings.HasPrefix(got[0], "a.go:5:11: exact == on float operands") || !strings.HasSuffix(got[0], " [floatcmp]") {
 		t.Fatalf("want exactly one floatcmp finding, at a.go:5:11, got:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// TestTestFilesAreNotLinted pins what lets the analyzers ignore test files:
+// the loader never hands them one. A float == and a blank-discarded error,
+// in an in-package and in an external test file, give no finding; nor
+// does the external test package, which has no package comment.
+func TestTestFilesAreNotLinted(t *testing.T) {
+	dir := fixtureModule(t, `// Package a has test files that break the suite's rules, and no finding.
+package a
+
+// Half halves x.
+func Half(x float64) float64 { return x / 2 }
+`)
+	for name, src := range map[string]string{
+		"a_test.go": `package a
+
+import (
+	"errors"
+	"testing"
+)
+
+func fail() error { return errors.New("boom") }
+
+func TestHalf(t *testing.T) {
+	_ = fail()
+	if Half(1) == 0.5 {
+		return
+	}
+}
+`,
+		"ax_test.go": `package a_test
+
+import (
+	"errors"
+	"testing"
+
+	"lintfixture"
+)
+
+func TestHalfOutside(t *testing.T) {
+	_ = errors.New("boom")
+	if lintfixture.Half(1) != 0.5 {
+		t.Fail()
+	}
+}
+`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := lint(t, dir); len(got) != 0 {
+		t.Fatalf("want no finding from test files, got:\n%s", strings.Join(got, "\n"))
 	}
 }
 
@@ -223,8 +394,8 @@ func drop() {
 	}
 }
 
-// TestSuiteShape pins the suite's contract: every analyzer is fully
-// populated, and names are unique lowercase identifiers in name order, so
+// TestSuiteShape pins the suite's contract: every analyzer has a name and
+// a Run, and names are unique lowercase identifiers in name order, so
 // //bouquet:allow directives can name them and findings sort stably.
 func TestSuiteShape(t *testing.T) {
 	if len(suite) != 7 {
@@ -232,8 +403,8 @@ func TestSuiteShape(t *testing.T) {
 	}
 	name := regexp.MustCompile(`^[a-z]+$`)
 	for i, az := range suite {
-		if !name.MatchString(az.Name) || az.Doc == "" || az.Run == nil {
-			t.Errorf("analyzer %d (%q) needs a lowercase name, a Doc and a Run", i, az.Name)
+		if !name.MatchString(az.Name) || az.Run == nil {
+			t.Errorf("analyzer %d (%q) needs a lowercase name and a Run", i, az.Name)
 		}
 		if i > 0 && suite[i-1].Name >= az.Name {
 			t.Errorf("suite not in strict name order at %s, %s", suite[i-1].Name, az.Name)

@@ -34,7 +34,6 @@ type LoadedPackage struct {
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
@@ -47,9 +46,11 @@ type listPackage struct {
 // data for their dependency closure via `go list -export`, and type-checks
 // each target package from source. The go command does the dependency
 // compilation (cached), so Load works offline and needs no module
-// downloads.
+// downloads. Only a package's GoFiles are read: `go list` reports test
+// files separately, so no _test.go file reaches an analyzer. A pattern
+// may name a testdata directory outright, which is how the fixtures load.
 func Load(dir string, patterns []string) ([]*LoadedPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Name,Export,GoFiles,CgoFiles,DepOnly,ImportMap,Error"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,CgoFiles,DepOnly,ImportMap,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -117,7 +118,15 @@ func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goF
 		}
 		files = append(files, f)
 	}
-	info := NewTypesInfo()
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
@@ -126,25 +135,10 @@ func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goF
 	return &LoadedPackage{PkgPath: pkgPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-// TypeCheckFiles type-checks already-parsed files as the package pkgPath,
-// resolving imports from the given export-data and import maps (as
-// produced by `go list -export`). It exists for drivers that hold syntax
-// the loader did not produce, such as the analysistest fixture runner.
-func TypeCheckFiles(fset *token.FileSet, files []*ast.File, pkgPath string, exports, importMap map[string]string) (*types.Package, *types.Info, error) {
-	imp := newExportImporter(fset, exports, importMap)
-	info := NewTypesInfo()
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, info, nil
-}
-
-// newExportImporter returns a types.Importer that resolves imports from gc
-// export data files (as produced by `go list -export` or recorded in a
-// vet config). The importer delegates the export data decoding to the
-// standard library's gc importer via its lookup hook.
+// newExportImporter returns a types.Importer that resolves imports from the
+// gc export data files `go list -export` reports. The importer delegates
+// the export data decoding to the standard library's gc importer via its
+// lookup hook.
 func newExportImporter(fset *token.FileSet, exports, importMap map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		if resolved, ok := importMap[path]; ok {

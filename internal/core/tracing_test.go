@@ -353,7 +353,7 @@ func TestTracingDisabledAllocParity(t *testing.T) {
 			base = testing.AllocsPerRun(10, func() { b.RunOptimized(qa) })
 		}
 		traced := testing.AllocsPerRun(10, func() {
-			b.Run(ctx, Run{Optimized: optimized, QA: qa}) //bouquet:allow errflow: Background never expires
+			b.Run(ctx, Run{Optimized: optimized, QA: qa}) // the error is dropped: Background never expires
 		})
 		if traced > base {
 			t.Errorf("Run(optimized=%v, nil recorder) allocates %.0f/run, untraced %.0f", optimized, traced, base)

@@ -7,7 +7,7 @@
 // therefore plan choice, contour assignment, and ultimately the MSO ≤ 4·ρ
 // guarantee's determinism) depend on summation order. All cost and
 // selectivity equality tests in this repository must go through this
-// package; the floatcmp analyzer (internal/analysis/floatcmp), which
+// package; the floatcmp analyzer (internal/analysis/floatcmp.go), which
 // internal/analysis's TestRepoIsClean runs over the repository, enforces
 // that mechanically.
 package floats

@@ -75,7 +75,7 @@ func TestAccumulatedErrorTieBreak(t *testing.T) {
 	for i := len(terms) - 1; i >= 0; i-- {
 		bwd += terms[i]
 	}
-	if fwd == bwd { //bouquet:allow floatcmp: the test asserts the two accumulations differ exactly
+	if fwd == bwd { // exact on purpose: the test asserts the two accumulations differ exactly
 		t.Skip("accumulation orders agreed exactly on this platform; cannot demonstrate misorder")
 	}
 
@@ -90,7 +90,7 @@ func TestAccumulatedErrorTieBreak(t *testing.T) {
 	pickExact := func() int {
 		best, bestCost := -1, math.Inf(1)
 		for _, p := range plans {
-			if p.cost < bestCost || (p.cost == bestCost && p.id < best) { //bouquet:allow floatcmp: deliberately reproduces the pre-fix buggy compare
+			if p.cost < bestCost || (p.cost == bestCost && p.id < best) { // exact on purpose: deliberately reproduces the pre-fix buggy compare
 				best, bestCost = p.id, p.cost
 			}
 		}
